@@ -13,16 +13,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._tables import (
+    ASSOCIATIVITY,
     Table,
-    acc_basis_mul,
-    acc_mul_basis,
     apply_table,
-    int_scaled,
+    basis_vec,
     table_from_dense,
     table_from_entries,
+    verify_identities,
 )
 from .linalg import Matrix, Vec, is_zero_vec, solve, vec
-from .report import Report, fail, ok
+from .report import Report, fail, memo, ok
 
 
 class BimoduleError(ValueError):
@@ -34,10 +34,6 @@ class BimoduleError(ValueError):
         self.lhs = lhs
         self.rhs = rhs
         super().__init__(f"bimodule axiom {axiom} fails at {indices}: {lhs} != {rhs}")
-
-
-def basis_vec(dim: int, i: int) -> Vec:
-    return tuple(Fraction(1 if k == i else 0) for k in range(dim))
 
 
 class Algebra:
@@ -60,7 +56,6 @@ class Algebra:
         self.unit = vec(unit) if unit is not None else None
         if self.unit is not None and len(self.unit) != self.dim:
             raise ValueError("unit vector length != dim")
-        self._assoc_report: Report | None = None
 
     def multiply(self, x: Sequence, y: Sequence) -> Vec:
         return apply_table(self.table, x, y)
@@ -69,9 +64,7 @@ class Algebra:
         return basis_vec(self.dim, i)
 
     def associative(self) -> bool:
-        if self._assoc_report is None:
-            self._assoc_report = verify_associative(self)
-        return self._assoc_report.holds
+        return memo(self, verify_associative).holds
 
 
 def multiply(a: Algebra, x: Sequence, y: Sequence) -> Vec:
@@ -81,28 +74,7 @@ def multiply(a: Algebra, x: Sequence, y: Sequence) -> Vec:
 
 def verify_associative(a: Algebra) -> Report:
     """Check (ei ej) ek = ei (ej ek) for all basis triples."""
-    (t,) = int_scaled([a.table])
-    dim = a.dim
-    rng = range(dim)
-    for i in rng:
-        tij_row = t[i]
-        for j in rng:
-            tij = tij_row[j]
-            for k in rng:
-                acc = [0] * dim
-                acc_mul_basis(t, tij, k, acc, 1)
-                acc_basis_mul(t, i, t[j][k], acc, -1)
-                if any(acc):
-                    ei, ej, ek = (basis_vec(dim, x) for x in (i, j, k))
-                    lhs = a.multiply(a.table[i][j], ek)
-                    rhs = a.multiply(ei, a.table[j][k])
-                    rep = fail("associativity", (ei, ej, ek), lhs, rhs,
-                               note=f"basis triple ({i},{j},{k})")
-                    a._assoc_report = rep
-                    return rep
-    rep = ok("associativity")
-    a._assoc_report = rep
-    return rep
+    return verify_identities((ASSOCIATIVITY,), {"m": a.table}, "associativity")
 
 
 def find_unit(a: Algebra) -> Vec | None:
@@ -128,8 +100,6 @@ class GradedAlgebra:
         if any(i < 0 or i >= algebra.dim for i in self.even):
             raise ValueError("even index out of range")
         self.odd = tuple(i for i in range(algebra.dim) if i not in set(self.even))
-        self._grading_report: Report | None = None
-        self._valid: bool | None = None
 
     @property
     def dim(self) -> int:
@@ -150,19 +120,14 @@ class GradedAlgebra:
 
     def validate(self) -> "GradedAlgebra":
         """Raise ValueError unless the algebra is associative and the grading holds."""
-        if self._valid:
-            return self
-        rep = self.algebra._assoc_report or verify_associative(self.algebra)
+        rep = memo(self.algebra, verify_associative)
         if not rep.holds:
-            self._valid = False
             raise ValueError(f"not associative: witness {rep.witness.note}")
-        rep = verify_special_grading(self)
+        rep = memo(self, verify_special_grading)
         if not rep.holds:
-            self._valid = False
             raise ValueError(
                 f"grading violated ({rep.identity}): witness {rep.witness.note}"
             )
-        self._valid = True
         return self
 
     def verified(self) -> bool:
@@ -182,10 +147,8 @@ def verify_special_grading(g: GradedAlgebra) -> Report:
     def clause_fail(name, i, j, allowed):
         prod = a.table[i][j]
         proj = tuple(c if k in allowed else Fraction(0) for k, c in enumerate(prod))
-        rep = fail(name, (basis_vec(dim, i), basis_vec(dim, j)), prod, proj,
-                   note=f"basis pair ({i},{j})")
-        g._grading_report = rep
-        return rep
+        return fail(name, (basis_vec(dim, i), basis_vec(dim, j)), prod, proj,
+                    note=f"basis pair ({i},{j})")
 
     for i in range(dim):
         for j in range(dim):
@@ -199,9 +162,7 @@ def verify_special_grading(g: GradedAlgebra) -> Report:
             else:
                 if any(prod[k] for k in even):
                     return clause_fail("mixed products in odd", i, j, odd)
-    rep = ok("special grading")
-    g._grading_report = rep
-    return rep
+    return ok("special grading")
 
 
 def _action_matrices(tensor, p: int, q: int, left: bool) -> list[Matrix]:
@@ -229,7 +190,7 @@ def make_trivial_extension(a0: Algebra, bimodule_dim: int,
     The product is (a+m)(b+n) = ab + (a.n + m.b); the odd part squares to zero.
     """
     p, q = a0.dim, bimodule_dim
-    rep = verify_associative(a0)
+    rep = memo(a0, verify_associative)
     if not rep.holds:
         raise ValueError(f"base algebra not associative: {rep.witness.note}")
     lam = _action_matrices(left_action, p, q, left=True)

@@ -26,7 +26,7 @@ from .leibniz import (
     classify_simplicity,
     verify_right_leibniz,
 )
-from .report import Report
+from .report import Report, memo
 from .xigroup import (
     LinearXiGroup,
     RankAmbiguityError,
@@ -98,11 +98,11 @@ def cmd_verify(args, out) -> int:
     # kind == huliu: the full stack, reporting the first layer that fails
     if not isinstance(obj, HuLiuAlgebra):
         raise lio.SchemaError("kind 'huliu' needs a huliu file")
-    rep = verify_right_leibniz(obj.leibniz)
+    rep = memo(obj.leibniz, verify_right_leibniz)
     if rep.holds:
-        rep = verify_lie(obj.square)
+        rep = memo(obj, verify_lie, obj.square)
     if rep.holds:
-        rep = verify_huliu_identities(obj)
+        rep = memo(obj, verify_huliu_identities)
     return _emit_report(rep, args.json, out)
 
 

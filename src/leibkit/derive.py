@@ -22,7 +22,7 @@ from .huliu import (
 )
 from .leibniz import LeibnizAlgebra, check_leibniz_homomorphism, verify_right_leibniz
 from .linalg import Matrix, vsub
-from .report import HomReport
+from .report import HomReport, memo
 
 
 def _commutator_table(g: GradedAlgebra, even_only: bool):
@@ -47,7 +47,7 @@ def derive_leibniz(g: GradedAlgebra) -> LeibnizAlgebra:
     g.validate()
     out = LeibnizAlgebra(_commutator_table(g, even_only=True),
                          g.algebra.basis_names)
-    rep = verify_right_leibniz(out)
+    rep = memo(out, verify_right_leibniz)
     if not rep.holds:
         raise RuntimeError(
             f"derived bracket violates the Leibniz identity at {rep.witness.note}; "
@@ -61,10 +61,10 @@ def derive_huliu(g: GradedAlgebra) -> HuLiuAlgebra:
     leib = derive_leibniz(g)
     square = _commutator_table(g, even_only=False)
     out = HuLiuAlgebra(leib, square)
-    rep = verify_lie(square)
+    rep = memo(out, verify_lie, square)
     if not rep.holds:
         raise RuntimeError(f"derived commutator violates {rep.identity}; this is a bug")
-    rep = verify_huliu_identities(out)
+    rep = memo(out, verify_huliu_identities)
     if not rep.holds:
         raise RuntimeError(
             f"derived pair violates: {rep.identity} at {rep.witness.note}; this is a bug"

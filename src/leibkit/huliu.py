@@ -12,14 +12,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._tables import (
+    COMPATIBILITY,
+    JACOBI,
     Table,
-    acc_basis_mul,
-    acc_mul_basis,
     apply_table,
-    int_scaled,
+    basis_vec,
+    evaluate,
     table_from_dense,
+    verify_identities,
 )
-from .algebras import basis_vec
 from .leibniz import (
     LeibnizAlgebra,
     SimplicityVerdict,
@@ -29,7 +30,7 @@ from .leibniz import (
 )
 from .linalg import Matrix, Subspace, Vec, is_zero_vec, vadd, vscale, zeros
 from .modules import NORTON_BUDGET, NORTON_MAX_WORD
-from .report import HomReport, Report, fail, ok
+from .report import HomReport, Report, fail, memo, ok
 
 
 class HuLiuAlgebra:
@@ -44,8 +45,6 @@ class HuLiuAlgebra:
         self.square = square if isinstance(square, tuple) else table_from_dense(square)
         if len(self.square) != self.leibniz.dim:
             raise ValueError("angle and square tables have different dimensions")
-        self._lie_report: Report | None = None
-        self._hl_report: Report | None = None
 
     @property
     def dim(self) -> int:
@@ -63,25 +62,22 @@ class HuLiuAlgebra:
 
     def validate(self) -> "HuLiuAlgebra":
         self.leibniz.validate()
-        rep = verify_lie(self.square)
+        rep = memo(self, verify_lie, self.square)
         if not rep.holds:
             raise ValueError(f"square bracket is not a Lie bracket: {rep.identity}")
-        rep = verify_huliu_identities(self)
+        rep = memo(self, verify_huliu_identities)
         if not rep.holds:
             raise ValueError(f"compatibility identity fails: {rep.identity}")
         return self
 
     def require_verified(self):
         self.leibniz.require_verified()
-        if self._lie_report is None:
-            self._lie_report = verify_lie(self.square)
-        if not self._lie_report.holds:
+        if not memo(self, verify_lie, self.square).holds:
             raise ValueError("operation requires a verified Lie bracket")
-        if self._hl_report is None:
-            self._hl_report = verify_huliu_identities(self)
-        if not self._hl_report.holds:
+        rep = memo(self, verify_huliu_identities)
+        if not rep.holds:
             raise ValueError(
-                f"operation requires the compatibility identities: {self._hl_report.identity}"
+                f"operation requires the compatibility identities: {rep.identity}"
             )
 
 
@@ -94,109 +90,27 @@ def verify_lie(square: Table) -> Report:
                 ei, ej = basis_vec(dim, i), basis_vec(dim, j)
                 return fail("antisymmetry", (ei, ej), square[i][j],
                             vscale(-1, square[j][i]), note=f"basis pair ({i},{j})")
-    (s,) = int_scaled([square])
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                acc = [0] * dim
-                acc_mul_basis(s, s[i][j], k, acc, 1)
-                acc_mul_basis(s, s[j][k], i, acc, 1)
-                acc_mul_basis(s, s[k][i], j, acc, 1)
-                if any(acc):
-                    ei, ej, ek = (basis_vec(dim, x) for x in (i, j, k))
-                    lhs = vadd(
-                        vadd(apply_table(square, square[i][j], ek),
-                             apply_table(square, square[j][k], ei)),
-                        apply_table(square, square[k][i], ej))
-                    return fail("Jacobi identity", (ei, ej, ek), lhs, zeros(dim),
-                                note=f"basis triple ({i},{j},{k})")
-    return ok("Lie bracket")
+    return verify_identities((JACOBI,), {"s": square}, "Lie bracket")
 
 
-HL_IDENTITIES = (
-    "angle absorbs square: <x,[y,z]> = <x,<y,z>>",
-    "squares bracket alike (polarized): [<x,y>+<y,x>,z] = <<x,y>+<y,x>,z>",
-    "mixed cycle: <[x,y],z> + [<y,z>,x] + [y,<x,z>] = 0",
-    "mixed quadruple: [<x,y>,z] + [z,[x,y]] + [z,<y,x>] + <z,<x,y>> = 0",
-)
+HL_IDENTITIES = tuple(identity.name for identity in COMPATIBILITY)
 
 
 def eval_huliu_identity(h: HuLiuAlgebra, which: int, x, y, z) -> tuple[Vec, Vec]:
     """lhs and rhs of compatibility identity ``which`` (0..3) at vectors."""
-    a, s = h.angle_bracket, h.square_bracket
-    if which == 0:
-        return a(x, s(y, z)), a(x, a(y, z))
-    if which == 1:
-        u = vadd(a(x, y), a(y, x))
-        return s(u, z), a(u, z)
-    if which == 2:
-        lhs = vadd(vadd(a(s(x, y), z), s(a(y, z), x)), s(y, a(x, z)))
-        return lhs, zeros(h.dim)
-    if which == 3:
-        lhs = vadd(vadd(s(a(x, y), z), s(z, s(x, y))),
-                   vadd(s(z, a(y, x)), a(z, a(x, y))))
-        return lhs, zeros(h.dim)
-    raise ValueError(f"no identity {which}")
+    if which not in range(len(COMPATIBILITY)):
+        raise ValueError(f"no identity {which}")
+    return evaluate(COMPATIBILITY[which], {"a": h.leibniz.angle, "s": h.square},
+                    x, y, z)
 
 
 def verify_huliu_identities(h: HuLiuAlgebra) -> Report:
     """Check the four compatibility identities; report the first that fails."""
     h.leibniz.require_verified()
-    lie = verify_lie(h.square)
-    if not lie.holds:
+    if not memo(h, verify_lie, h.square).holds:
         raise ValueError("compatibility check requires a verified Lie bracket")
-    g, s = int_scaled([h.leibniz.angle, h.square])
-    dim = h.dim
-    rng = range(dim)
-    sym = [[[gi + gj for gi, gj in zip(g[i][j], g[j][i])] for j in rng] for i in rng]
-
-    def witness(which, i, j, k):
-        ei, ej, ek = (basis_vec(dim, x) for x in (i, j, k))
-        lhs, rhs = eval_huliu_identity(h, which, ei, ej, ek)
-        rep = fail(HL_IDENTITIES[which], (ei, ej, ek), lhs, rhs,
-                   note=f"basis triple ({i},{j},{k})")
-        h._hl_report = rep
-        return rep
-
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                acc = [0] * dim
-                acc_basis_mul(g, i, s[j][k], acc, 1)
-                acc_basis_mul(g, i, g[j][k], acc, -1)
-                if any(acc):
-                    return witness(0, i, j, k)
-    for i in rng:
-        for j in rng:
-            u = sym[i][j]
-            for k in rng:
-                acc = [0] * dim
-                acc_mul_basis(s, u, k, acc, 1)
-                acc_mul_basis(g, u, k, acc, -1)
-                if any(acc):
-                    return witness(1, i, j, k)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                acc = [0] * dim
-                acc_mul_basis(g, s[i][j], k, acc, 1)
-                acc_mul_basis(s, g[j][k], i, acc, 1)
-                acc_basis_mul(s, j, g[i][k], acc, 1)
-                if any(acc):
-                    return witness(2, i, j, k)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                acc = [0] * dim
-                acc_mul_basis(s, g[i][j], k, acc, 1)
-                acc_basis_mul(s, k, s[i][j], acc, 1)
-                acc_basis_mul(s, k, g[j][i], acc, 1)
-                acc_basis_mul(g, k, g[i][j], acc, 1)
-                if any(acc):
-                    return witness(3, i, j, k)
-    rep = ok("compatibility identities")
-    h._hl_report = rep
-    return rep
+    return verify_identities(COMPATIBILITY, {"a": h.leibniz.angle, "s": h.square},
+                             "compatibility identities")
 
 
 def adjoint_operators(h: HuLiuAlgebra) -> tuple[Matrix, ...]:

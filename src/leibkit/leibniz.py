@@ -14,14 +14,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._tables import (
+    RIGHT_LEIBNIZ,
     Table,
-    acc_basis_mul,
-    acc_mul_basis,
     apply_table,
-    int_scaled,
+    basis_vec,
+    evaluate,
     table_from_dense,
+    verify_identities,
 )
-from .algebras import basis_vec
 from .linalg import Matrix, Subspace, Vec, span, vadd
 from .modules import (
     NORTON_BUDGET,
@@ -35,7 +35,7 @@ from .modules import (
     quotient,
     restriction,
 )
-from .report import HomReport, Report, fail, ok
+from .report import HomReport, Report, fail, memo
 
 
 class LeibnizAlgebra:
@@ -49,8 +49,6 @@ class LeibnizAlgebra:
         )
         if len(self.basis_names) != self.dim:
             raise ValueError("basis_names length != dim")
-        self._report: Report | None = None
-        self._ann: Subspace | None = None
 
     def bracket(self, x: Sequence, y: Sequence) -> Vec:
         return apply_table(self.angle, x, y)
@@ -59,51 +57,28 @@ class LeibnizAlgebra:
         return basis_vec(self.dim, i)
 
     def validate(self) -> "LeibnizAlgebra":
-        rep = verify_right_leibniz(self)
+        rep = memo(self, verify_right_leibniz)
         if not rep.holds:
             raise ValueError(f"right Leibniz identity fails: {rep.witness.note}")
         return self
 
     def require_verified(self):
-        if self._report is None:
-            self._report = verify_right_leibniz(self)
-        if not self._report.holds:
+        rep = memo(self, verify_right_leibniz)
+        if not rep.holds:
             raise ValueError(
-                f"operation requires a verified Leibniz algebra: {self._report.witness.note}"
+                f"operation requires a verified Leibniz algebra: {rep.witness.note}"
             )
 
 
 def verify_right_leibniz(algebra: LeibnizAlgebra) -> Report:
     """Check <<x,y>,z> = <x,<y,z>> + <<x,z>,y> on all basis triples."""
-    (t,) = int_scaled([algebra.angle])
-    dim = algebra.dim
-    rng = range(dim)
-    for i in rng:
-        for j in rng:
-            tij = t[i][j]
-            for k in rng:
-                acc = [0] * dim
-                acc_mul_basis(t, tij, k, acc, 1)
-                acc_basis_mul(t, i, t[j][k], acc, -1)
-                acc_mul_basis(t, t[i][k], j, acc, -1)
-                if any(acc):
-                    ei, ej, ek = (basis_vec(dim, x) for x in (i, j, k))
-                    lhs, rhs = eval_right_leibniz(algebra, ei, ej, ek)
-                    rep = fail("right Leibniz identity", (ei, ej, ek), lhs, rhs,
-                               note=f"basis triple ({i},{j},{k})")
-                    algebra._report = rep
-                    return rep
-    rep = ok("right Leibniz identity")
-    algebra._report = rep
-    return rep
+    return verify_identities((RIGHT_LEIBNIZ,), {"a": algebra.angle},
+                             "right Leibniz identity")
 
 
 def eval_right_leibniz(algebra: LeibnizAlgebra, x, y, z) -> tuple[Vec, Vec]:
     """Both sides of the identity at arbitrary vectors (for witness replay)."""
-    br = algebra.bracket
-    lhs = br(br(x, y), z)
-    rhs = vadd(br(x, br(y, z)), br(br(x, z), y))
-    return lhs, rhs
+    return evaluate(RIGHT_LEIBNIZ, {"a": algebra.angle}, x, y, z)
 
 
 def annihilator(algebra: LeibnizAlgebra) -> Subspace:
@@ -115,8 +90,10 @@ def annihilator(algebra: LeibnizAlgebra) -> Subspace:
     a mismatch is an internal bug, not bad input.
     """
     algebra.require_verified()
-    if algebra._ann is not None:
-        return algebra._ann
+    return memo(algebra, _span_of_squares)
+
+
+def _span_of_squares(algebra: LeibnizAlgebra) -> Subspace:
     t = algebra.angle
     dim = algebra.dim
     squares = [t[i][i] for i in range(dim)]
@@ -130,7 +107,6 @@ def annihilator(algebra: LeibnizAlgebra) -> Subspace:
         raise RuntimeError(
             "annihilator presentations disagree; this is a bug in the bracket tables"
         )
-    algebra._ann = by_squares
     return by_squares
 
 

@@ -58,3 +58,16 @@ class HomReport:
 
     def __bool__(self) -> bool:
         return self.holds
+
+
+def memo(obj, check, *args):
+    """``check(*args)``, or ``check(obj)`` without args, run at most once per object.
+
+    The result is kept on ``obj`` under the check's name.  A key's presence,
+    not its value's truth, marks a hit, so a failing (falsy) Report is kept too.
+    """
+    cache = vars(obj).setdefault("_memo", {})
+    name = check.__name__
+    if name not in cache:
+        cache[name] = check(*(args or (obj,)))
+    return cache[name]

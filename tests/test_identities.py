@@ -1,0 +1,205 @@
+"""The declared bracket identities and their three consumers.
+
+Each case is a small hand-made table set whose first failing identity is
+the one named.  The exact checker must name it and give a witness that a
+hand-written evaluation of the identity reproduces; the float residual must
+name the same identity first and vanish on derived pairs.
+"""
+
+import functools
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from leibkit._tables import (
+    ASSOCIATIVITY,
+    COMPATIBILITY,
+    JACOBI,
+    RIGHT_LEIBNIZ,
+    apply_table,
+    evaluate,
+    table_from_entries,
+)
+from leibkit import algebras, derive, huliu, xigroup
+from leibkit.algebras import Algebra, GradedAlgebra, make_block_upper, upper_triangular_model
+from leibkit.derive import derive_huliu
+from leibkit.huliu import HuLiuAlgebra, classify_huliu_simplicity, eval_huliu_identity
+from leibkit.leibniz import LeibnizAlgebra, eval_right_leibniz, verify_right_leibniz
+from leibkit.linalg import vadd, zeros
+from leibkit.xigroup import (
+    DEFAULT_TOLERANCE,
+    LinearXiGroup,
+    OrthogonalConstraints,
+    _residual,
+    mat_square_zero_extension,
+    tangent_space,
+    verify_tangent_huliu,
+)
+
+# every declared identity, in the order the exact paths check them
+DECLARED = (ASSOCIATIVITY, RIGHT_LEIBNIZ, JACOBI, *COMPATIBILITY)
+
+
+def _reference(name, tables, x, y, z):
+    """Both sides of the identity called ``name``, written out by hand."""
+    m, a, s = (functools.partial(apply_table, tables[k]) if k in tables else None
+               for k in "mas")
+    dim = len(x)
+
+    def add(*vs):
+        return functools.reduce(vadd, vs, zeros(dim))
+
+    if name == "associativity":
+        return m(m(x, y), z), m(x, m(y, z))
+    if name == "right Leibniz identity":
+        return a(a(x, y), z), add(a(x, a(y, z)), a(a(x, z), y))
+    if name == "Jacobi identity":
+        return add(s(s(x, y), z), s(s(y, z), x), s(s(z, x), y)), zeros(dim)
+    which = [c.name for c in COMPATIBILITY].index(name)
+    if which == 0:
+        return a(x, s(y, z)), a(x, a(y, z))
+    if which == 1:
+        u = add(a(x, y), a(y, x))
+        return s(u, z), a(u, z)
+    if which == 2:
+        return add(a(s(x, y), z), s(a(y, z), x), s(y, a(x, z))), zeros(dim)
+    return add(s(a(x, y), z), s(z, s(x, y)), s(z, a(y, x)), a(z, a(x, y))), zeros(dim)
+
+
+def _exact_report(tables):
+    if "m" in tables:
+        return algebras.verify_associative(Algebra(tables["m"]))
+    if "s" not in tables:
+        return verify_right_leibniz(LeibnizAlgebra(tables["a"]))
+    if "a" not in tables:
+        return huliu.verify_lie(tables["s"])
+    return huliu.verify_huliu_identities(HuLiuAlgebra(tables["a"], tables["s"]))
+
+
+def _applicable(tables):
+    """The declared identities over the given tables, in checking order."""
+    return [idn for idn in DECLARED
+            if {t.outer for t in idn.lhs + idn.rhs} <= set(tables)]
+
+
+# (first failing identity, dim, sparse (i, j, k, value) items per table)
+FAILING = [
+    (ASSOCIATIVITY, 2, {"m": [(0, 0, 1, 1), (1, 0, 0, 1)]}),
+    (RIGHT_LEIBNIZ, 2, {"a": [(0, 0, 0, 1)]}),
+    (JACOBI, 3, {"s": [(0, 1, 0, 1), (1, 0, 0, -1), (0, 2, 2, 1), (2, 0, 2, -1),
+                       (1, 2, 1, 1), (2, 1, 1, -1)]}),
+    (COMPATIBILITY[0], 2, {"a": [(0, 0, 1, -1)], "s": [(0, 1, 0, -1), (1, 0, 0, 1)]}),
+    (COMPATIBILITY[1], 2, {"a": [(0, 0, 1, -1)], "s": [(0, 1, 1, -1), (1, 0, 1, 1)]}),
+    (COMPATIBILITY[2], 3, {"a": [(0, 1, 0, -1)],
+                           "s": [(0, 1, 0, -1), (1, 0, 0, 1), (1, 2, 0, -1), (2, 1, 0, 1)]}),
+    (COMPATIBILITY[3], 2, {"a": [], "s": [(0, 1, 0, -1), (1, 0, 0, 1)]}),
+]
+
+
+def _tables(dim, items):
+    return {k: table_from_entries(dim, v) for k, v in items.items()}
+
+
+@pytest.mark.parametrize("identity,dim,items", FAILING, ids=[c[0].name for c in FAILING])
+def test_first_failure_and_witness_replay(identity, dim, items):
+    tables = _tables(dim, items)
+    rep = _exact_report(tables)
+    assert not rep.holds and rep.identity == identity.name
+    w = rep.witness
+    assert w.note.startswith("basis triple (")
+    lhs, rhs = _reference(identity.name, tables, *w.inputs)
+    assert (lhs, rhs) == (w.lhs, w.rhs) and lhs != rhs
+    if identity is RIGHT_LEIBNIZ:
+        assert eval_right_leibniz(LeibnizAlgebra(tables["a"]), *w.inputs) == (lhs, rhs)
+    if identity in COMPATIBILITY:
+        h = HuLiuAlgebra(tables["a"], tables["s"])
+        assert eval_huliu_identity(h, COMPATIBILITY.index(identity), *w.inputs) == (lhs, rhs)
+
+
+@pytest.mark.parametrize("identity", DECLARED, ids=[i.name for i in DECLARED])
+def test_declaration_matches_hand_written_identity(identity):
+    rng = random.Random(identity.name)
+    dim = 3
+    tables = {k: table_from_entries(dim, [(rng.randrange(dim), rng.randrange(dim),
+                                           rng.randrange(dim), rng.randint(-3, 3))
+                                          for _ in range(8)])
+              for k in "mas"}
+    for _ in range(5):
+        x, y, z = ([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
+                   for _ in range(3))
+        assert evaluate(identity, tables, x, y, z) == _reference(identity.name, tables, x, y, z)
+
+
+def _float_arrays(tables):
+    return {k: np.array([[[float(c) for c in v] for v in row] for row in t])
+            for k, t in tables.items()}
+
+
+@pytest.mark.parametrize("identity,dim,items", FAILING, ids=[c[0].name for c in FAILING])
+def test_float_residual_names_the_exact_first_failure(identity, dim, items):
+    tables = _tables(dim, items)
+    arrays = _float_arrays(tables)
+    first = next(idn for idn in _applicable(tables)
+                 if np.max(np.abs(_residual(idn, arrays))) > DEFAULT_TOLERANCE)
+    assert first.name == _exact_report(tables).identity == identity.name
+
+
+@pytest.mark.parametrize("build", [upper_triangular_model, lambda: make_block_upper(2, 2)],
+                         ids=["upper_triangular", "block_upper(2,2)"])
+def test_float_residuals_vanish_on_derived_pairs(build):
+    g = build()
+    h = derive_huliu(g)
+    arrays = _float_arrays({"m": g.algebra.table, "a": h.leibniz.angle, "s": h.square})
+    for idn in DECLARED:
+        res = _residual(idn, arrays)
+        assert res.shape == (g.dim,) * 4
+        assert np.max(np.abs(res)) <= DEFAULT_TOLERANCE, idn.name
+
+
+def _counting(monkeypatch, fn, *modules):
+    calls = []
+
+    @functools.wraps(fn)
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls
+
+
+def test_failing_associativity_report_is_cached(monkeypatch):
+    calls = _counting(monkeypatch, algebras.verify_associative, algebras)
+    a = Algebra(table_from_entries(2, FAILING[0][2]["m"]))
+    g = GradedAlgebra(a, even=[0, 1])
+    assert [g.verified() for _ in range(3)] == [False] * 3
+    assert not a.associative()
+    assert len(calls) == 1
+
+
+def _fresh_block_pair():
+    h = derive_huliu(make_block_upper(1, 1))
+    pair = HuLiuAlgebra(h.leibniz.angle, h.square)
+    return lambda: classify_huliu_simplicity(pair)
+
+
+def _exact_tangent():
+    _, r = mat_square_zero_extension(2)
+    t = tangent_space(LinearXiGroup(r, OrthogonalConstraints(2)))
+    assert t.exact
+    return lambda: verify_tangent_huliu(t, r).holds
+
+
+@pytest.mark.parametrize("setup", [
+    lambda: lambda: derive_huliu(make_block_upper(1, 1)),
+    _fresh_block_pair,
+    _exact_tangent,
+], ids=["derive_huliu", "classify_huliu_simplicity", "exact verify_tangent_huliu"])
+def test_lie_check_runs_once_per_object(monkeypatch, setup):
+    run = setup()
+    calls = _counting(monkeypatch, huliu.verify_lie, huliu, derive, xigroup)
+    assert run()
+    assert len(calls) == 1
