@@ -17,6 +17,7 @@ from ._tables import (
     Table,
     apply_table,
     basis_vec,
+    table_entries,
     table_from_dense,
     table_from_entries,
     verify_identities,
@@ -165,19 +166,49 @@ def verify_special_grading(g: GradedAlgebra) -> Report:
     return ok("special grading")
 
 
-def _action_matrices(tensor, p: int, q: int, left: bool) -> list[Matrix]:
-    """One q x q matrix per even basis index; columns are images of module basis."""
-    mats = []
+def _action_entries(tensor, p: int, q: int, left: bool):
+    """Sparse (row, col, k, value) entries of an action on the module basis,
+    placed at indices p.. of the extension."""
     for i in range(p):
-        cols = []
         for m in range(q):
-            col = tensor[i][m] if left else tensor[m][i]
-            col = vec(col)
+            col = vec(tensor[i][m] if left else tensor[m][i])
             if len(col) != q:
                 raise ValueError("action tensor has wrong inner dimension")
-            cols.append(col)
-        mats.append(Matrix.from_cols(cols))
-    return mats
+            at = (i, p + m) if left else (p + m, i)
+            yield from (at + (p + k, c) for k, c in enumerate(col) if c)
+
+
+def _square_zero_extension(a0: Algebra, q: int, left_action, right_action) -> Algebra:
+    """``a0`` plus a q-dim module M with M*M = 0, checked associative.
+
+    A basis triple with two or more module indices multiplies to zero on both
+    sides, so the extension is associative exactly when ``a0`` is and each
+    bimodule axiom holds; each axiom is associativity at the triples with the
+    single module index in one position.  The first failing triple, in
+    lexicographic order, is raised as the axiom it instantiates, with both
+    sides in module coordinates.  The associativity report stays in the
+    extension's memo, so validating the extension does not check again.
+    """
+    p = a0.dim
+    rep = memo(a0, verify_associative)
+    if not rep.holds:
+        raise ValueError(f"base algebra not associative: {rep.witness.note}")
+    entries = table_entries(a0.table)
+    entries += _action_entries(left_action, p, q, left=True)
+    entries += _action_entries(right_action, p, q, left=False)
+    names = list(a0.basis_names) + [f"m{t}" for t in range(q)]
+    ext = Algebra(table_from_entries(p + q, entries), names)
+    rep = memo(ext, verify_associative)
+    if not rep.holds:
+        w = rep.witness
+        x, y, z = (v.index(1) for v in w.inputs)
+        lhs, rhs = w.lhs[p:], w.rhs[p:]
+        if z >= p:  # the axiom reads (ab).m = a.(b.m) right to left
+            raise BimoduleError("a.(b.m) = (ab).m", (x, y, z - p), rhs, lhs)
+        if y >= p:
+            raise BimoduleError("(a.m).b = a.(m.b)", (x, z, y - p), lhs, rhs)
+        raise BimoduleError("(m.a).b = m.(ab)", (y, z, x - p), lhs, rhs)
+    return ext
 
 
 def make_trivial_extension(a0: Algebra, bimodule_dim: int,
@@ -186,58 +217,13 @@ def make_trivial_extension(a0: Algebra, bimodule_dim: int,
 
     ``left_action[i][m]`` is the coordinate vector of (basis i of a0) acting on
     module basis m from the left; ``right_action[m][i]`` acts from the right.
-    The bimodule axioms are verified on all basis triples before building.
     The product is (a+m)(b+n) = ab + (a.n + m.b); the odd part squares to zero.
+    The bimodule axioms are checked as associativity of that product on all
+    basis triples; a failure raises :class:`BimoduleError`.
     """
-    p, q = a0.dim, bimodule_dim
-    rep = memo(a0, verify_associative)
-    if not rep.holds:
-        raise ValueError(f"base algebra not associative: {rep.witness.note}")
-    lam = _action_matrices(left_action, p, q, left=True)
-    rho = _action_matrices(right_action, p, q, left=False)
-
-    def combo(mats: list[Matrix], coeffs: Vec) -> Matrix:
-        acc = Matrix.zero(q, q)
-        for c, m in zip(coeffs, mats):
-            if c:
-                acc = acc + m.scale(c)
-        return acc
-
-    for i in range(p):
-        for j in range(p):
-            cij = a0.table[i][j]
-            lhs, rhs = lam[i] @ lam[j], combo(lam, cij)
-            if lhs != rhs:
-                m = next(m for m in range(q) if lhs.col(m) != rhs.col(m))
-                raise BimoduleError("a.(b.m) = (ab).m", (i, j, m), lhs.col(m), rhs.col(m))
-            lhs, rhs = rho[j] @ rho[i], combo(rho, cij)
-            if lhs != rhs:
-                m = next(m for m in range(q) if lhs.col(m) != rhs.col(m))
-                raise BimoduleError("(m.a).b = m.(ab)", (i, j, m), lhs.col(m), rhs.col(m))
-            lhs, rhs = rho[j] @ lam[i], lam[i] @ rho[j]
-            if lhs != rhs:
-                m = next(m for m in range(q) if lhs.col(m) != rhs.col(m))
-                raise BimoduleError("(a.m).b = a.(m.b)", (i, j, m), lhs.col(m), rhs.col(m))
-
-    dim = p + q
-    entries = []
-    for i in range(p):
-        for j in range(p):
-            for k, c in enumerate(a0.table[i][j]):
-                if c:
-                    entries.append((i, j, k, c))
-        for m in range(q):
-            for k in range(q):
-                c = lam[i].data[k][m]
-                if c:
-                    entries.append((i, p + m, p + k, c))
-                c = rho[i].data[k][m]
-                if c:
-                    entries.append((p + m, i, p + k, c))
-    names = list(a0.basis_names) + [f"m{t}" for t in range(q)]
-    algebra = Algebra(table_from_entries(dim, entries), names)
+    algebra = _square_zero_extension(a0, bimodule_dim, left_action, right_action)
     algebra.unit = find_unit(algebra)
-    return GradedAlgebra(algebra, even=range(p)).validate()
+    return GradedAlgebra(algebra, even=range(a0.dim)).validate()
 
 
 def matrix_algebra(n: int) -> Algebra:

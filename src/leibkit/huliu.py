@@ -24,6 +24,7 @@ from ._tables import (
 from .leibniz import (
     LeibnizAlgebra,
     SimplicityVerdict,
+    _bracket_compatibility,
     annihilator,
     classify_simplicity,
     check_leibniz_homomorphism,
@@ -175,17 +176,11 @@ def check_huliu_homomorphism(h: HuLiuAlgebra, target: HuLiuAlgebra,
     if not base.holds:
         return HomReport(False, "angle " + base.identity, base.witness,
                          base.injective, base.kernel, base.image)
-    for i in range(h.dim):
-        for j in range(h.dim):
-            lhs = phi.matvec(h.square[i][j])
-            rhs = apply_table(target.square, phi.col(i), phi.col(j))
-            if lhs != rhs:
-                ei, ej = basis_vec(h.dim, i), basis_vec(h.dim, j)
-                return HomReport(
-                    False, "square bracket compatibility",
-                    fail("square bracket compatibility", (ei, ej), lhs, rhs,
-                         note=f"basis pair ({i},{j})").witness,
-                    base.injective, base.kernel, base.image)
+    rep = _bracket_compatibility(h.square, target.square, phi,
+                                 "square bracket compatibility")
+    if not rep.holds:
+        return HomReport(False, rep.identity, rep.witness,
+                         base.injective, base.kernel, base.image)
     if not is_huliu_ideal(h, base.kernel):
         raise RuntimeError("homomorphism kernel is not an ideal; check is buggy")
     if not is_huliu_subalgebra(target, base.image):

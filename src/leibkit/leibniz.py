@@ -35,7 +35,7 @@ from .modules import (
     quotient,
     restriction,
 )
-from .report import HomReport, Report, fail, memo
+from .report import HomReport, Report, fail, memo, ok
 
 
 class LeibnizAlgebra:
@@ -237,6 +237,21 @@ def classify_simplicity(algebra: LeibnizAlgebra, seed: int = 0,
                              checks=tuple(checks))
 
 
+def _bracket_compatibility(source: Table, target: Table, phi: Matrix,
+                           identity: str) -> Report:
+    """First basis pair (i, j), in lexicographic order, where
+    phi(source(ei, ej)) != target(phi ei, phi ej)."""
+    dim = len(source)
+    for i in range(dim):
+        for j in range(dim):
+            lhs = phi.matvec(source[i][j])
+            rhs = apply_table(target, phi.col(i), phi.col(j))
+            if lhs != rhs:
+                return fail(identity, (basis_vec(dim, i), basis_vec(dim, j)), lhs, rhs,
+                            note=f"basis pair ({i},{j})")
+    return ok(identity)
+
+
 def check_leibniz_homomorphism(algebra: LeibnizAlgebra, target: LeibnizAlgebra,
                                phi: Matrix) -> HomReport:
     """Check phi(<x,y>) = <phi x, phi y> on basis pairs; report injectivity too."""
@@ -248,19 +263,8 @@ def check_leibniz_homomorphism(algebra: LeibnizAlgebra, target: LeibnizAlgebra,
         )
     ker = _kernel(phi)
     image = span([phi.col(j) for j in range(phi.cols)], target.dim)
-    injective = ker.dim == 0
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            lhs = phi.matvec(algebra.angle[i][j])
-            rhs = apply_table(target.angle, phi.col(i), phi.col(j))
-            if lhs != rhs:
-                ei, ej = basis_vec(algebra.dim, i), basis_vec(algebra.dim, j)
-                return HomReport(
-                    False, "bracket compatibility",
-                    fail("bracket compatibility", (ei, ej), lhs, rhs,
-                         note=f"basis pair ({i},{j})").witness,
-                    injective, ker, image)
-    return HomReport(True, "bracket compatibility", None, injective, ker, image)
+    rep = _bracket_compatibility(algebra.angle, target.angle, phi, "bracket compatibility")
+    return HomReport(rep.holds, rep.identity, rep.witness, ker.dim == 0, ker, image)
 
 
 def direct_sum(a: LeibnizAlgebra, b: LeibnizAlgebra) -> LeibnizAlgebra:

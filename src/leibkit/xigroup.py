@@ -24,7 +24,13 @@ from fractions import Fraction
 import numpy as np
 
 from ._tables import COMPATIBILITY, JACOBI, LEFT, RIGHT_LEIBNIZ, Identity
-from .algebras import GradedAlgebra, make_trivial_extension, matrix_algebra
+from .algebras import (
+    BimoduleError,
+    GradedAlgebra,
+    _square_zero_extension,
+    make_trivial_extension,
+    matrix_algebra,
+)
 from .huliu import HuLiuAlgebra, verify_huliu_identities, verify_lie
 from .leibniz import verify_right_leibniz
 from .linalg import Matrix, Subspace, Vec, full_space, kernel, solve, span, vec, zeros
@@ -58,9 +64,12 @@ class RankAmbiguityError(RuntimeError):
 class MatrixRealization:
     """A verified embedding of a unital graded algebra into n x n matrices.
 
-    The embedding must be linear, injective, multiplicative on basis pairs,
-    send the unit to the identity matrix, and realize odd elements as
-    square-zero matrices.  All of this is checked exactly at construction.
+    The embedding must be linear, injective, multiplicative on basis pairs
+    and send the unit to the identity matrix; all of this is checked exactly
+    at construction.  Multiplicativity is checked as associativity of the
+    square-zero extension by Q^n with the matrices acting from the left.
+    Odd elements then realize as square-zero matrices, because the grading
+    is special.
     """
 
     def __init__(self, graded: GradedAlgebra, embed: list[Matrix]):
@@ -86,17 +95,15 @@ class MatrixRealization:
         self.np_unit = np.array([float(c) for c in graded.algebra.unit])
 
     def _verify(self):
+        # the first failing triple (i, j, m) lies at the first failing pair (i, j)
         g = self.graded
-        table = g.algebra.table
-        for i in range(g.dim):
-            for j in range(g.dim):
-                prod = self.embed[i] @ self.embed[j]
-                expect = Matrix.zero(self.n, self.n)
-                for k, c in enumerate(table[i][j]):
-                    if c:
-                        expect = expect + self.embed[k].scale(c)
-                if prod != expect:
-                    raise ValueError(f"embedding not multiplicative at basis pair ({i},{j})")
+        left = [[m.col(k) for k in range(self.n)] for m in self.embed]
+        right = [[zeros(self.n)] * g.dim] * self.n
+        try:
+            _square_zero_extension(g.algebra, self.n, left, right)
+        except BimoduleError as e:
+            raise ValueError("embedding not multiplicative at basis pair ({},{})"
+                             .format(*e.indices[:2])) from None
         unit_mat = self.realize(g.algebra.unit)
         if unit_mat != Matrix.identity(self.n):
             raise ValueError("embedding does not send the unit to the identity")
@@ -104,10 +111,6 @@ class MatrixRealization:
                       for m in self.embed]
         if Matrix(coord_rows).rank() != g.dim:
             raise ValueError("embedding is not injective")
-        for i in g.odd:
-            for j in g.odd:
-                if not (self.embed[i] @ self.embed[j]).is_zero():
-                    raise ValueError(f"odd image does not square to zero at ({i},{j})")
 
     @property
     def dim(self) -> int:
@@ -372,11 +375,11 @@ class NoConstraints(ConstraintFamily):
     def sample(self, g, rng):
         even = list(g.even)
         unit_even = np.array([float(g.algebra.unit[i]) for i in even])
+        tensor = np.array([[[float(c) for c in v] for v in row]
+                           for row in g.algebra.table])[np.ix_(even, even, even)]
         for _ in range(_SAMPLE_RETRIES):
             x0 = unit_even + 0.5 * rng.standard_normal(len(even))
-            m = np.einsum("i,ijk->kj", x0,
-                          np.array([[[float(c) for c in v] for v in row]
-                                    for row in g.algebra.table])[np.ix_(even, even, even)])
+            m = np.einsum("i,ijk->kj", x0, tensor)
             if abs(np.linalg.det(m)) > 1e-3:
                 return x0
         raise SamplingError("could not sample an invertible even element")

@@ -105,3 +105,53 @@ def brute_force_simplicity(angle) -> str:
             return "NotSimple"
         ideals.update(lines)
     return "Simple" if ideals <= allowed else "NotSimple"
+
+
+def _action_matrices(tensor, p, q, left):
+    """One q x q matrix per base index; columns are images of the module basis."""
+    return [Matrix.from_cols([tensor[i][m] if left else tensor[m][i] for m in range(q)])
+            for i in range(p)]
+
+
+def bimodule_failures(a0_table, q, left_action, right_action):
+    """Every failing instance of the three bimodule axioms, by dense matrix
+    products, keyed (axiom, (i, j, m)) with value (lhs, rhs).
+
+    Keys are inserted in the order i, j, then the axioms left, right, middle,
+    then m; the first key is the instance a per-pair matrix check reports.
+    """
+    p = len(a0_table)
+    lam = _action_matrices(left_action, p, q, left=True)
+    rho = _action_matrices(right_action, p, q, left=False)
+
+    def combo(mats, coeffs):
+        acc = Matrix.zero(q, q)
+        for c, m in zip(coeffs, mats):
+            acc = acc + m.scale(c)
+        return acc
+
+    out = {}
+    for i in range(p):
+        for j in range(p):
+            cij = a0_table[i][j]
+            for axiom, lhs, rhs in (
+                    ("a.(b.m) = (ab).m", lam[i] @ lam[j], combo(lam, cij)),
+                    ("(m.a).b = m.(ab)", rho[j] @ rho[i], combo(rho, cij)),
+                    ("(a.m).b = a.(m.b)", rho[j] @ lam[i], lam[i] @ rho[j])):
+                for m in range(q):
+                    if lhs.col(m) != rhs.col(m):
+                        out[(axiom, (i, j, m))] = (lhs.col(m), rhs.col(m))
+    return out
+
+
+def first_nonmultiplicative_pair(table, embed):
+    """First basis pair (i, j) with embed[i] @ embed[j] != embed(ei ej), or None."""
+    n = embed[0].rows
+    for i in range(len(table)):
+        for j in range(len(table)):
+            expect = Matrix.zero(n, n)
+            for c, m in zip(table[i][j], embed):
+                expect = expect + m.scale(c)
+            if embed[i] @ embed[j] != expect:
+                return i, j
+    return None

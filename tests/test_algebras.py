@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from leibkit.algebras import (
     verify_special_grading,
 )
 from leibkit._tables import table_from_dense, table_from_entries
+
+from oracles import bimodule_failures
 
 
 def mat2(rows):
@@ -131,6 +134,114 @@ def test_trivial_extension_rejects_bad_action():
         make_trivial_extension(qxq, 1, left_action=[[[2]], [[0]]],
                                right_action=[[[0], [0]]])
     assert "a.(b.m) = (ab).m" in str(exc.value)
+
+
+def _left(tensor, a, v):
+    """a.v for base coordinates a and module coordinates v, summed by hand."""
+    q = len(v)
+    return tuple(sum((a[i] * v[m] * Fraction(tensor[i][m][k])
+                      for i in range(len(a)) for m in range(q)), Fraction(0))
+                 for k in range(q))
+
+
+def _right(tensor, v, a):
+    """v.a for module coordinates v and base coordinates a, summed by hand."""
+    q = len(v)
+    return tuple(sum((a[i] * v[m] * Fraction(tensor[m][i][k])
+                      for i in range(len(a)) for m in range(q)), Fraction(0))
+                 for k in range(q))
+
+
+def _hand_sides(axiom, table, left, right, i, j, m):
+    p, q = len(table), len(left[0])
+    ei = tuple(Fraction(int(t == i)) for t in range(p))
+    ej = tuple(Fraction(int(t == j)) for t in range(p))
+    em = tuple(Fraction(int(t == m)) for t in range(q))
+    if axiom == "a.(b.m) = (ab).m":
+        return _left(left, ei, _left(left, ej, em)), _left(left, table[i][j], em)
+    if axiom == "(m.a).b = m.(ab)":
+        return _right(right, _right(right, em, ei), ej), _right(right, em, table[i][j])
+    return _right(right, _left(left, ei, em), ej), _left(left, ei, _right(right, em, ej))
+
+
+_QXQ = table_from_entries(2, [(0, 0, 0, 1), (1, 1, 1, 1)])
+_Q = table_from_entries(1, [(0, 0, 0, 1)])
+
+
+@pytest.mark.parametrize("axiom, base, left, right, indices", [
+    # f1 acts as 2 from the left: (f1 f1).m = 2m but f1.(f1.m) = 4m
+    ("a.(b.m) = (ab).m", _QXQ, [[[2]], [[0]]], [[[0], [0]]], (0, 0, 0)),
+    # f2 acts as 2 from the right
+    ("(m.a).b = m.(ab)", _QXQ, [[[0]], [[0]]], [[[0], [2]]], (1, 1, 0)),
+    # idempotent actions diag(1,0) from the left, [[1,1],[0,0]] from the right
+    # that do not commute
+    ("(a.m).b = a.(m.b)", _Q, [[[1, 0], [0, 0]]], [[[1, 0]], [[1, 0]]], (0, 0, 1)),
+])
+def test_trivial_extension_names_the_failing_axiom(axiom, base, left, right, indices):
+    q = len(left[0])
+    assert {ax for ax, _ in bimodule_failures(base, q, left, right)} == {axiom}
+    with pytest.raises(BimoduleError) as exc:
+        make_trivial_extension(Algebra(base), q, left, right)
+    e = exc.value
+    assert (e.axiom, e.indices) == (axiom, indices)
+    assert e.lhs != e.rhs
+    assert (e.lhs, e.rhs) == _hand_sides(axiom, base, left, right, *indices)
+
+
+_ACTION_BASES = [
+    _Q,
+    table_from_entries(1, []),
+    _QXQ,
+    table_from_entries(2, [(0, 0, 1, 1)]),                          # x^2 = y
+    table_from_entries(3, [(i, i, i, 1) for i in range(3)]),
+    table_from_entries(3, [(0, 0, 1, 1), (0, 1, 2, 1), (1, 0, 2, 1)]),  # x, x^2, x^3
+    table_from_entries(3, [(0, 0, 0, 1), (1, 1, 1, 1), (0, 2, 2, 1), (2, 1, 2, 1)]),
+]
+
+
+def _random_action(rng):
+    """A base of dim <= 3 and an action on q <= 3: zero, regular or split
+    diagonal, then 0-2 entries overwritten with values in [-1, 2]."""
+    base = rng.choice(_ACTION_BASES)
+    p = len(base)
+    start = rng.choice(("zero", "regular", "diagonal"))
+    q = p if start == "regular" else rng.randint(1, 3)
+    left = [[[Fraction(0)] * q for _ in range(q)] for _ in range(p)]
+    right = [[[Fraction(0)] * q for _ in range(p)] for _ in range(q)]
+    if start == "regular":
+        for i in range(p):
+            for m in range(q):
+                left[i][m] = list(base[i][m])
+                right[m][i] = list(base[m][i])
+    elif start == "diagonal":
+        for m in range(q):
+            li, ri = rng.randrange(p), rng.randrange(p)
+            if base[li][li][li] == 1:
+                left[li][m][m] = Fraction(1)
+            if base[ri][ri][ri] == 1:
+                right[m][ri][m] = Fraction(1)
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        i, m, k = rng.randrange(p), rng.randrange(q), rng.randrange(q)
+        side = left[i][m] if rng.random() < 0.5 else right[m][i]
+        side[k] = Fraction(rng.randint(-1, 2))
+    return base, q, left, right
+
+
+def test_trivial_extension_agrees_with_dense_matrix_oracle():
+    rng = random.Random(20261017)
+    verdicts = {True: 0, False: 0}
+    for _ in range(1000):
+        base, q, left, right = _random_action(rng)
+        failures = bimodule_failures(base, q, left, right)
+        try:
+            make_trivial_extension(Algebra(base), q, left, right)
+        except BimoduleError as e:
+            assert failures, "raised on a valid bimodule"
+            assert failures[(e.axiom, e.indices)] == (e.lhs, e.rhs)
+        else:
+            assert not failures, "accepted an invalid bimodule"
+        verdicts[bool(failures)] += 1
+    assert min(verdicts.values()) >= 100
 
 
 def test_block_upper_family(ut_model):

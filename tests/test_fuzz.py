@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 from leibkit import fuzz
@@ -27,6 +28,13 @@ def test_run_fuzz_deterministic():
     assert fuzz.run_fuzz(30, 9, 3, 3, b) == 0
     assert a.getvalue() == b.getvalue()
     assert "30/30 trials passed" in a.getvalue()
+
+
+def test_run_fuzz_output_pinned(tmp_path):
+    buf = io.StringIO()
+    assert fuzz.run_fuzz(100, 7, 3, 3, buf, dump_dir=str(tmp_path)) == 0
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == "706f46303f0b0e249c6ba111e8fcf04062332f88689c6752ba0de836ee54129f"
 
 
 def test_run_fuzz_bad_params():

@@ -35,6 +35,8 @@ from leibkit.xigroup import (
     xi,
 )
 
+from oracles import first_nonmultiplicative_pair
+
 G2, R2 = mat_square_zero_extension(2)
 G3, R3 = mat_square_zero_extension(3)
 
@@ -67,8 +69,31 @@ def test_realization_verified_multiplicative():
 
 def test_realization_rejects_non_multiplicative(ut_model):
     bad = [Matrix.identity(2) for _ in range(3)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"basis pair \(0,1\)"):
         MatrixRealization(ut_model, bad)
+
+
+def test_realization_names_first_nonmultiplicative_pair(ut_model):
+    rng = random.Random(5)
+    realizations = [regular_realization(ut_model),
+                    regular_realization(make_block_upper(2, 1)), R2]
+    for _ in range(60):
+        r = rng.choice(realizations)
+        rows = [[list(row) for row in m.data] for m in r.embed]
+        i, a, b = rng.randrange(r.dim), rng.randrange(r.n), rng.randrange(r.n)
+        rows[i][a][b] += rng.choice((-1, 1, 2))
+        embed = [Matrix(m) for m in rows]
+        pair = first_nonmultiplicative_pair(r.graded.algebra.table, embed)
+        try:
+            MatrixRealization(r.graded, embed)
+        except ValueError as e:
+            msg = str(e)
+        else:
+            msg = None
+        if pair is None:
+            assert msg is None or "not multiplicative" not in msg
+        else:
+            assert msg == "embedding not multiplicative at basis pair ({},{})".format(*pair)
 
 
 def test_realization_requires_unit():
