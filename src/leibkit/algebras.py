@@ -23,7 +23,7 @@ from ._tables import (
     verify_identities,
 )
 from .linalg import Matrix, Vec, is_zero_vec, solve, vec
-from .report import Report, fail, memo, ok
+from .report import Report, fail, memo, ok, require
 
 
 class BimoduleError(ValueError):
@@ -64,8 +64,9 @@ class Algebra:
     def basis_vector(self, i: int) -> Vec:
         return basis_vec(self.dim, i)
 
-    def associative(self) -> bool:
-        return memo(self, verify_associative).holds
+    def report(self) -> Report:
+        """The associativity report, checked once per object."""
+        return memo(self, verify_associative)
 
 
 def multiply(a: Algebra, x: Sequence, y: Sequence) -> Vec:
@@ -119,24 +120,16 @@ class GradedAlgebra:
     def multiply(self, x: Sequence, y: Sequence) -> Vec:
         return self.algebra.multiply(x, y)
 
-    def validate(self) -> "GradedAlgebra":
-        """Raise ValueError unless the algebra is associative and the grading holds."""
-        rep = memo(self.algebra, verify_associative)
-        if not rep.holds:
-            raise ValueError(f"not associative: witness {rep.witness.note}")
-        rep = memo(self, verify_special_grading)
-        if not rep.holds:
-            raise ValueError(
-                f"grading violated ({rep.identity}): witness {rep.witness.note}"
-            )
-        return self
+    def report(self) -> Report:
+        """First failure of associativity, then of the special grading;
+        each is checked once per object."""
+        rep = self.algebra.report()
+        return memo(self, verify_special_grading) if rep.holds else rep
 
-    def verified(self) -> bool:
-        try:
-            self.validate()
-        except ValueError:
-            return False
-        return True
+    def validate(self) -> "GradedAlgebra":
+        """Raise ValueError from a failing :meth:`report`."""
+        require(self.report())
+        return self
 
 
 def verify_special_grading(g: GradedAlgebra) -> Report:
@@ -190,7 +183,7 @@ def _square_zero_extension(a0: Algebra, q: int, left_action, right_action) -> Al
     extension's memo, so validating the extension does not check again.
     """
     p = a0.dim
-    rep = memo(a0, verify_associative)
+    rep = a0.report()
     if not rep.holds:
         raise ValueError(f"base algebra not associative: {rep.witness.note}")
     entries = table_entries(a0.table)
@@ -198,7 +191,7 @@ def _square_zero_extension(a0: Algebra, q: int, left_action, right_action) -> Al
     entries += _action_entries(right_action, p, q, left=False)
     names = list(a0.basis_names) + [f"m{t}" for t in range(q)]
     ext = Algebra(table_from_entries(p + q, entries), names)
-    rep = memo(ext, verify_associative)
+    rep = ext.report()
     if not rep.holds:
         w = rep.witness
         x, y, z = (v.index(1) for v in w.inputs)

@@ -11,22 +11,12 @@ import json
 import sys
 
 from . import io as lio
-from .algebras import Algebra, GradedAlgebra, verify_associative, verify_special_grading
+from .algebras import Algebra, GradedAlgebra
 from .derive import derive_huliu, derive_leibniz
 from .fuzz import run_fuzz
-from .huliu import (
-    HuLiuAlgebra,
-    classify_huliu_simplicity,
-    verify_huliu_identities,
-    verify_lie,
-)
-from .leibniz import (
-    LeibnizAlgebra,
-    annihilator,
-    classify_simplicity,
-    verify_right_leibniz,
-)
-from .report import Report, memo
+from .huliu import HuLiuAlgebra, classify_huliu_simplicity
+from .leibniz import LeibnizAlgebra, annihilator, classify_simplicity
+from .report import Report
 from .xigroup import (
     LinearXiGroup,
     RankAmbiguityError,
@@ -76,34 +66,22 @@ def _as_leibniz(obj):
 
 
 def cmd_verify(args, out) -> int:
+    """Emit the report of the structure ``--kind`` names: its first failing layer."""
     obj = lio.load_file(args.path)
-    if args.kind == "assoc":
-        if isinstance(obj, LinearXiGroup):
-            obj = obj.graded
-        algebra = obj.algebra if isinstance(obj, GradedAlgebra) else obj
-        if not isinstance(algebra, Algebra):
-            raise lio.SchemaError("kind 'assoc' needs an algebra, graded, or xigroup file")
-        return _emit_report(verify_associative(algebra), args.json, out)
-    if args.kind == "grading":
-        if isinstance(obj, LinearXiGroup):
-            obj = obj.graded
-        if not isinstance(obj, GradedAlgebra):
-            raise lio.SchemaError("kind 'grading' needs a graded or xigroup file")
-        rep = verify_associative(obj.algebra)
-        if not rep.holds:
-            return _emit_report(rep, args.json, out)
-        return _emit_report(verify_special_grading(obj), args.json, out)
+    if isinstance(obj, LinearXiGroup):
+        obj = obj.graded
     if args.kind == "leibniz":
-        return _emit_report(verify_right_leibniz(_as_leibniz(obj)), args.json, out)
-    # kind == huliu: the full stack, reporting the first layer that fails
-    if not isinstance(obj, HuLiuAlgebra):
+        obj = _as_leibniz(obj)
+    elif args.kind == "assoc":
+        if isinstance(obj, GradedAlgebra):
+            obj = obj.algebra
+        if not isinstance(obj, Algebra):
+            raise lio.SchemaError("kind 'assoc' needs an algebra, graded, or xigroup file")
+    elif args.kind == "grading" and not isinstance(obj, GradedAlgebra):
+        raise lio.SchemaError("kind 'grading' needs a graded or xigroup file")
+    elif args.kind == "huliu" and not isinstance(obj, HuLiuAlgebra):
         raise lio.SchemaError("kind 'huliu' needs a huliu file")
-    rep = memo(obj.leibniz, verify_right_leibniz)
-    if rep.holds:
-        rep = memo(obj, verify_lie, obj.square)
-    if rep.holds:
-        rep = memo(obj, verify_huliu_identities)
-    return _emit_report(rep, args.json, out)
+    return _emit_report(obj.report(), args.json, out)
 
 
 def cmd_annihilator(args, out) -> int:
@@ -202,7 +180,10 @@ def cmd_xi_check(args, out) -> int:
     group = lio.load_file(args.path)
     if not isinstance(group, LinearXiGroup):
         raise lio.SchemaError("xi-check needs an xigroup file")
-    chk = check_xi_group(group, samples=args.samples, seed=args.seed)
+    try:
+        chk = check_xi_group(group, samples=args.samples, seed=args.seed)
+    except ValueError as e:
+        raise lio.SchemaError(str(e)) from None
     if args.json:
         json.dump({"holds": chk.holds, "samples": chk.samples,
                    "worst_residual": chk.worst_residual,

@@ -14,15 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebras import GradedAlgebra
-from .huliu import (
-    HuLiuAlgebra,
-    check_huliu_homomorphism,
-    verify_huliu_identities,
-    verify_lie,
-)
-from .leibniz import LeibnizAlgebra, check_leibniz_homomorphism, verify_right_leibniz
+from .huliu import HuLiuAlgebra, check_huliu_homomorphism
+from .leibniz import LeibnizAlgebra, check_leibniz_homomorphism
 from .linalg import Matrix, vsub
-from .report import HomReport, memo
+from .report import HomReport
 
 
 def _commutator_table(g: GradedAlgebra, even_only: bool):
@@ -42,34 +37,27 @@ def _commutator_table(g: GradedAlgebra, even_only: bool):
     return tuple(rows)
 
 
+def _verified(out):
+    """``out`` once its report holds; a failure on a verified input is a bug."""
+    rep = out.report()
+    if not rep.holds:
+        raise RuntimeError(
+            f"derived bracket violates {rep.identity} at {rep.witness.note}; this is a bug"
+        )
+    return out
+
+
 def derive_leibniz(g: GradedAlgebra) -> LeibnizAlgebra:
     """Angle bracket <x,y> = x y0 - y0 x on a verified graded algebra."""
     g.validate()
-    out = LeibnizAlgebra(_commutator_table(g, even_only=True),
-                         g.algebra.basis_names)
-    rep = memo(out, verify_right_leibniz)
-    if not rep.holds:
-        raise RuntimeError(
-            f"derived bracket violates the Leibniz identity at {rep.witness.note}; "
-            "this is a bug"
-        )
-    return out
+    return _verified(LeibnizAlgebra(_commutator_table(g, even_only=True),
+                                    g.algebra.basis_names))
 
 
 def derive_huliu(g: GradedAlgebra) -> HuLiuAlgebra:
     """Angle bracket plus commutator square bracket, verified."""
-    leib = derive_leibniz(g)
-    square = _commutator_table(g, even_only=False)
-    out = HuLiuAlgebra(leib, square)
-    rep = memo(out, verify_lie, square)
-    if not rep.holds:
-        raise RuntimeError(f"derived commutator violates {rep.identity}; this is a bug")
-    rep = memo(out, verify_huliu_identities)
-    if not rep.holds:
-        raise RuntimeError(
-            f"derived pair violates: {rep.identity} at {rep.witness.note}; this is a bug"
-        )
-    return out
+    return _verified(HuLiuAlgebra(derive_leibniz(g),
+                                  _commutator_table(g, even_only=False)))
 
 
 def verify_linear_embedding(algebra, g: GradedAlgebra, phi: Matrix) -> HomReport:

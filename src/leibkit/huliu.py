@@ -31,7 +31,7 @@ from .leibniz import (
 )
 from .linalg import Matrix, Subspace, Vec, is_zero_vec, vadd, vscale, zeros
 from .modules import NORTON_BUDGET, NORTON_MAX_WORD
-from .report import HomReport, Report, fail, memo, ok
+from .report import HomReport, Report, fail, memo, ok, require
 
 
 class HuLiuAlgebra:
@@ -61,25 +61,20 @@ class HuLiuAlgebra:
     def square_bracket(self, x, y) -> Vec:
         return apply_table(self.square, x, y)
 
-    def validate(self) -> "HuLiuAlgebra":
-        self.leibniz.validate()
-        rep = memo(self, verify_lie, self.square)
-        if not rep.holds:
-            raise ValueError(f"square bracket is not a Lie bracket: {rep.identity}")
-        rep = memo(self, verify_huliu_identities)
-        if not rep.holds:
-            raise ValueError(f"compatibility identity fails: {rep.identity}")
-        return self
+    def report(self) -> Report:
+        """First failure of the right Leibniz identity, then of the Lie axioms,
+        then of the compatibility identities; each is checked once per object."""
+        rep = self.leibniz.report()
+        if rep.holds:
+            rep = memo(self, verify_lie, self.square)
+        if rep.holds:
+            rep = memo(self, verify_huliu_identities)
+        return rep
 
-    def require_verified(self):
-        self.leibniz.require_verified()
-        if not memo(self, verify_lie, self.square).holds:
-            raise ValueError("operation requires a verified Lie bracket")
-        rep = memo(self, verify_huliu_identities)
-        if not rep.holds:
-            raise ValueError(
-                f"operation requires the compatibility identities: {rep.identity}"
-            )
+    def validate(self) -> "HuLiuAlgebra":
+        """Raise ValueError from a failing :meth:`report`."""
+        require(self.report())
+        return self
 
 
 def verify_lie(square: Table) -> Report:
@@ -106,10 +101,14 @@ def eval_huliu_identity(h: HuLiuAlgebra, which: int, x, y, z) -> tuple[Vec, Vec]
 
 
 def verify_huliu_identities(h: HuLiuAlgebra) -> Report:
-    """Check the four compatibility identities; report the first that fails."""
-    h.leibniz.require_verified()
-    if not memo(h, verify_lie, h.square).holds:
-        raise ValueError("compatibility check requires a verified Lie bracket")
+    """Check the four compatibility identities; report the first that fails.
+
+    Raises ValueError unless the layers :meth:`HuLiuAlgebra.report` checks
+    before this one hold.  ``h.validate()`` would run this check itself, so
+    the two layers are required here one by one.
+    """
+    h.leibniz.validate()
+    require(memo(h, verify_lie, h.square))
     return verify_identities(COMPATIBILITY, {"a": h.leibniz.angle, "s": h.square},
                              "compatibility identities")
 
@@ -155,7 +154,7 @@ def classify_huliu_simplicity(h: HuLiuAlgebra, seed: int = 0,
                               budget: int = NORTON_BUDGET,
                               max_word: int = NORTON_MAX_WORD) -> SimplicityVerdict:
     """Same module-theoretic test, with the adjoint operators added."""
-    h.require_verified()
+    h.validate()
     verdict = classify_simplicity(h.leibniz, seed=seed, budget=budget,
                                   max_word=max_word,
                                   extra_operators=adjoint_operators(h))

@@ -25,6 +25,10 @@ class SchemaError(ValueError):
     """Malformed input file."""
 
 
+# Largest accepted ``dim``: a dense table has dim^3 slots, about 0.3 GB at 256.
+MAX_DIM = 256
+
+
 _FIELDS = {
     "algebra": {"kind", "dim", "basis", "product"},
     "graded": {"kind", "dim", "basis", "product", "even"},
@@ -91,6 +95,8 @@ def load_obj(data):
     dim = data["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SchemaError("field 'dim' must be a positive integer")
+    if dim > MAX_DIM:
+        raise SchemaError(f"field 'dim' is {dim}, above the limit {MAX_DIM}")
     basis = data["basis"]
     if (not isinstance(basis, list) or len(basis) != dim
             or not all(isinstance(b, str) for b in basis)):
@@ -149,6 +155,8 @@ def load_file(path):
         raise SchemaError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
+    except ValueError as e:  # e.g. an integer literal over the digit limit
+        raise SchemaError(f"{path}: {e}") from None
     return load_obj(data)
 
 

@@ -35,7 +35,7 @@ from .modules import (
     quotient,
     restriction,
 )
-from .report import HomReport, Report, fail, memo, ok
+from .report import HomReport, Report, fail, memo, ok, require
 
 
 class LeibnizAlgebra:
@@ -56,18 +56,14 @@ class LeibnizAlgebra:
     def basis_vector(self, i: int) -> Vec:
         return basis_vec(self.dim, i)
 
-    def validate(self) -> "LeibnizAlgebra":
-        rep = memo(self, verify_right_leibniz)
-        if not rep.holds:
-            raise ValueError(f"right Leibniz identity fails: {rep.witness.note}")
-        return self
+    def report(self) -> Report:
+        """The right Leibniz identity report, checked once per object."""
+        return memo(self, verify_right_leibniz)
 
-    def require_verified(self):
-        rep = memo(self, verify_right_leibniz)
-        if not rep.holds:
-            raise ValueError(
-                f"operation requires a verified Leibniz algebra: {rep.witness.note}"
-            )
+    def validate(self) -> "LeibnizAlgebra":
+        """Raise ValueError from a failing :meth:`report`."""
+        require(self.report())
+        return self
 
 
 def verify_right_leibniz(algebra: LeibnizAlgebra) -> Report:
@@ -89,7 +85,7 @@ def annihilator(algebra: LeibnizAlgebra) -> Subspace:
     span{<x,y>+<y,x>} is computed independently and must agree exactly --
     a mismatch is an internal bug, not bad input.
     """
-    algebra.require_verified()
+    algebra.validate()
     return memo(algebra, _span_of_squares)
 
 
@@ -156,15 +152,15 @@ class SimplicityVerdict:
     reason: str
     certificate: Subspace | None = None
     checks: tuple[str, ...] = ()
-    note: str = ""
+    note: str = ""  # no verdict sets it today; ``simple --json`` keeps the key
 
 
-def _certified_not_simple(ops, ann, dim, cert: Subspace, reason: str, note: str = "") -> SimplicityVerdict:
+def _certified_not_simple(ops, ann, dim, cert: Subspace, reason: str) -> SimplicityVerdict:
     if not is_invariant(ops, cert):
         raise RuntimeError("simplicity certificate is not an ideal; classifier bug")
     if cert.dim in (0, dim) or cert == ann:
         raise RuntimeError("simplicity certificate is not a proper new ideal; classifier bug")
-    return SimplicityVerdict("NotSimple", reason, certificate=cert, note=note)
+    return SimplicityVerdict("NotSimple", reason, certificate=cert)
 
 
 def classify_simplicity(algebra: LeibnizAlgebra, seed: int = 0,
@@ -179,8 +175,12 @@ def classify_simplicity(algebra: LeibnizAlgebra, seed: int = 0,
     the quotient by it must be irreducible, and it must admit no invariant
     complement.  Randomized sub-tests take an explicit seed; an exhausted
     budget yields Unknown, never a wrong answer.
+
+    The annihilator is never all of L: the right Leibniz identity at z = y
+    gives <x,<y,y>> = 0, so if the squares spanned L every bracket, and with
+    it every square, would vanish.
     """
-    algebra.require_verified()
+    algebra.validate()
     ann = annihilator(algebra)
     dim = algebra.dim
     ops = multiplication_operators(algebra) + tuple(extra_operators)
@@ -190,21 +190,6 @@ def classify_simplicity(algebra: LeibnizAlgebra, seed: int = 0,
 
     if ann.dim == 0:
         return SimplicityVerdict("NotSimple", "annihilator is zero")
-
-    if ann.dim == dim:
-        note = ("annihilator equals the whole algebra; simplicity is read as "
-                "having no proper nonzero ideals")
-        status, wit = norton_irreducible(mod, rng, budget, max_word)
-        if status == "reducible":
-            return _certified_not_simple(
-                ops, ann, dim, wit, "proper ideal strictly inside the annihilator", note)
-        if status == "unknown":
-            return SimplicityVerdict(
-                "Unknown", "irreducibility of the annihilator undecided within budget",
-                note=note)
-        checks.append("annihilator module irreducible")
-        return SimplicityVerdict("Simple", "only ideals are 0, the annihilator, and L",
-                                 checks=tuple(checks), note=note)
 
     status, wit = norton_irreducible(restriction(mod, ann), rng, budget, max_word)
     if status == "reducible":

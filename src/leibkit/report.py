@@ -45,6 +45,12 @@ def fail(identity: str, inputs, lhs, rhs, note: str = "") -> Report:
     return Report(False, identity, Witness(tuple(inputs), tuple(lhs), tuple(rhs), note))
 
 
+def require(rep: Report) -> None:
+    """Raise ValueError naming the identity ``rep`` falsifies and where."""
+    if not rep.holds:
+        raise ValueError(f"{rep.identity} fails at {rep.witness.note}")
+
+
 @dataclass(frozen=True)
 class HomReport:
     """Result of a homomorphism check, with kernel and image attached."""

@@ -1,9 +1,12 @@
-"""The declared bracket identities and their three consumers.
+"""The declared bracket identities, their three consumers, and the
+verification stacks built on them.
 
 Each case is a small hand-made table set whose first failing identity is
 the one named.  The exact checker must name it and give a witness that a
 hand-written evaluation of the identity reproduces; the float residual must
-name the same identity first and vanish on derived pairs.
+name the same identity first and vanish on derived pairs.  A structure's
+``report()``, its ``validate()`` and ``leibkit verify`` must all name the
+first failing layer of the structure's stack.
 """
 
 import functools
@@ -22,7 +25,8 @@ from leibkit._tables import (
     evaluate,
     table_from_entries,
 )
-from leibkit import algebras, derive, huliu, xigroup
+from leibkit import algebras, cli, derive, huliu, xigroup
+from leibkit import io as lio
 from leibkit.algebras import Algebra, GradedAlgebra, make_block_upper, upper_triangular_model
 from leibkit.derive import derive_huliu
 from leibkit.huliu import HuLiuAlgebra, classify_huliu_simplicity, eval_huliu_identity
@@ -132,6 +136,50 @@ def test_declaration_matches_hand_written_identity(identity):
         assert evaluate(identity, tables, x, y, z) == _reference(identity.name, tables, x, y, z)
 
 
+# the Hu-Liu stack: right Leibniz, antisymmetry, Jacobi, the compatibility identities
+PAIR_FAILING = [(identity.name, dim, items) for identity, dim, items in FAILING[1:]]
+PAIR_FAILING.insert(1, ("antisymmetry", 2, {"s": [(0, 1, 0, 1)]}))
+
+# the graded stack: associativity, then the three clauses of the special grading
+# (first failing identity, dim, sparse product items, even indices)
+GRADED_FAILING = [
+    ("associativity", 2, FAILING[0][2]["m"], [0, 1]),
+    ("even*even in even", 2, [(0, 0, 1, 1)], [0]),
+    ("mixed products in odd", 3, [(0, 2, 1, 1)], [0, 1]),
+    ("odd*odd = 0", 2, [(1, 1, 0, 1)], [0]),
+]
+
+
+def _assert_first_failure(obj, identity, kind, tmp_path, capsys):
+    rep = obj.report()
+    assert not rep.holds and rep.identity == identity
+    with pytest.raises(ValueError) as exc:
+        obj.validate()
+    assert identity in str(exc.value) and rep.witness.note in str(exc.value)
+    path = tmp_path / "structure.json"
+    lio.save_file(obj, path)
+    assert cli.main(["verify", str(path), "--kind", kind]) == 1
+    assert capsys.readouterr().out.startswith(f"falsified: {identity} ({rep.witness.note})\n")
+
+
+@pytest.mark.parametrize("identity,dim,items", PAIR_FAILING,
+                         ids=[c[0] for c in PAIR_FAILING])
+def test_huliu_report_validate_and_cli_name_the_first_failure(
+        identity, dim, items, tmp_path, capsys):
+    tables = _tables(dim, items)
+    empty = table_from_entries(dim, [])
+    h = HuLiuAlgebra(tables.get("a", empty), tables.get("s", empty))
+    _assert_first_failure(h, identity, "huliu", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("identity,dim,items,even", GRADED_FAILING,
+                         ids=[c[0] for c in GRADED_FAILING])
+def test_graded_report_validate_and_cli_name_the_first_failure(
+        identity, dim, items, even, tmp_path, capsys):
+    g = GradedAlgebra(Algebra(table_from_entries(dim, items)), even)
+    _assert_first_failure(g, identity, "grading", tmp_path, capsys)
+
+
 def _float_arrays(tables):
     return {k: np.array([[[float(c) for c in v] for v in row] for row in t])
             for k, t in tables.items()}
@@ -175,8 +223,8 @@ def test_failing_associativity_report_is_cached(monkeypatch):
     calls = _counting(monkeypatch, algebras.verify_associative, algebras)
     a = Algebra(table_from_entries(2, FAILING[0][2]["m"]))
     g = GradedAlgebra(a, even=[0, 1])
-    assert [g.verified() for _ in range(3)] == [False] * 3
-    assert not a.associative()
+    assert [g.report().holds for _ in range(3)] == [False] * 3
+    assert not a.report().holds
     assert len(calls) == 1
 
 
@@ -200,6 +248,8 @@ def _exact_tangent():
 ], ids=["derive_huliu", "classify_huliu_simplicity", "exact verify_tangent_huliu"])
 def test_lie_check_runs_once_per_object(monkeypatch, setup):
     run = setup()
-    calls = _counting(monkeypatch, huliu.verify_lie, huliu, derive, xigroup)
+    # the counted function is the only verify_lie any caller can reach
+    assert not any(hasattr(mod, "verify_lie") for mod in (cli, derive, xigroup))
+    calls = _counting(monkeypatch, huliu.verify_lie, huliu)
     assert run()
     assert len(calls) == 1

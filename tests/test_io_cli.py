@@ -154,6 +154,36 @@ def test_cli_fuzz_exit_codes(tmp_path, capsys):
     assert cli.main(["nonsense"]) == 2
 
 
+@pytest.mark.parametrize("content", [
+    b'{"kind": "leibniz", "dim": 1, "basis": ["e0"], "angle": [[0, 0, 0, '
+    + b"7" * 5000 + b"]]}",  # over Python's 4300-digit integer limit
+    b"\xff\xfe{",
+], ids=["oversized integer literal", "not UTF-8"])
+def test_cli_unreadable_json_is_an_input_error(tmp_path, capsys, content):
+    p = tmp_path / "unreadable.json"
+    p.write_bytes(content)
+    assert cli.main(["verify", str(p), "--kind", "leibniz"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_dim_above_the_limit_is_an_input_error(tmp_path, capsys):
+    dim = lio.MAX_DIM + 1
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps({"kind": "leibniz", "dim": dim,
+                             "basis": [f"e{i}" for i in range(dim)], "angle": []}))
+    assert cli.main(["verify", str(p), "--kind", "leibniz"]) == 2
+    assert str(lio.MAX_DIM) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_cli_xi_check_without_samples_is_an_input_error(tmp_path, capsys, samples):
+    _, r2 = mat_square_zero_extension(2)
+    xp = write(tmp_path, LinearXiGroup(r2, OrthogonalConstraints(2)), "x.json")
+    assert cli.main(["xi-check", xp, "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "sample" in captured.err
+
+
 def test_block_upper_file_checks(tmp_path):
     gp = write(tmp_path, make_block_upper(2, 1), "b.json")
     assert cli.main(["verify", gp, "--kind", "grading"]) == 0

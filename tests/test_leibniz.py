@@ -1,10 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leibkit._tables import table_from_entries, zero_table
+from leibkit._tables import table_from_dense, table_from_entries, zero_table
 from leibkit.algebras import matrix_algebra, make_trivial_extension
 from leibkit.derive import derive_leibniz
 from leibkit.leibniz import (
@@ -85,6 +86,21 @@ def test_annihilator_examples(nilpotent_dim2, ut_model):
 def test_annihilator_requires_verified():
     with pytest.raises(ValueError):
         annihilator(LeibnizAlgebra([[[1]]]))
+
+
+def test_annihilator_is_never_the_whole_algebra():
+    # <x,<y,y>> = 0 by the identity at z = y, so squares spanning L would
+    # force every bracket, and so every square, to vanish
+    checked = 0
+    for dim in (1, 2):
+        for flat in itertools.product((-1, 0, 1), repeat=dim ** 3):
+            it = iter(flat)
+            leib = LeibnizAlgebra(table_from_dense(
+                [[[next(it) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]))
+            if verify_right_leibniz(leib).holds:
+                checked += 1
+                assert annihilator(leib).dim < leib.dim, flat
+    assert checked > 3
 
 
 def test_annihilator_is_cached(nilpotent_dim2):

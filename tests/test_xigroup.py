@@ -169,6 +169,18 @@ def test_check_xi_group_violation_witness():
     assert rep.witness is not None and rep.witness[2] > g.tolerance
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_check_xi_group_needs_a_sample(samples):
+    with pytest.raises(ValueError):
+        check_xi_group(orth_group(2), samples=samples)
+
+
+def test_constraint_count_is_the_residual_length_at_the_unit():
+    assert orth_group(2).num_constraints == 4
+    fam = NumericConstraints(lambda x0: OrthogonalConstraints(2).evaluate(G2, x0)[:3])
+    assert LinearXiGroup(R2, fam).num_constraints == 3
+
+
 def test_group_closure_reports():
     assert verify_group_closure(orth_group(2), samples=20, seed=0).holds
     bad = orth_group(2, span([(1, 0, 0, 0)], 4))
@@ -289,7 +301,7 @@ def test_coords_from_matrix_rejects_outside_image():
 def test_numeric_constraint_path_matches_exact():
     exact = tangent_space(orth_group(2))
     fam = NumericConstraints(
-        lambda x0: OrthogonalConstraints(2).evaluate(G2, x0), m=4)
+        lambda x0: OrthogonalConstraints(2).evaluate(G2, x0))
     num = tangent_space(LinearXiGroup(R2, fam))
     assert not num.exact
     assert num.subspace.dim == exact.subspace.dim
@@ -300,7 +312,7 @@ def test_numeric_rank_ambiguity():
     def shaky(x0):
         return np.array([x0[0] - 1.0, 1e-9 * x0[1], 1e-11 * x0[2]])
 
-    g = LinearXiGroup(R2, NumericConstraints(shaky, m=3))
+    g = LinearXiGroup(R2, NumericConstraints(shaky))
     with pytest.raises(RankAmbiguityError) as exc:
         tangent_space(g)
     assert len(exc.value.singular_values) == 3
@@ -308,11 +320,11 @@ def test_numeric_rank_ambiguity():
 
 def test_identity_must_satisfy_constraints():
     with pytest.raises(ValueError):
-        LinearXiGroup(R2, NumericConstraints(lambda x0: np.array([1.0]), m=1))
+        LinearXiGroup(R2, NumericConstraints(lambda x0: np.array([1.0])))
 
 
 def test_sampler_missing_raises():
-    fam = NumericConstraints(lambda x0: np.zeros(0), m=0)
+    fam = NumericConstraints(lambda x0: np.zeros(0))
     g = LinearXiGroup(R2, fam)
     with pytest.raises(SamplingError):
         check_xi_group(g, samples=2, seed=0)
