@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .linalg import Vec, rat, vadd, vec, zeros
+from .linalg import Matrix, Vec, rat, vadd, vec, zeros
 from .report import Report, fail, ok
 
 Table = tuple[tuple[Vec, ...], ...]
@@ -155,6 +155,17 @@ def apply_table(t: Table, x: Sequence, y: Sequence) -> Vec:
                 if v:
                     acc[k] += c * v
     return tuple(acc)
+
+
+def operators(t: Table, side: str) -> tuple[Matrix, ...]:
+    """Matrices of x -> t(x, e_j) for side "right", of x -> t(e_j, x) for side
+    "left", for j = 0..dim-1."""
+    dim = len(t)
+    if side == "right":
+        return tuple(Matrix.from_cols([t[i][j] for i in range(dim)]) for j in range(dim))
+    if side == "left":
+        return tuple(Matrix.from_cols([t[j][i] for i in range(dim)]) for j in range(dim))
+    raise ValueError(f"side must be 'right' or 'left', not {side!r}")
 
 
 def int_scaled(tables: Sequence[Table]) -> list[tuple]:

@@ -116,7 +116,6 @@ def cmd_simple(args, out) -> int:
         json.dump({
             "verdict": verdict.tag,
             "reason": verdict.reason,
-            "note": verdict.note,
             "checks": list(verdict.checks),
             "certificate": None if verdict.certificate is None
             else [[str(c) for c in b] for b in verdict.certificate.basis],
@@ -124,8 +123,6 @@ def cmd_simple(args, out) -> int:
         out.write("\n")
     else:
         out.write(f"{verdict.tag}: {verdict.reason}\n")
-        if verdict.note:
-            out.write(f"  note: {verdict.note}\n")
         for c in verdict.checks:
             out.write(f"  checked: {c}\n")
         if verdict.certificate is not None:

@@ -15,7 +15,7 @@ import os
 import random
 from fractions import Fraction
 
-from ._tables import table_entries, table_from_entries
+from ._tables import operators, table_entries, table_from_entries
 from .algebras import (
     Algebra,
     BimoduleError,
@@ -160,9 +160,7 @@ def _strategy_triangular(rng: random.Random, q: int):
         else:
             lam, rho = [zero, zero, zero], [d1, d2, nil_down]  # row module
     else:
-        t = a0.table
-        lam = [Matrix.from_cols([t[i][j] for j in range(3)]) for i in range(3)]
-        rho = [Matrix.from_cols([t[j][i] for j in range(3)]) for i in range(3)]
+        lam, rho = operators(a0.table, "left"), operators(a0.table, "right")
     return a0, _twist(rng, lam, rho, q)
 
 

@@ -18,6 +18,7 @@ from ._tables import (
     apply_table,
     basis_vec,
     evaluate,
+    operators,
     table_from_dense,
     verify_identities,
 )
@@ -25,12 +26,13 @@ from .leibniz import (
     LeibnizAlgebra,
     SimplicityVerdict,
     _bracket_compatibility,
+    _classify,
     annihilator,
-    classify_simplicity,
     check_leibniz_homomorphism,
+    multiplication_operators,
 )
 from .linalg import Matrix, Subspace, Vec, is_zero_vec, vadd, vscale, zeros
-from .modules import NORTON_BUDGET, NORTON_MAX_WORD
+from .modules import NORTON_BUDGET
 from .report import HomReport, Report, fail, memo, ok, require
 
 
@@ -89,9 +91,6 @@ def verify_lie(square: Table) -> Report:
     return verify_identities((JACOBI,), {"s": square}, "Lie bracket")
 
 
-HL_IDENTITIES = tuple(identity.name for identity in COMPATIBILITY)
-
-
 def eval_huliu_identity(h: HuLiuAlgebra, which: int, x, y, z) -> tuple[Vec, Vec]:
     """lhs and rhs of compatibility identity ``which`` (0..3) at vectors."""
     if which not in range(len(COMPATIBILITY)):
@@ -115,9 +114,7 @@ def verify_huliu_identities(h: HuLiuAlgebra) -> Report:
 
 def adjoint_operators(h: HuLiuAlgebra) -> tuple[Matrix, ...]:
     """Square-bracket adjoints ad_j: v -> [e_j, v] for all basis j."""
-    s = h.square
-    dim = h.dim
-    return tuple(Matrix.from_cols([s[j][i] for i in range(dim)]) for j in range(dim))
+    return operators(h.square, "left")
 
 
 def is_huliu_ideal(h: HuLiuAlgebra, sub: Subspace) -> bool:
@@ -151,13 +148,11 @@ def is_huliu_subalgebra(h: HuLiuAlgebra, sub: Subspace) -> bool:
 
 
 def classify_huliu_simplicity(h: HuLiuAlgebra, seed: int = 0,
-                              budget: int = NORTON_BUDGET,
-                              max_word: int = NORTON_MAX_WORD) -> SimplicityVerdict:
+                              budget: int = NORTON_BUDGET) -> SimplicityVerdict:
     """Same module-theoretic test, with the adjoint operators added."""
     h.validate()
-    verdict = classify_simplicity(h.leibniz, seed=seed, budget=budget,
-                                  max_word=max_word,
-                                  extra_operators=adjoint_operators(h))
+    ops = multiplication_operators(h.leibniz) + adjoint_operators(h)
+    verdict = _classify(h.leibniz, ops, seed, budget)
     if verdict.tag == "NotSimple" and verdict.certificate is not None:
         if not is_huliu_ideal(h, verdict.certificate):
             raise RuntimeError("certificate fails the two-bracket ideal test; classifier bug")

@@ -11,6 +11,7 @@ subspace, and a tolerance.  Unknown fields are rejected.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from ._tables import table_entries, table_from_entries
@@ -124,7 +125,7 @@ def load_obj(data):
         params = {k: v for k, v in spec.items() if k != "family"}
         try:
             family = constraint_family(spec["family"], **params)
-        except (ValueError, KeyError, TypeError) as e:
+        except (ValueError, TypeError) as e:
             raise SchemaError(f"bad constraints: {e}") from None
         odd_dim = dim - len(set(even))
         odd_subspace = None
@@ -132,8 +133,10 @@ def load_obj(data):
             vectors = _vector_list(data["odd_subspace"], "odd_subspace", odd_dim)
             odd_subspace = span(vectors, odd_dim)
         tolerance = data.get("tolerance", 1e-9)
-        if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)) or tolerance < 0:
-            raise SchemaError("field 'tolerance' must be a nonnegative number")
+        # also rejects NaN, infinities and integers too large for a float
+        if (isinstance(tolerance, bool) or not isinstance(tolerance, (int, float))
+                or not 0 <= tolerance <= sys.float_info.max):
+            raise SchemaError("field 'tolerance' must be a finite nonnegative number")
         try:
             realization = regular_realization(g.validate())
             return LinearXiGroup(realization, family, odd_subspace, float(tolerance))

@@ -19,13 +19,13 @@ from ._tables import (
     apply_table,
     basis_vec,
     evaluate,
+    operators,
     table_from_dense,
     verify_identities,
 )
 from .linalg import Matrix, Subspace, Vec, span, vadd
 from .modules import (
     NORTON_BUDGET,
-    NORTON_MAX_WORD,
     OperatorModule,
     closure,
     equivariant_projection_kernel,
@@ -108,11 +108,7 @@ def _span_of_squares(algebra: LeibnizAlgebra) -> Subspace:
 
 def multiplication_operators(algebra: LeibnizAlgebra) -> tuple[Matrix, ...]:
     """Right and left multiplications by all basis elements, as matrices."""
-    t = algebra.angle
-    dim = algebra.dim
-    right = [Matrix.from_cols([t[i][j] for i in range(dim)]) for j in range(dim)]
-    left = [Matrix.from_cols([t[j][i] for i in range(dim)]) for j in range(dim)]
-    return tuple(right + left)
+    return operators(algebra.angle, "right") + operators(algebra.angle, "left")
 
 
 def is_ideal(algebra: LeibnizAlgebra, sub: Subspace) -> bool:
@@ -152,7 +148,6 @@ class SimplicityVerdict:
     reason: str
     certificate: Subspace | None = None
     checks: tuple[str, ...] = ()
-    note: str = ""  # no verdict sets it today; ``simple --json`` keeps the key
 
 
 def _certified_not_simple(ops, ann, dim, cert: Subspace, reason: str) -> SimplicityVerdict:
@@ -164,26 +159,29 @@ def _certified_not_simple(ops, ann, dim, cert: Subspace, reason: str) -> Simplic
 
 
 def classify_simplicity(algebra: LeibnizAlgebra, seed: int = 0,
-                        budget: int = NORTON_BUDGET,
-                        max_word: int = NORTON_MAX_WORD,
-                        extra_operators: tuple[Matrix, ...] = ()) -> SimplicityVerdict:
+                        budget: int = NORTON_BUDGET) -> SimplicityVerdict:
     """Decide whether the only ideals are 0, the annihilator, and everything.
 
     Ideals are exactly the subspaces invariant under the multiplication
-    operators (plus ``extra_operators``, used for the two-bracket variant), so
-    the test runs module-theoretically: the annihilator must be irreducible,
-    the quotient by it must be irreducible, and it must admit no invariant
-    complement.  Randomized sub-tests take an explicit seed; an exhausted
-    budget yields Unknown, never a wrong answer.
+    operators, so the test runs module-theoretically: the annihilator must be
+    irreducible, the quotient by it must be irreducible, and it must admit no
+    invariant complement.  Randomized sub-tests take an explicit seed; an
+    exhausted budget yields Unknown, never a wrong answer.
 
     The annihilator is never all of L: the right Leibniz identity at z = y
     gives <x,<y,y>> = 0, so if the squares spanned L every bracket, and with
     it every square, would vanish.
     """
     algebra.validate()
+    return _classify(algebra, multiplication_operators(algebra), seed, budget)
+
+
+def _classify(algebra: LeibnizAlgebra, ops: tuple[Matrix, ...], seed: int,
+              budget: int) -> SimplicityVerdict:
+    """The module-theoretic test on a verified algebra whose ideals are the
+    subspaces invariant under ``ops``."""
     ann = annihilator(algebra)
     dim = algebra.dim
-    ops = multiplication_operators(algebra) + tuple(extra_operators)
     mod = OperatorModule(dim, ops)
     rng = random.Random(seed)
     checks: list[str] = []
@@ -191,7 +189,7 @@ def classify_simplicity(algebra: LeibnizAlgebra, seed: int = 0,
     if ann.dim == 0:
         return SimplicityVerdict("NotSimple", "annihilator is zero")
 
-    status, wit = norton_irreducible(restriction(mod, ann), rng, budget, max_word)
+    status, wit = norton_irreducible(restriction(mod, ann), rng, budget)
     if status == "reducible":
         cert = span([lift_from_sub(ann, c) for c in wit.basis], dim)
         return _certified_not_simple(
@@ -202,7 +200,7 @@ def classify_simplicity(algebra: LeibnizAlgebra, seed: int = 0,
     checks.append("annihilator module irreducible")
 
     quo = quotient(mod, ann)
-    status, wit = norton_irreducible(quo.mod, rng, budget, max_word)
+    status, wit = norton_irreducible(quo.mod, rng, budget)
     if status == "reducible":
         cert = ann.sum(span([quo.lift(c) for c in wit.basis], dim))
         return _certified_not_simple(

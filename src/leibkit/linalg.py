@@ -12,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rat = Fraction
 Vec = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
@@ -205,9 +204,6 @@ class Subspace:
 
     def is_zero(self) -> bool:
         return not self.basis
-
-    def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
 
     def __eq__(self, other) -> bool:
         return (

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._tables import basis_vec
 from .linalg import Matrix, Subspace, Vec, kernel, solve, span, vadd, vscale, zeros
 
 NORTON_BUDGET = 64
@@ -111,21 +112,17 @@ def quotient(mod: OperatorModule, s: Subspace) -> QuotientModule:
 
     mats = []
     for t in mod.operators:
-        cols = [project(t.matvec(_unit(mod.dim, f))) for f in free]
+        cols = [project(t.matvec(basis_vec(mod.dim, f))) for f in free]
         mats.append(Matrix.from_cols(cols) if cols else Matrix([]))
     return QuotientModule(OperatorModule(len(free), tuple(mats)), free, s)
 
 
-def _unit(n: int, i: int) -> Vec:
-    return tuple(Fraction(1 if k == i else 0) for k in range(n))
-
-
-def _random_algebra_element(ops: list[Matrix], rng: random.Random, max_word: int) -> Matrix:
+def _random_algebra_element(ops: list[Matrix], rng: random.Random) -> Matrix:
     d = ops[0].rows
     acc = Matrix.zero(d, d)
     for _ in range(rng.randint(1, 3)):
         word = None
-        for _ in range(rng.randint(1, max_word)):
+        for _ in range(rng.randint(1, NORTON_MAX_WORD)):
             t = ops[rng.randrange(len(ops))]
             word = t if word is None else word @ t
         c = rng.choice((-3, -2, -1, 1, 2, 3))
@@ -134,8 +131,7 @@ def _random_algebra_element(ops: list[Matrix], rng: random.Random, max_word: int
 
 
 def norton_irreducible(mod: OperatorModule, rng: random.Random,
-                       budget: int = NORTON_BUDGET,
-                       max_word: int = NORTON_MAX_WORD) -> tuple[str, Subspace | None]:
+                       budget: int = NORTON_BUDGET) -> tuple[str, Subspace | None]:
     """Decide irreducibility of the module.
 
     Returns ("irreducible", None), ("reducible", proper invariant subspace),
@@ -149,9 +145,9 @@ def norton_irreducible(mod: OperatorModule, rng: random.Random,
         return "irreducible", None
     ops = [t for t in mod.operators if not t.is_zero()]
     if not ops:
-        return "reducible", span([_unit(d, 0)], d)
+        return "reducible", span([basis_vec(d, 0)], d)
     for _ in range(budget):
-        theta = _random_algebra_element(ops, rng, max_word)
+        theta = _random_algebra_element(ops, rng)
         ker = kernel(theta)
         if ker.dim == 0:
             continue

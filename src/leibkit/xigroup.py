@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._tables import COMPATIBILITY, JACOBI, LEFT, RIGHT_LEIBNIZ, Identity
+from ._tables import COMPATIBILITY, JACOBI, LEFT, RIGHT_LEIBNIZ, Identity, operators
 from .algebras import (
     BimoduleError,
     GradedAlgebra,
@@ -83,15 +83,11 @@ class MatrixRealization:
         if any(m.rows != self.n or m.cols != self.n for m in self.embed):
             raise ValueError("embedding matrices must be square of equal size")
         self._verify()
-        self.np_tensor = np.array(
-            [[[float(c) for c in v] for v in row] for row in graded.algebra.table]
-        )
-        self.np_embed = np.array(
-            [[[float(c) for c in r] for r in m.data] for m in self.embed]
-        )
+        self.np_tensor = np.array(graded.algebra.table, dtype=float)
+        self.np_embed = np.array([m.data for m in self.embed], dtype=float)
         self._flat = self.np_embed.reshape(graded.dim, -1).T  # n^2 x dim
         self._flat_pinv = np.linalg.pinv(self._flat)
-        self.np_unit = np.array([float(c) for c in graded.algebra.unit])
+        self.np_unit = np.array(graded.algebra.unit, dtype=float)
 
     def _verify(self):
         # the first failing triple (i, j, m) lies at the first failing pair (i, j)
@@ -146,9 +142,7 @@ class MatrixRealization:
 
 def regular_realization(g: GradedAlgebra) -> MatrixRealization:
     """Left-multiplication realization; faithful because the algebra is unital."""
-    t = g.algebra.table
-    embed = [Matrix.from_cols([t[i][j] for j in range(g.dim)]) for i in range(g.dim)]
-    return MatrixRealization(g, embed)
+    return MatrixRealization(g, operators(g.algebra.table, "left"))
 
 
 def mat_square_zero_extension(n: int) -> tuple[GradedAlgebra, MatrixRealization]:
@@ -317,7 +311,7 @@ class ConstraintFamily:
     name = "base"
 
     def check_compatible(self, g: GradedAlgebra):
-        raise NotImplementedError
+        """Raise ValueError when the family cannot apply to ``g``."""
 
     def evaluate(self, g: GradedAlgebra, x0_even: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -333,32 +327,14 @@ class ConstraintFamily:
         return {}
 
 
-def _check_matrix_even_part(g: GradedAlgebra, n: int, family: str):
-    if len(g.even) != n * n:
-        raise ValueError(f"{family} constraints need an even part of dimension {n * n}")
-    table = g.algebra.table
-    even = g.even
-    for s in range(n * n):
-        for t in range(n * n):
-            a, b = divmod(s, n)
-            c, d = divmod(t, n)
-            prod = table[even[s]][even[t]]
-            expect = [Fraction(0)] * g.dim
-            if b == c:
-                expect[even[a * n + d]] = Fraction(1)
-            if list(prod) != expect:
-                raise ValueError(
-                    f"{family} constraints need the even part to be the n x n "
-                    f"matrix algebra in row-major basis order")
+def _unit_even(g: GradedAlgebra) -> np.ndarray:
+    return np.array(g.algebra.unit, dtype=float)[list(g.even)]
 
 
 class NoConstraints(ConstraintFamily):
     """The full unit group: only invertibility of the even part."""
 
     name = "none"
-
-    def check_compatible(self, g):
-        return None
 
     def evaluate(self, g, x0_even):
         return np.zeros(0)
@@ -368,9 +344,8 @@ class NoConstraints(ConstraintFamily):
 
     def sample(self, g, rng):
         even = list(g.even)
-        unit_even = np.array([float(g.algebra.unit[i]) for i in even])
-        tensor = np.array([[[float(c) for c in v] for v in row]
-                           for row in g.algebra.table])[np.ix_(even, even, even)]
+        unit_even = _unit_even(g)
+        tensor = np.array(g.algebra.table, dtype=float)[np.ix_(even, even, even)]
         for _ in range(_SAMPLE_RETRIES):
             x0 = unit_even + 0.5 * rng.standard_normal(len(even))
             m = np.einsum("i,ijk->kj", x0, tensor)
@@ -379,16 +354,32 @@ class NoConstraints(ConstraintFamily):
         raise SamplingError("could not sample an invertible even element")
 
 
-class OrthogonalConstraints(ConstraintFamily):
+class _MatrixConstraints(ConstraintFamily):
+    """A family on an even part that is Mat(n) in row-major matrix-unit order."""
+
+    def __init__(self, n: int):
+        self.n = int(n)
+
+    def params(self):
+        return {"n": self.n}
+
+    def check_compatible(self, g):
+        n, even = self.n, g.even
+        if len(even) != n * n:
+            raise ValueError(f"{self.name} constraints need an even part of dimension {n * n}")
+        mat, table = matrix_algebra(n).table, g.algebra.table
+        for s in range(n * n):
+            for t in range(n * n):
+                if table[even[s]][even[t]] != _lift(g.dim, even, mat[s][t]):
+                    raise ValueError(
+                        f"{self.name} constraints need the even part to be the n x n "
+                        f"matrix algebra in row-major basis order")
+
+
+class OrthogonalConstraints(_MatrixConstraints):
     """Even part Mat(n), constraint X^T X = I."""
 
     name = "orthogonal"
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def check_compatible(self, g):
-        _check_matrix_even_part(g, self.n, self.name)
 
     def evaluate(self, g, x0_even):
         x = np.asarray(x0_even, dtype=float).reshape(self.n, self.n)
@@ -410,20 +401,11 @@ class OrthogonalConstraints(ConstraintFamily):
         q = q * np.sign(np.diag(r))
         return q.reshape(-1)
 
-    def params(self):
-        return {"n": self.n}
 
-
-class SpecialLinearConstraints(ConstraintFamily):
+class SpecialLinearConstraints(_MatrixConstraints):
     """Even part Mat(n), constraint det X = 1."""
 
     name = "special-linear"
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def check_compatible(self, g):
-        _check_matrix_even_part(g, self.n, self.name)
 
     def evaluate(self, g, x0_even):
         x = np.asarray(x0_even, dtype=float).reshape(self.n, self.n)
@@ -448,27 +430,20 @@ class SpecialLinearConstraints(ConstraintFamily):
             return (x / d ** (1.0 / self.n)).reshape(-1)
         raise SamplingError("could not sample a well-conditioned matrix")
 
-    def params(self):
-        return {"n": self.n}
-
 
 class UnipotentConstraints(ConstraintFamily):
     """Even part pinned to the unit: the square-zero group 1 + V1."""
 
     name = "unipotent-block"
 
-    def check_compatible(self, g):
-        return None
-
     def evaluate(self, g, x0_even):
-        unit_even = np.array([float(g.algebra.unit[i]) for i in g.even])
-        return np.asarray(x0_even, dtype=float) - unit_even
+        return np.asarray(x0_even, dtype=float) - _unit_even(g)
 
     def jacobian_at_unit(self, g):
         return Matrix.identity(len(g.even))
 
     def sample(self, g, rng):
-        return np.array([float(g.algebra.unit[i]) for i in g.even])
+        return _unit_even(g)
 
 
 class NumericConstraints(ConstraintFamily):
@@ -481,9 +456,6 @@ class NumericConstraints(ConstraintFamily):
         self._fn = fn
         self._sampler = sampler
 
-    def check_compatible(self, g):
-        return None
-
     def evaluate(self, g, x0_even):
         return np.asarray(self._fn(np.asarray(x0_even, dtype=float)), dtype=float)
 
@@ -493,16 +465,16 @@ class NumericConstraints(ConstraintFamily):
         return self._sampler(rng)
 
 
+_FAMILIES = {cls.name: cls for cls in (NoConstraints, OrthogonalConstraints,
+                                        SpecialLinearConstraints, UnipotentConstraints)}
+
+
 def constraint_family(name: str, **params) -> ConstraintFamily:
-    if name == "none":
-        return NoConstraints()
-    if name == "orthogonal":
-        return OrthogonalConstraints(int(params["n"]))
-    if name == "special-linear":
-        return SpecialLinearConstraints(int(params["n"]))
-    if name == "unipotent-block":
-        return UnipotentConstraints()
-    raise ValueError(f"unknown constraint family {name!r}")
+    """The named family built from its parameters; an unknown parameter
+    raises TypeError."""
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown constraint family {name!r}")
+    return _FAMILIES[name](**params)
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +499,11 @@ class LinearXiGroup:
         constraints.check_compatible(g)
         self._even = list(g.even)
         self._odd = list(g.odd)
-        unit_even = np.array([float(g.algebra.unit[i]) for i in self._even])
-        resid = constraints.evaluate(g, unit_even)
+        resid = constraints.evaluate(g, realization.np_unit[self._even])
         if resid.size and float(np.max(np.abs(resid))) > 1e-12:
             raise ValueError("the identity does not satisfy the constraints")
         self.num_constraints = resid.size
-        self._v1 = np.array([[float(c) for c in b] for b in self.odd_subspace.basis])
+        self._v1 = np.array(self.odd_subspace.basis, dtype=float)
         if self._v1.size:
             self._v1_proj = self._v1.T @ np.linalg.pinv(self._v1.T)
         else:
@@ -637,16 +608,10 @@ class TangentSpace:
     exact: bool
 
 
-def _lift_even(g: GradedAlgebra, v) -> Vec:
-    out = [Fraction(0)] * g.dim
-    for c, i in zip(v, g.even):
-        out[i] = c
-    return tuple(out)
-
-
-def _lift_odd(g: GradedAlgebra, v) -> Vec:
-    out = [Fraction(0)] * g.dim
-    for c, i in zip(v, g.odd):
+def _lift(dim: int, positions, v) -> Vec:
+    """The dim-vector with v's entries at ``positions`` and 0 elsewhere."""
+    out = [Fraction(0)] * dim
+    for c, i in zip(v, positions):
         out[i] = c
     return tuple(out)
 
@@ -654,7 +619,7 @@ def _lift_odd(g: GradedAlgebra, v) -> Vec:
 def _numeric_jacobian(group: LinearXiGroup) -> np.ndarray:
     g = group.graded
     even = list(g.even)
-    u = np.array([float(g.algebra.unit[i]) for i in even])
+    u = group.realization.np_unit[even]
     h = 1e-6
     cols = []
     for c in range(len(even)):
@@ -708,8 +673,8 @@ def tangent_space(group: LinearXiGroup) -> TangentSpace:
             if even_ker.dim != even_dim - rank:
                 raise RankAmbiguityError(sigmas)
             exact = False
-    vecs = [_lift_even(g, v) for v in even_ker.basis]
-    vecs += [_lift_odd(g, b) for b in group.odd_subspace.basis]
+    vecs = [_lift(g.dim, g.even, v) for v in even_ker.basis]
+    vecs += [_lift(g.dim, g.odd, b) for b in group.odd_subspace.basis]
     return TangentSpace(span(vecs, g.dim), exact)
 
 
@@ -775,7 +740,7 @@ def _residual(identity: Identity, arrays: dict[str, np.ndarray]) -> np.ndarray:
 
 def _verify_tangent_numeric(t: TangentSpace, r: MatrixRealization, tol: float) -> Report:
     g = r.graded
-    basis = np.array([[float(c) for c in b] for b in t.subspace.basis])
+    basis = np.array(t.subspace.basis, dtype=float)
     k = basis.shape[0]
     if k == 0:
         return ok("tangent Hu-Liu structure (trivial)")
@@ -871,7 +836,7 @@ def exp_curve_check(group: LinearXiGroup, x, t_grid, curve: str = "exp") -> Curv
     and linear when it is not, which is what the slope test fits.
     """
     r = group.realization
-    xf = np.asarray([float(c) for c in x], dtype=float)
+    xf = np.array(x, dtype=float)
     ts = tuple(float(t) for t in t_grid)
     residuals = []
     scale = 1.0

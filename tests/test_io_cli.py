@@ -126,6 +126,14 @@ def test_cli_annihilator_and_simple(tmp_path, ut_model, capsys):
     assert cli.main(["simple", bad]) == 2
 
 
+def test_cli_simple_json_keys(tmp_path, ut_model, capsys):
+    lp = write(tmp_path, derive_leibniz(ut_model), "L.json")
+    assert cli.main(["simple", lp, "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert list(data) == ["verdict", "reason", "checks", "certificate"]
+    assert data["verdict"] == "NotSimple" and data["certificate"]
+
+
 def test_cli_derive_writes_verifiable_files(tmp_path, ut_model):
     gp = write(tmp_path, ut_model, "g.json")
     outp = str(tmp_path / "out.json")
@@ -187,3 +195,42 @@ def test_cli_xi_check_without_samples_is_an_input_error(tmp_path, capsys, sample
 def test_block_upper_file_checks(tmp_path):
     gp = write(tmp_path, make_block_upper(2, 1), "b.json")
     assert cli.main(["verify", gp, "--kind", "grading"]) == 0
+
+
+def _xigroup_text(tolerance="1e-9", constraints=None):
+    """A Mat(2) orthogonal group whose odd subspace is not conjugation-stable
+    (worst residual about 0.86), with the tolerance spliced in as raw JSON."""
+    _, r2 = mat_square_zero_extension(2)
+    data = lio.dump_obj(LinearXiGroup(r2, OrthogonalConstraints(2), span([(1, 0, 0, 0)], 4)))
+    data["tolerance"] = "TOLERANCE"
+    if constraints is not None:
+        data["constraints"] = constraints
+    return json.dumps(data).replace('"TOLERANCE"', tolerance)
+
+
+def test_cli_xi_check_violation_at_the_default_tolerance(tmp_path, capsys):
+    p = tmp_path / "x.json"
+    p.write_text(_xigroup_text())
+    assert cli.main(["xi-check", str(p), "--samples", "20"]) == 1
+    assert "violated" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "NaN", "1e400"])
+def test_cli_non_finite_tolerance_is_an_input_error(tmp_path, capsys, literal):
+    p = tmp_path / "x.json"
+    p.write_text(_xigroup_text(tolerance=literal))
+    assert cli.main(["xi-check", str(p), "--samples", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "tolerance" in captured.err
+
+
+@pytest.mark.parametrize("constraints", [
+    {"family": "orthogonal", "n": 2, "typo": 1},
+    {"family": "none", "n": 5},
+], ids=["extra key", "key the family does not take"])
+def test_cli_unknown_constraint_parameter_is_an_input_error(tmp_path, capsys, constraints):
+    p = tmp_path / "x.json"
+    p.write_text(_xigroup_text(constraints=constraints))
+    assert cli.main(["xi-check", str(p), "--samples", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad constraints" in captured.err

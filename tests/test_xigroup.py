@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from leibkit.algebras import Algebra, GradedAlgebra, make_block_upper
-from leibkit._tables import table_from_entries
+from leibkit._tables import table_entries, table_from_entries
 from leibkit.linalg import Matrix, full_space, kernel, span
 from leibkit.xigroup import (
     CoveringPair,
@@ -343,3 +343,50 @@ def test_orthogonal_requires_matrix_even_part(ut_model):
     r = regular_realization(ut_model)
     with pytest.raises(ValueError):
         LinearXiGroup(r, OrthogonalConstraints(2))
+
+
+@pytest.mark.parametrize("build", [lambda: make_block_upper(2, 1), lambda: G2],
+                         ids=["block_upper(2,1)", "Mat(2) extension"])
+def test_regular_realization_is_left_multiplication(build):
+    g = build()
+    t = g.algebra.table
+    # column j of the i-th matrix is e_i e_j
+    expected = [Matrix.from_cols([t[i][j] for j in range(g.dim)]) for i in range(g.dim)]
+    assert list(regular_realization(g).embed) == expected
+
+
+def _swap_basis(g, a, b):
+    """The same graded algebra with basis elements a and b exchanged."""
+    p = list(range(g.dim))
+    p[a], p[b] = b, a
+    table = table_from_entries(
+        g.dim, [(p[i], p[j], p[k], c) for i, j, k, c in table_entries(g.algebra.table)])
+    unit = [g.algebra.unit[p[i]] for i in range(g.dim)]
+    return GradedAlgebra(Algebra(table, unit=unit), [p[i] for i in g.even])
+
+
+@pytest.mark.parametrize("family", [OrthogonalConstraints, SpecialLinearConstraints])
+def test_matrix_families_reject_a_wrong_even_dimension(family):
+    fam = family(3)
+    with pytest.raises(ValueError) as exc:
+        fam.check_compatible(G2)
+    assert str(exc.value) == f"{fam.name} constraints need an even part of dimension 9"
+
+
+@pytest.mark.parametrize("family", [OrthogonalConstraints, SpecialLinearConstraints])
+def test_matrix_families_reject_a_permuted_even_basis(family):
+    g = _swap_basis(G2, 1, 2)  # even basis E11, E21, E12, E22
+    assert g.even == G2.even and g.validate() is g
+    fam = family(2)
+    with pytest.raises(ValueError) as exc:
+        fam.check_compatible(g)
+    assert str(exc.value) == (f"{fam.name} constraints need the even part to be the "
+                              f"n x n matrix algebra in row-major basis order")
+
+
+@pytest.mark.parametrize("family", [OrthogonalConstraints, SpecialLinearConstraints])
+@pytest.mark.parametrize("n", [2, 3])
+def test_matrix_families_accept_the_matrix_extensions(family, n):
+    g, r = (G2, R2) if n == 2 else (G3, R3)
+    assert family(n).check_compatible(g) is None
+    assert LinearXiGroup(r, family(n)).constraints.n == n
