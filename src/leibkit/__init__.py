@@ -49,9 +49,7 @@ from .xigroup import (
     MatrixRealization,
     NoConstraints,
     NotAUnitError,
-    NumericConstraints,
     OrthogonalConstraints,
-    RankAmbiguityError,
     RealizationError,
     SamplingError,
     SpecialLinearConstraints,

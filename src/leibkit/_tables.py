@@ -6,7 +6,7 @@ A table ``t`` encodes a bilinear product on a dim-dimensional space:
 Each identity the package verifies (associativity, the right Leibniz
 identity, the Jacobi identity and the four Hu-Liu compatibility identities)
 is declared once below, as data: an :class:`Identity` equates two sums of
-nested products, each a :class:`Term`.  Three consumers read the
+nested products, each a :class:`Term`.  Two consumers read the
 declarations:
 
 * the exact checker :func:`verify_identities` walks basis triples over the
@@ -14,9 +14,7 @@ declarations:
   the table entries, so clearing denominators once cannot change which
   side differs;
 * the witness replay :func:`evaluate` re-evaluates a failing triple, or any
-  vectors, with the original rational entries;
-* the float residual in :mod:`leibkit.xigroup` turns each term into an
-  ``einsum``.
+  vectors, with the original rational entries.
 """
 
 from __future__ import annotations
@@ -176,12 +174,7 @@ def int_scaled(tables: Sequence[Table]) -> list[tuple]:
     every table so that identities mixing two tables stay homogeneous of the
     same degree.
     """
-    d = 1
-    for t in tables:
-        for row in t:
-            for v in row:
-                for c in v:
-                    d = d * c.denominator // math.gcd(d, c.denominator)
+    d = math.lcm(*{c.denominator for t in tables for row in t for v in row for c in v})
     return [
         tuple(tuple(tuple((k, int(c * d)) for k, c in enumerate(v) if c) for v in row)
               for row in t)

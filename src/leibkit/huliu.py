@@ -134,17 +134,22 @@ def is_huliu_ideal(h: HuLiuAlgebra, sub: Subspace) -> bool:
     return True
 
 
-def is_huliu_subalgebra(h: HuLiuAlgebra, sub: Subspace) -> bool:
-    """True iff both brackets of basis pairs of S stay in S."""
+def is_huliu_subalgebra(h: HuLiuAlgebra, sub: Subspace) -> Report:
+    """Both brackets of basis pairs (a, b) of S must stay in S.
+
+    Pairs run over a, then b, the angle bracket before the square one; the
+    report names the first bracket value outside S.
+    """
     if sub.ambient_dim != h.dim:
         raise ValueError(f"ambient mismatch: {sub.ambient_dim} vs {h.dim}")
     for a in sub.basis:
         for b in sub.basis:
-            if not sub.contains(h.angle_bracket(a, b)):
-                return False
-            if not sub.contains(h.square_bracket(a, b)):
-                return False
-    return True
+            for which, value in (("angle", h.angle_bracket(a, b)),
+                                 ("square", h.square_bracket(a, b))):
+                if not sub.contains(value):
+                    return fail(f"closure under the {which} bracket", (a, b), value,
+                                zeros(h.dim), note="bracket value leaves the subspace")
+    return ok("Hu-Liu subalgebra")
 
 
 def classify_huliu_simplicity(h: HuLiuAlgebra, seed: int = 0,

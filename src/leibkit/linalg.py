@@ -31,12 +31,13 @@ def zeros(n: int) -> Vec:
     return (_ZERO,) * n
 
 
+# Structure tables are sparse: a zero entry of v leaves u's entry as it is.
 def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(a + b if b else a for a, b in zip(u, v))
 
 
 def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(a - b if b else a for a, b in zip(u, v))
 
 
 def vscale(c, u: Vec) -> Vec:
@@ -219,7 +220,6 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
     def contains(self, v: Sequence) -> bool:
-        v = vec(v)
         if len(v) != self.ambient_dim:
             raise ValueError(f"vector length {len(v)} != ambient {self.ambient_dim}")
         return self.coords(v) is not None
@@ -233,8 +233,8 @@ class Subspace:
         residual = list(v)
         for c, b in zip(coeffs, self.basis):
             if c:
-                residual = [x - c * y for x, y in zip(residual, b)]
-        return coeffs if all(x == 0 for x in residual) else None
+                residual = [x - c * y if y else x for x, y in zip(residual, b)]
+        return None if any(residual) else coeffs
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._same_ambient(other)

@@ -6,9 +6,10 @@ idempotent group endomorphism, so the unit group together with that
 projection covers every subgroup stable under conjugation by projected
 elements.  Groups here are restricted to product form
 ``{x0 + x1 : p(x0) = 0, x1 in V1}`` with ``p`` drawn from named polynomial
-constraint families; that keeps the tangent space computable as
-(kernel of the constraint Jacobian at the unit) + V1, exactly when the
-constraints are rational polynomials.
+constraint families.  Each family has a rational Jacobian at the unit, so the
+tangent space (kernel of that Jacobian) + V1 is computed exactly, and it is
+certified Hu-Liu by one exact check: closure under the two derived brackets
+of the ambient graded algebra.
 
 Exact data (structure tensors, embeddings, tangent bases) uses Fractions;
 sampling, conjugation checks, and curve checks run in float64 with
@@ -17,13 +18,15 @@ residuals scaled by operator norms.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
-from ._tables import COMPATIBILITY, JACOBI, LEFT, RIGHT_LEIBNIZ, Identity, operators
+from ._tables import operators
 from .algebras import (
     BimoduleError,
     GradedAlgebra,
@@ -31,12 +34,12 @@ from .algebras import (
     make_trivial_extension,
     matrix_algebra,
 )
-from .huliu import HuLiuAlgebra
+from .derive import derive_huliu
+from .huliu import is_huliu_subalgebra
 from .linalg import Matrix, Subspace, Vec, full_space, kernel, solve, span, vec, zeros
 from .report import Report, fail, ok
 
 DEFAULT_TOLERANCE = 1e-9
-SV_GAP_RATIO = 1e6
 _SAMPLE_RETRIES = 100
 
 
@@ -50,14 +53,6 @@ class SamplingError(RuntimeError):
 
 class RealizationError(RuntimeError):
     """A matrix could not be mapped back to algebra coordinates."""
-
-
-class RankAmbiguityError(RuntimeError):
-    """Numeric rank undecidable: the singular-value gap is too small."""
-
-    def __init__(self, singular_values):
-        self.singular_values = tuple(float(s) for s in singular_values)
-        super().__init__(f"ambiguous numeric rank; singular values {self.singular_values}")
 
 
 class MatrixRealization:
@@ -303,9 +298,9 @@ class ConstraintFamily:
 
     ``evaluate`` takes the even coordinate vector (ordered like ``g.even``)
     and returns a residual vector, one entry per constraint; members satisfy
-    residual = 0.  The group counts the constraints at the unit.  Families
-    with rational-polynomial constraints provide an exact Jacobian at the
-    unit, which makes tangent spaces exact.
+    residual = 0.  The group counts the constraints at the unit.  Every
+    family provides the exact Jacobian of its constraints at the unit, which
+    makes tangent spaces exact.
     """
 
     name = "base"
@@ -316,9 +311,9 @@ class ConstraintFamily:
     def evaluate(self, g: GradedAlgebra, x0_even: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def jacobian_at_unit(self, g: GradedAlgebra) -> Matrix | None:
-        """Exact Jacobian (rows: constraints, cols: even coords) or None."""
-        return None
+    def jacobian_at_unit(self, g: GradedAlgebra) -> Matrix:
+        """Exact Jacobian (rows: constraints, cols: even coords)."""
+        raise NotImplementedError
 
     def sample(self, g: GradedAlgebra, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -358,7 +353,9 @@ class _MatrixConstraints(ConstraintFamily):
     """A family on an even part that is Mat(n) in row-major matrix-unit order."""
 
     def __init__(self, n: int):
-        self.n = int(n)
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"{self.name} constraints need an integer n >= 1, not {n!r}")
+        self.n = n
 
     def params(self):
         return {"n": self.n}
@@ -446,25 +443,6 @@ class UnipotentConstraints(ConstraintFamily):
         return _unit_even(g)
 
 
-class NumericConstraints(ConstraintFamily):
-    """Evaluator-only constraints: tangent spaces fall back to finite
-    differences with singular-value rank decisions."""
-
-    name = "numeric"
-
-    def __init__(self, fn, sampler=None):
-        self._fn = fn
-        self._sampler = sampler
-
-    def evaluate(self, g, x0_even):
-        return np.asarray(self._fn(np.asarray(x0_even, dtype=float)), dtype=float)
-
-    def sample(self, g, rng):
-        if self._sampler is None:
-            raise SamplingError("no sampler for numeric constraints")
-        return self._sampler(rng)
-
-
 _FAMILIES = {cls.name: cls for cls in (NoConstraints, OrthogonalConstraints,
                                         SpecialLinearConstraints, UnipotentConstraints)}
 
@@ -496,6 +474,8 @@ class LinearXiGroup:
             raise ValueError(
                 f"odd subspace ambient {self.odd_subspace.ambient_dim} != {odd_dim}")
         self.tolerance = float(tolerance)
+        if not 0 <= self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be a finite nonnegative number, not {tolerance!r}")
         constraints.check_compatible(g)
         self._even = list(g.even)
         self._odd = list(g.odd)
@@ -600,12 +580,12 @@ class TangentSpace:
     """Derivatives at 0 of curves through the unit staying in the group.
 
     For product-form groups this is ker(constraint Jacobian at the unit) on
-    the even side plus the whole odd subspace; ``exact`` is set when the
-    Jacobian kernel was computed in rational arithmetic.
+    the even side plus the whole odd subspace.  Every family's Jacobian is
+    rational, so the kernel, and with it the tangent space, is exact.
     """
 
     subspace: Subspace
-    exact: bool
+    exact: ClassVar[bool] = True
 
 
 def _lift(dim: int, positions, v) -> Vec:
@@ -616,168 +596,41 @@ def _lift(dim: int, positions, v) -> Vec:
     return tuple(out)
 
 
-def _numeric_jacobian(group: LinearXiGroup) -> np.ndarray:
-    g = group.graded
-    even = list(g.even)
-    u = group.realization.np_unit[even]
-    h = 1e-6
-    cols = []
-    for c in range(len(even)):
-        e = np.zeros(len(even))
-        e[c] = h
-        fp = group.constraints.evaluate(g, u + e)
-        fm = group.constraints.evaluate(g, u - e)
-        cols.append((fp - fm) / (2 * h))
-    return np.array(cols).T.reshape(group.num_constraints, len(even))
-
-
-def _numeric_rank(j: np.ndarray) -> tuple[int, np.ndarray]:
-    sigmas = np.linalg.svd(j, compute_uv=False) if j.size else np.zeros(0)
-    if sigmas.size == 0 or sigmas[0] == 0.0:
-        return 0, sigmas
-    cutoff = sigmas[0] * 1e-10
-    nonzero = sigmas[sigmas > cutoff]
-    zero = sigmas[sigmas <= cutoff]
-    if zero.size and nonzero.size and nonzero[-1] / max(zero[0], 1e-300) < SV_GAP_RATIO:
-        raise RankAmbiguityError(sigmas)
-    return int(nonzero.size), sigmas
-
-
 def tangent_space(group: LinearXiGroup) -> TangentSpace:
-    """Kernel of the even-constraint Jacobian at the unit, plus V1.
-
-    Exact (rational) whenever the constraint family carries a symbolic
-    Jacobian; otherwise the Jacobian is formed by central differences and its
-    rank must be unambiguous at the configured singular-value gap ratio.
-    """
+    """Kernel of the even-constraint Jacobian at the unit, plus V1, exactly."""
     g = group.graded
     even_dim = len(g.even)
     m = group.num_constraints
     if m == 0:
         even_ker = full_space(even_dim)
-        exact = True
     else:
         j = group.constraints.jacobian_at_unit(g)
-        if j is not None:
-            if j.rows != m or j.cols != even_dim:
-                raise RuntimeError("constraint Jacobian has the wrong shape; family bug")
-            even_ker = kernel(j)
-            exact = True
-        else:
-            jn = _numeric_jacobian(group)
-            rank, sigmas = _numeric_rank(jn)
-            snapped = Matrix([[Fraction(x).limit_denominator(10 ** 6)
-                               if abs(x) > 1e-9 else Fraction(0) for x in row]
-                              for row in jn])
-            even_ker = kernel(snapped)
-            if even_ker.dim != even_dim - rank:
-                raise RankAmbiguityError(sigmas)
-            exact = False
+        if j.rows != m or j.cols != even_dim:
+            raise RuntimeError("constraint Jacobian has the wrong shape; family bug")
+        even_ker = kernel(j)
     vecs = [_lift(g.dim, g.even, v) for v in even_ker.basis]
     vecs += [_lift(g.dim, g.odd, b) for b in group.odd_subspace.basis]
-    return TangentSpace(span(vecs, g.dim), exact)
+    return TangentSpace(span(vecs, g.dim))
 
 
-def _derived_brackets_at(g: GradedAlgebra, u, v) -> tuple[Vec, Vec]:
-    """Angle and square bracket of two coordinate vectors, exactly."""
-    mul = g.algebra.multiply
-    v0 = g.even_part(v)
-    angle = tuple(a - b for a, b in zip(mul(u, v0), mul(v0, u)))
-    square = tuple(a - b for a, b in zip(mul(u, v), mul(v, u)))
-    return angle, square
+def verify_tangent_huliu(t: TangentSpace, r: MatrixRealization) -> Report:
+    """The tangent space is a Hu-Liu algebra under the derived brackets
+    exactly when it is closed under both of them.
 
-
-def verify_tangent_huliu(t: TangentSpace, r: MatrixRealization,
-                         tolerance: float = DEFAULT_TOLERANCE) -> Report:
-    """Closure of the tangent space under both derived brackets, then the
-    Leibniz / Lie / compatibility identities on its basis.
-
-    Runs in exact arithmetic when the tangent space is exact, otherwise
-    within ``tolerance``.  Failures are reported, never raised.
+    ``derive_huliu`` builds and verifies the ambient pair on the whole
+    graded algebra: the angle bracket <x,y> = x y0 - y0 x and the commutator
+    [x,y] = xy - yx.  Each declared identity (right Leibniz, antisymmetry,
+    Jacobi and the four compatibility identities) is multilinear, so it holds
+    for all vectors of the ambient space, hence for those of any subspace
+    closed under both brackets; the restricted pair is Hu-Liu with nothing
+    left to check.  The failing report names the first basis pair whose
+    bracket leaves the tangent space.
     """
-    g = r.graded
-    s = t.subspace
-    if t.exact:
-        k = s.dim
-        angle_rows, square_rows = [], []
-        for a in range(k):
-            arow, srow = [], []
-            for b in range(k):
-                av, sv = _derived_brackets_at(g, s.basis[a], s.basis[b])
-                ac, sc = s.coords(av), s.coords(sv)
-                if ac is None or sc is None:
-                    bad = av if ac is None else sv
-                    which = "angle" if ac is None else "square"
-                    return fail(f"closure under the {which} bracket",
-                                (s.basis[a], s.basis[b]), bad, zeros(g.dim),
-                                note="bracket value leaves the tangent space")
-                arow.append(ac)
-                srow.append(sc)
-            angle_rows.append(tuple(arow))
-            square_rows.append(tuple(srow))
-        if k == 0:
-            return ok("tangent Hu-Liu structure (trivial)")
-        rep = HuLiuAlgebra(tuple(angle_rows), tuple(square_rows)).report()
-        return ok("tangent Hu-Liu structure") if rep.holds else rep
-    return _verify_tangent_numeric(t, r, tolerance)
-
-
-_AXES = str.maketrans("xyz", "ijk")
-
-
-def _residual(identity: Identity, arrays: dict[str, np.ndarray]) -> np.ndarray:
-    """lhs - rhs of a declared identity at all basis triples, indexed [x, y, z, out]."""
-    def side(terms):
-        total = 0.0
-        for t in terms:
-            p, q, r = t.perm.translate(_AXES)
-            subscripts = f"{p}{q}l,l{r}m->ijkm" if t.shape == LEFT else f"{q}{r}l,{p}lm->ijkm"
-            total = total + np.einsum(subscripts, arrays[t.inner], arrays[t.outer])
-        return total
-
-    return side(identity.lhs) - side(identity.rhs)
-
-
-def _verify_tangent_numeric(t: TangentSpace, r: MatrixRealization, tol: float) -> Report:
-    g = r.graded
-    basis = np.array(t.subspace.basis, dtype=float)
-    k = basis.shape[0]
-    if k == 0:
-        return ok("tangent Hu-Liu structure (trivial)")
-    pinv = np.linalg.pinv(basis.T)  # coords = pinv @ vector
-    even_mask = np.zeros(g.dim)
-    even_mask[list(g.even)] = 1.0
-    ang = np.zeros((k, k, k))
-    sq = np.zeros((k, k, k))
-    scale = max(1.0, float(np.max(np.abs(basis)))) ** 2
-    for a in range(k):
-        for b in range(k):
-            u, v = basis[a], basis[b]
-            v0 = v * even_mask
-            av = r.multiply_f(u, v0) - r.multiply_f(v0, u)
-            sv = r.multiply_f(u, v) - r.multiply_f(v, u)
-            for val, target in ((av, ang), (sv, sq)):
-                coords = pinv @ val
-                if np.linalg.norm(basis.T @ coords - val) > tol * scale:
-                    which = "angle" if target is ang else "square"
-                    return fail(f"closure under the {which} bracket",
-                                (vec(map(Fraction, u)), vec(map(Fraction, v))),
-                                vec(map(Fraction, val)), zeros(g.dim),
-                                note="bracket value leaves the tangent space")
-                target[a, b] = coords
-    arrays = {"a": ang, "s": sq}
-    residues = [(RIGHT_LEIBNIZ.name, _residual(RIGHT_LEIBNIZ, arrays)),
-                ("antisymmetry", sq + sq.transpose(1, 0, 2))]
-    residues += [(idn.name, _residual(idn, arrays)) for idn in (JACOBI, *COMPATIBILITY)]
-    bracket_scale = max(1.0, float(np.max(np.abs(ang))), float(np.max(np.abs(sq)))) ** 2
-    for name, res in residues:
-        worst = float(np.max(np.abs(res))) if res.size else 0.0
-        if worst > tol * bracket_scale:
-            idx = np.unravel_index(np.argmax(np.abs(res)), res.shape)
-            inputs = tuple(vec(map(Fraction, basis[i])) for i in idx[:-1])
-            return fail(name, inputs, (Fraction(worst),), (Fraction(0),),
-                        note=f"numeric residual {worst:.3e}")
-    return ok("tangent Hu-Liu structure")
+    rep = is_huliu_subalgebra(derive_huliu(r.graded), t.subspace)
+    if not rep.holds:
+        return replace(rep, witness=replace(
+            rep.witness, note="bracket value leaves the tangent space"))
+    return ok("tangent Hu-Liu structure" + (" (trivial)" if t.subspace.dim == 0 else ""))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,24 @@
 """Independent brute-force oracles used by the tests.
 
 Nothing here calls the classifiers under test; only the basic linear-algebra
-kernel is reused.  The simplicity oracle for dimension <= 2 enumerates ideal
-candidates two ways: closures of all small-coordinate vectors, and (for
-dimension 2) the exact rational invariant lines of the multiplication
-operators via eigenvalue analysis, which makes the search exhaustive.
+kernel is reused, and the tangent-space reference re-verifies a rebuilt
+bracket pair with the Hu-Liu verifiers.  The simplicity oracle for
+dimension <= 2 enumerates ideal candidates two ways: closures of all
+small-coordinate vectors, and (for dimension 2) the exact rational
+invariant lines of the multiplication operators via eigenvalue analysis,
+which makes the search exhaustive.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import isqrt
 
-from leibkit.linalg import Matrix, full_space, kernel, span
+import numpy as np
+
+from leibkit._tables import LEFT
+from leibkit.huliu import HuLiuAlgebra
+from leibkit.linalg import Matrix, full_space, kernel, span, zeros
+from leibkit.report import fail, ok
 
 
 def bracket_operators(angle):
@@ -155,3 +162,52 @@ def first_nonmultiplicative_pair(table, embed):
             if embed[i] @ embed[j] != expect:
                 return i, j
     return None
+
+
+_AXES = str.maketrans("xyz", "ijk")
+
+
+def dense_residual(identity, arrays):
+    """lhs - rhs of a declared identity at all basis triples, indexed
+    [x, y, z, out], from float arrays by ``einsum``."""
+    def side(terms):
+        total = 0.0
+        for t in terms:
+            p, q, r = t.perm.translate(_AXES)
+            subscripts = f"{p}{q}l,l{r}m->ijkm" if t.shape == LEFT else f"{q}{r}l,{p}lm->ijkm"
+            total = total + np.einsum(subscripts, arrays[t.inner], arrays[t.outer])
+        return total
+
+    return side(identity.lhs) - side(identity.rhs)
+
+
+def tangent_huliu_reference(sub, g):
+    """The Hu-Liu report of a subspace of a graded algebra, the long way.
+
+    Both derived brackets of every basis pair must stay in ``sub``; their
+    coordinates then form restricted angle and square tables, which are
+    verified from scratch as a Hu-Liu pair.
+    """
+    mul = g.algebra.multiply
+    k = sub.dim
+    angle_rows, square_rows = [], []
+    for a in range(k):
+        arow, srow = [], []
+        for b in range(k):
+            u, v = sub.basis[a], sub.basis[b]
+            v0 = g.even_part(v)
+            av = tuple(x - y for x, y in zip(mul(u, v0), mul(v0, u)))
+            sv = tuple(x - y for x, y in zip(mul(u, v), mul(v, u)))
+            ac, sc = sub.coords(av), sub.coords(sv)
+            if ac is None or sc is None:
+                bad, which = (av, "angle") if ac is None else (sv, "square")
+                return fail(f"closure under the {which} bracket", (u, v), bad, zeros(g.dim),
+                            note="bracket value leaves the tangent space")
+            arow.append(ac)
+            srow.append(sc)
+        angle_rows.append(tuple(arow))
+        square_rows.append(tuple(srow))
+    if k == 0:
+        return ok("tangent Hu-Liu structure (trivial)")
+    rep = HuLiuAlgebra(tuple(angle_rows), tuple(square_rows)).report()
+    return ok("tangent Hu-Liu structure") if rep.holds else rep

@@ -234,3 +234,16 @@ def test_cli_unknown_constraint_parameter_is_an_input_error(tmp_path, capsys, co
     assert cli.main(["xi-check", str(p), "--samples", "20"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "bad constraints" in captured.err
+
+
+@pytest.mark.parametrize("literal,code", [
+    ("2", 1), ("2.7", 2), ("2.0", 2), ('"2"', 2), ("0", 2), ("true", 2),
+], ids=["2", "2.7", "2.0", "string 2", "0", "true"])
+def test_cli_constraint_n_must_be_a_positive_integer(tmp_path, capsys, literal, code):
+    p = tmp_path / "x.json"
+    text = _xigroup_text(constraints={"family": "orthogonal", "n": "N_LITERAL"})
+    p.write_text(text.replace('"N_LITERAL"', literal))
+    assert cli.main(["tangent", str(p)]) == code
+    if code == 2:
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bad constraints" in captured.err

@@ -12,6 +12,8 @@ from leibkit.linalg import (
     rref,
     solve,
     span,
+    vadd,
+    vsub,
 )
 
 
@@ -118,6 +120,19 @@ def test_span_idempotent(s):
 def test_contains_iff_sum_dim_unchanged(s, v):
     grown = s.sum(span([v], 4))
     assert s.contains(v) == (grown.dim == s.dim)
+
+
+@settings(max_examples=60)
+@given(subspaces(4), vectors(4), vectors(4))
+def test_vector_ops_and_coords_match_entrywise_arithmetic(s, u, v):
+    assert vadd(u, v) == tuple(a + b for a, b in zip(u, v))
+    assert vsub(u, v) == tuple(a - b for a, b in zip(u, v))
+    coeffs = s.coords(v)
+    if coeffs is not None:
+        rebuilt = [Fraction(0)] * 4
+        for c, b in zip(coeffs, s.basis):
+            rebuilt = [x + c * y for x, y in zip(rebuilt, b)]
+        assert tuple(rebuilt) == v
 
 
 @settings(max_examples=60)

@@ -8,18 +8,18 @@ import pytest
 from leibkit.algebras import Algebra, GradedAlgebra, make_block_upper
 from leibkit._tables import table_entries, table_from_entries
 from leibkit.linalg import Matrix, full_space, kernel, span
+from leibkit.report import ok
 from leibkit.xigroup import (
+    ConstraintFamily,
     CoveringPair,
     LinearXiGroup,
     MatrixRealization,
     NoConstraints,
     NotAUnitError,
-    NumericConstraints,
     OrthogonalConstraints,
-    RankAmbiguityError,
     RealizationError,
-    SamplingError,
     SpecialLinearConstraints,
+    TangentSpace,
     UnipotentConstraints,
     check_xi_group,
     constraint_family,
@@ -35,7 +35,7 @@ from leibkit.xigroup import (
     xi,
 )
 
-from oracles import first_nonmultiplicative_pair
+from oracles import first_nonmultiplicative_pair, tangent_huliu_reference
 
 G2, R2 = mat_square_zero_extension(2)
 G3, R3 = mat_square_zero_extension(3)
@@ -176,9 +176,9 @@ def test_check_xi_group_needs_a_sample(samples):
 
 
 def test_constraint_count_is_the_residual_length_at_the_unit():
-    assert orth_group(2).num_constraints == 4
-    fam = NumericConstraints(lambda x0: OrthogonalConstraints(2).evaluate(G2, x0)[:3])
-    assert LinearXiGroup(R2, fam).num_constraints == 3
+    families = (OrthogonalConstraints(2), SpecialLinearConstraints(2), NoConstraints(),
+                UnipotentConstraints())
+    assert [LinearXiGroup(R2, fam).num_constraints for fam in families] == [4, 1, 0, 4]
 
 
 def test_group_closure_reports():
@@ -227,14 +227,90 @@ def test_tangent_unipotent_block():
 
 
 def test_tangent_enlarged_by_symmetric_direction_fails():
-    from leibkit.xigroup import TangentSpace
     t = tangent_space(orth_group(2))
     sym = [Fraction(0)] * 8
     sym[0] = Fraction(1)  # diag(1,0) is symmetric, not skew
-    bigger = TangentSpace(t.subspace.sum(span([sym], 8)), exact=True)
+    bigger = TangentSpace(t.subspace.sum(span([sym], 8)))
     rep = verify_tangent_huliu(bigger, R2)
     assert not rep.holds
     assert "closure" in rep.identity
+
+
+def _enlargements(rng, sub, count):
+    """``sub`` plus one standard basis vector it misses, for ``count`` of
+    them drawn at random (all when fewer are missing)."""
+    dim = sub.ambient_dim
+    units = [tuple(int(k == i) for k in range(dim)) for i in range(dim)]
+    missing = [e for e in units if not sub.contains(e)]
+    for e in rng.sample(missing, min(count, len(missing))):
+        yield sub.sum(span([e], dim))
+
+
+def _random_spans(rng, r, count):
+    """Spans of up to four small random vectors, half of them odd-supported
+    (brackets of odd vectors vanish, so those spans are closed)."""
+    odd = r.graded.odd
+    for c in range(count):
+        support = odd if c % 2 else range(r.dim)
+        vecs = []
+        for _ in range(rng.randint(0, 4)):
+            v = [0] * r.dim
+            for i in support:
+                v[i] = rng.choice((-1, 0, 0, 1, 2))
+            vecs.append(v)
+        yield span(vecs, r.dim)
+
+
+def test_tangent_certificate_matches_the_rebuild_reference():
+    rng = random.Random(6)
+    cases = []
+    # each call derives the ambient pair again: Mat(3) gets fewer inputs
+    for n, r, grown, spans in ((2, R2, 8, 150), (3, R3, 3, 20)):
+        one_odd = span([[1] + [0] * (n * n - 1)], n * n)  # not conjugation-stable
+        for fam in (NoConstraints(), OrthogonalConstraints(n), SpecialLinearConstraints(n),
+                    UnipotentConstraints()):
+            for odd in (None, one_odd):
+                sub = tangent_space(LinearXiGroup(r, fam, odd)).subspace
+                cases += [(r, s) for s in (sub, *_enlargements(rng, sub, grown))]
+        cases += [(r, s) for s in _random_spans(rng, r, spans)]
+    outcomes = []
+    for r, sub in cases:
+        rep = verify_tangent_huliu(TangentSpace(sub), r)
+        assert rep == tangent_huliu_reference(sub, r.graded)
+        outcomes.append(rep.identity)
+    assert len(outcomes) == 239
+    assert {"tangent Hu-Liu structure", "tangent Hu-Liu structure (trivial)",
+            "closure under the angle bracket",
+            "closure under the square bracket"} == set(outcomes)
+
+
+@pytest.fixture(scope="module")
+def big():
+    """Realizations of the Mat(4) and Mat(5) extensions (dims 32 and 50),
+    built once for the module."""
+    return {n: mat_square_zero_extension(n)[1] for n in (4, 5)}
+
+
+@pytest.mark.parametrize("family,n,want", [
+    (OrthogonalConstraints, 4, 6 + 16), (SpecialLinearConstraints, 4, 15 + 16),
+    (OrthogonalConstraints, 5, 10 + 25), (SpecialLinearConstraints, 5, 24 + 25),
+], ids=["orthogonal-4", "special-linear-4", "orthogonal-5", "special-linear-5"])
+def test_tangent_passage_at_scale(big, family, n, want):
+    r = big[n]
+    t = tangent_space(LinearXiGroup(r, family(n)))
+    assert t.subspace.dim == want
+    assert verify_tangent_huliu(t, r) == ok("tangent Hu-Liu structure")
+
+
+def test_mat4_tangent_enlarged_by_symmetric_direction_fails(big):
+    r = big[4]
+    t = tangent_space(LinearXiGroup(r, OrthogonalConstraints(4)))
+    sym = [0] * r.dim
+    sym[0] = 1  # diag(1,0,0,0) is symmetric, not skew
+    bigger = t.subspace.sum(span([sym], r.dim))
+    rep = verify_tangent_huliu(TangentSpace(bigger), r)
+    assert rep.identity == "closure under the angle bracket"
+    assert rep == tangent_huliu_reference(bigger, r.graded)
 
 
 def test_expm_against_rotation():
@@ -298,36 +374,34 @@ def test_coords_from_matrix_rejects_outside_image():
         R2.coords_from_matrix(bad)
 
 
-def test_numeric_constraint_path_matches_exact():
-    exact = tangent_space(orth_group(2))
-    fam = NumericConstraints(
-        lambda x0: OrthogonalConstraints(2).evaluate(G2, x0))
-    num = tangent_space(LinearXiGroup(R2, fam))
-    assert not num.exact
-    assert num.subspace.dim == exact.subspace.dim
-    assert verify_tangent_huliu(num, R2).holds
-
-
-def test_numeric_rank_ambiguity():
-    def shaky(x0):
-        return np.array([x0[0] - 1.0, 1e-9 * x0[1], 1e-11 * x0[2]])
-
-    g = LinearXiGroup(R2, NumericConstraints(shaky))
-    with pytest.raises(RankAmbiguityError) as exc:
-        tangent_space(g)
-    assert len(exc.value.singular_values) == 3
-
-
 def test_identity_must_satisfy_constraints():
-    with pytest.raises(ValueError):
-        LinearXiGroup(R2, NumericConstraints(lambda x0: np.array([1.0])))
+    class Shifted(ConstraintFamily):
+        """x0 = 2 * unit, which the unit itself violates."""
+
+        def evaluate(self, g, x0_even):
+            return np.asarray(x0_even) - 2 * R2.np_unit[list(g.even)]
+
+    with pytest.raises(ValueError, match="the identity does not satisfy the constraints"):
+        LinearXiGroup(R2, Shifted())
 
 
-def test_sampler_missing_raises():
-    fam = NumericConstraints(lambda x0: np.zeros(0))
-    g = LinearXiGroup(R2, fam)
-    with pytest.raises(SamplingError):
-        check_xi_group(g, samples=2, seed=0)
+@pytest.mark.parametrize("n", [2.7, 2.0, "2", 0, -1, True],
+                         ids=["2.7", "2.0", "'2'", "0", "-1", "True"])
+@pytest.mark.parametrize("family", [OrthogonalConstraints, SpecialLinearConstraints])
+def test_matrix_families_need_a_positive_integer_n(family, n):
+    with pytest.raises(ValueError, match="need an integer n >= 1"):
+        family(n)
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -float("inf"), -1e-9],
+                         ids=["nan", "inf", "-inf", "negative"])
+def test_group_tolerance_must_be_finite_and_nonnegative(tolerance):
+    with pytest.raises(ValueError, match="tolerance must be a finite nonnegative number"):
+        LinearXiGroup(R2, OrthogonalConstraints(2), tolerance=tolerance)
+
+
+def test_group_tolerance_zero_is_accepted():
+    assert LinearXiGroup(R2, OrthogonalConstraints(2), tolerance=0).tolerance == 0.0
 
 
 def test_constraint_family_lookup():
