@@ -179,7 +179,17 @@ def classify_simplicity(algebra: LeibnizAlgebra, seed: int = 0,
 def _classify(algebra: LeibnizAlgebra, ops: tuple[Matrix, ...], seed: int,
               budget: int) -> SimplicityVerdict:
     """The module-theoretic test on a verified algebra whose ideals are the
-    subspaces invariant under ``ops``."""
+    subspaces invariant under ``ops``.
+
+    The last step, the search for an invariant complement of the
+    annihilator, can never succeed.  Let I != 0 be the annihilator and
+    suppose an ideal J had J meet I = 0 and J + I = L.  Then <J,I> and
+    <I,J> lie in J meet I = 0.  Right Leibniz at z = y gives <x,<y,y>> = 0,
+    so <L,I> = 0, hence <I,L> = <I,J> + <I,I> = 0.  For j in J and a in I,
+    <j+a, j+a> = <j,j> lies in J, so every square lies in J and I lies in
+    J meet I = 0, a contradiction.  The Hu-Liu classifier's ideals are among
+    these, so the same holds there.
+    """
     ann = annihilator(algebra)
     dim = algebra.dim
     mod = OperatorModule(dim, ops)

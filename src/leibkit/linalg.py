@@ -50,7 +50,8 @@ def is_zero_vec(u: Vec) -> bool:
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), _ZERO)
+    # Operator matrices are sparse: a term with a zero factor is skipped.
+    return sum((a * b for a, b in zip(u, v) if a and b), _ZERO)
 
 
 class Matrix:
@@ -161,16 +162,16 @@ def _rref(rows: Sequence[Vec]) -> tuple[list[list[Fraction]], list[int]]:
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         inv = _ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        m[r] = [x * inv if x else x for x in m[r]]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
+            if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -312,8 +313,7 @@ def solve(m: Matrix, b: Sequence) -> Vec | None:
         raise ValueError(f"rhs length {len(b)} != rows {m.rows}")
     if m.rows == 0:
         return zeros(m.cols)
-    aug = Matrix([list(r) + [bb] for r, bb in zip(m.data, b)])
-    reduced, pivots = _rref(aug.data)
+    reduced, pivots = _rref([r + (bb,) for r, bb in zip(m.data, b)])
     if pivots and pivots[-1] == m.cols:
         return None
     x = [_ZERO] * m.cols
@@ -329,8 +329,8 @@ def inverse(m: Matrix) -> Matrix | None:
     n = m.rows
     if n == 0:
         return Matrix([])
-    aug = Matrix([list(r) + list(Matrix.identity(n).row(i)) for i, r in enumerate(m.data)])
-    reduced, pivots = _rref(aug.data)
+    eye = Matrix.identity(n)
+    reduced, pivots = _rref([r + eye.row(i) for i, r in enumerate(m.data)])
     if len(pivots) < n or pivots[n - 1] != n - 1:
         return None
     return Matrix([r[n:] for r in reduced])

@@ -8,6 +8,10 @@ null-space/spin method; a nullity-one element whose kernel vector and
 transpose-kernel vector both spin to the full space is a proof, any proper
 spin is a counterexample, and an exhausted retry budget returns "unknown",
 never a wrong answer.
+
+Spinning is incremental: a semi-echelon basis grows one vector at a time,
+each new vector is hit once by each nonzero operator, and the spin stops at
+full dimension.  The result is returned as the canonical RREF ``Subspace``.
 """
 
 from __future__ import annotations
@@ -30,18 +34,35 @@ class OperatorModule:
 
 
 def closure(operators, s: Subspace) -> Subspace:
-    """Least subspace containing s and invariant under all operators."""
-    cur = s
-    while True:
-        new = []
-        for b in cur.basis:
-            for t in operators:
-                w = t.matvec(b)
-                if not cur.contains(w):
-                    new.append(w)
-        if not new:
-            return cur
-        cur = cur.sum(span(new, cur.ambient_dim))
+    """Least subspace containing s and invariant under all operators.
+
+    Each basis vector, starting with those of s, is hit once by each nonzero
+    operator; an image's remainder against the basis so far, if nonzero,
+    becomes a new basis vector.  Every basis vector is zero at the pivots
+    of the earlier ones, so reducing in insertion order clears all pivots.
+    """
+    n = s.ambient_dim
+    ops = [t for t in operators if not t.is_zero()]
+    basis = list(zip(s.pivots, s.basis))
+    todo = 0
+    while todo < len(basis) and len(basis) < n:
+        v = basis[todo][1]
+        todo += 1
+        for t in ops:
+            w = t.matvec(v)
+            for p, b in basis:
+                c = w[p]
+                if c:
+                    w = [x - c * y if y else x for x, y in zip(w, b)]
+            p = next((i for i, x in enumerate(w) if x), None)
+            if p is not None:
+                inv = 1 / w[p]
+                basis.append((p, [x * inv if x else x for x in w]))
+                if len(basis) == n:
+                    break
+    if len(basis) == s.dim:
+        return s
+    return span([b for _, b in basis], n)
 
 
 def spin(mod: OperatorModule, vectors) -> Subspace:
@@ -187,16 +208,27 @@ def equivariant_projection_kernel(mod: OperatorModule, sub: Subspace) -> Subspac
                 row[a * d + c] = b.data[c][bb]
             rows.append(row)
             rhs.append(Fraction(1 if a == bb else 0))
+    # Row (i, j) of the commutation block for T: sum_a,c b[i][a] t[c][j] at
+    # unknown (a, c), minus sum_a (T B)[i][a] at unknown (a, j).  Only the
+    # nonzero products are formed; zero rows are dropped.
+    b_nz = [[(a, x) for a, x in enumerate(r) if x] for r in b.data]
     for t in mod.operators:
-        tb = t @ b  # d x k
+        tb_nz = [[(a, x) for a, x in enumerate(r) if x] for r in (t @ b).data]
+        t_cols = [[(c, x) for c, x in enumerate(t.col(j)) if x] for j in range(d)]
         for i in range(d):
+            if not b_nz[i] and not tb_nz[i]:
+                continue
             for j in range(d):
-                row = [Fraction(0)] * nunk
-                for a in range(k):
-                    for c in range(d):
-                        row[a * d + c] += b.data[i][a] * t.data[c][j]
-                    row[a * d + j] -= tb.data[i][a]
-                if any(row):
+                terms: dict[int, Fraction] = {}
+                for a, x in b_nz[i]:
+                    for c, y in t_cols[j]:
+                        terms[a * d + c] = terms.get(a * d + c, 0) + x * y
+                for a, x in tb_nz[i]:
+                    terms[a * d + j] = terms.get(a * d + j, 0) - x
+                if any(terms.values()):
+                    row = [Fraction(0)] * nunk
+                    for u, x in terms.items():
+                        row[u] = x
                     rows.append(row)
                     rhs.append(Fraction(0))
     sol = solve(Matrix(rows), rhs)

@@ -1,7 +1,7 @@
 """Independent brute-force oracles used by the tests.
 
 Nothing here calls the classifiers under test; only the basic linear-algebra
-kernel is reused, and the tangent-space reference re-verifies a rebuilt
+kernel is reused (and checked itself against the entrywise references here), and the tangent-space reference re-verifies a rebuilt
 bracket pair with the Hu-Liu verifiers.  The simplicity oracle for
 dimension <= 2 enumerates ideal candidates two ways: closures of all
 small-coordinate vectors, and (for dimension 2) the exact rational
@@ -17,7 +17,7 @@ import numpy as np
 
 from leibkit._tables import LEFT
 from leibkit.huliu import HuLiuAlgebra
-from leibkit.linalg import Matrix, full_space, kernel, span, zeros
+from leibkit.linalg import Matrix, full_space, kernel, solve, span, zeros
 from leibkit.report import fail, ok
 
 
@@ -211,3 +211,147 @@ def tangent_huliu_reference(sub, g):
         return ok("tangent Hu-Liu structure (trivial)")
     rep = HuLiuAlgebra(tuple(angle_rows), tuple(square_rows)).report()
     return ok("tangent Hu-Liu structure") if rep.holds else rep
+
+
+# -- entrywise references for the zero-skipping exact core ---------------------
+
+def entrywise_dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def entrywise_matvec(m, v):
+    return tuple(entrywise_dot(r, v) for r in m.data)
+
+
+def entrywise_matmul(a, b):
+    cols = [b.col(j) for j in range(b.cols)]
+    return tuple(tuple(entrywise_dot(r, c) for c in cols) for r in a.data)
+
+
+def entrywise_rref(rows):
+    """Gauss-Jordan on every entry: (reduced rows as tuples, pivot columns)."""
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots, r = [], 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return tuple(tuple(row) for row in m), pivots
+
+
+def entrywise_kernel(m):
+    """Canonical RREF basis of {v : m v = 0}."""
+    reduced, pivots = entrywise_rref(m.data)
+    basis = []
+    for f in (j for j in range(m.cols) if j not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][f]
+        basis.append(v)
+    if not basis:
+        return ()
+    rows, piv = entrywise_rref(basis)
+    return rows[:len(piv)]
+
+
+def entrywise_solve(m, b):
+    """The solution of m x = b with free variables 0, or None."""
+    reduced, pivots = entrywise_rref([tuple(r) + (x,) for r, x in zip(m.data, b)])
+    if pivots and pivots[-1] == m.cols:
+        return None
+    x = [Fraction(0)] * m.cols
+    for r, p in enumerate(pivots):
+        x[p] = reduced[r][m.cols]
+    return tuple(x)
+
+
+def entrywise_inverse(m):
+    n = m.rows
+    eye = Matrix.identity(n)
+    reduced, pivots = entrywise_rref([r + eye.row(i) for i, r in enumerate(m.data)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(r[n:] for r in reduced)
+
+
+def dense_projection_kernel(mod, sub):
+    """Kernel of an equivariant projection onto ``sub``, or None, from the
+    dense linear system: every row entry is summed over all (a, c), zeros
+    included, and all-zero rows are dropped."""
+    d, k = mod.dim, sub.dim
+    b = Matrix.from_cols(list(sub.basis))
+    nunk = k * d
+    rows, rhs = [], []
+    for a in range(k):
+        for bb in range(k):
+            row = [Fraction(0)] * nunk
+            for c in range(d):
+                row[a * d + c] = b.data[c][bb]
+            rows.append(row)
+            rhs.append(Fraction(1 if a == bb else 0))
+    for t in mod.operators:
+        tb = t @ b
+        for i in range(d):
+            for j in range(d):
+                row = [Fraction(0)] * nunk
+                for a in range(k):
+                    for c in range(d):
+                        row[a * d + c] += b.data[i][a] * t.data[c][j]
+                    row[a * d + j] -= tb.data[i][a]
+                if any(row):
+                    rows.append(row)
+                    rhs.append(Fraction(0))
+    sol = solve(Matrix(rows), rhs)
+    if sol is None:
+        return None
+    return kernel(Matrix([sol[a * d:(a + 1) * d] for a in range(k)]))
+
+
+# -- a known-answer family: sl2 acting on its irreducible modules ----------------
+
+_E, _F, _H = 0, 1, 2
+_SL2 = {(_E, _F): {_H: 1}, (_F, _E): {_H: -1}, (_H, _E): {_E: 2}, (_E, _H): {_E: -2},
+        (_H, _F): {_F: -2}, (_F, _H): {_F: 2}}
+
+
+def _sl2_act(x, n, k):
+    """x.v_k in V_n (highest weight n, basis v_0 .. v_n) as {index: coefficient}."""
+    if x == _H:
+        return {k: n - 2 * k}
+    if x == _F:
+        return {k + 1: k + 1} if k < n else {}
+    return {k - 1: n - k + 1} if k > 0 else {}
+
+
+def sl2_semidirect(ns):
+    """Bracket table of sl2 + V_n1 + V_n2 + ... with <v, x> = -x.v.
+
+    Its annihilator is the module part; with one summand (n >= 1) the
+    algebra is Simple, with two it is NotSimple.
+    """
+    dim = 3 + sum(n + 1 for n in ns)
+    t = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), out in _SL2.items():
+        for k, c in out.items():
+            t[i][j][k] = Fraction(c)
+    offset = 3
+    for n in ns:
+        for x in (_E, _F, _H):
+            for k in range(n + 1):
+                for m, c in _sl2_act(x, n, k).items():
+                    t[offset + k][x][offset + m] -= c
+        offset += n + 1
+    return t

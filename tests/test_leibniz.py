@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from leibkit._tables import table_from_dense, table_from_entries, zero_table
 from leibkit.algebras import matrix_algebra, make_trivial_extension
-from leibkit.derive import derive_leibniz
+from leibkit.algebras import make_block_upper
+from leibkit.derive import derive_huliu, derive_leibniz
+from leibkit.fuzz import generate_corpus
+from leibkit.huliu import adjoint_operators
 from leibkit.leibniz import (
     LeibnizAlgebra,
     annihilator,
@@ -18,9 +21,11 @@ from leibkit.leibniz import (
     eval_right_leibniz,
     ideal_closure,
     is_ideal,
+    multiplication_operators,
     verify_right_leibniz,
 )
 from leibkit.linalg import Matrix, full_space, span
+from leibkit.modules import OperatorModule, equivariant_projection_kernel
 
 import oracles
 
@@ -231,3 +236,35 @@ def test_homomorphism_shape_mismatch(nilpotent_dim2, ut_model):
 def test_annihilator_action_flag(nilpotent_dim2, solvable_dim2):
     assert not annihilator_action_nonzero(nilpotent_dim2)
     assert annihilator_action_nonzero(solvable_dim2)
+
+
+def _complement_inputs():
+    """(dim, operators, annihilator) for every algebra below whose
+    annihilator is nonzero: a superset of the inputs that reach the
+    classifier's complement step."""
+    algebras = []
+    for dim in (1, 2):
+        for flat in itertools.product((-1, 0, 1), repeat=dim ** 3):
+            it = iter(flat)
+            leib = LeibnizAlgebra(table_from_dense(
+                [[[next(it) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]))
+            if verify_right_leibniz(leib).holds:
+                algebras.append((leib, ()))
+    algebras += [(LeibnizAlgebra(oracles.sl2_semidirect((n,))), ()) for n in range(1, 9)]
+    for _, g in generate_corpus(7, 60, 3, 3):
+        h = derive_huliu(g)
+        algebras += [(derive_leibniz(g), ()), (h.leibniz, adjoint_operators(h))]
+    h = derive_huliu(make_block_upper(2, 2))
+    algebras.append((h.leibniz, adjoint_operators(h)))
+    for alg, extra in algebras:
+        ann = annihilator(alg)
+        if ann.dim:
+            yield alg.dim, multiplication_operators(alg) + extra, ann
+
+
+def test_annihilator_never_has_an_invariant_complement():
+    seen = 0
+    for dim, ops, ann in _complement_inputs():
+        assert equivariant_projection_kernel(OperatorModule(dim, ops), ann) is None
+        seen += 1
+    assert seen > 100

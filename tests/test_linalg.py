@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from leibkit.linalg import (
     Matrix,
+    dot,
     full_space,
     inverse,
     kernel,
@@ -15,6 +17,8 @@ from leibkit.linalg import (
     vadd,
     vsub,
 )
+
+import oracles
 
 
 def test_rref_identity_fixed():
@@ -147,3 +151,35 @@ def test_rref_is_projection(rows):
 def test_intersection_contained_in_both(s, t):
     w = s.intersect(t)
     assert s.contains_subspace(w) and t.contains_subspace(w)
+
+
+def _sparse_matrix(rng, rows, cols, density):
+    """Random small Fractions at the given density, with one row and one
+    column forced to zero half of the time."""
+    zero_row = rng.randrange(rows) if rows and rng.random() < 0.5 else None
+    zero_col = rng.randrange(cols) if cols and rng.random() < 0.5 else None
+    return Matrix([[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    if i != zero_row and j != zero_col and rng.random() < density else 0
+                    for j in range(cols)] for i in range(rows)])
+
+
+def test_zero_skipping_core_matches_entrywise_arithmetic():
+    rng = random.Random(6)
+    for _ in range(300):
+        n, k, p = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        density = rng.choice((0.0, 0.15, 0.4, 0.8, 1.0))
+        a = _sparse_matrix(rng, n, k, density)
+        b = _sparse_matrix(rng, k, p, density)
+        v = _sparse_matrix(rng, 1, k, density).row(0)
+        assert all(dot(r, v) == oracles.entrywise_dot(r, v) for r in a.data)
+        assert a.matvec(v) == oracles.entrywise_matvec(a, v)
+        assert (a @ b).data == oracles.entrywise_matmul(a, b)
+        reduced, pivots = oracles.entrywise_rref(a.data)
+        assert rref(a).data == reduced and a.rank() == len(pivots)
+        assert kernel(a).basis == oracles.entrywise_kernel(a)
+        for rhs in (a.matvec(_sparse_matrix(rng, 1, k, density).row(0)),
+                    _sparse_matrix(rng, 1, n, density).row(0)):
+            assert solve(a, rhs) == oracles.entrywise_solve(a, rhs)
+        sq = _sparse_matrix(rng, n, n, density)
+        inv = inverse(sq)
+        assert (inv.data if inv is not None else None) == oracles.entrywise_inverse(sq)

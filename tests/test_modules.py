@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from leibkit.linalg import Matrix, full_space, span
+from leibkit.leibniz import LeibnizAlgebra, annihilator, multiplication_operators
+from leibkit.linalg import Matrix, full_space, inverse, span
 from leibkit.modules import (
     OperatorModule,
     closure,
@@ -22,6 +24,45 @@ def test_closure_reaches_fixpoint():
     got = closure([shift], span([(1, 0, 0)], 3))
     assert got == full_space(3)
     assert closure([shift], span([(0, 0, 1)], 3)) == span([(0, 0, 1)], 3)
+
+
+def _sparse_ops(rng, d, count, density):
+    return [Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                     if rng.random() < density else 0 for _ in range(d)] for _ in range(d)])
+            for _ in range(count)]
+
+
+def test_closure_matches_naive_closure():
+    rng = random.Random(11)
+    for _ in range(150):
+        d = rng.randint(1, 6)
+        ops = _sparse_ops(rng, d, rng.randint(0, 3), rng.choice((0.1, 0.25, 0.5)))
+        if rng.random() < 0.3:
+            ops.append(Matrix.zero(d, d))
+        seeds = [span([], d), full_space(d),
+                 span(_sparse_ops(rng, d, 1, 0.4)[0].data[:rng.randint(1, d)], d)]
+        for t in (ops, [t.T for t in ops]):
+            for s in seeds:
+                assert closure(t, s) == oracles.naive_closure(t, s)
+
+
+def test_closure_applies_each_nonzero_operator_once_per_basis_vector(monkeypatch):
+    calls = 0
+    matvec = Matrix.matvec
+
+    def counting(self, v):
+        nonlocal calls
+        calls += 1
+        return matvec(self, v)
+
+    monkeypatch.setattr(Matrix, "matvec", counting)
+    rng = random.Random(12)
+    for _ in range(60):
+        d = rng.randint(1, 6)
+        ops = _sparse_ops(rng, d, rng.randint(1, 4), 0.2) + [Matrix.zero(d, d)]
+        calls = 0
+        got = closure(ops, span([_sparse_ops(rng, d, 1, 0.5)[0].row(0)], d))
+        assert calls <= sum(not t.is_zero() for t in ops) * got.dim
 
 
 def test_spin_and_restriction_quotient():
@@ -101,3 +142,41 @@ def test_equivariant_complement():
     assert ker == span([(0, 1)], 2)
     jordan = OperatorModule(2, (Matrix([[1, 1], [0, 1]]),))
     assert equivariant_projection_kernel(jordan, span([(1, 0)], 2)) is None
+
+
+def _block_diagonal(a, b):
+    n, m = a.rows, b.rows
+    return Matrix([list(r) + [0] * m for r in a.data] + [[0] * n + list(r) for r in b.data])
+
+
+def test_sparse_complement_system_matches_the_dense_reference():
+    rng = random.Random(13)
+    for _ in range(40):
+        # a direct sum M1 + M2 in a random basis: the image of M1 has the
+        # image of M2 as an invariant complement
+        d1 = rng.randint(1, 4)
+        d2 = rng.randint(1, 6 - d1)
+        d = d1 + d2
+        ops = [_block_diagonal(a, b) for a, b in zip(
+            _sparse_ops(rng, d1, 2, 0.5), _sparse_ops(rng, d2, 2, 0.5))]
+        while True:
+            u = _sparse_ops(rng, d, 1, 0.6)[0]
+            uinv = inverse(u)
+            if uinv is not None:
+                break
+        mod = OperatorModule(d, tuple(u @ t @ uinv for t in ops))
+        sub = span([u.col(j) for j in range(d1)], d)
+        got = equivariant_projection_kernel(mod, sub)
+        assert got is not None and got == oracles.dense_projection_kernel(mod, sub)
+    for n in range(2, 6):
+        jordan = Matrix([[1 if j in (i, i + 1) else 0 for j in range(n)] for i in range(n)])
+        mod = OperatorModule(n, (jordan,))
+        for k in range(1, n):
+            sub = span([[1 if j == i else 0 for j in range(n)] for i in range(k)], n)
+            assert equivariant_projection_kernel(mod, sub) is None
+            assert oracles.dense_projection_kernel(mod, sub) is None
+    alg = LeibnizAlgebra(oracles.sl2_semidirect((4,)))
+    mod = OperatorModule(alg.dim, multiplication_operators(alg))
+    ann = annihilator(alg)
+    assert equivariant_projection_kernel(mod, ann) is None
+    assert oracles.dense_projection_kernel(mod, ann) is None
