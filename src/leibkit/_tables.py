@@ -9,10 +9,16 @@ is declared once below, as data: an :class:`Identity` equates two sums of
 nested products, each a :class:`Term`.  Two consumers read the
 declarations:
 
-* the exact checker :func:`verify_identities` walks basis triples over the
-  nonzero rows of :func:`int_scaled` tables; every term has degree two in
-  the table entries, so clearing denominators once cannot change which
-  side differs;
+* the exact checker :func:`verify_identities` reads only the nonzero
+  products of :func:`int_scaled` tables; every term has degree two in the
+  table entries, so clearing denominators once cannot change which side
+  differs.  It walks the leading index i upward and, for each i, adds up
+  every term's contributions to the triples (i, j, k) in one block.  A term
+  contributes only where its inner product is nonzero, so its inner
+  nonzeros are grouped by their product coordinate l, and the outer cells
+  that take l as an argument by l as well.  The first block with a nonzero
+  residual names the lexicographically least failing triple.  The cost
+  follows the nonzeros, and memory holds one block, at most dim^3 entries;
 * the witness replay :func:`evaluate` re-evaluates a failing triple, or any
   vectors, with the original rational entries.
 """
@@ -20,13 +26,16 @@ declarations:
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .linalg import Matrix, Vec, rat, vadd, vec, zeros
 from .report import Report, fail, ok
 
 Table = tuple[tuple[Vec, ...], ...]
+
+_ZERO = Fraction(0)
 
 LEFT = "(pq)r"
 RIGHT = "p(qr)"
@@ -114,23 +123,40 @@ def table_from_dense(entries: Sequence[Sequence[Sequence]]) -> Table:
 
 
 def table_from_entries(dim: int, items: Iterable[tuple[int, int, int, object]]) -> Table:
-    """Build a table from sparse (i, j, k, value) items; later items add up."""
-    acc = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    """Build a table from sparse (i, j, k, value) items; later items add up.
+
+    Only the cells an item names get a vector of their own; every other
+    cell is one shared zero vector.
+    """
+    cells: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i, j, k, val in items:
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ValueError(f"index ({i},{j},{k}) out of range for dim {dim}")
-        acc[i][j][k] += rat(val)
-    return tuple(tuple(tuple(acc[i][j]) for j in range(dim)) for i in range(dim))
+        cell = cells.setdefault((i, j), {})
+        cell[k] = cell.get(k, 0) + rat(val)
+    zero = zeros(dim)
+    rows = [[zero] * dim for _ in range(dim)]
+    for (i, j), cell in cells.items():
+        v = list(zero)
+        for k, c in cell.items():
+            v[k] = c
+        rows[i][j] = tuple(v)
+    return tuple(tuple(row) for row in rows)
+
+
+def _nonzeros(v: Vec, seen: dict) -> tuple:
+    """The (k, c) pairs of v with c nonzero, kept in ``seen`` by the vector's
+    id: tables share vectors, the zero vector above all."""
+    nz = seen.get(id(v))
+    if nz is None:
+        nz = seen[id(v)] = tuple((k, c) for k, c in enumerate(v) if c)
+    return nz
 
 
 def table_entries(t: Table) -> list[tuple[int, int, int, Fraction]]:
-    out = []
-    for i, row in enumerate(t):
-        for j, v in enumerate(row):
-            for k, c in enumerate(v):
-                if c:
-                    out.append((i, j, k, c))
-    return out
+    seen: dict[int, tuple] = {}
+    return [(i, j, k, c) for i, row in enumerate(t) for j, v in enumerate(row)
+            for k, c in _nonzeros(v, seen)]
 
 
 def apply_table(t: Table, x: Sequence, y: Sequence) -> Vec:
@@ -166,6 +192,26 @@ def operators(t: Table, side: str) -> tuple[Matrix, ...]:
     raise ValueError(f"side must be 'right' or 'left', not {side!r}")
 
 
+def basis_products(t: Table, vectors: Iterable[Sequence], side: str) -> Iterator[Vec]:
+    """The products t(b, e_j) for side "right", t(e_j, b) for side "left",
+    for each b in ``vectors`` and j = 0..dim-1, as the combinations
+    sum_i b_i t[i][j] or sum_i b_i t[j][i] of table cells; a product with no
+    nonzero term is skipped."""
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', not {side!r}")
+    dim = len(t)
+    seen: dict[int, tuple] = {}
+    for b in vectors:
+        terms = [(i, c) for i, c in enumerate(b) if c]
+        for j in range(dim):
+            acc = {}
+            for i, c in terms:
+                for k, x in _nonzeros(t[i][j] if side == "right" else t[j][i], seen):
+                    acc[k] = acc.get(k, 0) + c * x
+            if acc:
+                yield tuple(acc.get(k, _ZERO) for k in range(dim))
+
+
 def int_scaled(tables: Sequence[Table]) -> list[tuple]:
     """Clear denominators jointly; one table of sparse rows per input table.
 
@@ -174,52 +220,120 @@ def int_scaled(tables: Sequence[Table]) -> list[tuple]:
     every table so that identities mixing two tables stay homogeneous of the
     same degree.
     """
-    d = math.lcm(*{c.denominator for t in tables for row in t for v in row for c in v})
-    return [
-        tuple(tuple(tuple((k, int(c * d)) for k, c in enumerate(v) if c) for v in row)
-              for row in t)
-        for t in tables
-    ]
+    seen: dict[int, tuple] = {}
+    for t in tables:
+        for row in t:
+            for v in row:
+                _nonzeros(v, seen)
+    d = math.lcm(*{c.denominator for nz in seen.values() for _, c in nz})
+    scaled = {key: tuple((k, c.numerator * (d // c.denominator)) for k, c in nz)
+              for key, nz in seen.items()}
+    return [tuple(tuple(scaled[id(v)] for v in row) for row in t) for t in tables]
 
 
-def _first_failing_triple(identity: Identity, ints: Mapping,
-                          dim: int) -> tuple[int, int, int] | None:
-    """First basis triple (i, j, k), in lexicographic order, where lhs != rhs."""
-    # per term: sign, tables, shape, and where p, q, r sit in (x, y, z)
-    terms = [(sign, ints[t.outer], ints[t.inner], t.shape == LEFT,
-              *("xyz".index(v) for v in t.perm))
+def _grouped(ints: Mapping, name: str, how: str, cache: dict) -> dict:
+    """The nonzeros of table ``name`` grouped by a coordinate l, once per cache.
+
+    ``how`` "product": l -> (a, b, c) where t[a][b] has c at l; "row":
+    l -> (b, t[l][b]); "column": l -> (a, t[a][l]).
+    """
+    key = (name, how)
+    if key not in cache:
+        groups = cache[key] = defaultdict(list)
+        for a, row in enumerate(ints[name]):
+            for b, v in enumerate(row):
+                if how == "product":
+                    for l, c in v:
+                        groups[l].append((a, b, c))
+                elif v and how == "row":
+                    groups[a].append((b, v))
+                elif v:
+                    groups[b].append((a, v))
+    return cache[key]
+
+
+def _term_walk(sign: int, term: Term, ints: Mapping, dim: int, cache: dict):
+    """``walk(i, acc)`` adds ``sign`` times the term at every triple (i, j, k)
+    into ``acc``, keyed by (j * dim + k) * dim + m for output coordinate m."""
+    outer, inner = ints[term.outer], ints[term.inner]
+    left = term.shape == LEFT
+    # key weight of p, q, r: x is the block's own index, y and z place (j, k)
+    wp, wq, wr = ((0, dim * dim, dim)["xyz".index(v)] for v in term.perm)
+    w1, w2 = (wp, wq) if left else (wq, wr)  # inner's two arguments
+    at = term.perm.index("x")  # 0, 1, 2: x is p, q, r
+
+    if at == (2 if left else 0):
+        # x is the outer product's own argument: outer[l][x] or outer[x][l]
+        by_l = _grouped(ints, term.inner, "product", cache)
+
+        def walk(i, acc):
+            for l, entries in by_l.items():
+                v = outer[l][i] if left else outer[i][l]
+                if v:
+                    for a, b, c in entries:
+                        base, c = a * w1 + b * w2, sign * c
+                        for m, cm in v:
+                            key = base + m
+                            acc[key] = acc.get(key, 0) + c * cm
+        return walk
+
+    # x is an argument of the inner product; s is its partner there, t the
+    # outer product's own argument
+    first = at == (0 if left else 1)
+    ws, wt = (w2 if first else w1), (wr if left else wp)
+    cells = _grouped(ints, term.outer, "row" if left else "column", cache)
+
+    def walk(i, acc):
+        for s in range(dim):
+            for l, c in (inner[i][s] if first else inner[s][i]):
+                c *= sign
+                for t, v in cells.get(l, ()):
+                    base = s * ws + t * wt
+                    for m, cm in v:
+                        key = base + m
+                        acc[key] = acc.get(key, 0) + c * cm
+    return walk
+
+
+def _first_failing_triple(identity: Identity, ints: Mapping, dim: int,
+                          cache: dict) -> tuple[int, int, int] | None:
+    """First basis triple (i, j, k), in lexicographic order, where lhs != rhs.
+
+    ``cache`` keeps the grouped nonzeros for the next identity on ``ints``.
+    """
+    walks = [_term_walk(sign, t, ints, dim, cache)
              for sign, side in ((1, identity.lhs), (-1, identity.rhs))
              for t in side]
-    rng = range(dim)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                ijk = (i, j, k)
-                acc = {}
-                for sign, outer, inner, left, at_p, at_q, at_r in terms:
-                    p, q, r = ijk[at_p], ijk[at_q], ijk[at_r]
-                    if left:
-                        for l, cl in inner[p][q]:
-                            for m, cm in outer[l][r]:
-                                acc[m] = acc.get(m, 0) + sign * cl * cm
-                    else:
-                        for l, cl in inner[q][r]:
-                            for m, cm in outer[p][l]:
-                                acc[m] = acc.get(m, 0) + sign * cl * cm
-                if any(acc.values()):
-                    return ijk
+    for i in range(dim):
+        acc: dict[int, int] = {}
+        for walk in walks:
+            walk(i, acc)
+        failing = [key for key, v in acc.items() if v]
+        if failing:
+            j, k = divmod(min(failing) // dim, dim)
+            return i, j, k
     return None
 
 
-def verify_identities(identities: Sequence[Identity], tables: Mapping[str, Table],
-                      holds: str) -> Report:
-    """Check each identity on every basis triple, in order; report the first
-    failure with its witness replayed in exact rationals, else ``ok(holds)``."""
+def int_tables(tables: Mapping[str, Table]) -> dict[str, tuple]:
+    """:func:`int_scaled` of every table, by name, with one common factor."""
     names = list(tables)
-    ints = dict(zip(names, int_scaled([tables[n] for n in names])))
-    dim = len(tables[names[0]])
+    return dict(zip(names, int_scaled([tables[n] for n in names])))
+
+
+def verify_identities(identities: Sequence[Identity], tables: Mapping[str, Table],
+                      holds: str, ints: Mapping | None = None) -> Report:
+    """Check each identity on every basis triple, in order; report the first
+    failure with its witness replayed in exact rationals, else ``ok(holds)``.
+
+    ``ints`` is :func:`int_tables` of ``tables`` when the caller has it.
+    """
+    if ints is None:
+        ints = int_tables(tables)
+    dim = len(next(iter(tables.values())))
+    cache: dict = {}
     for identity in identities:
-        ijk = _first_failing_triple(identity, ints, dim)
+        ijk = _first_failing_triple(identity, ints, dim, cache)
         if ijk is not None:
             inputs = tuple(basis_vec(dim, x) for x in ijk)
             lhs, rhs = evaluate(identity, tables, *inputs)

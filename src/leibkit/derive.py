@@ -11,30 +11,25 @@ into a derived algebra -- only the witness is checked, never searched for.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from ._tables import table_entries, table_from_entries
 from .algebras import GradedAlgebra
 from .huliu import HuLiuAlgebra, check_huliu_homomorphism
 from .leibniz import LeibnizAlgebra, check_leibniz_homomorphism
-from .linalg import Matrix, vsub
+from .linalg import Matrix
 from .report import HomReport
 
 
 def _commutator_table(g: GradedAlgebra, even_only: bool):
-    t = g.algebra.table
-    dim = g.dim
-    even = set(g.even)
-    zero = (Fraction(0),) * dim
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            if even_only and j not in even:
-                row.append(zero)
-            else:
-                row.append(vsub(t[i][j], t[j][i]))
-        rows.append(tuple(row))
-    return tuple(rows)
+    """Cells x y - y x for basis x, y, zero where ``even_only`` and y is odd,
+    built from the nonzero products of the associative table."""
+    keep = set(g.even) if even_only else range(g.dim)
+    items = []
+    for i, j, k, c in table_entries(g.algebra.table):
+        if j in keep:  # e_i e_j is the first product of cell (i, j)
+            items.append((i, j, k, c))
+        if i in keep:  # and the second product of cell (j, i)
+            items.append((j, i, k, -c))
+    return table_from_entries(g.dim, items)
 
 
 def _verified(out):

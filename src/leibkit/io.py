@@ -26,7 +26,8 @@ class SchemaError(ValueError):
     """Malformed input file."""
 
 
-# Largest accepted ``dim``: a dense table has dim^3 slots, about 0.3 GB at 256.
+# Largest accepted ``dim``: a full table has dim^3 slots, about 0.3 GB at 256
+# (cells without entries share one zero vector, so a sparse file costs less).
 MAX_DIM = 256
 
 

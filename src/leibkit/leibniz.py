@@ -17,6 +17,7 @@ from ._tables import (
     RIGHT_LEIBNIZ,
     Table,
     apply_table,
+    basis_products,
     basis_vec,
     evaluate,
     operators,
@@ -35,7 +36,7 @@ from .modules import (
     quotient,
     restriction,
 )
-from .report import HomReport, Report, fail, memo, ok, require
+from .report import HomReport, Report, checked_once, fail, memo, ok, require
 
 
 class LeibnizAlgebra:
@@ -66,6 +67,7 @@ class LeibnizAlgebra:
         return self
 
 
+@checked_once
 def verify_right_leibniz(algebra: LeibnizAlgebra) -> Report:
     """Check <<x,y>,z> = <x,<y,z>> + <<x,z>,y> on all basis triples."""
     return verify_identities((RIGHT_LEIBNIZ,), {"a": algebra.angle},
@@ -116,14 +118,8 @@ def is_ideal(algebra: LeibnizAlgebra, sub: Subspace) -> bool:
     if sub.ambient_dim != algebra.dim:
         raise ValueError(f"ambient mismatch: {sub.ambient_dim} vs {algebra.dim}")
     t = algebra.angle
-    for b in sub.basis:
-        for j in range(algebra.dim):
-            ej = basis_vec(algebra.dim, j)
-            if not sub.contains(apply_table(t, b, ej)):
-                return False
-            if not sub.contains(apply_table(t, ej, b)):
-                return False
-    return True
+    return all(sub.contains(v) for side in ("right", "left")
+               for v in basis_products(t, sub.basis, side))
 
 
 def ideal_closure(algebra: LeibnizAlgebra, seed_space: Subspace) -> Subspace:
@@ -282,9 +278,4 @@ def annihilator_action_nonzero(algebra: LeibnizAlgebra) -> bool:
     linear; the flag is reported, the conclusion is never asserted.
     """
     ann = annihilator(algebra)
-    t = algebra.angle
-    return any(
-        any(apply_table(t, b, basis_vec(algebra.dim, j)))
-        for b in ann.basis
-        for j in range(algebra.dim)
-    )
+    return any(any(v) for v in basis_products(algebra.angle, ann.basis, "right"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .linalg import Subspace, Vec
@@ -77,3 +78,15 @@ def memo(obj, check, *args):
     if name not in cache:
         cache[name] = check(*(args or (obj,)))
     return cache[name]
+
+
+def checked_once(check):
+    """Make ``check(obj)`` run at most once per object.
+
+    The result is kept under the check's name, so a structure's ``report()``
+    that calls ``memo(obj, check)`` and a direct call share one entry.
+    """
+    @functools.wraps(check)
+    def once(obj):
+        return memo(obj, check)
+    return once

@@ -11,7 +11,7 @@ which makes the search exhaustive.
 
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -355,3 +355,83 @@ def sl2_semidirect(ns):
                     t[offset + k][x][offset + m] -= c
         offset += n + 1
     return t
+
+
+# -- dense references for the sparse identity checker --------------------------
+
+def dense_int_scaled(tables):
+    """Every table's sparse (index, int) rows over the least common
+    denominator, read off the dense entries with ``int(c * d)``."""
+    d = lcm(*{c.denominator for t in tables for row in t for v in row for c in v})
+    return [
+        tuple(tuple(tuple((k, int(c * d)) for k, c in enumerate(v) if c) for v in row)
+              for row in t)
+        for t in tables
+    ]
+
+
+def dense_first_failing_triple(identity, ints, dim):
+    """First basis triple (i, j, k), in lexicographic order, where the sides
+    of ``identity`` differ, found by visiting every triple."""
+    terms = [(sign, ints[t.outer], ints[t.inner], t.shape == LEFT,
+              *("xyz".index(v) for v in t.perm))
+             for sign, side in ((1, identity.lhs), (-1, identity.rhs))
+             for t in side]
+    rng = range(dim)
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                ijk = (i, j, k)
+                acc = {}
+                for sign, outer, inner, left, at_p, at_q, at_r in terms:
+                    p, q, r = ijk[at_p], ijk[at_q], ijk[at_r]
+                    if left:
+                        for l, cl in inner[p][q]:
+                            for m, cm in outer[l][r]:
+                                acc[m] = acc.get(m, 0) + sign * cl * cm
+                    else:
+                        for l, cl in inner[q][r]:
+                            for m, cm in outer[p][l]:
+                                acc[m] = acc.get(m, 0) + sign * cl * cm
+                if any(acc.values()):
+                    return ijk
+    return None
+
+
+def dense_commutator_table(g, even_only):
+    """Cells t[i][j] - t[j][i], zero where ``even_only`` and j is odd."""
+    t = g.algebra.table
+    dim = g.dim
+    return tuple(tuple(zeros(dim) if even_only and j not in g.even
+                       else tuple(a - b for a, b in zip(t[i][j], t[j][i]))
+                       for j in range(dim))
+                 for i in range(dim))
+
+
+def first_nonantisymmetric_pair(square):
+    """First basis pair (i, j), i <= j, with [ei,ej] != -[ej,ei]."""
+    dim = len(square)
+    for i in range(dim):
+        for j in range(i, dim):
+            if any(a + b for a, b in zip(square[i][j], square[j][i])):
+                return i, j
+    return None
+
+
+def first_grading_failure(table, even):
+    """(clause, i, j) of the first basis pair breaking the special grading,
+    checking the dense product of every pair, or None."""
+    dim = len(table)
+    odd = [k for k in range(dim) if k not in even]
+    for i in range(dim):
+        for j in range(dim):
+            prod = table[i][j]
+            if i in even and j in even:
+                if any(prod[k] for k in odd):
+                    return "even*even in even", i, j
+            elif i not in even and j not in even:
+                if any(prod):
+                    return "odd*odd = 0", i, j
+            elif any(prod[k] for k in even):
+                return "mixed products in odd", i, j
+    return None

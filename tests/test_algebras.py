@@ -19,7 +19,7 @@ from leibkit.algebras import (
 )
 from leibkit._tables import table_from_dense, table_from_entries
 
-from oracles import bimodule_failures
+from oracles import bimodule_failures, first_grading_failure
 
 
 def mat2(rows):
@@ -288,3 +288,25 @@ def test_even_projection_multiplicative(x, y):
     g = _ext8
     prod_even = g.even_part(g.multiply(x, y))
     assert prod_even == g.multiply(g.even_part(x), g.even_part(y))
+
+
+def test_grading_check_names_the_first_failing_pair_of_the_dense_scan():
+    rng = random.Random(4)
+    outcomes = set()
+    for _ in range(300):
+        dim = rng.randint(1, 5)
+        even = set(rng.sample(range(dim), rng.randint(0, dim)))
+        items = [(i, j, k, rng.choice((1, -1, "1/2")))
+                 for i in range(dim) for j in range(dim) for k in range(dim)
+                 if rng.random() < rng.choice((0.02, 0.1, 0.3))]
+        g = GradedAlgebra(Algebra(table_from_entries(dim, items)), even)
+        rep = verify_special_grading(g)
+        want = first_grading_failure(g.algebra.table, even)
+        if want is None:
+            assert rep.holds
+        else:
+            clause, i, j = want
+            assert (rep.identity, rep.witness.note) == (clause, f"basis pair ({i},{j})")
+        outcomes.add(rep.identity)
+    assert outcomes == {"special grading", "even*even in even", "odd*odd = 0",
+                        "mixed products in odd"}

@@ -11,11 +11,18 @@ from leibkit.algebras import (
     matrix_algebra,
     make_trivial_extension,
 )
-from leibkit.derive import derive_huliu, derive_leibniz, verify_linear_embedding
+from leibkit.derive import (
+    _commutator_table,
+    derive_huliu,
+    derive_leibniz,
+    verify_linear_embedding,
+)
 from leibkit.fuzz import generate_corpus
 from leibkit.huliu import verify_huliu_identities, verify_lie
 from leibkit.leibniz import annihilator, verify_right_leibniz
 from leibkit.linalg import Matrix
+
+import oracles
 
 
 def test_derive_dual_numbers_is_abelian():
@@ -132,3 +139,12 @@ def test_embedding_rejects_noninjective(ut_model):
     assert not rep.holds and not rep.injective
     assert "injectivity" in rep.identity
     assert rep.kernel is not None and rep.kernel.dim == 3
+
+
+def test_commutator_tables_match_the_dense_construction():
+    graded = [g for _, g in generate_corpus(seed=5, trials=25, max_dim0=3, max_dim1=3)]
+    graded += [make_block_upper(k, k) for k in (1, 2, 3)]
+    for g in graded:
+        for even_only in (True, False):
+            assert (_commutator_table(g, even_only)
+                    == oracles.dense_commutator_table(g, even_only))

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from leibkit._tables import table_from_entries, zero_table
 from leibkit.derive import derive_huliu
+from leibkit.fuzz import generate_corpus
 from leibkit.huliu import (
     HuLiuAlgebra,
     annihilator_abelian_check,
@@ -17,8 +19,10 @@ from leibkit.huliu import (
     verify_huliu_identities,
     verify_lie,
 )
-from leibkit.leibniz import annihilator, direct_sum
+from leibkit.leibniz import annihilator, direct_sum, ideal_closure, is_ideal
 from leibkit.linalg import Matrix, full_space, span, vadd
+
+import oracles
 
 
 def commutator2(a, b):
@@ -195,3 +199,22 @@ def test_eval_huliu_identity_replays_witness():
     which = 3  # mixed quadruple
     lhs, rhs = eval_huliu_identity(h, which, *rep.witness.inputs)
     assert (lhs, rhs) == (rep.witness.lhs, rep.witness.rhs) and lhs != rhs
+
+
+def test_ideal_tests_agree_with_invariance_under_the_operators():
+    rng = random.Random(3)
+    verdicts = set()
+    for _, g in generate_corpus(11, 30, 3, 3):
+        h = derive_huliu(g)
+        ops = oracles.bracket_operators(h.leibniz.angle)
+        huliu_ops = ops + oracles.bracket_operators(h.square)[h.dim:]  # v -> [e_j, v]
+        subs = [span([], h.dim), annihilator(h.leibniz), full_space(h.dim)]
+        for _ in range(4):
+            seed_space = span([tuple(rng.choice((0, 0, 1, -1, 2)) for _ in range(h.dim))
+                               for _ in range(rng.randint(1, 2))], h.dim)
+            subs += [seed_space, ideal_closure(h.leibniz, seed_space)]
+        for s in subs:
+            want = (oracles.is_invariant(ops, s), oracles.is_invariant(huliu_ops, s))
+            assert (is_ideal(h.leibniz, s), is_huliu_ideal(h, s)) == want
+            verdicts.add(want)
+    assert {(True, True), (False, False)} <= verdicts

@@ -26,12 +26,17 @@ from leibkit._tables import (
     evaluate,
     table_from_entries,
 )
-from leibkit import algebras, cli, derive, huliu, xigroup
+from leibkit import algebras, cli, derive, huliu, leibniz, xigroup
 from leibkit import io as lio
 from leibkit.algebras import Algebra, GradedAlgebra, make_block_upper, upper_triangular_model
 from leibkit.derive import derive_huliu
 from leibkit.huliu import HuLiuAlgebra, classify_huliu_simplicity, eval_huliu_identity
-from leibkit.leibniz import LeibnizAlgebra, eval_right_leibniz, verify_right_leibniz
+from leibkit.leibniz import (
+    LeibnizAlgebra,
+    annihilator,
+    eval_right_leibniz,
+    verify_right_leibniz,
+)
 from leibkit.linalg import vadd, zeros
 from leibkit.xigroup import (
     DEFAULT_TOLERANCE,
@@ -255,3 +260,37 @@ def test_lie_check_runs_once_per_object(monkeypatch, setup):
     calls = _counting(monkeypatch, huliu.verify_lie, huliu)
     assert run()
     assert len(calls) == 1
+
+
+def _check_runs(monkeypatch, *modules):
+    calls = []
+    for mod in modules:
+        real = mod.verify_identities
+
+        def counted(*args, real=real):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(mod, "verify_identities", counted)
+    return calls
+
+
+@pytest.mark.parametrize("direct_first", [True, False], ids=["direct first", "report first"])
+def test_direct_verifier_calls_and_reports_share_one_run(monkeypatch, direct_first):
+    g = make_block_upper(1, 1)
+    h = derive_huliu(g)
+    g = GradedAlgebra(Algebra(g.algebra.table), g.even)
+    leib = LeibnizAlgebra(h.leibniz.angle)
+    h = HuLiuAlgebra(leib, h.square)
+    calls = _check_runs(monkeypatch, algebras, leibniz, huliu)
+    pairs = [(algebras.verify_associative, g.algebra), (algebras.verify_special_grading, g),
+             (verify_right_leibniz, leib), (huliu.verify_huliu_identities, h)]
+    for verify, obj in pairs:
+        first = verify(obj) if direct_first else obj.report()
+        assert first.holds
+        annihilator(leib)
+        assert verify(obj) is first and obj.report() is first
+    # associativity, right Leibniz, Jacobi and compatibility: once each
+    assert [identities[0].name for identities in calls] == [
+        "associativity", "right Leibniz identity", "Jacobi identity",
+        COMPATIBILITY[0].name]

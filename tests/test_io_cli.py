@@ -1,9 +1,12 @@
+import hashlib
 import json
+import tracemalloc
 
 import pytest
 
 from leibkit import cli
 from leibkit import io as lio
+from leibkit._tables import table_entries, table_from_entries
 from leibkit.algebras import GradedAlgebra, make_block_upper
 from leibkit.derive import derive_huliu, derive_leibniz
 from leibkit.huliu import HuLiuAlgebra
@@ -247,3 +250,38 @@ def test_cli_constraint_n_must_be_a_positive_integer(tmp_path, capsys, literal, 
     if code == 2:
         captured = capsys.readouterr()
         assert captured.out == "" and "bad constraints" in captured.err
+
+
+def test_empty_file_at_the_dimension_limit_loads_in_dim_squared_memory(tmp_path):
+    dim = lio.MAX_DIM
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps({"kind": "leibniz", "dim": dim,
+                             "basis": [f"e{i}" for i in range(dim)], "angle": []}))
+    tracemalloc.start()
+    try:
+        leib = lio.load_file(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert leib.dim == dim and not table_entries(leib.angle)
+    # one pointer per cell is dim^2 * 8 bytes, 0.5 MB; a Fraction per slot
+    # of a dense dim^3 accumulator would be over 100 MB
+    assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("mutant, status, digest", [
+    (False, 0, "610d0f6fd43777b4dc8d42c6fa1a45e4b41f88160e671c2f9ecf9ae18b456902"),
+    (True, 1, "5cfc33d3ecfe94ea710f481636bb0f643527ebd65828ad698afe8697fb6e9142"),
+], ids=["pair", "one-entry mutant"])
+def test_verify_json_of_the_block_upper_3_pair_is_pinned(tmp_path, capsys, mutant, status,
+                                                          digest):
+    h = derive_huliu(make_block_upper(3, 3))
+    if mutant:  # the last angle entry, plus one
+        e = table_entries(h.leibniz.angle)
+        i, j, k, c = e[-1]
+        h = HuLiuAlgebra(table_from_entries(h.dim, e[:-1] + [(i, j, k, c + 1)]), h.square,
+                         h.basis_names)
+    path = str(tmp_path / "pair.json")
+    lio.save_file(h, path)
+    assert cli.main(["verify", path, "--kind", "huliu", "--json"]) == status
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -1,18 +1,44 @@
 """The multiplication matrices of a structure table, built in one place,
-and the integer scaling the exact checker walks.
+the integer scaling the exact checker walks, and the checker itself.
 
 ``_tables.operators`` is checked against the independent builder in
-``oracles.py`` on seeded random tables, for both sides.
+``oracles.py`` on seeded random tables, for both sides.  The sparse
+identity checker must name the same first failing basis triple, or none,
+as the dense loop over every triple kept in ``oracles.py``, for every
+declared identity, on the exhaustive dim-2 brackets, seeded random tables,
+derived pairs, and one-entry mutants of these.
 """
 
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from leibkit._tables import int_scaled, operators, table_from_entries
+from leibkit._tables import (
+    ASSOCIATIVITY,
+    COMPATIBILITY,
+    JACOBI,
+    RIGHT_LEIBNIZ,
+    _first_failing_triple,
+    basis_products,
+    int_scaled,
+    int_tables,
+    operators,
+    table_entries,
+    table_from_dense,
+    table_from_entries,
+    verify_identities,
+)
+from leibkit.algebras import make_block_upper
+from leibkit.derive import derive_huliu
+from leibkit.fuzz import generate_corpus
+from leibkit.huliu import verify_lie
 
 import oracles
+
+DECLARED = (ASSOCIATIVITY, RIGHT_LEIBNIZ, JACOBI, *COMPATIBILITY)
 
 
 def random_table(rng, dim):
@@ -52,3 +78,112 @@ def test_int_scaled_multiplies_by_the_least_common_denominator(seed):
         for i in range(dim):
             for j in range(dim):
                 assert ints[i][j] == tuple((k, int(c * d)) for k, c in enumerate(t[i][j]) if c)
+
+
+def _mutant(tables, rng):
+    """``tables`` with one entry of one table changed."""
+    name = rng.choice(sorted(tables))
+    entries = table_entries(tables[name])
+    dim = len(tables[name])
+    if entries and rng.random() < 0.5:
+        i, j, k, _ = rng.choice(entries)
+    else:
+        i, j, k = (rng.randrange(dim) for _ in range(3))
+    delta = rng.choice((1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
+    return {**tables, name: table_from_entries(dim, entries + [(i, j, k, delta)])}
+
+
+def _same_first_failures(tables, replay=True) -> int:
+    """Assert the sparse checker agrees with the dense loop on every declared
+    identity and that the antisymmetry scan agrees with its reference;
+    return how many identities fail.  With ``replay`` the reports, whose
+    witnesses are replayed in rationals, must name the same triples."""
+    names = sorted(tables)
+    ints = int_tables(tables)
+    assert [ints[n] for n in names] == oracles.dense_int_scaled([tables[n] for n in names])
+    dim = len(tables[names[0]])
+    failing = 0
+    cache: dict = {}
+    for identity in DECLARED:
+        ijk = oracles.dense_first_failing_triple(identity, ints, dim)
+        assert _first_failing_triple(identity, ints, dim, cache) == ijk, identity.name
+        failing += ijk is not None
+        if not replay:
+            continue
+        rep = verify_identities((identity,), tables, "holds", ints)
+        if ijk is None:
+            assert rep.holds
+        else:
+            assert rep.witness.note == "basis triple ({},{},{})".format(*ijk)
+            assert rep.witness.lhs != rep.witness.rhs
+    pair = oracles.first_nonantisymmetric_pair(tables["s"])
+    rep = verify_lie(tables["s"])
+    if pair is None:
+        assert rep.identity != "antisymmetry"
+    else:
+        assert (rep.identity, rep.witness.note) == ("antisymmetry", "basis pair ({},{})".format(*pair))
+    return failing
+
+
+def test_sparse_checker_matches_the_dense_loop_on_exhaustive_dim2_brackets():
+    tables = [table_from_dense([[flat[4 * i + 2 * j:4 * i + 2 * j + 2] for j in range(2)]
+                                for i in range(2)])
+              for flat in itertools.product((-1, 0, 1), repeat=8)]
+    rng = random.Random(0)
+    failing = checked = 0
+    for n, t in enumerate(tables):
+        sets = {"m": t, "a": t, "s": tables[-1 - n]}
+        replay = n % 16 == 0
+        failing += _same_first_failures(sets, replay)
+        if n % 8 == 0:
+            failing += _same_first_failures(_mutant(sets, rng), replay)
+            checked += 1
+        checked += 1
+    assert 0 < failing < checked * len(DECLARED)
+
+
+def test_sparse_checker_matches_the_dense_loop_on_random_tables():
+    rng = random.Random(1)
+    failing = checked = 0
+    for dim in range(1, 7):
+        for density in (0.05, 0.1, 0.25, 0.5, 1.0):
+            for _ in range(6 if dim < 6 else 2):
+                sets = {}
+                for name in "mas":
+                    items = [(i, j, k, rng.choice((-2, -1, 1, 2, "1/2", "-3/2")))
+                             for i in range(dim) for j in range(dim) for k in range(dim)
+                             if rng.random() < density]
+                    sets[name] = table_from_entries(dim, items)
+                for tables in (sets, _mutant(sets, rng)):
+                    failing += _same_first_failures(tables)
+                    checked += 1
+    assert 0 < failing < checked * len(DECLARED)
+
+
+def test_sparse_checker_matches_the_dense_loop_on_derived_pairs():
+    graded = [g for _, g in generate_corpus(7, 60, 3, 3)]
+    graded += [make_block_upper(k, k) for k in (1, 2, 3)]
+    rng = random.Random(2)
+    failing = 0
+    for g in graded:
+        h = derive_huliu(g)
+        sets = {"m": g.algebra.table, "a": h.leibniz.angle, "s": h.square}
+        assert _same_first_failures(sets) == 0
+        for _ in range(2):
+            failing += _same_first_failures(_mutant(sets, rng))
+    assert failing > len(graded)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_basis_products_are_the_nonzero_operator_columns(seed):
+    rng = random.Random(seed)
+    t = random_table(rng, rng.randint(1, 5))
+    dim = len(t)
+    b = tuple(Fraction(rng.choice((0, 0, 1, -1, 3)), rng.choice((1, 2))) for _ in range(dim))
+    for side in ("right", "left"):
+        images = [m.matvec(b) for m in operators(t, side)]
+        assert list(basis_products(t, [b], side)) == [
+            v for j, v in enumerate(images)
+            if any(b[i] and any(t[i][j] if side == "right" else t[j][i]) for i in range(dim))]
+    with pytest.raises(ValueError, match="side"):
+        list(basis_products(t, [b], "both"))
