@@ -1,7 +1,15 @@
-"""Dense structure-constant tables and the bracket identities declared on them.
+"""Structure-constant tables and the bracket identities declared on them.
 
 A table ``t`` encodes a bilinear product on a dim-dimensional space:
-``t[i][j]`` is the coordinate vector of the product of basis elements i, j.
+``t[i][j]`` is the coordinate vector of the product of basis elements i, j,
+and cells without entries share one zero vector.  This module is the only
+reader of cells.  Every other module builds a table with
+:func:`table_from_entries` or :func:`table_from_dense` and reads it through
+its nonzeros: :func:`table_entries` (the (i, j, k, c) entries in basis
+order), :func:`apply_table` (the product of two vectors),
+:func:`basis_products` (the products of vectors with every basis element),
+:func:`operators` (the multiplication matrices) and :func:`int_tables` (the
+integer rows of nonzeros that the exact checker walks).
 
 Each identity the package verifies (associativity, the right Leibniz
 identity, the Jacobi identity and the four Hu-Liu compatibility identities)

@@ -1,9 +1,10 @@
 """Structure-constant algebras and square-zero even/odd gradings.
 
-An :class:`Algebra` is a bilinear product stored as a dense dim^3 tensor of
-rationals.  A :class:`GradedAlgebra` splits the basis into an even and an odd
-part; the grading is *special*: products of two odd basis elements must
-vanish, which is exactly what makes the derived bracket constructions work.
+An :class:`Algebra` is a bilinear product stored as a structure-constant
+table of rationals (see ``_tables``).  A :class:`GradedAlgebra` splits the
+basis into an even and an odd part; the grading is *special*: products of
+two odd basis elements must vanish, which is exactly what makes the derived
+bracket constructions work.
 Verification is exhaustive over basis tuples and certificate-producing.
 """
 
@@ -81,17 +82,21 @@ def verify_associative(a: Algebra) -> Report:
 
 
 def find_unit(a: Algebra) -> Vec | None:
-    """Solve for a two-sided identity element; None if there is none."""
-    dim = a.dim
-    rows, rhs = [], []
-    for j in range(dim):
-        for k in range(dim):
-            rows.append([a.table[i][j][k] for i in range(dim)])
-            rhs.append(Fraction(1 if j == k else 0))
-            rows.append([a.table[j][i][k] for i in range(dim)])
-            rhs.append(Fraction(1 if j == k else 0))
-    sol = solve(Matrix(rows), rhs)
-    return sol
+    """Solve for a two-sided identity element; None if there is none.
+
+    An entry c of e_i e_j at k is the coefficient of u_i in "u e_j = e_j at
+    k" and of u_j in "e_i u = e_i at k".  An equation without entries reads
+    0 = 0, or 0 = 1 when j = k, and then there is no unit."""
+    # (j, k, 0) is "u e_j = e_j at k", (j, k, 1) is "e_j u = e_j at k"
+    eqs: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+    for i, j, k, c in table_entries(a.table):
+        eqs.setdefault((j, k, 0), {})[i] = c
+        eqs.setdefault((i, k, 1), {})[j] = c
+    if any((j, j, side) not in eqs for j in range(a.dim) for side in (0, 1)):
+        return None
+    zero = Fraction(0)
+    rows = [[row.get(i, zero) for i in range(a.dim)] for row in eqs.values()]
+    return solve(Matrix(rows), [int(j == k) for j, k, _ in eqs])
 
 
 class GradedAlgebra:
@@ -137,14 +142,13 @@ class GradedAlgebra:
 def verify_special_grading(g: GradedAlgebra) -> Report:
     """Check even*even even, mixed products odd, and odd*odd = 0 on the basis."""
     a = g.algebra
-    dim = a.dim
     even, odd = set(g.even), set(g.odd)
 
     def clause_fail(name, i, j, allowed):
-        prod = a.table[i][j]
+        ei, ej = a.basis_vector(i), a.basis_vector(j)
+        prod = a.multiply(ei, ej)
         proj = tuple(c if k in allowed else Fraction(0) for k, c in enumerate(prod))
-        return fail(name, (basis_vec(dim, i), basis_vec(dim, j)), prod, proj,
-                    note=f"basis pair ({i},{j})")
+        return fail(name, (ei, ej), prod, proj, note=f"basis pair ({i},{j})")
 
     # entries come in basis-pair order, so the first bad one names the first
     # failing pair

@@ -29,21 +29,19 @@ def _vec(v):
     return "(" + ", ".join(str(c) for c in v) + ")"
 
 
-def _witness_json(w):
-    if w is None:
-        return None
-    return {
+def _report_json(rep: Report) -> dict:
+    w = rep.witness
+    return {"holds": rep.holds, "identity": rep.identity, "witness": None if w is None else {
         "inputs": [[str(c) for c in v] for v in w.inputs],
         "lhs": [str(c) for c in w.lhs],
         "rhs": [str(c) for c in w.rhs],
         "note": w.note,
-    }
+    }}
 
 
 def _emit_report(rep: Report, as_json: bool, out) -> int:
     if as_json:
-        json.dump({"holds": rep.holds, "identity": rep.identity,
-                   "witness": _witness_json(rep.witness)}, out)
+        json.dump(_report_json(rep), out)
         out.write("\n")
     elif rep.holds:
         out.write(f"holds: {rep.identity}\n")
@@ -155,8 +153,7 @@ def cmd_tangent(args, out) -> int:
             "dim": t.subspace.dim,
             "exact": t.exact,
             "basis": [[str(c) for c in b] for b in t.subspace.basis],
-            "huliu_structure": {"holds": rep.holds, "identity": rep.identity,
-                                "witness": _witness_json(rep.witness)},
+            "huliu_structure": _report_json(rep),
         }, out)
         out.write("\n")
     else:

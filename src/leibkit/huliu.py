@@ -92,8 +92,8 @@ def verify_lie(square: Table) -> Report:
             a, b = s[i][j], s[j][i]
             if (a or b) and a != tuple((k, -c) for k, c in b):
                 ei, ej = basis_vec(dim, i), basis_vec(dim, j)
-                return fail("antisymmetry", (ei, ej), square[i][j],
-                            vscale(-1, square[j][i]), note=f"basis pair ({i},{j})")
+                return fail("antisymmetry", (ei, ej), apply_table(square, ei, ej),
+                            vscale(-1, apply_table(square, ej, ei)), note=f"basis pair ({i},{j})")
     return verify_identities((JACOBI,), tables, "Lie bracket", ints)
 
 

@@ -104,14 +104,11 @@ def load_obj(data):
             or not all(isinstance(b, str) for b in basis)):
         raise SchemaError(f"field 'basis' must be a list of {dim} names")
 
-    if kind == "algebra":
+    if kind in ("algebra", "graded", "xigroup"):
         a = Algebra(_tensor(data["product"], "product", dim), basis)
         a.unit = find_unit(a)
-        return a
-
-    if kind in ("graded", "xigroup"):
-        a = Algebra(_tensor(data["product"], "product", dim), basis)
-        a.unit = find_unit(a)
+        if kind == "algebra":
+            return a
         even = data["even"]
         if (not isinstance(even, list)
                 or not all(isinstance(i, int) and not isinstance(i, bool)
@@ -169,26 +166,17 @@ def _entries_json(table):
 
 
 def dump_obj(obj) -> dict:
+    # a richer kind extends the document of its part, keeping its key order
     if isinstance(obj, LinearXiGroup):
-        g = obj.graded
         return {
+            **dump_obj(obj.graded),
             "kind": "xigroup",
-            "dim": g.dim,
-            "basis": list(g.algebra.basis_names),
-            "product": _entries_json(g.algebra.table),
-            "even": list(g.even),
             "constraints": {"family": obj.constraints.name, **obj.constraints.params()},
             "odd_subspace": [[str(c) for c in b] for b in obj.odd_subspace.basis],
             "tolerance": obj.tolerance,
         }
     if isinstance(obj, GradedAlgebra):
-        return {
-            "kind": "graded",
-            "dim": obj.dim,
-            "basis": list(obj.algebra.basis_names),
-            "product": _entries_json(obj.algebra.table),
-            "even": list(obj.even),
-        }
+        return {**dump_obj(obj.algebra), "kind": "graded", "even": list(obj.even)}
     if isinstance(obj, Algebra):
         return {
             "kind": "algebra",
@@ -197,13 +185,7 @@ def dump_obj(obj) -> dict:
             "product": _entries_json(obj.table),
         }
     if isinstance(obj, HuLiuAlgebra):
-        return {
-            "kind": "huliu",
-            "dim": obj.dim,
-            "basis": list(obj.basis_names),
-            "angle": _entries_json(obj.leibniz.angle),
-            "square": _entries_json(obj.square),
-        }
+        return {**dump_obj(obj.leibniz), "kind": "huliu", "square": _entries_json(obj.square)}
     if isinstance(obj, LeibnizAlgebra):
         return {
             "kind": "leibniz",

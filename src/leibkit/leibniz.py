@@ -9,8 +9,8 @@ something to run on; operations whose meaning depends on the bracket identity
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from ._tables import (
@@ -21,17 +21,18 @@ from ._tables import (
     basis_vec,
     evaluate,
     operators,
+    table_entries,
     table_from_dense,
+    table_from_entries,
     verify_identities,
 )
-from .linalg import Matrix, Subspace, Vec, span, vadd
+from .linalg import Matrix, Subspace, Vec, span, vadd, zeros
 from .modules import (
     NORTON_BUDGET,
     OperatorModule,
     closure,
     equivariant_projection_kernel,
     is_invariant,
-    lift_from_sub,
     norton_irreducible,
     quotient,
     restriction,
@@ -92,14 +93,21 @@ def annihilator(algebra: LeibnizAlgebra) -> Subspace:
 
 
 def _span_of_squares(algebra: LeibnizAlgebra) -> Subspace:
-    t = algebra.angle
-    dim = algebra.dim
-    squares = [t[i][i] for i in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            squares.append(vadd(vadd(t[i][i], t[j][j]), vadd(t[i][j], t[j][i])))
+    dim, zero = algebra.dim, zeros(algebra.dim)
+    cells: dict[tuple[int, int], list] = defaultdict(lambda: list(zero))
+    for i, j, k, c in table_entries(algebra.angle):
+        cells[i, j][k] = c
+
+    def t(i, j):
+        return cells.get((i, j), zero)
+
+    # only pairs with an entry in cell (i, j) or (j, i) are taken: for any
+    # other, <ei,ej> + <ej,ei> = 0 and <ei+ej,ei+ej> = <ei,ei> + <ej,ej>
+    pairs = sorted({(min(i, j), max(i, j)) for i, j in cells})
+    squares = [t(i, i) if i == j else vadd(vadd(t(i, i), t(j, j)), vadd(t(i, j), t(j, i)))
+               for i, j in pairs]
     by_squares = span(squares, dim)
-    symmetrized = [vadd(t[i][j], t[j][i]) for i in range(dim) for j in range(i, dim)]
+    symmetrized = [vadd(t(i, j), t(j, i)) for i, j in pairs]
     by_symmetrized = span(symmetrized, dim)
     if by_squares != by_symmetrized:
         raise RuntimeError(
@@ -197,7 +205,7 @@ def _classify(algebra: LeibnizAlgebra, ops: tuple[Matrix, ...], seed: int,
 
     status, wit = norton_irreducible(restriction(mod, ann), rng, budget)
     if status == "reducible":
-        cert = span([lift_from_sub(ann, c) for c in wit.basis], dim)
+        cert = span([ann._combine(c) for c in wit.basis], dim)
         return _certified_not_simple(
             ops, ann, dim, cert, "proper ideal strictly inside the annihilator")
     if status == "unknown":
@@ -231,13 +239,13 @@ def _bracket_compatibility(source: Table, target: Table, phi: Matrix,
     """First basis pair (i, j), in lexicographic order, where
     phi(source(ei, ej)) != target(phi ei, phi ej)."""
     dim = len(source)
-    for i in range(dim):
-        for j in range(dim):
-            lhs = phi.matvec(source[i][j])
+    basis = [basis_vec(dim, i) for i in range(dim)]
+    for i, ei in enumerate(basis):
+        for j, ej in enumerate(basis):
+            lhs = phi.matvec(apply_table(source, ei, ej))
             rhs = apply_table(target, phi.col(i), phi.col(j))
             if lhs != rhs:
-                return fail(identity, (basis_vec(dim, i), basis_vec(dim, j)), lhs, rhs,
-                            note=f"basis pair ({i},{j})")
+                return fail(identity, (ei, ej), lhs, rhs, note=f"basis pair ({i},{j})")
     return ok(identity)
 
 
@@ -257,18 +265,11 @@ def check_leibniz_homomorphism(algebra: LeibnizAlgebra, target: LeibnizAlgebra,
 
 
 def direct_sum(a: LeibnizAlgebra, b: LeibnizAlgebra) -> LeibnizAlgebra:
-    dim = a.dim + b.dim
-    dense = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k, c in enumerate(a.angle[i][j]):
-                dense[i][j][k] = c
-    for i in range(b.dim):
-        for j in range(b.dim):
-            for k, c in enumerate(b.angle[i][j]):
-                dense[a.dim + i][a.dim + j][a.dim + k] = c
+    s = a.dim
+    entries = table_entries(a.angle)
+    entries += [(s + i, s + j, s + k, c) for i, j, k, c in table_entries(b.angle)]
     names = [f"a.{n}" for n in a.basis_names] + [f"b.{n}" for n in b.basis_names]
-    return LeibnizAlgebra(table_from_dense(dense), names)
+    return LeibnizAlgebra(table_from_entries(s + b.dim, entries), names)
 
 
 def annihilator_action_nonzero(algebra: LeibnizAlgebra) -> bool:

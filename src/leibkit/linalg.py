@@ -228,14 +228,26 @@ class Subspace:
     def coords(self, v: Sequence) -> Vec | None:
         """Coefficients of v in the RREF basis, or None if v is outside."""
         v = vec(v)
-        # RREF pivot columns are standard coordinates, so coefficients read off
-        # pivot positions; membership needs one residual check.
-        coeffs = tuple(v[p] for p in self.pivots)
+        return None if any(self._residual(v)) else tuple(v[p] for p in self.pivots)
+
+    def _residual(self, v: Vec) -> list:
+        """v minus the basis combination with v's pivot coordinates: RREF pivot
+        columns are standard coordinates, so this is zero exactly when v lies
+        in the subspace, else the representative of v + S zero at the pivots."""
         residual = list(v)
-        for c, b in zip(coeffs, self.basis):
+        for p, b in zip(self.pivots, self.basis):
+            c = v[p]
             if c:
                 residual = [x - c * y if y else x for x, y in zip(residual, b)]
-        return None if any(residual) else coeffs
+        return residual
+
+    def _combine(self, coeffs: Sequence) -> Vec:
+        """The combination sum_i coeffs[i] * basis[i]."""
+        x = zeros(self.ambient_dim)
+        for c, b in zip(coeffs, self.basis):
+            if c:
+                x = vadd(x, vscale(c, b))
+        return x
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._same_ambient(other)
@@ -252,15 +264,7 @@ class Subspace:
         # x in both spans: x = sum a_i s_i = sum b_j t_j; solve for (a, -b).
         cols = [list(b) for b in self.basis] + [[-x for x in b] for b in other.basis]
         ker = kernel(Matrix.from_cols(cols))
-        vecs = []
-        for k in ker.basis:
-            coeffs = k[: self.dim]
-            x = zeros(self.ambient_dim)
-            for c, b in zip(coeffs, self.basis):
-                if c:
-                    x = vadd(x, vscale(c, b))
-            vecs.append(x)
-        return span(vecs, self.ambient_dim)
+        return span([self._combine(k[: self.dim]) for k in ker.basis], self.ambient_dim)
 
     def _same_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:

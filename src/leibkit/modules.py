@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._tables import basis_vec
-from .linalg import Matrix, Subspace, Vec, kernel, solve, span, vadd, vscale, zeros
+from .linalg import Matrix, Subspace, Vec, kernel, solve, span
 
 NORTON_BUDGET = 64
 NORTON_MAX_WORD = 8
@@ -87,14 +87,6 @@ def restriction(mod: OperatorModule, s: Subspace) -> OperatorModule:
     return OperatorModule(s.dim, tuple(mats))
 
 
-def lift_from_sub(s: Subspace, coords) -> Vec:
-    v = zeros(s.ambient_dim)
-    for c, b in zip(coords, s.basis):
-        if c:
-            v = vadd(v, vscale(c, b))
-    return v
-
-
 @dataclass(frozen=True)
 class QuotientModule:
     """Module on the quotient by an invariant subspace.
@@ -124,11 +116,7 @@ def quotient(mod: OperatorModule, s: Subspace) -> QuotientModule:
     free = tuple(j for j in range(mod.dim) if j not in pivots)
 
     def project(v: Vec) -> Vec:
-        res = list(v)
-        for p, b in zip(s.pivots, s.basis):
-            c = res[p]
-            if c:
-                res = [x - c * y for x, y in zip(res, b)]
+        res = s._residual(v)
         return tuple(res[f] for f in free)
 
     mats = []

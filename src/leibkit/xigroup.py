@@ -26,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._tables import operators
+from ._tables import operators, table_entries
 from .algebras import (
     BimoduleError,
     GradedAlgebra,
@@ -78,7 +78,7 @@ class MatrixRealization:
         if any(m.rows != self.n or m.cols != self.n for m in self.embed):
             raise ValueError("embedding matrices must be square of equal size")
         self._verify()
-        self.np_tensor = np.array(graded.algebra.table, dtype=float)
+        self.np_tensor = _float_table(graded, range(graded.dim))
         self.np_embed = np.array([m.data for m in self.embed], dtype=float)
         self._flat = self.np_embed.reshape(graded.dim, -1).T  # n^2 x dim
         self._flat_pinv = np.linalg.pinv(self._flat)
@@ -144,7 +144,10 @@ def mat_square_zero_extension(n: int) -> tuple[GradedAlgebra, MatrixRealization]
     """Mat(n) extended by itself as a bimodule, realized by 2n x 2n blocks
     [[X, M], [0, X]]; the odd block squares to zero structurally."""
     a0 = matrix_algebra(n)
-    g = make_trivial_extension(a0, n * n, a0.table, a0.table)
+    # column m of the left (right) multiplication by e_i is e_i e_m (e_m e_i)
+    left, right = (operators(a0.table, side) for side in ("left", "right"))
+    g = make_trivial_extension(a0, n * n, [[t.col(m) for m in range(n * n)] for t in left],
+                               [[t.col(m) for t in right] for m in range(n * n)])
     embed = []
     for i in range(n):
         for j in range(n):
@@ -169,17 +172,31 @@ def xi(g: GradedAlgebra, x):
     return g.even_part(x)
 
 
+def _entries_among(g: GradedAlgebra, positions) -> list[tuple]:
+    """The table entries (a, b, c, value) of products of the basis elements
+    at ``positions``, each index renumbered by its place there; c is None
+    for a coordinate outside ``positions``."""
+    at = {p: n for n, p in enumerate(positions)}
+    return [(at[i], at[j], at.get(k), c) for i, j, k, c in table_entries(g.algebra.table)
+            if i in at and j in at]
+
+
+def _float_table(g: GradedAlgebra, positions) -> np.ndarray:
+    """Products among the basis elements at ``positions``, as a float array
+    filled from the table entries; coordinates outside are dropped."""
+    out = np.zeros((len(positions),) * 3)
+    for a, b, c, v in _entries_among(g, positions):
+        if c is not None:
+            out[a, b, c] = float(v)
+    return out
+
+
 def _even_mult_matrix(g: GradedAlgebra, x0_even):
     """Left multiplication by x0 restricted to the even part (exact)."""
-    table = g.algebra.table
-    even = g.even
-    rows = []
-    for k in even:
-        row = []
-        for j in even:
-            row.append(sum((x0_even[a] * table[i][j][k] for a, i in enumerate(even)),
-                           Fraction(0)))
-        rows.append(row)
+    rows = [[Fraction(0)] * len(g.even) for _ in g.even]
+    for a, b, c, v in _entries_among(g, g.even):
+        if c is not None:
+            rows[c][b] += x0_even[a] * v
     return Matrix(rows)
 
 
@@ -203,10 +220,7 @@ def invert_unit(r: MatrixRealization, x):
     y = solve(m, unit_even)
     if y is None:
         raise NotAUnitError("even component is singular")
-    x0_inv = [Fraction(0)] * g.dim
-    for a, i in enumerate(even):
-        x0_inv[i] = y[a]
-    x0_inv = tuple(x0_inv)
+    x0_inv = _lift(g.dim, even, y)
     x1 = g.odd_part(x)
     mul = g.algebra.multiply
     inv = tuple(a - b for a, b in zip(x0_inv, mul(x0_inv, mul(x1, x0_inv))))
@@ -338,11 +352,10 @@ class NoConstraints(ConstraintFamily):
         return Matrix([])
 
     def sample(self, g, rng):
-        even = list(g.even)
         unit_even = _unit_even(g)
-        tensor = np.array(g.algebra.table, dtype=float)[np.ix_(even, even, even)]
+        tensor = _float_table(g, g.even)
         for _ in range(_SAMPLE_RETRIES):
-            x0 = unit_even + 0.5 * rng.standard_normal(len(even))
+            x0 = unit_even + 0.5 * rng.standard_normal(len(g.even))
             m = np.einsum("i,ijk->kj", x0, tensor)
             if abs(np.linalg.det(m)) > 1e-3:
                 return x0
@@ -364,13 +377,11 @@ class _MatrixConstraints(ConstraintFamily):
         n, even = self.n, g.even
         if len(even) != n * n:
             raise ValueError(f"{self.name} constraints need an even part of dimension {n * n}")
-        mat, table = matrix_algebra(n).table, g.algebra.table
-        for s in range(n * n):
-            for t in range(n * n):
-                if table[even[s]][even[t]] != _lift(g.dim, even, mat[s][t]):
-                    raise ValueError(
-                        f"{self.name} constraints need the even part to be the n x n "
-                        f"matrix algebra in row-major basis order")
+        # entries come in basis order, and the place in g.even keeps that order
+        if _entries_among(g, even) != table_entries(matrix_algebra(n).table):
+            raise ValueError(
+                f"{self.name} constraints need the even part to be the n x n "
+                f"matrix algebra in row-major basis order")
 
 
 class OrthogonalConstraints(_MatrixConstraints):

@@ -17,7 +17,8 @@ import numpy as np
 
 from leibkit._tables import LEFT
 from leibkit.huliu import HuLiuAlgebra
-from leibkit.linalg import Matrix, full_space, kernel, solve, span, zeros
+from leibkit.algebras import matrix_algebra
+from leibkit.linalg import Matrix, full_space, kernel, solve, span, vadd, vscale, zeros
 from leibkit.report import fail, ok
 
 
@@ -434,4 +435,126 @@ def first_grading_failure(table, even):
                     return "odd*odd = 0", i, j
             elif any(prod[k] for k in even):
                 return "mixed products in odd", i, j
+    return None
+
+
+# -- dense readers of table cells, as every module read tables before only
+# -- _tables did; each reads every cell, zero or not
+
+def _basis(dim, i):
+    return tuple(Fraction(int(k == i)) for k in range(dim))
+
+
+def dense_find_unit(table):
+    """Solve the 2 dim^2 equations u e_j = e_j, e_j u = e_j for a unit."""
+    dim = len(table)
+    rows, rhs = [], []
+    for j in range(dim):
+        for k in range(dim):
+            rows.append([table[i][j][k] for i in range(dim)])
+            rhs.append(Fraction(1 if j == k else 0))
+            rows.append([table[j][i][k] for i in range(dim)])
+            rhs.append(Fraction(1 if j == k else 0))
+    return solve(Matrix(rows), rhs)
+
+
+def dense_annihilator_presentations(angle):
+    """The span of <ei,ei> and <ei+ej,ei+ej> (i < j), and the span of
+    <ei,ej> + <ej,ei> (i <= j), from every cell."""
+    t, dim = angle, len(angle)
+    squares = [t[i][i] for i in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            squares.append(vadd(vadd(t[i][i], t[j][j]), vadd(t[i][j], t[j][i])))
+    symmetrized = [vadd(t[i][j], t[j][i]) for i in range(dim) for j in range(i, dim)]
+    return span(squares, dim), span(symmetrized, dim)
+
+
+def dense_direct_sum_table(a, b):
+    """The block-diagonal bracket of two tables as a dense nested list."""
+    p, dim = len(a), len(a) + len(b)
+    dense = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for off, t in ((0, a), (p, b)):
+        for i in range(len(t)):
+            for j in range(len(t)):
+                for k, c in enumerate(t[i][j]):
+                    dense[off + i][off + j][off + k] = c
+    return dense
+
+
+def dense_bracket_compatibility(source, target, phi, identity):
+    """First basis pair (i, j) with phi(source[i][j]) != target(phi ei, phi ej),
+    the target product taken cell by cell."""
+    dim, tdim = len(source), len(target)
+    for i in range(dim):
+        for j in range(dim):
+            lhs = phi.matvec(source[i][j])
+            rhs = [Fraction(0)] * tdim
+            for a, x in enumerate(phi.col(i)):
+                for b, y in enumerate(phi.col(j)):
+                    if x and y:
+                        for k, c in enumerate(target[a][b]):
+                            rhs[k] += x * y * c
+            if lhs != tuple(rhs):
+                return fail(identity, (_basis(dim, i), _basis(dim, j)), lhs, rhs,
+                            note=f"basis pair ({i},{j})")
+    return ok(identity)
+
+
+def dense_antisymmetry_failure(square):
+    """The antisymmetry report at the first pair of first_nonantisymmetric_pair,
+    with both cells read as they stand, or None."""
+    pair = first_nonantisymmetric_pair(square)
+    if pair is None:
+        return None
+    i, j = pair
+    dim = len(square)
+    return fail("antisymmetry", (_basis(dim, i), _basis(dim, j)), square[i][j],
+                vscale(-1, square[j][i]), note=f"basis pair ({i},{j})")
+
+
+def dense_grading_failure(table, even):
+    """The grading report at first_grading_failure, the product read from its
+    cell and projected onto the allowed part, or None."""
+    found = first_grading_failure(table, even)
+    if found is None:
+        return None
+    clause, i, j = found
+    dim = len(table)
+    allowed = {"even*even in even": set(even), "odd*odd = 0": set(),
+               "mixed products in odd": set(range(dim)) - set(even)}[clause]
+    prod = table[i][j]
+    proj = tuple(c if k in allowed else Fraction(0) for k, c in enumerate(prod))
+    return fail(clause, (_basis(dim, i), _basis(dim, j)), prod, proj,
+                note=f"basis pair ({i},{j})")
+
+
+def dense_even_mult_matrix(table, even, x0_even):
+    """Left multiplication by sum_a x0_even[a] e_even[a] on the even part,
+    one sum over every even cell per matrix entry."""
+    return Matrix([[sum((x0_even[a] * table[i][j][k] for a, i in enumerate(even)), Fraction(0))
+                    for j in even] for k in even])
+
+
+def dense_float_tensor(table, positions):
+    """The whole table as a float array, cut down to ``positions``."""
+    p = list(positions)
+    return np.array(table, dtype=float)[np.ix_(p, p, p)]
+
+
+def dense_matrix_compatibility(name, n, table, even):
+    """The ValueError message of a Mat(n) constraint family on a graded
+    table with even part ``even``, comparing every even cell with the lifted
+    matrix-unit product, or None when the family applies."""
+    if len(even) != n * n:
+        return f"{name} constraints need an even part of dimension {n * n}"
+    mat, dim = matrix_algebra(n).table, len(table)
+    for s in range(n * n):
+        for t in range(n * n):
+            lifted = [Fraction(0)] * dim
+            for c, i in zip(mat[s][t], even):
+                lifted[i] = c
+            if table[even[s]][even[t]] != tuple(lifted):
+                return (f"{name} constraints need the even part to be the n x n "
+                        f"matrix algebra in row-major basis order")
     return None

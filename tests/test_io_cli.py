@@ -14,6 +14,8 @@ from leibkit.leibniz import LeibnizAlgebra, eval_right_leibniz
 from leibkit.linalg import span
 from leibkit.xigroup import LinearXiGroup, OrthogonalConstraints, mat_square_zero_extension
 
+import oracles
+
 
 def test_graded_roundtrip(tmp_path, ut_model):
     p = tmp_path / "g.json"
@@ -267,6 +269,38 @@ def test_empty_file_at_the_dimension_limit_loads_in_dim_squared_memory(tmp_path)
     # one pointer per cell is dim^2 * 8 bytes, 0.5 MB; a Fraction per slot
     # of a dense dim^3 accumulator would be over 100 MB
     assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("kind, extra", [("algebra", {}), ("graded", {"even": [0, 1]})])
+def test_empty_algebra_files_at_the_dimension_limit_load_without_a_unit(tmp_path, kind, extra):
+    dim = lio.MAX_DIM
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps({"kind": kind, "dim": dim, "basis": [f"e{i}" for i in range(dim)],
+                             "product": [], **extra}))
+    tracemalloc.start()
+    try:
+        obj = lio.load_file(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    a = obj.algebra if kind == "graded" else obj
+    assert a.dim == dim and a.unit is None and not table_entries(a.table)
+    # the unit solve stops at its first diagonal equation without entries;
+    # the 2 dim^2 x dim dense system would be over 100 MB
+    assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("sl2-v8", "35c42dd0b2be17b01985e653c32fcb739367ac9873d53bdaa4540226f457b9a3"),
+    ("block-upper-3-3", "69a0c5cd64a18f8354fb52a8f19c2d33340f3f60d03cb8ccd1898f43b242db0d"),
+])
+def test_annihilator_json_is_pinned(tmp_path, capsys, name, digest):
+    obj = (LeibnizAlgebra(oracles.sl2_semidirect((8,))) if name == "sl2-v8"
+           else derive_huliu(make_block_upper(3, 3)))
+    path = str(tmp_path / "in.json")
+    lio.save_file(obj, path)
+    assert cli.main(["annihilator", path, "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("mutant, status, digest", [
