@@ -1,15 +1,16 @@
 """Structure-constant tables and the bracket identities declared on them.
 
-A table ``t`` encodes a bilinear product on a dim-dimensional space:
-``t[i][j]`` is the coordinate vector of the product of basis elements i, j,
-and cells without entries share one zero vector.  This module is the only
-reader of cells.  Every other module builds a table with
-:func:`table_from_entries` or :func:`table_from_dense` and reads it through
-its nonzeros: :func:`table_entries` (the (i, j, k, c) entries in basis
-order), :func:`apply_table` (the product of two vectors),
+A table ``t`` encodes a bilinear product on a dim-dimensional space: cell
+``t[i][j]`` holds only the nonzero (k, c) pairs of the product of basis
+elements i, j, in ascending k, and ``()`` when that product is zero.  The
+form is canonical: two tables are equal iff their products are.  Build a
+table with :func:`table_from_entries` or :func:`table_from_dense` (or
+:func:`as_table`, which passes a built :class:`Table` through), and read it
+through its nonzeros: :func:`table_entries` (the (i, j, k, c) entries in
+basis order), :func:`apply_table` (the product of two vectors),
 :func:`basis_products` (the products of vectors with every basis element),
-:func:`operators` (the multiplication matrices) and :func:`int_tables` (the
-integer rows of nonzeros that the exact checker walks).
+:func:`operators` (the multiplication matrices) and :func:`int_scaled` (the
+same cells over one common denominator, which the exact checker walks).
 
 Each identity the package verifies (associativity, the right Leibniz
 identity, the Jacobi identity and the four Hu-Liu compatibility identities)
@@ -41,7 +42,12 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .linalg import Matrix, Vec, rat, vadd, vec, zeros
 from .report import Report, fail, ok
 
-Table = tuple[tuple[Vec, ...], ...]
+
+class Table(tuple):
+    """A built table: dim rows of dim cells of (k, c) pairs, as above."""
+
+    __slots__ = ()
+
 
 _ZERO = Fraction(0)
 
@@ -116,55 +122,42 @@ def basis_vec(dim: int, i: int) -> Vec:
 
 
 def zero_table(dim: int) -> Table:
-    z = zeros(dim)
-    return tuple((z,) * dim for _ in range(dim))
+    return Table((((),) * dim,) * dim)
+
+
+def as_table(x) -> Table:
+    """``x`` itself when it is a built :class:`Table`; anything else is read
+    as a dense ``t[i][j][k]`` nested sequence by :func:`table_from_dense`."""
+    return x if isinstance(x, Table) else table_from_dense(x)
 
 
 def table_from_dense(entries: Sequence[Sequence[Sequence]]) -> Table:
     dim = len(entries)
-    t = tuple(tuple(vec(entries[i][j]) for j in range(dim)) for i in range(dim))
-    for row in t:
-        for v in row:
-            if len(v) != dim:
-                raise ValueError("table is not dim x dim x dim")
-    return t
+    rows = [[vec(v) for v in row] for row in entries]
+    if any(len(row) != dim or any(len(v) != dim for v in row) for row in rows):
+        raise ValueError("table is not dim x dim x dim")
+    return Table(tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row)
+                 for row in rows)
 
 
 def table_from_entries(dim: int, items: Iterable[tuple[int, int, int, object]]) -> Table:
-    """Build a table from sparse (i, j, k, value) items; later items add up.
-
-    Only the cells an item names get a vector of their own; every other
-    cell is one shared zero vector.
-    """
+    """Build a table from sparse (i, j, k, value) items; later items add up,
+    and entries that cancel to zero are dropped."""
     cells: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i, j, k, val in items:
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ValueError(f"index ({i},{j},{k}) out of range for dim {dim}")
         cell = cells.setdefault((i, j), {})
         cell[k] = cell.get(k, 0) + rat(val)
-    zero = zeros(dim)
-    rows = [[zero] * dim for _ in range(dim)]
+    rows = [[()] * dim for _ in range(dim)]
     for (i, j), cell in cells.items():
-        v = list(zero)
-        for k, c in cell.items():
-            v[k] = c
-        rows[i][j] = tuple(v)
-    return tuple(tuple(row) for row in rows)
-
-
-def _nonzeros(v: Vec, seen: dict) -> tuple:
-    """The (k, c) pairs of v with c nonzero, kept in ``seen`` by the vector's
-    id: tables share vectors, the zero vector above all."""
-    nz = seen.get(id(v))
-    if nz is None:
-        nz = seen[id(v)] = tuple((k, c) for k, c in enumerate(v) if c)
-    return nz
+        rows[i][j] = tuple((k, c) for k, c in sorted(cell.items()) if c)
+    return Table(tuple(row) for row in rows)
 
 
 def table_entries(t: Table) -> list[tuple[int, int, int, Fraction]]:
-    seen: dict[int, tuple] = {}
-    return [(i, j, k, c) for i, row in enumerate(t) for j, v in enumerate(row)
-            for k, c in _nonzeros(v, seen)]
+    return [(i, j, k, c) for i, row in enumerate(t) for j, cell in enumerate(row)
+            for k, c in cell]
 
 
 def apply_table(t: Table, x: Sequence, y: Sequence) -> Vec:
@@ -174,30 +167,38 @@ def apply_table(t: Table, x: Sequence, y: Sequence) -> Vec:
     y = vec(y)
     if len(x) != dim or len(y) != dim:
         raise ValueError(f"vector length mismatch for dim {dim}")
-    acc = [Fraction(0)] * dim
+    acc = [_ZERO] * dim
     for i, xi in enumerate(x):
         if not xi:
             continue
         row = t[i]
         for j, yj in enumerate(y):
-            if not yj:
-                continue
-            c = xi * yj
-            for k, v in enumerate(row[j]):
-                if v:
+            if yj and row[j]:
+                c = xi * yj
+                for k, v in row[j]:
                     acc[k] += c * v
     return tuple(acc)
+
+
+def _check_side(side: str) -> bool:
+    """True for side "right", False for "left"."""
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', not {side!r}")
+    return side == "right"
 
 
 def operators(t: Table, side: str) -> tuple[Matrix, ...]:
     """Matrices of x -> t(x, e_j) for side "right", of x -> t(e_j, x) for side
     "left", for j = 0..dim-1."""
+    right = _check_side(side)
     dim = len(t)
-    if side == "right":
-        return tuple(Matrix.from_cols([t[i][j] for i in range(dim)]) for j in range(dim))
-    if side == "left":
-        return tuple(Matrix.from_cols([t[j][i] for i in range(dim)]) for j in range(dim))
-    raise ValueError(f"side must be 'right' or 'left', not {side!r}")
+    mats = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, row in enumerate(t):
+        for j, cell in enumerate(row):
+            m, col = (mats[j], i) if right else (mats[i], j)
+            for k, c in cell:
+                m[k][col] = c
+    return tuple(Matrix(m) for m in mats)
 
 
 def basis_products(t: Table, vectors: Iterable[Sequence], side: str) -> Iterator[Vec]:
@@ -205,38 +206,30 @@ def basis_products(t: Table, vectors: Iterable[Sequence], side: str) -> Iterator
     for each b in ``vectors`` and j = 0..dim-1, as the combinations
     sum_i b_i t[i][j] or sum_i b_i t[j][i] of table cells; a product with no
     nonzero term is skipped."""
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', not {side!r}")
+    right = _check_side(side)
     dim = len(t)
-    seen: dict[int, tuple] = {}
     for b in vectors:
         terms = [(i, c) for i, c in enumerate(b) if c]
         for j in range(dim):
             acc = {}
             for i, c in terms:
-                for k, x in _nonzeros(t[i][j] if side == "right" else t[j][i], seen):
+                for k, x in (t[i][j] if right else t[j][i]):
                     acc[k] = acc.get(k, 0) + c * x
             if acc:
                 yield tuple(acc.get(k, _ZERO) for k in range(dim))
 
 
 def int_scaled(tables: Sequence[Table]) -> list[tuple]:
-    """Clear denominators jointly; one table of sparse rows per input table.
+    """Clear denominators jointly; one table of (index, int) cells per input.
 
-    ``out[n][i][j]`` lists the nonzero coordinates of the product of basis
-    elements i, j as (index, int) pairs.  A single common factor multiplies
-    every table so that identities mixing two tables stay homogeneous of the
-    same degree.
+    A single common factor multiplies every table so that identities mixing
+    two tables stay homogeneous of the same degree.
     """
-    seen: dict[int, tuple] = {}
-    for t in tables:
-        for row in t:
-            for v in row:
-                _nonzeros(v, seen)
-    d = math.lcm(*{c.denominator for nz in seen.values() for _, c in nz})
-    scaled = {key: tuple((k, c.numerator * (d // c.denominator)) for k, c in nz)
-              for key, nz in seen.items()}
-    return [tuple(tuple(scaled[id(v)] for v in row) for row in t) for t in tables]
+    d = math.lcm(*{c.denominator for t in tables for row in t for cell in row
+                   for _, c in cell})
+    return [tuple(tuple(tuple((k, c.numerator * (d // c.denominator)) for k, c in cell)
+                        if cell else cell for cell in row) for row in t)
+            for t in tables]
 
 
 def _grouped(ints: Mapping, name: str, how: str, cache: dict) -> dict:
@@ -323,21 +316,11 @@ def _first_failing_triple(identity: Identity, ints: Mapping, dim: int,
     return None
 
 
-def int_tables(tables: Mapping[str, Table]) -> dict[str, tuple]:
-    """:func:`int_scaled` of every table, by name, with one common factor."""
-    names = list(tables)
-    return dict(zip(names, int_scaled([tables[n] for n in names])))
-
-
 def verify_identities(identities: Sequence[Identity], tables: Mapping[str, Table],
-                      holds: str, ints: Mapping | None = None) -> Report:
+                      holds: str) -> Report:
     """Check each identity on every basis triple, in order; report the first
-    failure with its witness replayed in exact rationals, else ``ok(holds)``.
-
-    ``ints`` is :func:`int_tables` of ``tables`` when the caller has it.
-    """
-    if ints is None:
-        ints = int_tables(tables)
+    failure with its witness replayed in exact rationals, else ``ok(holds)``."""
+    ints = dict(zip(tables, int_scaled(list(tables.values()))))
     dim = len(next(iter(tables.values())))
     cache: dict = {}
     for identity in identities:

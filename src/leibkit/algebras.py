@@ -17,9 +17,9 @@ from ._tables import (
     ASSOCIATIVITY,
     Table,
     apply_table,
+    as_table,
     basis_vec,
     table_entries,
-    table_from_dense,
     table_from_entries,
     verify_identities,
 )
@@ -41,14 +41,15 @@ class BimoduleError(ValueError):
 class Algebra:
     """Finite-dimensional algebra given by structure constants.
 
-    ``table[i][j]`` holds the coordinates of the product of basis elements
-    i and j.  ``unit`` is the coordinate vector of an identity element when
-    one exists (it need not be a basis element).
+    ``table[i][j]`` holds the nonzero (k, c) coordinates of the product of
+    basis elements i and j (see ``_tables``); a dense ``t[i][j][k]`` nested
+    sequence is converted.  ``unit`` is the coordinate vector of an identity
+    element when one exists (it need not be a basis element).
     """
 
     def __init__(self, table: Table, basis_names: Sequence[str] | None = None,
                  unit: Sequence | None = None):
-        self.table = table if isinstance(table, tuple) else table_from_dense(table)
+        self.table = as_table(table)
         self.dim = len(self.table)
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             f"e{i}" for i in range(self.dim)
@@ -94,9 +95,11 @@ def find_unit(a: Algebra) -> Vec | None:
         eqs.setdefault((i, k, 1), {})[j] = c
     if any((j, j, side) not in eqs for j in range(a.dim) for side in (0, 1)):
         return None
+    # each distinct equation once; a row's unknowns were added in ascending order
+    distinct = dict.fromkeys((tuple(row.items()), int(j == k)) for (j, k, _), row in eqs.items())
     zero = Fraction(0)
-    rows = [[row.get(i, zero) for i in range(a.dim)] for row in eqs.values()]
-    return solve(Matrix(rows), [int(j == k) for j, k, _ in eqs])
+    rows = [[dict(row).get(i, zero) for i in range(a.dim)] for row, _ in distinct]
+    return solve(Matrix(rows), [rhs for _, rhs in distinct])
 
 
 class GradedAlgebra:
@@ -282,5 +285,5 @@ def upper_triangular_model() -> GradedAlgebra:
 
 def dual_numbers() -> GradedAlgebra:
     """Basis (u, eps): u is a unit, eps^2 = 0; grading even = {u}, odd = {eps}."""
-    one = Algebra(table_from_dense([[[1]]]), ["u"], unit=[1])
+    one = Algebra([[[1]]], ["u"], unit=[1])
     return make_trivial_extension(one, 1, left_action=[[[1]]], right_action=[[[1]]])

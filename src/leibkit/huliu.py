@@ -16,12 +16,11 @@ from ._tables import (
     JACOBI,
     Table,
     apply_table,
+    as_table,
     basis_products,
     basis_vec,
     evaluate,
-    int_tables,
     operators,
-    table_from_dense,
     verify_identities,
 )
 from .leibniz import (
@@ -47,7 +46,7 @@ class HuLiuAlgebra:
             self.leibniz = angle
         else:
             self.leibniz = LeibnizAlgebra(angle, basis_names)
-        self.square = square if isinstance(square, tuple) else table_from_dense(square)
+        self.square = as_table(square)
         if len(self.square) != self.leibniz.dim:
             raise ValueError("angle and square tables have different dimensions")
 
@@ -83,18 +82,15 @@ class HuLiuAlgebra:
 
 def verify_lie(square: Table) -> Report:
     """Antisymmetry on basis pairs and the Jacobi identity on basis triples."""
-    tables = {"s": square}
-    ints = int_tables(tables)
-    s = ints["s"]
-    dim = len(square)
+    square, dim = as_table(square), len(square)
     for i in range(dim):
         for j in range(i, dim):
-            a, b = s[i][j], s[j][i]
+            a, b = square[i][j], square[j][i]
             if (a or b) and a != tuple((k, -c) for k, c in b):
                 ei, ej = basis_vec(dim, i), basis_vec(dim, j)
                 return fail("antisymmetry", (ei, ej), apply_table(square, ei, ej),
                             vscale(-1, apply_table(square, ej, ei)), note=f"basis pair ({i},{j})")
-    return verify_identities((JACOBI,), tables, "Lie bracket", ints)
+    return verify_identities((JACOBI,), {"s": square}, "Lie bracket")
 
 
 def eval_huliu_identity(h: HuLiuAlgebra, which: int, x, y, z) -> tuple[Vec, Vec]:

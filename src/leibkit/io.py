@@ -26,8 +26,9 @@ class SchemaError(ValueError):
     """Malformed input file."""
 
 
-# Largest accepted ``dim``: a full table has dim^3 slots, about 0.3 GB at 256
-# (cells without entries share one zero vector, so a sparse file costs less).
+# Largest accepted ``dim``: a full table has dim^3 entries, about 2 GB at 256
+# (about 116 bytes an entry); a cell holds only its nonzero entries, so a
+# sparse file costs less.
 MAX_DIM = 256
 
 

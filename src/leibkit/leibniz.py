@@ -17,12 +17,12 @@ from ._tables import (
     RIGHT_LEIBNIZ,
     Table,
     apply_table,
+    as_table,
     basis_products,
     basis_vec,
     evaluate,
     operators,
     table_entries,
-    table_from_dense,
     table_from_entries,
     verify_identities,
 )
@@ -44,7 +44,7 @@ class LeibnizAlgebra:
     """A bilinear bracket on Q^dim, expected to satisfy the right Leibniz identity."""
 
     def __init__(self, angle: Table, basis_names: Sequence[str] | None = None):
-        self.angle = angle if isinstance(angle, tuple) else table_from_dense(angle)
+        self.angle = as_table(angle)
         self.dim = len(self.angle)
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             f"e{i}" for i in range(self.dim)

@@ -274,7 +274,10 @@ class CoveringPair:
             return False
 
     def verify(self, samples: int = 16, seed: int = 0) -> Report:
-        """Exact spot-check that xi is an idempotent group endomorphism."""
+        """Exact spot-check that xi is an idempotent group endomorphism, on at
+        least one sample."""
+        if samples < 1:
+            raise ValueError(f"xi check needs at least one sample, got {samples}")
         g = self.realization.graded
         rng = random.Random(seed)
         unit = g.algebra.unit
@@ -559,7 +562,10 @@ def check_xi_group(group: LinearXiGroup, samples: int = 1000, seed: int = 0) -> 
 
 
 def verify_group_closure(group: LinearXiGroup, samples: int = 32, seed: int = 0) -> Report:
-    """Sampled closure of the product-form set under products and inverses."""
+    """Sampled closure of the product-form set under products and inverses,
+    on at least one sample."""
+    if samples < 1:
+        raise ValueError(f"group closure check needs at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
     r = group.realization
     tol = group.tolerance
@@ -697,11 +703,14 @@ def exp_curve_check(group: LinearXiGroup, x, t_grid, curve: str = "exp") -> Curv
     are preserved by exp (orthogonality from skewness, unit determinant from
     tracelessness) the residual stays at rounding level.  ``curve="line"``:
     a(t) = 1 + t x; its residual is quadratic in t exactly when x is tangent
-    and linear when it is not, which is what the slope test fits.
+    and linear when it is not, which is what the slope test fits.  The grid
+    needs at least one t.
     """
     r = group.realization
     xf = np.array(x, dtype=float)
     ts = tuple(float(t) for t in t_grid)
+    if not ts:
+        raise ValueError("curve check needs at least one t")
     residuals = []
     scale = 1.0
     for t in ts:
@@ -714,7 +723,7 @@ def exp_curve_check(group: LinearXiGroup, x, t_grid, curve: str = "exp") -> Curv
             raise ValueError(f"unknown curve kind {curve!r}")
         scale = max(scale, float(np.linalg.norm(coords)))
         residuals.append(group.membership_residual(coords))
-    worst = max(residuals) if residuals else 0.0
+    worst = max(residuals)
     return CurveReport(worst <= group.tolerance * scale, curve, ts, tuple(residuals),
                        worst)
 

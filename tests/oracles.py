@@ -22,8 +22,16 @@ from leibkit.linalg import Matrix, full_space, kernel, solve, span, vadd, vscale
 from leibkit.report import fail, ok
 
 
+def dense(t):
+    """The coefficients t[i][j][k], as nested tuples of Fractions, of a table
+    whose cell t[i][j] holds the nonzero (k, c) pairs of product i, j."""
+    dim = len(t)
+    return tuple(tuple(tuple(Fraction(dict(cell).get(k, 0)) for k in range(dim))
+                       for cell in row) for row in t)
+
+
 def bracket_operators(angle):
-    dim = len(angle)
+    angle, dim = dense(angle), len(angle)
     right = [Matrix.from_cols([angle[i][j] for i in range(dim)]) for j in range(dim)]
     left = [Matrix.from_cols([angle[j][i] for i in range(dim)]) for j in range(dim)]
     return right + left
@@ -81,7 +89,7 @@ def invariant_lines_dim2(ops):
 
 
 def annihilator_by_symmetrization(angle):
-    dim = len(angle)
+    angle, dim = dense(angle), len(angle)
     gens = [tuple(a + b for a, b in zip(angle[i][j], angle[j][i]))
             for i in range(dim) for j in range(i, dim)]
     return span(gens, dim)
@@ -128,7 +136,7 @@ def bimodule_failures(a0_table, q, left_action, right_action):
     Keys are inserted in the order i, j, then the axioms left, right, middle,
     then m; the first key is the instance a per-pair matrix check reports.
     """
-    p = len(a0_table)
+    a0_table, p = dense(a0_table), len(a0_table)
     lam = _action_matrices(left_action, p, q, left=True)
     rho = _action_matrices(right_action, p, q, left=False)
 
@@ -154,7 +162,7 @@ def bimodule_failures(a0_table, q, left_action, right_action):
 
 def first_nonmultiplicative_pair(table, embed):
     """First basis pair (i, j) with embed[i] @ embed[j] != embed(ei ej), or None."""
-    n = embed[0].rows
+    n, table = embed[0].rows, dense(table)
     for i in range(len(table)):
         for j in range(len(table)):
             expect = Matrix.zero(n, n)
@@ -363,6 +371,7 @@ def sl2_semidirect(ns):
 def dense_int_scaled(tables):
     """Every table's sparse (index, int) rows over the least common
     denominator, read off the dense entries with ``int(c * d)``."""
+    tables = [dense(t) for t in tables]
     d = lcm(*{c.denominator for t in tables for row in t for v in row for c in v})
     return [
         tuple(tuple(tuple((k, int(c * d)) for k, c in enumerate(v) if c) for v in row)
@@ -401,7 +410,7 @@ def dense_first_failing_triple(identity, ints, dim):
 
 def dense_commutator_table(g, even_only):
     """Cells t[i][j] - t[j][i], zero where ``even_only`` and j is odd."""
-    t = g.algebra.table
+    t = dense(g.algebra.table)
     dim = g.dim
     return tuple(tuple(zeros(dim) if even_only and j not in g.even
                        else tuple(a - b for a, b in zip(t[i][j], t[j][i]))
@@ -411,7 +420,7 @@ def dense_commutator_table(g, even_only):
 
 def first_nonantisymmetric_pair(square):
     """First basis pair (i, j), i <= j, with [ei,ej] != -[ej,ei]."""
-    dim = len(square)
+    square, dim = dense(square), len(square)
     for i in range(dim):
         for j in range(i, dim):
             if any(a + b for a, b in zip(square[i][j], square[j][i])):
@@ -422,7 +431,7 @@ def first_nonantisymmetric_pair(square):
 def first_grading_failure(table, even):
     """(clause, i, j) of the first basis pair breaking the special grading,
     checking the dense product of every pair, or None."""
-    dim = len(table)
+    table, dim = dense(table), len(table)
     odd = [k for k in range(dim) if k not in even]
     for i in range(dim):
         for j in range(dim):
@@ -447,7 +456,7 @@ def _basis(dim, i):
 
 def dense_find_unit(table):
     """Solve the 2 dim^2 equations u e_j = e_j, e_j u = e_j for a unit."""
-    dim = len(table)
+    table, dim = dense(table), len(table)
     rows, rhs = [], []
     for j in range(dim):
         for k in range(dim):
@@ -461,7 +470,7 @@ def dense_find_unit(table):
 def dense_annihilator_presentations(angle):
     """The span of <ei,ei> and <ei+ej,ei+ej> (i < j), and the span of
     <ei,ej> + <ej,ei> (i <= j), from every cell."""
-    t, dim = angle, len(angle)
+    t, dim = dense(angle), len(angle)
     squares = [t[i][i] for i in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -473,18 +482,19 @@ def dense_annihilator_presentations(angle):
 def dense_direct_sum_table(a, b):
     """The block-diagonal bracket of two tables as a dense nested list."""
     p, dim = len(a), len(a) + len(b)
-    dense = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for off, t in ((0, a), (p, b)):
+    out = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for off, t in ((0, dense(a)), (p, dense(b))):
         for i in range(len(t)):
             for j in range(len(t)):
                 for k, c in enumerate(t[i][j]):
-                    dense[off + i][off + j][off + k] = c
-    return dense
+                    out[off + i][off + j][off + k] = c
+    return out
 
 
 def dense_bracket_compatibility(source, target, phi, identity):
     """First basis pair (i, j) with phi(source[i][j]) != target(phi ei, phi ej),
     the target product taken cell by cell."""
+    source, target = dense(source), dense(target)
     dim, tdim = len(source), len(target)
     for i in range(dim):
         for j in range(dim):
@@ -508,7 +518,7 @@ def dense_antisymmetry_failure(square):
     if pair is None:
         return None
     i, j = pair
-    dim = len(square)
+    square, dim = dense(square), len(square)
     return fail("antisymmetry", (_basis(dim, i), _basis(dim, j)), square[i][j],
                 vscale(-1, square[j][i]), note=f"basis pair ({i},{j})")
 
@@ -520,7 +530,7 @@ def dense_grading_failure(table, even):
     if found is None:
         return None
     clause, i, j = found
-    dim = len(table)
+    table, dim = dense(table), len(table)
     allowed = {"even*even in even": set(even), "odd*odd = 0": set(),
                "mixed products in odd": set(range(dim)) - set(even)}[clause]
     prod = table[i][j]
@@ -532,6 +542,7 @@ def dense_grading_failure(table, even):
 def dense_even_mult_matrix(table, even, x0_even):
     """Left multiplication by sum_a x0_even[a] e_even[a] on the even part,
     one sum over every even cell per matrix entry."""
+    table = dense(table)
     return Matrix([[sum((x0_even[a] * table[i][j][k] for a, i in enumerate(even)), Fraction(0))
                     for j in even] for k in even])
 
@@ -539,7 +550,7 @@ def dense_even_mult_matrix(table, even, x0_even):
 def dense_float_tensor(table, positions):
     """The whole table as a float array, cut down to ``positions``."""
     p = list(positions)
-    return np.array(table, dtype=float)[np.ix_(p, p, p)]
+    return np.array(dense(table), dtype=float)[np.ix_(p, p, p)]
 
 
 def dense_matrix_compatibility(name, n, table, even):
@@ -548,7 +559,7 @@ def dense_matrix_compatibility(name, n, table, even):
     matrix-unit product, or None when the family applies."""
     if len(even) != n * n:
         return f"{name} constraints need an even part of dimension {n * n}"
-    mat, dim = matrix_algebra(n).table, len(table)
+    mat, table, dim = dense(matrix_algebra(n).table), dense(table), len(table)
     for s in range(n * n):
         for t in range(n * n):
             lifted = [Fraction(0)] * dim

@@ -92,7 +92,7 @@ def test_criterion_2_derived_pair_is_huliu(corpus):
 
 def _squares_span(angle):
     """Independent route: polarized generating set of bracket squares."""
-    dim = len(angle)
+    angle, dim = oracles.dense(angle), len(angle)
     gens = [angle[i][i] for i in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):

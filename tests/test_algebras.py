@@ -19,7 +19,7 @@ from leibkit.algebras import (
 )
 from leibkit._tables import table_from_dense, table_from_entries
 
-from oracles import bimodule_failures, first_grading_failure
+from oracles import bimodule_failures, dense, first_grading_failure
 
 
 def mat2(rows):
@@ -115,7 +115,7 @@ def test_trivial_extension_gives_upper_triangular(ut_model):
 
 def test_trivial_extension_mat2_regular_bimodule():
     m2 = matrix_algebra(2)
-    g = make_trivial_extension(m2, 4, m2.table, m2.table)
+    g = make_trivial_extension(m2, 4, dense(m2.table), dense(m2.table))
     assert g.dim == 8
     assert verify_special_grading(g).holds
     assert g.algebra.unit is not None
@@ -153,7 +153,7 @@ def _right(tensor, v, a):
 
 
 def _hand_sides(axiom, table, left, right, i, j, m):
-    p, q = len(table), len(left[0])
+    table, p, q = dense(table), len(table), len(left[0])
     ei = tuple(Fraction(int(t == i)) for t in range(p))
     ej = tuple(Fraction(int(t == j)) for t in range(p))
     em = tuple(Fraction(int(t == m)) for t in range(q))
@@ -203,7 +203,7 @@ def _random_action(rng):
     """A base of dim <= 3 and an action on q <= 3: zero, regular or split
     diagonal, then 0-2 entries overwritten with values in [-1, 2]."""
     base = rng.choice(_ACTION_BASES)
-    p = len(base)
+    cells, p = dense(base), len(base)
     start = rng.choice(("zero", "regular", "diagonal"))
     q = p if start == "regular" else rng.randint(1, 3)
     left = [[[Fraction(0)] * q for _ in range(q)] for _ in range(p)]
@@ -211,14 +211,14 @@ def _random_action(rng):
     if start == "regular":
         for i in range(p):
             for m in range(q):
-                left[i][m] = list(base[i][m])
-                right[m][i] = list(base[m][i])
+                left[i][m] = list(cells[i][m])
+                right[m][i] = list(cells[m][i])
     elif start == "diagonal":
         for m in range(q):
             li, ri = rng.randrange(p), rng.randrange(p)
-            if base[li][li][li] == 1:
+            if cells[li][li][li] == 1:
                 left[li][m][m] = Fraction(1)
-            if base[ri][ri][ri] == 1:
+            if cells[ri][ri][ri] == 1:
                 right[m][ri][m] = Fraction(1)
     for _ in range(rng.choice((0, 1, 1, 2))):
         i, m, k = rng.randrange(p), rng.randrange(q), rng.randrange(q)
@@ -279,7 +279,7 @@ def test_multiply_bilinear(ut_model, x, xp, y):
 
 
 _m2 = matrix_algebra(2)
-_ext8 = make_trivial_extension(_m2, 4, _m2.table, _m2.table)
+_ext8 = make_trivial_extension(_m2, 4, dense(_m2.table), dense(_m2.table))
 
 
 @settings(max_examples=30)

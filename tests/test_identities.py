@@ -47,7 +47,7 @@ from leibkit.xigroup import (
     verify_tangent_huliu,
 )
 
-from oracles import dense_residual
+from oracles import dense, dense_residual
 
 # every declared identity, in the order the exact paths check them
 DECLARED = (ASSOCIATIVITY, RIGHT_LEIBNIZ, JACOBI, *COMPATIBILITY)
@@ -188,7 +188,7 @@ def test_graded_report_validate_and_cli_name_the_first_failure(
 
 
 def _float_arrays(tables):
-    return {k: np.array([[[float(c) for c in v] for v in row] for row in t])
+    return {k: np.array([[[float(c) for c in v] for v in row] for row in dense(t)])
             for k, t in tables.items()}
 
 

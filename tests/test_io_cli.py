@@ -319,3 +319,11 @@ def test_verify_json_of_the_block_upper_3_pair_is_pinned(tmp_path, capsys, mutan
     lio.save_file(h, path)
     assert cli.main(["verify", path, "--kind", "huliu", "--json"]) == status
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_derived_huliu_file_of_block_upper_2_is_pinned(tmp_path, capsys):
+    path, out = str(tmp_path / "bu.json"), tmp_path / "pair.json"
+    lio.save_file(make_block_upper(2, 2), path)
+    assert cli.main(["derive", path, "--huliu", "-o", str(out)]) == 0
+    digest = "56ced1dacd70d17cce40c700ef623f4365de0332f7517d2ad1629cdf5271cf12"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -32,7 +32,7 @@ import oracles
 
 def brute_force_leibniz(angle) -> bool:
     """Independent oracle: expand both identity sides on all basis triples."""
-    dim = len(angle)
+    angle, dim = oracles.dense(angle), len(angle)
     br = lambda x, y: apply(angle, x, y)
 
     def apply(t, x, y):
@@ -181,7 +181,7 @@ def test_classify_seed_reproducible(nilpotent_dim2):
 
 def test_classify_unknown_on_exhausted_budget():
     m2 = matrix_algebra(2)
-    g = make_trivial_extension(m2, 4, m2.table, m2.table)
+    g = make_trivial_extension(m2, 4, oracles.dense(m2.table), oracles.dense(m2.table))
     alg = derive_leibniz(g)
     assert annihilator(alg).dim >= 2  # forces the randomized sub-test
     verdict = classify_simplicity(alg, budget=0)

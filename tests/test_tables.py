@@ -24,17 +24,17 @@ from leibkit._tables import (
     _first_failing_triple,
     basis_products,
     int_scaled,
-    int_tables,
     operators,
     table_entries,
     table_from_dense,
     table_from_entries,
     verify_identities,
 )
-from leibkit.algebras import make_block_upper
+from leibkit.algebras import Algebra, make_block_upper
 from leibkit.derive import derive_huliu
 from leibkit.fuzz import generate_corpus
-from leibkit.huliu import verify_lie
+from leibkit.huliu import HuLiuAlgebra, verify_lie
+from leibkit.leibniz import LeibnizAlgebra
 
 import oracles
 
@@ -46,6 +46,52 @@ def random_table(rng, dim):
              for i in range(dim) for j in range(dim) for k in range(dim)
              if rng.random() < 0.3]
     return table_from_entries(dim, items)
+
+
+def _entry_list(rng, dim):
+    """Random (i, j, k, value) items in random order, with repeats, zeros and
+    pairs of items that cancel."""
+    items = []
+    for _ in range(rng.randint(0, 2 * dim ** 2)):
+        i, j, k = (rng.randrange(dim) for _ in range(3))
+        c = rng.choice((0, 1, -1, 2, "1/2", "-3/2", Fraction(2, 3)))
+        items.append((i, j, k, c))
+        if rng.random() < 0.3:
+            items.append((i, j, k, -Fraction(c)))
+    rng.shuffle(items)
+    return items
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_tables_are_canonical(seed):
+    rng = random.Random(seed)
+    dim = rng.randint(1, 5)
+    items = _entry_list(rng, dim)
+    t = table_from_entries(dim, items)
+    expected = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, j, k, c in items:
+        expected[i][j][k] += Fraction(c)
+    assert oracles.dense(t) == tuple(tuple(tuple(v) for v in row) for row in expected)
+    for row in t:
+        assert len(row) == dim
+        for cell in row:
+            assert all(c != 0 for _, c in cell)
+            assert [k for k, _ in cell] == sorted({k for k, _ in cell})
+    assert table_from_entries(dim, table_entries(t)) == t
+    assert table_from_dense(oracles.dense(t)) == t
+    nested = oracles.dense(t)
+    assert Algebra(nested).table == LeibnizAlgebra(nested).angle == table_from_dense(nested)
+    assert HuLiuAlgebra(nested, nested).square == table_from_dense(nested)
+    assert Algebra(t).table is t
+
+
+def test_table_from_dense_rejects_a_row_of_the_wrong_length():
+    with pytest.raises(ValueError, match="not dim x dim x dim"):
+        table_from_dense([[[1], [2]]])
+    with pytest.raises(ValueError, match="not dim x dim x dim"):
+        table_from_dense([[[1, 0], [0, 1]], [[0, 1]]])
+    with pytest.raises(ValueError, match="not dim x dim x dim"):
+        table_from_dense([[[1, 0], [0]], [[0, 1], [1, 0]]])
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -70,14 +116,15 @@ def test_int_scaled_multiplies_by_the_least_common_denominator(seed):
     tables = [random_table(rng, dim) for _ in range(2)]
     d = 1
     for t in tables:
-        for row in t:
+        for row in oracles.dense(t):
             for v in row:
                 for c in v:
                     d = d * c.denominator // math.gcd(d, c.denominator)
     for t, ints in zip(tables, int_scaled(tables)):
+        cells = oracles.dense(t)
         for i in range(dim):
             for j in range(dim):
-                assert ints[i][j] == tuple((k, int(c * d)) for k, c in enumerate(t[i][j]) if c)
+                assert ints[i][j] == tuple((k, int(c * d)) for k, c in enumerate(cells[i][j]) if c)
 
 
 def _mutant(tables, rng):
@@ -99,7 +146,7 @@ def _same_first_failures(tables, replay=True) -> int:
     return how many identities fail.  With ``replay`` the reports, whose
     witnesses are replayed in rationals, must name the same triples."""
     names = sorted(tables)
-    ints = int_tables(tables)
+    ints = dict(zip(names, int_scaled([tables[n] for n in names])))
     assert [ints[n] for n in names] == oracles.dense_int_scaled([tables[n] for n in names])
     dim = len(tables[names[0]])
     failing = 0
@@ -110,7 +157,7 @@ def _same_first_failures(tables, replay=True) -> int:
         failing += ijk is not None
         if not replay:
             continue
-        rep = verify_identities((identity,), tables, "holds", ints)
+        rep = verify_identities((identity,), tables, "holds")
         if ijk is None:
             assert rep.holds
         else:
@@ -180,10 +227,12 @@ def test_basis_products_are_the_nonzero_operator_columns(seed):
     t = random_table(rng, rng.randint(1, 5))
     dim = len(t)
     b = tuple(Fraction(rng.choice((0, 0, 1, -1, 3)), rng.choice((1, 2))) for _ in range(dim))
+    cells = oracles.dense(t)
     for side in ("right", "left"):
         images = [m.matvec(b) for m in operators(t, side)]
         assert list(basis_products(t, [b], side)) == [
             v for j, v in enumerate(images)
-            if any(b[i] and any(t[i][j] if side == "right" else t[j][i]) for i in range(dim))]
+            if any(b[i] and any(cells[i][j] if side == "right" else cells[j][i])
+                   for i in range(dim))]
     with pytest.raises(ValueError, match="side"):
         list(basis_products(t, [b], "both"))

@@ -35,7 +35,7 @@ from leibkit.xigroup import (
     xi,
 )
 
-from oracles import first_nonmultiplicative_pair, tangent_huliu_reference
+from oracles import dense, first_nonmultiplicative_pair, tangent_huliu_reference
 
 G2, R2 = mat_square_zero_extension(2)
 G3, R3 = mat_square_zero_extension(3)
@@ -173,6 +173,19 @@ def test_check_xi_group_violation_witness():
 def test_check_xi_group_needs_a_sample(samples):
     with pytest.raises(ValueError):
         check_xi_group(orth_group(2), samples=samples)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampled_checks_need_a_sample(samples):
+    with pytest.raises(ValueError, match="at least one sample"):
+        verify_group_closure(orth_group(2), samples=samples)
+    with pytest.raises(ValueError, match="at least one sample"):
+        CoveringPair(R2).verify(samples=samples)
+
+
+def test_curve_check_needs_a_point():
+    with pytest.raises(ValueError, match="at least one t"):
+        exp_curve_check(orth_group(2), np.zeros(8), [])
 
 
 def test_constraint_count_is_the_residual_length_at_the_unit():
@@ -423,7 +436,7 @@ def test_orthogonal_requires_matrix_even_part(ut_model):
                          ids=["block_upper(2,1)", "Mat(2) extension"])
 def test_regular_realization_is_left_multiplication(build):
     g = build()
-    t = g.algebra.table
+    t = dense(g.algebra.table)
     # column j of the i-th matrix is e_i e_j
     expected = [Matrix.from_cols([t[i][j] for j in range(g.dim)]) for i in range(g.dim)]
     assert list(regular_realization(g).embed) == expected
