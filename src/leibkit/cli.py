@@ -19,6 +19,8 @@ from .leibniz import LeibnizAlgebra, annihilator, classify_simplicity
 from .report import Report
 from .xigroup import (
     LinearXiGroup,
+    NotAUnitError,
+    SamplingError,
     check_xi_group,
     tangent_space,
     verify_tangent_huliu,
@@ -168,10 +170,13 @@ def cmd_xi_check(args, out) -> int:
     group = lio.load_file(args.path)
     if not isinstance(group, LinearXiGroup):
         raise lio.SchemaError("xi-check needs an xigroup file")
+    if args.samples < 1:
+        raise lio.SchemaError(f"xi-check needs at least one sample, got {args.samples}")
     try:
         chk = check_xi_group(group, samples=args.samples, seed=args.seed)
-    except ValueError as e:
-        raise lio.SchemaError(str(e)) from None
+    except (NotAUnitError, SamplingError) as e:  # a sample the check cannot use
+        sys.stderr.write(f"undecided: {e}\n")
+        return 3
     if args.json:
         json.dump({"holds": chk.holds, "samples": chk.samples,
                    "worst_residual": chk.worst_residual,

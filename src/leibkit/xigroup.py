@@ -41,6 +41,7 @@ from .report import Report, fail, ok
 
 DEFAULT_TOLERANCE = 1e-9
 _SAMPLE_RETRIES = 100
+_UNIT_RESIDUAL = 1e-6  # scaled inverse residual above which a float point is no unit
 
 
 class NotAUnitError(ValueError):
@@ -79,6 +80,10 @@ class MatrixRealization:
             raise ValueError("embedding matrices must be square of equal size")
         self._verify()
         self.np_tensor = _float_table(graded, range(graded.dim))
+        self.even_tensor = self.np_tensor[np.ix_(*[list(graded.even)] * 3)]
+        # the basis pairs (i, j) with a nonzero product, and their products
+        self._pairs = np.nonzero(np.any(self.np_tensor, axis=2))
+        self._pair_products = self.np_tensor[self._pairs]
         self.np_embed = np.array([m.data for m in self.embed], dtype=float)
         self._flat = self.np_embed.reshape(graded.dim, -1).T  # n^2 x dim
         self._flat_pinv = np.linalg.pinv(self._flat)
@@ -115,24 +120,31 @@ class MatrixRealization:
         return acc
 
     def realize_f(self, x) -> np.ndarray:
-        return np.einsum("i,ijk->jk", np.asarray(x, dtype=float), self.np_embed)
+        """The matrices of float coordinate vectors x (..., dim), as (..., n, n)."""
+        return np.tensordot(np.asarray(x, dtype=float), self.np_embed, 1)
 
     def coords_from_matrix(self, m: np.ndarray, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
         """Invert the embedding numerically; the matrix must lie in its image."""
-        coords = self._flat_pinv @ np.asarray(m, dtype=float).reshape(-1)
-        recon = self._flat @ coords
-        scale = max(1.0, float(np.linalg.norm(m)))
-        err = float(np.linalg.norm(recon - np.asarray(m, dtype=float).reshape(-1)))
-        if err > tol * scale:
+        flat = np.asarray(m, dtype=float).reshape(-1)
+        coords = self._flat_pinv @ flat
+        err = float(np.linalg.norm(self._flat @ coords - flat))
+        if err > tol * max(1.0, float(np.linalg.norm(m))):
             raise RealizationError(
                 f"matrix leaves the realized subalgebra (residual {err:.3e})")
         return coords
 
-    def op_norm(self, x) -> float:
-        return float(np.linalg.norm(self.realize_f(x), 2))
+    def op_norm(self, x):
+        """Spectral norms of the realized matrices of x (..., dim)."""
+        return np.linalg.norm(self.realize_f(x), 2, axis=(-2, -1))
 
-    def multiply_f(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", x, y, self.np_tensor)
+    def multiply_f(self, x, y) -> np.ndarray:
+        """Products x y of float coordinate vectors, broadcast over leading
+        axes: a sum over the basis pairs whose product is nonzero."""
+        i, j = self._pairs
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), y)
+        terms = x[..., i]
+        terms *= y[..., j]
+        return terms @ self._pair_products
 
 
 def regular_realization(g: GradedAlgebra) -> MatrixRealization:
@@ -148,18 +160,13 @@ def mat_square_zero_extension(n: int) -> tuple[GradedAlgebra, MatrixRealization]
     left, right = (operators(a0.table, side) for side in ("left", "right"))
     g = make_trivial_extension(a0, n * n, [[t.col(m) for m in range(n * n)] for t in left],
                                [[t.col(m) for t in right] for m in range(n * n)])
-    embed = []
-    for i in range(n):
-        for j in range(n):
-            m = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-            m[i][j] = Fraction(1)
-            m[n + i][n + j] = Fraction(1)
-            embed.append(Matrix(m))
-    for i in range(n):
-        for j in range(n):
-            m = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-            m[i][n + j] = Fraction(1)
-            embed.append(Matrix(m))
+
+    def ones(*cells):  # the 2n x 2n matrix with a 1 in each of the cells
+        return Matrix([[Fraction((a, b) in cells) for b in range(2 * n)] for a in range(2 * n)])
+
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    embed = ([ones((i, j), (n + i, n + j)) for i, j in pairs]
+             + [ones((i, n + j)) for i, j in pairs])
     return g, MatrixRealization(g, embed)
 
 
@@ -167,7 +174,7 @@ def xi(g: GradedAlgebra, x):
     """Even-component projection; idempotent and multiplicative on units."""
     if isinstance(x, np.ndarray):
         out = x.copy()
-        out[list(g.odd)] = 0.0
+        out[..., list(g.odd)] = 0.0
         return out
     return g.even_part(x)
 
@@ -205,13 +212,16 @@ def invert_unit(r: MatrixRealization, x):
 
     Raises NotAUnitError exactly when the even component is not invertible;
     this is the unit-group membership criterion.  Works on exact rational
-    coordinates and on float arrays.
+    coordinates and on float arrays (..., dim), where every row must be a unit.
     """
     g = r.graded
     if isinstance(x, np.ndarray) or (
         not isinstance(x, (tuple, list)) or any(isinstance(c, float) for c in x)
     ):
-        return _invert_unit_f(r, np.asarray(x, dtype=float))
+        inv, resid = _unit_inverses(r, np.asarray(x, dtype=float))
+        if not np.all(resid <= _UNIT_RESIDUAL):
+            raise _not_a_unit(np.max(resid))
+        return inv
     x = vec(x)
     even = list(g.even)
     x0_even = [x[i] for i in even]
@@ -230,25 +240,28 @@ def invert_unit(r: MatrixRealization, x):
     return inv
 
 
-def _invert_unit_f(r: MatrixRealization, x: np.ndarray) -> np.ndarray:
-    g = r.graded
-    even = list(g.even)
-    # left multiplication by the even part, restricted to even coordinates
-    m = np.einsum("i,ijk->kj", x[even], r.np_tensor[np.ix_(even, even, even)])
-    try:
-        y = np.linalg.solve(m, r.np_unit[even])
-    except np.linalg.LinAlgError as e:
-        raise NotAUnitError(str(e)) from None
-    x0_inv = np.zeros(g.dim)
-    x0_inv[even] = y
-    x1 = x.copy()
-    x1[even] = 0.0
-    inv = x0_inv - r.multiply_f(x0_inv, r.multiply_f(x1, x0_inv))
-    resid = np.linalg.norm(r.multiply_f(x, inv) - r.np_unit)
-    scale = max(1.0, float(np.linalg.norm(x)) * float(np.linalg.norm(inv)))
-    if not np.isfinite(resid) or resid > 1e-6 * scale:
-        raise NotAUnitError(f"even component numerically singular (residual {resid:.3e})")
-    return inv
+def _unit_inverses(r: MatrixRealization, x: np.ndarray):
+    """x0^-1 - x0^-1 x1 x0^-1 for the rows of x (..., dim), and each row's
+    residual |x inv - 1| / max(1, |x| |inv|), inf for a singular even part.
+    Rows with a residual above _UNIT_RESIDUAL are no units; their inverse is 0."""
+    even = list(r.graded.even)
+    # left multiplication by the even part, restricted to the even coordinates
+    m = np.swapaxes(np.tensordot(x[..., even], r.even_tensor, 1), -1, -2)
+    singular = np.linalg.slogdet(m)[0] == 0
+    m[singular] = np.eye(len(even))  # solved as the unit, flagged below
+    x0_inv = np.zeros(x.shape)
+    unit = np.broadcast_to(r.np_unit[even, None], m.shape[:-1] + (1,))  # one column each
+    x0_inv[..., even] = np.linalg.solve(m, unit)[..., 0]
+    del m  # free the stacked matrices before the products
+    inv = x0_inv - r.multiply_f(x0_inv, r.multiply_f(x - xi(r.graded, x), x0_inv))
+    resid = np.linalg.norm(r.multiply_f(x, inv) - r.np_unit, axis=-1) / np.maximum(
+        1.0, np.linalg.norm(x, axis=-1) * np.linalg.norm(inv, axis=-1))
+    resid = np.where(singular, np.inf, resid)
+    return np.where((resid <= _UNIT_RESIDUAL)[..., None], inv, 0.0), resid
+
+
+def _not_a_unit(resid) -> NotAUnitError:
+    return NotAUnitError(f"even component numerically singular (residual {resid:.3e})")
 
 
 @dataclass(frozen=True)
@@ -313,11 +326,12 @@ class CoveringPair:
 class ConstraintFamily:
     """Polynomial conditions cutting the even-part group out of the units.
 
-    ``evaluate`` takes the even coordinate vector (ordered like ``g.even``)
-    and returns a residual vector, one entry per constraint; members satisfy
-    residual = 0.  The group counts the constraints at the unit.  Every
-    family provides the exact Jacobian of its constraints at the unit, which
-    makes tangent spaces exact.
+    ``evaluate`` takes even coordinate vectors (..., even_dim), ordered like
+    ``g.even``, and returns residuals (..., m), one entry per constraint;
+    members satisfy residual = 0.  The group counts the constraints at the
+    unit.  ``sample`` draws ``count`` members as rows of a (count, even_dim)
+    array.  Every family provides the exact Jacobian of its constraints at
+    the unit, which makes tangent spaces exact.
     """
 
     name = "base"
@@ -332,7 +346,7 @@ class ConstraintFamily:
         """Exact Jacobian (rows: constraints, cols: even coords)."""
         raise NotImplementedError
 
-    def sample(self, g: GradedAlgebra, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, r: MatrixRealization, rng: np.random.Generator, count: int) -> np.ndarray:
         raise NotImplementedError
 
     def params(self) -> dict:
@@ -343,26 +357,34 @@ def _unit_even(g: GradedAlgebra) -> np.ndarray:
     return np.array(g.algebra.unit, dtype=float)[list(g.even)]
 
 
+def _redraw(draw, accept, count: int, what: str) -> np.ndarray:
+    """``count`` rows of ``draw`` that pass ``accept``; the rejected rows are
+    drawn again as one batch, up to _SAMPLE_RETRIES tries for each row."""
+    out = draw(count)
+    for _ in range(_SAMPLE_RETRIES):
+        rejected = ~accept(out)
+        if not rejected.any():
+            return out
+        out[rejected] = draw(int(rejected.sum()))
+    raise SamplingError(what)
+
+
 class NoConstraints(ConstraintFamily):
     """The full unit group: only invertibility of the even part."""
 
     name = "none"
 
     def evaluate(self, g, x0_even):
-        return np.zeros(0)
+        return np.zeros(np.shape(x0_even)[:-1] + (0,))
 
     def jacobian_at_unit(self, g):
         return Matrix([])
 
-    def sample(self, g, rng):
-        unit_even = _unit_even(g)
-        tensor = _float_table(g, g.even)
-        for _ in range(_SAMPLE_RETRIES):
-            x0 = unit_even + 0.5 * rng.standard_normal(len(g.even))
-            m = np.einsum("i,ijk->kj", x0, tensor)
-            if abs(np.linalg.det(m)) > 1e-3:
-                return x0
-        raise SamplingError("could not sample an invertible even element")
+    def sample(self, r, rng, count):
+        unit_even = _unit_even(r.graded)
+        return _redraw(lambda k: unit_even + 0.5 * rng.standard_normal((k, unit_even.size)),
+                       lambda x0: np.abs(np.linalg.det(np.tensordot(x0, r.even_tensor, 1))) > 1e-3,
+                       count, "could not sample an invertible even element")
 
 
 class _MatrixConstraints(ConstraintFamily):
@@ -393,24 +415,20 @@ class OrthogonalConstraints(_MatrixConstraints):
     name = "orthogonal"
 
     def evaluate(self, g, x0_even):
-        x = np.asarray(x0_even, dtype=float).reshape(self.n, self.n)
-        return (x.T @ x - np.eye(self.n)).reshape(-1)
+        x = np.asarray(x0_even, dtype=float)
+        m = x.reshape(x.shape[:-1] + (self.n, self.n))
+        return (np.swapaxes(m, -1, -2) @ m - np.eye(self.n)).reshape(x.shape)
 
     def jacobian_at_unit(self, g):
         n = self.n
-        rows = []
-        for a in range(n):
-            for b in range(n):
-                row = [Fraction(0)] * (n * n)
-                row[b * n + a] += Fraction(1)
-                row[a * n + b] += Fraction(1)
-                rows.append(row)
-        return Matrix(rows)
+        # row (a, b) is the differential of (X^T X)_ab at X = 1: dX_ba + dX_ab
+        return Matrix([[Fraction((k == b * n + a) + (k == a * n + b)) for k in range(n * n)]
+                       for a in range(n) for b in range(n)])
 
-    def sample(self, g, rng):
-        q, r = np.linalg.qr(rng.standard_normal((self.n, self.n)))
-        q = q * np.sign(np.diag(r))
-        return q.reshape(-1)
+    def sample(self, r, rng, count):
+        q, t = np.linalg.qr(rng.standard_normal((count, self.n, self.n)))
+        q = q * np.sign(np.diagonal(t, axis1=-2, axis2=-1))[:, None, :]
+        return q.reshape(count, -1)
 
 
 class SpecialLinearConstraints(_MatrixConstraints):
@@ -419,8 +437,8 @@ class SpecialLinearConstraints(_MatrixConstraints):
     name = "special-linear"
 
     def evaluate(self, g, x0_even):
-        x = np.asarray(x0_even, dtype=float).reshape(self.n, self.n)
-        return np.array([np.linalg.det(x) - 1.0])
+        x = np.asarray(x0_even, dtype=float)
+        return np.linalg.det(x.reshape(x.shape[:-1] + (self.n, self.n)))[..., None] - 1.0
 
     def jacobian_at_unit(self, g):
         n = self.n
@@ -429,17 +447,13 @@ class SpecialLinearConstraints(_MatrixConstraints):
             row[a * n + a] = Fraction(1)
         return Matrix([row])
 
-    def sample(self, g, rng):
-        for _ in range(_SAMPLE_RETRIES):
-            x = rng.standard_normal((self.n, self.n))
-            d = np.linalg.det(x)
-            if abs(d) < 0.1:
-                continue
-            if d < 0:
-                x[0] = -x[0]
-                d = -d
-            return (x / d ** (1.0 / self.n)).reshape(-1)
-        raise SamplingError("could not sample a well-conditioned matrix")
+    def sample(self, r, rng, count):
+        x = _redraw(lambda k: rng.standard_normal((k, self.n, self.n)),
+                    lambda x: np.abs(np.linalg.det(x)) >= 0.1,
+                    count, "could not sample a well-conditioned matrix")
+        d = np.linalg.det(x)
+        x[d < 0, 0] *= -1.0  # flip the first row where det < 0
+        return (x / np.abs(d)[:, None, None] ** (1.0 / self.n)).reshape(count, -1)
 
 
 class UnipotentConstraints(ConstraintFamily):
@@ -453,8 +467,8 @@ class UnipotentConstraints(ConstraintFamily):
     def jacobian_at_unit(self, g):
         return Matrix.identity(len(g.even))
 
-    def sample(self, g, rng):
-        return _unit_even(g)
+    def sample(self, r, rng, count):
+        return np.tile(_unit_even(r.graded), (count, 1))
 
 
 _FAMILIES = {cls.name: cls for cls in (NoConstraints, OrthogonalConstraints,
@@ -498,33 +512,28 @@ class LinearXiGroup:
             raise ValueError("the identity does not satisfy the constraints")
         self.num_constraints = resid.size
         self._v1 = np.array(self.odd_subspace.basis, dtype=float)
-        if self._v1.size:
-            self._v1_proj = self._v1.T @ np.linalg.pinv(self._v1.T)
-        else:
-            self._v1_proj = np.zeros((odd_dim, odd_dim)) if odd_dim else np.zeros((0, 0))
+        self._v1_proj = (self._v1.T @ np.linalg.pinv(self._v1.T) if self._v1.size
+                         else np.zeros((odd_dim, odd_dim)))
 
     @property
     def graded(self) -> GradedAlgebra:
         return self.realization.graded
 
-    def membership_residual(self, x: np.ndarray) -> float:
-        """Distance from the defining conditions: constraints + odd subspace."""
+    def membership_residual(self, x):
+        """Distance of each point of x (..., dim) from the defining conditions:
+        constraints + odd subspace."""
         x = np.asarray(x, dtype=float)
-        resid = self.constraints.evaluate(self.graded, x[self._even])
-        c = float(np.max(np.abs(resid))) if resid.size else 0.0
-        if self._odd:
-            v = x[self._odd]
-            d = float(np.linalg.norm(v - self._v1_proj @ v))
-        else:
-            d = 0.0
-        return max(c, d)
+        resid = self.constraints.evaluate(self.graded, x[..., self._even])
+        v = x[..., self._odd]
+        return np.maximum(np.max(np.abs(resid), axis=-1, initial=0.0),
+                          np.linalg.norm(v - v @ self._v1_proj.T, axis=-1))
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        g = self.graded
-        x = np.zeros(g.dim)
-        x[self._even] = self.constraints.sample(g, rng)
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` group elements drawn at random, as rows."""
+        x = np.zeros((count, self.graded.dim))
+        x[:, self._even] = self.constraints.sample(self.realization, rng, count)
         if self._v1.size:
-            x[self._odd] = rng.standard_normal(self._v1.shape[0]) @ self._v1
+            x[:, self._odd] = rng.standard_normal((count, self._v1.shape[0])) @ self._v1
         return x
 
 
@@ -544,20 +553,15 @@ def check_xi_group(group: LinearXiGroup, samples: int = 1000, seed: int = 0) -> 
         raise ValueError(f"xi-group check needs at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
     r = group.realization
-    worst = 0.0
-    witness = None
-    for _ in range(samples):
-        x = group.sample(rng)
-        h = group.sample(rng)
-        xe = xi(r.graded, x)
-        xe_inv = invert_unit(r, xe)
-        conj = r.multiply_f(r.multiply_f(xe, h), xe_inv)
-        scale = max(1.0, r.op_norm(x) * r.op_norm(h) * r.op_norm(xe_inv))
-        resid = group.membership_residual(conj) / scale
-        if resid > worst:
-            worst = resid
-            if resid > group.tolerance:
-                witness = (x, h, resid)
+    x, h = group.sample(rng, samples), group.sample(rng, samples)
+    xe = xi(r.graded, x)
+    xe_inv = invert_unit(r, xe)
+    conj = r.multiply_f(r.multiply_f(xe, h), xe_inv)
+    scale = np.maximum(1.0, r.op_norm(x) * r.op_norm(h) * r.op_norm(xe_inv))
+    resid = group.membership_residual(conj) / scale
+    i = int(np.argmax(resid))  # the first worst sample
+    worst = float(resid[i])
+    witness = (x[i], h[i], worst) if worst > group.tolerance else None
     return XiGroupReport(worst <= group.tolerance, samples, worst, witness)
 
 
@@ -569,23 +573,29 @@ def verify_group_closure(group: LinearXiGroup, samples: int = 32, seed: int = 0)
     rng = np.random.default_rng(seed)
     r = group.realization
     tol = group.tolerance
-    for _ in range(samples):
-        x = group.sample(rng)
-        y = group.sample(rng)
-        prod = r.multiply_f(x, y)
-        scale = max(1.0, r.op_norm(x) * r.op_norm(y))
-        if group.membership_residual(prod) > tol * scale:
-            return fail("closure under product",
-                        (vec(map(Fraction, x)), vec(map(Fraction, y))),
-                        vec(map(Fraction, prod)), zeros(r.dim),
-                        note=f"residual {group.membership_residual(prod):.3e}")
-        inv = invert_unit(r, x)
-        scale = max(1.0, r.op_norm(inv) ** 2)
-        if group.membership_residual(inv) > tol * scale:
-            return fail("closure under inverse", (vec(map(Fraction, x)),),
-                        vec(map(Fraction, inv)), zeros(r.dim),
-                        note=f"residual {group.membership_residual(inv):.3e}")
-    return ok("group closure")
+    x, y = group.sample(rng, samples), group.sample(rng, samples)
+    prod = r.multiply_f(x, y)
+    prod_resid = group.membership_residual(prod)
+    prod_bad = prod_resid > tol * np.maximum(1.0, r.op_norm(x) * r.op_norm(y))
+    inv, unit_resid = _unit_inverses(r, x)
+    inv_resid = group.membership_residual(inv)
+    non_unit = ~(unit_resid <= _UNIT_RESIDUAL)
+    inv_bad = non_unit | (inv_resid > tol * np.maximum(1.0, r.op_norm(inv) ** 2))
+    # the first failing sample in draw order, its product checked before its inverse
+    failed = np.flatnonzero(prod_bad | inv_bad)
+    if not failed.size:
+        return ok("group closure")
+    i = failed[0]
+    if prod_bad[i]:
+        return fail("closure under product",
+                    (vec(map(Fraction, x[i])), vec(map(Fraction, y[i]))),
+                    vec(map(Fraction, prod[i])), zeros(r.dim),
+                    note=f"residual {prod_resid[i]:.3e}")
+    if non_unit[i]:
+        raise _not_a_unit(unit_resid[i])
+    return fail("closure under inverse", (vec(map(Fraction, x[i])),),
+                vec(map(Fraction, inv[i])), zeros(r.dim),
+                note=f"residual {inv_resid[i]:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -664,13 +674,10 @@ def expm(a: np.ndarray) -> np.ndarray:
     if norm > 0.5:
         s = int(np.ceil(np.log2(norm / 0.5)))
         a = a / (2.0 ** s)
-    n = a.shape[0]
-    ident = np.eye(n)
+    ident = np.eye(a.shape[0])
     # Pade [6/6] coefficients via the standard recurrence
     c = 1.0
-    num = ident.copy()
-    den = ident.copy()
-    power = ident.copy()
+    num = den = power = ident  # rebound below, never written in place
     for k in range(1, 7):
         c = c * (7 - k) / (k * (13 - k))
         power = power @ a
@@ -711,21 +718,17 @@ def exp_curve_check(group: LinearXiGroup, x, t_grid, curve: str = "exp") -> Curv
     ts = tuple(float(t) for t in t_grid)
     if not ts:
         raise ValueError("curve check needs at least one t")
-    residuals = []
-    scale = 1.0
-    for t in ts:
-        if curve == "exp":
-            mat = expm(t * r.realize_f(xf))
-            coords = r.coords_from_matrix(mat, tol=group.tolerance)
-        elif curve == "line":
-            coords = r.np_unit + t * xf
-        else:
-            raise ValueError(f"unknown curve kind {curve!r}")
-        scale = max(scale, float(np.linalg.norm(coords)))
-        residuals.append(group.membership_residual(coords))
+    if curve == "exp":
+        coords = np.array([r.coords_from_matrix(expm(m), tol=group.tolerance)
+                           for m in np.multiply.outer(ts, r.realize_f(xf))])
+    elif curve == "line":
+        coords = r.np_unit + np.multiply.outer(ts, xf)
+    else:
+        raise ValueError(f"unknown curve kind {curve!r}")
+    residuals = tuple(map(float, group.membership_residual(coords)))
+    scale = max(1.0, *np.linalg.norm(coords, axis=-1))
     worst = max(residuals)
-    return CurveReport(worst <= group.tolerance * scale, curve, ts, tuple(residuals),
-                       worst)
+    return CurveReport(worst <= group.tolerance * scale, curve, ts, residuals, worst)
 
 
 def fitted_log_slope(t_grid, residuals, floor: float = 1e-14) -> float:
@@ -738,7 +741,4 @@ def fitted_log_slope(t_grid, residuals, floor: float = 1e-14) -> float:
     pts = [(t, r) for t, r in zip(t_grid, residuals) if r > floor]
     if len(pts) < 2:
         return float("inf")
-    lt = np.log10([p[0] for p in pts])
-    lr = np.log10([p[1] for p in pts])
-    slope, _ = np.polyfit(lt, lr, 1)
-    return float(slope)
+    return float(np.polyfit(*np.log10(pts).T, 1)[0])

@@ -6,7 +6,9 @@ bracket pair with the Hu-Liu verifiers.  The simplicity oracle for
 dimension <= 2 enumerates ideal candidates two ways: closures of all
 small-coordinate vectors, and (for dimension 2) the exact rational
 invariant lines of the multiplication operators via eigenvalue analysis,
-which makes the search exhaustive.
+which makes the search exhaustive.  The per-sample xi-group loops reuse
+the float primitives (products, inverses, norms, membership residuals) that
+the batched checks are built from, and redo only the looping.
 """
 
 from fractions import Fraction
@@ -18,8 +20,9 @@ import numpy as np
 from leibkit._tables import LEFT
 from leibkit.huliu import HuLiuAlgebra
 from leibkit.algebras import matrix_algebra
-from leibkit.linalg import Matrix, full_space, kernel, solve, span, vadd, vscale, zeros
+from leibkit.linalg import Matrix, full_space, kernel, solve, span, vadd, vec, vscale, zeros
 from leibkit.report import fail, ok
+from leibkit.xigroup import XiGroupReport, invert_unit, xi
 
 
 def dense(t):
@@ -569,3 +572,73 @@ def dense_matrix_compatibility(name, n, table, even):
                 return (f"{name} constraints need the even part to be the n x n "
                         f"matrix algebra in row-major basis order")
     return None
+
+
+# -- sampled xi-group checks, one sample at a time ------------------------------
+#
+# The two loops below are the per-sample versions of ``check_xi_group`` and
+# ``verify_group_closure``: each sample is drawn, checked and compared on its
+# own, so the report follows directly from the loop order.  They draw with
+# ``group.sample(rng, 1)``, one point per call, so they see other points than
+# the batched checks for the same seed; the tests compare verdicts, not draws.
+
+
+def xi_group_check_loop(group, samples=1000, seed=0):
+    """Conjugation stability, one sample at a time; the witness is the first
+    sample that sets the running worst residual above the tolerance."""
+    if samples < 1:
+        raise ValueError(f"xi-group check needs at least one sample, got {samples}")
+    rng = np.random.default_rng(seed)
+    r = group.realization
+    worst = 0.0
+    witness = None
+    for _ in range(samples):
+        x = group.sample(rng, 1)[0]
+        h = group.sample(rng, 1)[0]
+        xe = xi(r.graded, x)
+        xe_inv = invert_unit(r, xe)
+        conj = r.multiply_f(r.multiply_f(xe, h), xe_inv)
+        scale = max(1.0, r.op_norm(x) * r.op_norm(h) * r.op_norm(xe_inv))
+        resid = group.membership_residual(conj) / scale
+        if resid > worst:
+            worst = resid
+            if resid > group.tolerance:
+                witness = (x, h, resid)
+    return XiGroupReport(worst <= group.tolerance, samples, worst, witness)
+
+
+def group_closure_loop(group, samples=32, seed=0):
+    """Closure under products and inverses, one sample at a time; stops at
+    the first failure, the product checked before the inverse."""
+    if samples < 1:
+        raise ValueError(f"group closure check needs at least one sample, got {samples}")
+    rng = np.random.default_rng(seed)
+    r = group.realization
+    tol = group.tolerance
+    for _ in range(samples):
+        x = group.sample(rng, 1)[0]
+        y = group.sample(rng, 1)[0]
+        prod = r.multiply_f(x, y)
+        scale = max(1.0, r.op_norm(x) * r.op_norm(y))
+        if group.membership_residual(prod) > tol * scale:
+            return fail("closure under product",
+                        (vec(map(Fraction, x)), vec(map(Fraction, y))),
+                        vec(map(Fraction, prod)), zeros(r.dim),
+                        note=f"residual {group.membership_residual(prod):.3e}")
+        inv = invert_unit(r, x)
+        scale = max(1.0, r.op_norm(inv) ** 2)
+        if group.membership_residual(inv) > tol * scale:
+            return fail("closure under inverse", (vec(map(Fraction, x)),),
+                        vec(map(Fraction, inv)), zeros(r.dim),
+                        note=f"residual {group.membership_residual(inv):.3e}")
+    return ok("group closure")
+
+
+def conjugation_residual(group, x, h):
+    """The scaled residual of xi(x) h xi(x)^-1 for one pair, as the loop computes it."""
+    r = group.realization
+    xe = xi(r.graded, x)
+    xe_inv = invert_unit(r, xe)
+    conj = r.multiply_f(r.multiply_f(xe, h), xe_inv)
+    return group.membership_residual(conj) / max(
+        1.0, r.op_norm(x) * r.op_norm(h) * r.op_norm(xe_inv))

@@ -2,6 +2,7 @@ import hashlib
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from leibkit import cli
@@ -12,7 +13,13 @@ from leibkit.derive import derive_huliu, derive_leibniz
 from leibkit.huliu import HuLiuAlgebra
 from leibkit.leibniz import LeibnizAlgebra, eval_right_leibniz
 from leibkit.linalg import span
-from leibkit.xigroup import LinearXiGroup, OrthogonalConstraints, mat_square_zero_extension
+from leibkit.xigroup import (
+    ConstraintFamily,
+    LinearXiGroup,
+    OrthogonalConstraints,
+    SamplingError,
+    mat_square_zero_extension,
+)
 
 import oracles
 
@@ -195,6 +202,39 @@ def test_cli_xi_check_without_samples_is_an_input_error(tmp_path, capsys, sample
     assert cli.main(["xi-check", xp, "--samples", samples]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "sample" in captured.err
+
+
+class _StubFamily(ConstraintFamily):
+    """No constraints; its draws are singular even parts, or it fails to draw."""
+
+    name = "stub"
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def evaluate(self, g, x0_even):
+        return np.zeros(np.shape(x0_even)[:-1] + (0,))
+
+    def sample(self, r, rng, count):
+        if not self.draws:
+            raise SamplingError("could not sample an invertible even element")
+        return np.zeros((count, len(r.graded.even)))
+
+
+@pytest.mark.parametrize("draws,message", [
+    (True, "numerically singular"), (False, "could not sample"),
+], ids=["non-unit sample", "sampler gives up"])
+def test_cli_xi_check_on_a_sample_it_cannot_use_is_undecided(monkeypatch, capsys, draws,
+                                                              message):
+    _, r2 = mat_square_zero_extension(2)
+    group = LinearXiGroup(r2, _StubFamily(draws))
+    monkeypatch.setattr(cli.lio, "load_file", lambda path: group)
+    for extra in ([], ["--json"]):
+        assert cli.main(["xi-check", "stub.json", "--samples", "3", *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("undecided: ") and captured.err.count("\n") == 1
+        assert message in captured.err
 
 
 def test_block_upper_file_checks(tmp_path):

@@ -18,6 +18,7 @@ from leibkit.xigroup import (
     NotAUnitError,
     OrthogonalConstraints,
     RealizationError,
+    SamplingError,
     SpecialLinearConstraints,
     TangentSpace,
     UnipotentConstraints,
@@ -35,7 +36,14 @@ from leibkit.xigroup import (
     xi,
 )
 
-from oracles import dense, first_nonmultiplicative_pair, tangent_huliu_reference
+from oracles import (
+    conjugation_residual,
+    dense,
+    first_nonmultiplicative_pair,
+    group_closure_loop,
+    tangent_huliu_reference,
+    xi_group_check_loop,
+)
 
 G2, R2 = mat_square_zero_extension(2)
 G3, R3 = mat_square_zero_extension(3)
@@ -136,6 +144,42 @@ def test_invert_unit_float_path():
     inv = invert_unit(R2, x)
     assert np.allclose(R2.multiply_f(x, inv), R2.np_unit, atol=1e-12)
     assert np.allclose(R2.multiply_f(inv, x), R2.np_unit, atol=1e-12)
+
+
+def test_invert_unit_float_path_on_a_stack():
+    grp = LinearXiGroup(R3, NoConstraints())
+    x = grp.sample(np.random.default_rng(2), 7)
+    inv = invert_unit(R3, x)
+    assert inv.shape == x.shape
+    for row, row_inv in zip(x, inv):
+        assert np.allclose(R3.multiply_f(row, row_inv), R3.np_unit, atol=1e-12)
+        assert np.allclose(R3.multiply_f(row_inv, row), R3.np_unit, atol=1e-12)
+        assert np.allclose(invert_unit(R3, row), row_inv, atol=1e-12)
+
+
+def test_invert_unit_float_path_rejects_a_stack_with_one_non_unit():
+    x = np.tile(R2.np_unit, (3, 1))
+    x[1, :4] = [1.0, 2.0, 2.0, 4.0]  # a singular even part
+    with pytest.raises(NotAUnitError):
+        invert_unit(R2, x)
+    with pytest.raises(NotAUnitError):
+        invert_unit(R2, x[1])
+    assert np.allclose(invert_unit(R2, x[[0, 2]]), x[[0, 2]])
+
+
+def test_float_products_and_norms_broadcast_over_leading_axes():
+    rng = np.random.default_rng(7)
+    x, y = rng.standard_normal((2, 3, 4, 8))
+    prod, norms, mats = R2.multiply_f(x, y), R2.op_norm(x), R2.realize_f(x)
+    assert prod.shape == (3, 4, 8) and norms.shape == (3, 4) and mats.shape == (3, 4, 4, 4)
+    for a in range(3):
+        for b in range(4):
+            assert np.allclose(prod[a, b], np.einsum("i,j,ijk->k", x[a, b], y[a, b], R2.np_tensor))
+            assert np.allclose(mats[a, b], np.einsum("i,ijk->jk", x[a, b], R2.np_embed))
+            # the spectral norm, not the (larger) Frobenius norm
+            assert np.isclose(norms[a, b], np.linalg.svd(mats[a, b], compute_uv=False)[0])
+    assert np.allclose(R2.multiply_f(x, y[0, 0]),
+                       R2.multiply_f(x, np.broadcast_to(y[0, 0], x.shape)))
 
 
 def test_xi_projection(ut_model):
@@ -477,3 +521,172 @@ def test_matrix_families_accept_the_matrix_extensions(family, n):
     g, r = (G2, R2) if n == 2 else (G3, R3)
     assert family(n).check_compatible(g) is None
     assert LinearXiGroup(r, family(n)).constraints.n == n
+
+
+# -- batched sampling --------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_family_draws_satisfy_their_constraints(n):
+    g, r = (G2, R2) if n == 2 else (G3, R3)
+    rng = np.random.default_rng(n)
+    q = OrthogonalConstraints(n).sample(r, rng, 200).reshape(200, n, n)
+    assert np.abs(np.swapaxes(q, 1, 2) @ q - np.eye(n)).max() <= 1e-12
+    s = SpecialLinearConstraints(n).sample(r, rng, 200).reshape(200, n, n)
+    assert np.abs(np.linalg.det(s) - 1.0).max() <= 1e-12
+    x0 = NoConstraints().sample(r, rng, 200)
+    assert x0.shape == (200, n * n)
+    assert np.abs(np.linalg.det(np.tensordot(x0, r.even_tensor, 1))).min() > 1e-3
+    u = UnipotentConstraints().sample(r, rng, 5)
+    assert np.array_equal(u, np.tile(r.np_unit[list(g.even)], (5, 1)))
+
+
+class _ScriptedNormal:
+    """A generator stand-in for matrix draws: every draw is 2 * identity,
+    except the rows ``zero_rows`` of the first draw (all rows, every draw,
+    when ``zero_rows`` is None), which are zero."""
+
+    def __init__(self, zero_rows=None):
+        self.zero_rows, self.calls = zero_rows, []
+
+    def standard_normal(self, shape):
+        self.calls.append(shape)
+        out = np.broadcast_to(2.0 * np.eye(shape[-1]), shape).copy()
+        if self.zero_rows is None:
+            out[...] = 0.0
+        elif len(self.calls) == 1:
+            out[self.zero_rows] = 0.0
+        return out
+
+
+def test_rejected_draws_are_drawn_again_as_one_batch():
+    rng = _ScriptedNormal(zero_rows=[1, 3])
+    s = SpecialLinearConstraints(2).sample(R2, rng, 5)
+    assert np.array_equal(s, np.tile([1.0, 0.0, 0.0, 1.0], (5, 1)))
+    assert rng.calls == [(5, 2, 2), (2, 2, 2)]
+
+
+def test_sampling_gives_up_after_the_retry_budget():
+    rng = _ScriptedNormal()
+    with pytest.raises(SamplingError, match="well-conditioned"):
+        SpecialLinearConstraints(2).sample(R2, rng, 3)
+    assert len(rng.calls) == 101 and set(rng.calls[1:]) == {(3, 2, 2)}
+
+
+_FOUR_FAMILIES = [NoConstraints, OrthogonalConstraints, SpecialLinearConstraints,
+                  UnipotentConstraints]
+
+
+def _group(family, n, odd=None):
+    r = R2 if n == 2 else R3
+    fam = family(n) if family in (OrthogonalConstraints, SpecialLinearConstraints) else family()
+    if odd == "one-coordinate":
+        odd = span([[1] + [0] * (n * n - 1)], n * n)
+    elif odd == "first-column":
+        odd = span([[int(k == i * n) for k in range(n * n)] for i in range(n)], n * n)
+    return LinearXiGroup(r, fam, odd)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("family", _FOUR_FAMILIES, ids=lambda f: f.name)
+def test_membership_residual_of_a_stack_is_the_rowwise_residual(family, n):
+    for odd in (None, "one-coordinate"):
+        grp = _group(family, n, odd)
+        rng = np.random.default_rng(3)
+        x = np.concatenate([grp.sample(rng, 4), rng.standard_normal((4, grp.graded.dim))])
+        batched = grp.membership_residual(x)
+        assert batched.shape == (8,)
+        assert np.allclose(batched, [grp.membership_residual(row) for row in x],
+                           rtol=1e-12, atol=1e-15)
+        assert grp.membership_residual(x.reshape(2, 4, -1)).shape == (2, 4)
+
+
+@pytest.mark.parametrize("odd", [None, "one-coordinate", "first-column"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("family", _FOUR_FAMILIES, ids=lambda f: f.name)
+def test_batched_checks_agree_with_the_per_sample_loops(family, n, odd):
+    grp = _group(family, n, odd)
+    tol = grp.tolerance
+    for seed in range(20):
+        got, want = check_xi_group(grp, 12, seed), xi_group_check_loop(grp, 12, seed)
+        assert got.holds == want.holds
+        assert (got.worst_residual <= tol) == (want.worst_residual <= tol)
+        assert (got.witness is None) == got.holds
+        rng = np.random.default_rng(seed)
+        xs, hs = grp.sample(rng, 12), grp.sample(rng, 12)
+        again = [conjugation_residual(grp, x, h) for x, h in zip(xs, hs)]
+        assert max(again) == pytest.approx(got.worst_residual, rel=1e-9, abs=1e-18)
+        if got.witness is not None:
+            x, h, resid = got.witness
+            i = next(i for i in range(12) if np.array_equal(xs[i], x))
+            assert np.array_equal(hs[i], h) and resid == got.worst_residual
+            assert again[i] == pytest.approx(resid, rel=1e-9)
+
+        got, want = verify_group_closure(grp, 12, seed), group_closure_loop(grp, 12, seed)
+        assert got.holds == want.holds
+        if not got.holds:
+            assert got.identity == want.identity
+            rng = np.random.default_rng(seed)
+            xs, ys = grp.sample(rng, 12), grp.sample(rng, 12)
+            i = next(i for i in range(12)
+                     if got.witness.inputs[0] == tuple(map(Fraction, xs[i])))
+            # every earlier sample passes both checks, one at a time
+            for x, y in zip(xs[:i], ys[:i]):
+                assert _closure_ok(grp, x, y)
+            note = float(got.witness.note.split()[-1])
+            if got.identity == "closure under product":
+                assert got.witness.inputs[1] == tuple(map(Fraction, ys[i]))
+                resid = grp.membership_residual(grp.realization.multiply_f(xs[i], ys[i]))
+            else:
+                resid = grp.membership_residual(invert_unit(grp.realization, xs[i]))
+            assert note == pytest.approx(resid, rel=1e-3)
+
+
+def _closure_ok(grp, x, y):
+    """Both closure checks of the per-sample loop pass on the pair x, y."""
+    r, tol = grp.realization, grp.tolerance
+    inv = invert_unit(r, x)
+    prod_scale = max(1.0, r.op_norm(x) * r.op_norm(y))
+    return (grp.membership_residual(r.multiply_f(x, y)) <= tol * prod_scale
+            and grp.membership_residual(inv) <= tol * max(1.0, r.op_norm(inv) ** 2))
+
+
+class _Scripted(ConstraintFamily):
+    """No constraints; row k of every batch drawn has the k-th even part of
+    ``evens`` (the unit where the list runs out)."""
+
+    name = "scripted"
+
+    def __init__(self, *evens):
+        self.evens = evens
+
+    def evaluate(self, g, x0_even):
+        return np.zeros(np.shape(x0_even)[:-1] + (0,))
+
+    def sample(self, r, rng, count):
+        out = np.tile(r.np_unit[list(r.graded.even)], (count, 1))
+        out[:len(self.evens)] = self.evens
+        return out
+
+
+_SHEAR = (2.0, 1.0, 0.0, 1.0)  # [[2, 1], [0, 1]]
+_SINGULAR = (0.0, 0.0, 0.0, 0.0)
+
+
+def test_closure_reports_the_first_failure_before_a_later_non_unit():
+    # sample 0's product leaves the single odd coordinate; sample 1 is no unit
+    grp = LinearXiGroup(R2, _Scripted(_SHEAR, _SINGULAR), span([(1, 0, 0, 0)], 4))
+    rep = verify_group_closure(grp, samples=3, seed=0)
+    assert not rep.holds and rep.identity == "closure under product"
+    assert rep.witness.inputs[0][:4] == tuple(map(Fraction, _SHEAR))
+
+
+def test_closure_raises_when_the_first_failure_is_a_non_unit():
+    grp = LinearXiGroup(R2, _Scripted(_SHEAR, _SINGULAR))
+    with pytest.raises(NotAUnitError):
+        verify_group_closure(grp, samples=3, seed=0)
+
+
+def test_conjugation_check_raises_on_any_non_unit():
+    grp = LinearXiGroup(R2, _Scripted(_SHEAR, _SHEAR, _SINGULAR))
+    with pytest.raises(NotAUnitError):
+        check_xi_group(grp, samples=5, seed=0)
