@@ -43,14 +43,12 @@ from .report import HomReport, Report, Witness
 from .fuzz import generate_corpus, run_fuzz
 from .io import SchemaError, load_file, save_file
 from .xigroup import (
-    CoveringPair,
     CurveReport,
     LinearXiGroup,
     MatrixRealization,
     NoConstraints,
     NotAUnitError,
     OrthogonalConstraints,
-    RealizationError,
     SamplingError,
     SpecialLinearConstraints,
     TangentSpace,

@@ -21,6 +21,7 @@ from .xigroup import (
     LinearXiGroup,
     NotAUnitError,
     SamplingError,
+    check_sample_count,
     check_xi_group,
     tangent_space,
     verify_tangent_huliu,
@@ -170,8 +171,10 @@ def cmd_xi_check(args, out) -> int:
     group = lio.load_file(args.path)
     if not isinstance(group, LinearXiGroup):
         raise lio.SchemaError("xi-check needs an xigroup file")
-    if args.samples < 1:
-        raise lio.SchemaError(f"xi-check needs at least one sample, got {args.samples}")
+    try:
+        check_sample_count("xi-check", args.samples, group.graded.dim)
+    except ValueError as e:
+        raise lio.SchemaError(str(e)) from None
     try:
         chk = check_xi_group(group, samples=args.samples, seed=args.seed)
     except (NotAUnitError, SamplingError) as e:  # a sample the check cannot use

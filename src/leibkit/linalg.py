@@ -290,7 +290,9 @@ def span(vectors: Sequence[Sequence], ambient_dim: int) -> Subspace:
 
 
 def full_space(n: int) -> Subspace:
-    return span([Matrix.identity(n).row(i) for i in range(n)], n)
+    """Q^n with its canonical basis, the identity rows, which are in RREF."""
+    return Subspace(n, [(_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - 1 - i) for i in range(n)],
+                    range(n))
 
 
 def kernel(m: Matrix) -> Subspace:

@@ -1,25 +1,25 @@
 """Linear xi-groups: unit groups of matrix-realized graded algebras.
 
-The unit group of a unital special graded algebra consists of the elements
-whose even component is invertible; projecting away the odd component is an
-idempotent group endomorphism, so the unit group together with that
-projection covers every subgroup stable under conjugation by projected
-elements.  Groups here are restricted to product form
-``{x0 + x1 : p(x0) = 0, x1 in V1}`` with ``p`` drawn from named polynomial
-constraint families.  Each family has a rational Jacobian at the unit, so the
-tangent space (kernel of that Jacobian) + V1 is computed exactly, and it is
-certified Hu-Liu by one exact check: closure under the two derived brackets
-of the ambient graded algebra.
+A xi-group is a group with an idempotent endomorphism xi.  On a unital
+special graded algebra the units are the elements whose even component is
+invertible, and the even projection is such a xi; the special grading proves
+this (see ``xi`` and ``invert_unit``), and it is verified exactly whenever a
+``MatrixRealization`` is built, so the laws need no sampling.  Groups here
+are restricted to product form ``{x0 + x1 : p(x0) = 0, x1 in V1}`` with
+``p`` drawn from named polynomial constraint families.  Each family has a
+rational Jacobian at the unit, so the tangent space (kernel of that
+Jacobian) + V1 is computed exactly, and it is certified Hu-Liu by one exact
+check: closure under the two derived brackets of the ambient graded algebra.
 
 Exact data (structure tensors, embeddings, tangent bases) uses Fractions;
 sampling, conjugation checks, and curve checks run in float64 with
-residuals scaled by operator norms.
+residuals scaled by operator norms.  A sampled check holds all its samples
+at once, so its size is bounded by ``MAX_SAMPLE_FLOATS``.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import ClassVar
@@ -43,6 +43,12 @@ DEFAULT_TOLERANCE = 1e-9
 _SAMPLE_RETRIES = 100
 _UNIT_RESIDUAL = 1e-6  # scaled inverse residual above which a float point is no unit
 
+# Largest accepted samples x dim^2 of a sampled check, which holds all its
+# samples at once: traced peaks (tracemalloc, numpy 2.4) were about 4 bytes a
+# unit at dim 32, 6 at dim 18 and 90 at dim 1, so at most about 52 MB at
+# dim 18 (25890 samples of the Mat(3) extension) and 760 MB at dim 1.
+MAX_SAMPLE_FLOATS = 2 ** 23
+
 
 class NotAUnitError(ValueError):
     """The even component is singular, i.e. the element is not a unit."""
@@ -50,10 +56,6 @@ class NotAUnitError(ValueError):
 
 class SamplingError(RuntimeError):
     """The constraint sampler failed to produce a point."""
-
-
-class RealizationError(RuntimeError):
-    """A matrix could not be mapped back to algebra coordinates."""
 
 
 class MatrixRealization:
@@ -85,8 +87,6 @@ class MatrixRealization:
         self._pairs = np.nonzero(np.any(self.np_tensor, axis=2))
         self._pair_products = self.np_tensor[self._pairs]
         self.np_embed = np.array([m.data for m in self.embed], dtype=float)
-        self._flat = self.np_embed.reshape(graded.dim, -1).T  # n^2 x dim
-        self._flat_pinv = np.linalg.pinv(self._flat)
         self.np_unit = np.array(graded.algebra.unit, dtype=float)
 
     def _verify(self):
@@ -122,16 +122,6 @@ class MatrixRealization:
     def realize_f(self, x) -> np.ndarray:
         """The matrices of float coordinate vectors x (..., dim), as (..., n, n)."""
         return np.tensordot(np.asarray(x, dtype=float), self.np_embed, 1)
-
-    def coords_from_matrix(self, m: np.ndarray, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
-        """Invert the embedding numerically; the matrix must lie in its image."""
-        flat = np.asarray(m, dtype=float).reshape(-1)
-        coords = self._flat_pinv @ flat
-        err = float(np.linalg.norm(self._flat @ coords - flat))
-        if err > tol * max(1.0, float(np.linalg.norm(m))):
-            raise RealizationError(
-                f"matrix leaves the realized subalgebra (residual {err:.3e})")
-        return coords
 
     def op_norm(self, x):
         """Spectral norms of the realized matrices of x (..., dim)."""
@@ -171,7 +161,9 @@ def mat_square_zero_extension(n: int) -> tuple[GradedAlgebra, MatrixRealization]
 
 
 def xi(g: GradedAlgebra, x):
-    """Even-component projection; idempotent and multiplicative on units."""
+    """Even-component projection, an idempotent endomorphism of the units:
+    by the special grading xy = x0 y0 + (x0 y1 + x1 y0) + 0 has even part
+    x0 y0 = xi(x) xi(y), and units have unit even parts (see ``invert_unit``)."""
     if isinstance(x, np.ndarray):
         out = x.copy()
         out[..., list(g.odd)] = 0.0
@@ -210,9 +202,13 @@ def _even_mult_matrix(g: GradedAlgebra, x0_even):
 def invert_unit(r: MatrixRealization, x):
     """Inverse of a unit x0 + x1, namely x0^-1 - x0^-1 x1 x0^-1.
 
-    Raises NotAUnitError exactly when the even component is not invertible;
-    this is the unit-group membership criterion.  Works on exact rational
-    coordinates and on float arrays (..., dim), where every row must be a unit.
+    Raises NotAUnitError exactly when the even component is not invertible,
+    which the special grading makes the unit-group criterion.  The unit u is
+    even: u1 = u u1 = u0 u1 and u1 = u1 u = u1 u0 as odd*odd = 0, while u u = u
+    has odd part u0 u1 + u1 u0 = u1, so u1 = 0.  So xy = yx = 1 gives
+    x0 y0 = y0 x0 = 1, and conversely the formula is a two-sided inverse, as
+    x1 x0^-1 x1 = 0.  Works on exact rational coordinates and on float arrays
+    (..., dim), where every row must be a unit.
     """
     g = r.graded
     if isinstance(x, np.ndarray) or (
@@ -262,61 +258,6 @@ def _unit_inverses(r: MatrixRealization, x: np.ndarray):
 
 def _not_a_unit(resid) -> NotAUnitError:
     return NotAUnitError(f"even component numerically singular (residual {resid:.3e})")
-
-
-@dataclass(frozen=True)
-class CoveringPair:
-    """Unit group of a realized graded algebra with the even projection."""
-
-    realization: MatrixRealization
-
-    def xi(self, x):
-        return xi(self.realization.graded, x)
-
-    def product(self, x, y):
-        return self.realization.graded.multiply(x, y)
-
-    def inverse(self, x):
-        return invert_unit(self.realization, x)
-
-    def contains(self, x) -> bool:
-        try:
-            invert_unit(self.realization, x)
-            return True
-        except NotAUnitError:
-            return False
-
-    def verify(self, samples: int = 16, seed: int = 0) -> Report:
-        """Exact spot-check that xi is an idempotent group endomorphism, on at
-        least one sample."""
-        if samples < 1:
-            raise ValueError(f"xi check needs at least one sample, got {samples}")
-        g = self.realization.graded
-        rng = random.Random(seed)
-        unit = g.algebra.unit
-
-        def random_unit():
-            for _ in range(_SAMPLE_RETRIES):
-                x = tuple(unit[i] + Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-                          for i in range(g.dim))
-                try:
-                    invert_unit(self.realization, x)
-                    return x
-                except NotAUnitError:
-                    continue
-            raise SamplingError("could not sample a unit")
-
-        for _ in range(samples):
-            x, y = random_unit(), random_unit()
-            lhs = self.xi(self.product(x, y))
-            rhs = self.product(self.xi(x), self.xi(y))
-            if lhs != rhs:
-                return fail("xi multiplicative", (x, y), lhs, rhs)
-            if self.xi(self.xi(x)) != self.xi(x):
-                return fail("xi idempotent", (x,), self.xi(self.xi(x)), self.xi(x))
-            if not self.contains(self.xi(x)):
-                return fail("xi lands in the unit group", (x,), self.xi(x), unit)
-        return ok("covering pair")
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +486,21 @@ class XiGroupReport:
     witness: tuple | None = None  # (x, h, residual)
 
 
+def check_sample_count(what: str, samples: int, dim: int):
+    """Raise ValueError, before anything is drawn, unless 1 <= samples and
+    samples x dim^2 <= MAX_SAMPLE_FLOATS: no samples would be no evidence."""
+    if samples < 1:
+        raise ValueError(f"{what} needs at least one sample, got {samples}")
+    if samples * dim * dim > MAX_SAMPLE_FLOATS:
+        raise ValueError(f"{what} with {samples} samples at dim {dim} is above the limit "
+                         f"of {MAX_SAMPLE_FLOATS} for samples x dim^2")
+
+
 def check_xi_group(group: LinearXiGroup, samples: int = 1000, seed: int = 0) -> XiGroupReport:
     """Sampled conjugation-stability check: xi(x) h xi(x)^-1 must satisfy the
     group's membership conditions within tolerance, for sampled x, h.
-    At least one sample is required: no samples would be no evidence."""
-    if samples < 1:
-        raise ValueError(f"xi-group check needs at least one sample, got {samples}")
+    The sample count is checked by ``check_sample_count``."""
+    check_sample_count("xi-group check", samples, group.graded.dim)
     rng = np.random.default_rng(seed)
     r = group.realization
     x, h = group.sample(rng, samples), group.sample(rng, samples)
@@ -566,10 +516,9 @@ def check_xi_group(group: LinearXiGroup, samples: int = 1000, seed: int = 0) -> 
 
 
 def verify_group_closure(group: LinearXiGroup, samples: int = 32, seed: int = 0) -> Report:
-    """Sampled closure of the product-form set under products and inverses,
-    on at least one sample."""
-    if samples < 1:
-        raise ValueError(f"group closure check needs at least one sample, got {samples}")
+    """Sampled closure of the product-form set under products and inverses;
+    the sample count is checked by ``check_sample_count``."""
+    check_sample_count("group closure check", samples, group.graded.dim)
     rng = np.random.default_rng(seed)
     r = group.realization
     tol = group.tolerance
@@ -705,13 +654,14 @@ def exp_curve_check(group: LinearXiGroup, x, t_grid, curve: str = "exp") -> Curv
     """Walk a curve a(t) with a(0) = 1, a'(0) = x and measure how far it
     leaves the group (constraint residual plus odd-part distance from V1).
 
-    ``curve="exp"``: a(t) = exp(t x) computed in the matrix realization and
-    mapped back to coordinates.  For tangent x of a group whose constraints
-    are preserved by exp (orthogonality from skewness, unit determinant from
-    tracelessness) the residual stays at rounding level.  ``curve="line"``:
-    a(t) = 1 + t x; its residual is quadratic in t exactly when x is tangent
-    and linear when it is not, which is what the slope test fits.  The grid
-    needs at least one t.
+    ``curve="exp"``: a(t) = exp(t L_x) 1, where L_x is left multiplication
+    by x on the algebra; L is multiplicative, so this is the power series
+    exp(t x) taken in algebra coordinates.  For tangent x of a group whose
+    constraints are preserved by exp (orthogonality from skewness, unit
+    determinant from tracelessness) the residual stays at rounding level.
+    ``curve="line"``: a(t) = 1 + t x; its residual is quadratic in t exactly
+    when x is tangent and linear when it is not, which is what the slope
+    test fits.  The grid needs at least one t.
     """
     r = group.realization
     xf = np.array(x, dtype=float)
@@ -719,8 +669,8 @@ def exp_curve_check(group: LinearXiGroup, x, t_grid, curve: str = "exp") -> Curv
     if not ts:
         raise ValueError("curve check needs at least one t")
     if curve == "exp":
-        coords = np.array([r.coords_from_matrix(expm(m), tol=group.tolerance)
-                           for m in np.multiply.outer(ts, r.realize_f(xf))])
+        left = np.tensordot(xf, r.np_tensor, 1).T  # column j is x e_j
+        coords = np.array([expm(t * left) @ r.np_unit for t in ts])
     elif curve == "line":
         coords = r.np_unit + np.multiply.outer(ts, xf)
     else:

@@ -8,7 +8,9 @@ small-coordinate vectors, and (for dimension 2) the exact rational
 invariant lines of the multiplication operators via eigenvalue analysis,
 which makes the search exhaustive.  The per-sample xi-group loops reuse
 the float primitives (products, inverses, norms, membership residuals) that
-the batched checks are built from, and redo only the looping.
+the batched checks are built from, and redo only the looping.  The curve
+reference takes its exponential in the matrix realization and maps it back
+to coordinates, where leibkit exponentiates left multiplication directly.
 """
 
 from fractions import Fraction
@@ -22,7 +24,7 @@ from leibkit.huliu import HuLiuAlgebra
 from leibkit.algebras import matrix_algebra
 from leibkit.linalg import Matrix, full_space, kernel, solve, span, vadd, vec, vscale, zeros
 from leibkit.report import fail, ok
-from leibkit.xigroup import XiGroupReport, invert_unit, xi
+from leibkit.xigroup import XiGroupReport, expm, invert_unit, xi
 
 
 def dense(t):
@@ -642,3 +644,23 @@ def conjugation_residual(group, x, h):
     conj = r.multiply_f(r.multiply_f(xe, h), xe_inv)
     return group.membership_residual(conj) / max(
         1.0, r.op_norm(x) * r.op_norm(h) * r.op_norm(xe_inv))
+
+
+def exp_curve_through_realization(group, x, t_grid):
+    """``holds`` and the residuals of the exp curve a(t) = exp(t X), with X
+    the realized matrix of x, mapped back to coordinates through the
+    pseudo-inverse of the flattened embedding; a matrix that leaves the
+    realized subalgebra fails the assertion."""
+    r = group.realization
+    flat = r.np_embed.reshape(r.dim, -1).T  # n^2 x dim
+    pinv = np.linalg.pinv(flat)
+    coords = []
+    for t in t_grid:
+        m = expm(t * r.realize_f(x)).reshape(-1)
+        c = pinv @ m
+        err = float(np.linalg.norm(flat @ c - m))
+        assert err <= group.tolerance * max(1.0, float(np.linalg.norm(m))), err
+        coords.append(c)
+    residuals = tuple(map(float, group.membership_residual(np.array(coords))))
+    scale = max(1.0, *np.linalg.norm(coords, axis=-1))
+    return max(residuals) <= group.tolerance * scale, residuals

@@ -204,6 +204,14 @@ def test_cli_xi_check_without_samples_is_an_input_error(tmp_path, capsys, sample
     assert captured.out == "" and "sample" in captured.err
 
 
+def test_cli_xi_check_above_the_sample_bound_is_an_input_error(tmp_path, capsys):
+    _, r3 = mat_square_zero_extension(3)
+    xp = write(tmp_path, LinearXiGroup(r3, OrthogonalConstraints(3)), "x.json")
+    assert cli.main(["xi-check", xp, "--samples", str(10 ** 12)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "above the limit" in captured.err
+
+
 class _StubFamily(ConstraintFamily):
     """No constraints; its draws are singular even parts, or it fails to draw."""
 

@@ -21,6 +21,14 @@ from leibkit.linalg import (
 import oracles
 
 
+def test_full_space_is_the_span_of_the_identity_rows():
+    for n in range(21):
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        got, want = full_space(n), span(rows, n)
+        assert got == want and got.pivots == want.pivots
+        assert all(type(c) is Fraction for b in got.basis for c in b)
+
+
 def test_rref_identity_fixed():
     m = Matrix([[1, 0], [0, 1]])
     assert rref(m) == m

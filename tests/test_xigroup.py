@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,18 +11,18 @@ from leibkit._tables import table_entries, table_from_entries
 from leibkit.linalg import Matrix, full_space, kernel, span
 from leibkit.report import ok
 from leibkit.xigroup import (
+    MAX_SAMPLE_FLOATS,
     ConstraintFamily,
-    CoveringPair,
     LinearXiGroup,
     MatrixRealization,
     NoConstraints,
     NotAUnitError,
     OrthogonalConstraints,
-    RealizationError,
     SamplingError,
     SpecialLinearConstraints,
     TangentSpace,
     UnipotentConstraints,
+    check_sample_count,
     check_xi_group,
     constraint_family,
     exp_curve_check,
@@ -39,6 +40,7 @@ from leibkit.xigroup import (
 from oracles import (
     conjugation_residual,
     dense,
+    exp_curve_through_realization,
     first_nonmultiplicative_pair,
     group_closure_loop,
     tangent_huliu_reference,
@@ -188,10 +190,27 @@ def test_xi_projection(ut_model):
     assert xi(ut_model, (1, 1, 1)) == (1, 1, 0)    # E11+E22+E12 -> E11+E22
 
 
-def test_covering_pair_exact_laws():
-    cp = CoveringPair(R2)
-    assert cp.verify(samples=12, seed=5).holds
-    assert cp.xi(cp.xi((1, 2, 3, 4, 5, 6, 7, 8))) == cp.xi((1, 2, 3, 4, 5, 6, 7, 8))
+@pytest.mark.parametrize("realize", [lambda ut: R2, lambda ut: R3, regular_realization],
+                         ids=["mat2", "mat3", "upper-triangular"])
+def test_xi_laws_on_exact_units(ut_model, realize):
+    r = realize(ut_model)
+    g, rng = r.graded, random.Random(5)
+    unit = g.algebra.unit
+
+    def random_unit():
+        while True:
+            x = tuple(u + Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for u in unit)
+            try:
+                return x, invert_unit(r, x)
+            except NotAUnitError:
+                continue
+
+    assert xi(g, unit) == unit
+    for _ in range(12):
+        (x, x_inv), (y, _) = random_unit(), random_unit()
+        assert xi(g, g.multiply(x, y)) == g.multiply(xi(g, x), xi(g, y))
+        assert xi(g, xi(g, x)) == xi(g, x)
+        assert invert_unit(r, xi(g, x)) == xi(g, x_inv)
 
 
 def test_check_xi_group_full_unit_group():
@@ -223,8 +242,27 @@ def test_check_xi_group_needs_a_sample(samples):
 def test_sampled_checks_need_a_sample(samples):
     with pytest.raises(ValueError, match="at least one sample"):
         verify_group_closure(orth_group(2), samples=samples)
-    with pytest.raises(ValueError, match="at least one sample"):
-        CoveringPair(R2).verify(samples=samples)
+
+
+@pytest.mark.parametrize("check", [check_xi_group, verify_group_closure])
+def test_sampled_checks_refuse_a_count_above_the_bound_before_drawing(check):
+    grp = orth_group(3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="above the limit"):
+            check(grp, samples=10 ** 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_sample_bound_admits_the_counts_in_use():
+    most = MAX_SAMPLE_FLOATS // 18 ** 2  # the Mat(3) extension
+    assert most >= 1000  # the largest count run on it, by the checks' default
+    check_sample_count("check", most, 18)
+    with pytest.raises(ValueError, match="above the limit"):
+        check_sample_count("check", most + 1, 18)
 
 
 def test_curve_check_needs_a_point():
@@ -390,9 +428,9 @@ def test_expm_against_mpmath():
 
 
 def test_exp_curve_zero_vector():
-    # constantly the unit; only coordinate-mapping rounding noise remains
+    # constantly the unit: exp(0) is the identity exactly
     rep = exp_curve_check(orth_group(2), np.zeros(8), [0.5, 1.0])
-    assert rep.holds and rep.max_residual <= 1e-14
+    assert rep.holds and rep.max_residual == 0.0
 
 
 def test_exp_curve_skew_tangent():
@@ -424,11 +462,38 @@ def test_line_curve_slopes():
     assert abs(fitted_log_slope(ts, non_rep.residuals) - 1.0) <= 0.1
 
 
-def test_coords_from_matrix_rejects_outside_image():
-    bad = np.zeros((4, 4))
-    bad[0, 0], bad[2, 2] = 1.0, 2.0  # [[X,0],[0,Y]] with X != Y
-    with pytest.raises(RealizationError):
-        R2.coords_from_matrix(bad)
+def _curve_groups():
+    """Every family on the Mat(2) and Mat(3) extensions, and two groups of
+    regular realizations."""
+    for n, r in ((2, R2), (3, R3)):
+        for fam in (NoConstraints(), OrthogonalConstraints(n), SpecialLinearConstraints(n),
+                    UnipotentConstraints()):
+            yield f"{fam.name}-{n}", LinearXiGroup(r, fam)
+    yield "block-upper-2-1", LinearXiGroup(regular_realization(make_block_upper(2, 1)),
+                                           NoConstraints())
+    yield "block-upper-1-2", LinearXiGroup(regular_realization(make_block_upper(1, 2)),
+                                           UnipotentConstraints(), span([(1, 0)], 2))
+
+
+_CURVE_GROUPS = dict(_curve_groups())
+
+
+@pytest.mark.parametrize("name", list(_CURVE_GROUPS))
+def test_exp_curve_agrees_with_the_realization_exponential(name):
+    grp = _CURVE_GROUPS[name]
+    rng = np.random.default_rng(11)
+    directions = [np.array(b, dtype=float) for b in tangent_space(grp).subspace.basis]
+    directions += list(rng.standard_normal((3, grp.graded.dim)))
+    ts = (0.1, 0.5, 1.0)
+    verdicts = set()
+    for x in directions:
+        rep = exp_curve_check(grp, x, ts)
+        holds, residuals = exp_curve_through_realization(grp, x, ts)
+        assert rep.holds == holds
+        for got, ref in zip(rep.residuals, residuals):
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+        verdicts.add(holds)
+    assert True in verdicts
 
 
 def test_identity_must_satisfy_constraints():
