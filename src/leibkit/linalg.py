@@ -1,14 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Scalars are arbitrary-precision ``fractions.Fraction``.  Matrices are dense
-and immutable.  A ``Subspace`` stores its basis in reduced row-echelon form,
-which makes the representation canonical: two subspaces are equal iff their
-basis tuples are equal.  All operations are pure functions; values may be
+Scalars are arbitrary-precision ``fractions.Fraction``.  Matrices are
+immutable: they keep dense row tuples, and a view of each row's nonzeros,
+built on first use and cached, that products, sums and scalings walk.  The
+public ``Matrix`` constructor coerces its entries to Fractions; matrices
+that linalg computes itself are built by a trusted constructor that takes
+their rows as they are.  A ``Subspace`` stores its basis in reduced
+row-echelon form, which makes the representation canonical: two subspaces
+are equal iff their basis tuples are equal.  All operations are pure functions; values may be
 shared freely between threads.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -24,7 +29,7 @@ def rat(x) -> Fraction:
 
 
 def vec(entries: Iterable) -> Vec:
-    return tuple(rat(e) for e in entries)
+    return tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
 
 
 def zeros(n: int) -> Vec:
@@ -36,10 +41,6 @@ def vadd(u: Vec, v: Vec) -> Vec:
     return tuple(a + b if b else a for a, b in zip(u, v))
 
 
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b if b else a for a, b in zip(u, v))
-
-
 def vscale(c, u: Vec) -> Vec:
     c = rat(c)
     return tuple(c * a for a in u)
@@ -49,46 +50,61 @@ def is_zero_vec(u: Vec) -> bool:
     return all(a == 0 for a in u)
 
 
-def dot(u: Vec, v: Vec) -> Fraction:
-    # Operator matrices are sparse: a term with a zero factor is skipped.
-    return sum((a * b for a, b in zip(u, v) if a and b), _ZERO)
-
-
 class Matrix:
-    """Immutable dense matrix of Fractions, row-major."""
+    """Immutable matrix of Fractions: dense rows, read through their nonzeros.
 
-    __slots__ = ("rows", "cols", "data")
+    ``data`` holds the dense row tuples, which alone decide equality, hash
+    and repr.  ``nonzeros`` is a view of each row's nonzero ``(j, x)``
+    pairs, built on first use and kept; products, sums and scalings walk
+    only that view.  The public constructor coerces its entries; rows that
+    linalg computes itself go through ``_trusted``, which takes them as
+    they are.
+    """
+
+    __slots__ = ("rows", "cols", "data", "_nz")
 
     def __init__(self, data: Sequence[Sequence]):
         rows = tuple(vec(r) for r in data)
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            ncols = 0
+        if rows and any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("ragged rows")
+        self._set(rows)
+
+    def _set(self, rows: tuple[Vec, ...]):
         object.__setattr__(self, "data", rows)
         object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
+        object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
+        object.__setattr__(self, "_nz", None)
+
+    @classmethod
+    def _trusted(cls, rows: tuple[Vec, ...]) -> "Matrix":
+        """A matrix on rows of equal length that hold only Fractions, as given."""
+        m = object.__new__(cls)
+        m._set(rows)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    @property
+    def nonzeros(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Each row's nonzero entries as (column, value) pairs, in column order."""
+        nz = self._nz
+        if nz is None:
+            nz = tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in self.data)
+            object.__setattr__(self, "_nz", nz)
+        return nz
+
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix([zeros(cols)] * rows)
+        return Matrix._trusted((zeros(cols),) * rows)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return Matrix._trusted(tuple(zeros(i) + (_ONE,) + zeros(n - 1 - i) for i in range(n)))
 
     @staticmethod
     def from_cols(cols: Sequence[Sequence]) -> "Matrix":
-        cols = [vec(c) for c in cols]
-        if not cols:
-            return Matrix([])
-        n = len(cols[0])
-        return Matrix([[c[i] for c in cols] for i in range(n)])
+        return Matrix(cols).T
 
     def row(self, i: int) -> Vec:
         return self.data[i]
@@ -98,7 +114,7 @@ class Matrix:
 
     @property
     def T(self) -> "Matrix":
-        return Matrix([self.col(j) for j in range(self.cols)])
+        return Matrix._trusted(tuple(zip(*self.data)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.data == other.data
@@ -116,42 +132,74 @@ class Matrix:
                 f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _combine(self, other: "Matrix", op) -> "Matrix":
+        """Entries op(self, other), walking other's nonzeros; op(a, 0) = a."""
         self._same_shape(other)
-        return Matrix([vadd(a, b) for a, b in zip(self.data, other.data)])
+        out = []
+        for a, r in zip(self.data, other.nonzeros):
+            if r:
+                a = list(a)
+                for j, y in r:
+                    a[j] = op(a[j], y)
+                a = tuple(a)
+            out.append(a)
+        return Matrix._trusted(tuple(out))
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix([vsub(a, b) for a, b in zip(self.data, other.data)])
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([vscale(-1, r) for r in self.data])
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        return Matrix([vscale(c, r) for r in self.data])
+        c = rat(c)
+        if not c:
+            return Matrix.zero(self.rows, self.cols)
+        return Matrix._trusted(tuple(_row(self.cols, [(j, c * x) for j, x in r])
+                                     for r in self.nonzeros))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Row by row (Gustavson): row i of the product sums x * row k of
+        other over the nonzeros (k, x) of row i of self."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ocols = [other.col(j) for j in range(other.cols)]
-        return Matrix([[dot(r, c) for c in ocols] for r in self.data])
+        onz = other.nonzeros
+        out = []
+        for r in self.nonzeros:
+            acc: dict[int, Fraction] = {}
+            for k, x in r:
+                for j, y in onz[k]:
+                    acc[j] = acc[j] + x * y if j in acc else x * y
+            out.append(_row(other.cols, acc.items()))
+        return Matrix._trusted(tuple(out))
 
     def matvec(self, v: Sequence) -> Vec:
         v = vec(v)
         if len(v) != self.cols:
             raise ValueError(f"matvec length {len(v)} != cols {self.cols}")
-        return tuple(dot(r, v) for r in self.data)
+        return tuple(sum((x * v[j] for j, x in r if v[j]), _ZERO) for r in self.nonzeros)
 
     def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.data)
+        return not any(self.nonzeros)
 
     def rref(self) -> "Matrix":
         reduced, _ = _rref(self.data)
-        return Matrix(reduced)
+        return Matrix._trusted(tuple(map(tuple, reduced)))
 
     def rank(self) -> int:
         _, pivots = _rref(self.data)
         return len(pivots)
+
+
+def _row(n: int, entries) -> Vec:
+    """The length-n row with the given (column, value) entries, zero elsewhere."""
+    row = [_ZERO] * n
+    for j, x in entries:
+        row[j] = x
+    return tuple(row)
 
 
 def _rref(rows: Sequence[Vec]) -> tuple[list[list[Fraction]], list[int]]:
@@ -166,12 +214,19 @@ def _rref(rows: Sequence[Vec]) -> tuple[list[list[Fraction]], list[int]]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = _ONE / m[r][c]
-        m[r] = [x * inv if x else x for x in m[r]]
+        top = m[r]
+        # entries left of c are zero in rows r and below, so the pivot row's
+        # nonzeros lie at c and after; eliminations walk only those
+        inv = _ONE / top[c]
+        nz = [(j, x * inv) for j, x in enumerate(top[c:], c) if x]
+        for j, x in nz:
+            top[j] = x
         for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
+            row = m[i]
+            f = row[c]
+            if f and i != r:
+                for j, x in nz:
+                    row[j] -= f * x
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -274,7 +329,7 @@ class Subspace:
 
     def matrix(self) -> Matrix:
         """Basis vectors as rows."""
-        return Matrix(self.basis) if self.basis else Matrix.zero(0, self.ambient_dim)
+        return Matrix._trusted(self.basis)
 
 
 def span(vectors: Sequence[Sequence], ambient_dim: int) -> Subspace:
@@ -291,8 +346,7 @@ def span(vectors: Sequence[Sequence], ambient_dim: int) -> Subspace:
 
 def full_space(n: int) -> Subspace:
     """Q^n with its canonical basis, the identity rows, which are in RREF."""
-    return Subspace(n, [(_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - 1 - i) for i in range(n)],
-                    range(n))
+    return Subspace(n, Matrix.identity(n).data, range(n))
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -333,10 +387,8 @@ def inverse(m: Matrix) -> Matrix | None:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    if n == 0:
-        return Matrix([])
     eye = Matrix.identity(n)
-    reduced, pivots = _rref([r + eye.row(i) for i, r in enumerate(m.data)])
-    if len(pivots) < n or pivots[n - 1] != n - 1:
+    reduced, pivots = _rref([r + e for r, e in zip(m.data, eye.data)])
+    if pivots[:n] != list(range(n)):
         return None
-    return Matrix([r[n:] for r in reduced])
+    return Matrix._trusted(tuple(tuple(r[n:]) for r in reduced))

@@ -199,10 +199,10 @@ def equivariant_projection_kernel(mod: OperatorModule, sub: Subspace) -> Subspac
     # Row (i, j) of the commutation block for T: sum_a,c b[i][a] t[c][j] at
     # unknown (a, c), minus sum_a (T B)[i][a] at unknown (a, j).  Only the
     # nonzero products are formed; zero rows are dropped.
-    b_nz = [[(a, x) for a, x in enumerate(r) if x] for r in b.data]
+    b_nz = b.nonzeros
     for t in mod.operators:
-        tb_nz = [[(a, x) for a, x in enumerate(r) if x] for r in (t @ b).data]
-        t_cols = [[(c, x) for c, x in enumerate(t.col(j)) if x] for j in range(d)]
+        tb_nz = (t @ b).nonzeros
+        t_cols = t.T.nonzeros
         for i in range(d):
             if not b_nz[i] and not tb_nz[i]:
                 continue

@@ -43,10 +43,12 @@ DEFAULT_TOLERANCE = 1e-9
 _SAMPLE_RETRIES = 100
 _UNIT_RESIDUAL = 1e-6  # scaled inverse residual above which a float point is no unit
 
-# Largest accepted samples x dim^2 of a sampled check, which holds all its
-# samples at once: traced peaks (tracemalloc, numpy 2.4) were about 4 bytes a
-# unit at dim 32, 6 at dim 18 and 90 at dim 1, so at most about 52 MB at
-# dim 18 (25890 samples of the Mat(3) extension) and 760 MB at dim 1.
+# Largest accepted samples x (dim^2 + 16 dim) of a sampled check, which holds
+# all its samples at once: the products and norms grow with dim^2, the even
+# block, residuals and scales with dim.  Traced peaks of both checks
+# (tracemalloc, numpy 2.4) were about 5.3 bytes a unit at dim 1, 4.1 at dim 2
+# and 3.3 at dim 18, so at most about 45 MB at any of these dims (13706
+# samples of the Mat(3) extension, dim 18).
 MAX_SAMPLE_FLOATS = 2 ** 23
 
 
@@ -112,12 +114,14 @@ class MatrixRealization:
         return self.graded.dim
 
     def realize(self, x) -> Matrix:
-        x = vec(x)
-        acc = Matrix.zero(self.n, self.n)
-        for c, m in zip(x, self.embed):
+        """sum_i x_i embed_i, summed over the nonzeros of the embedding matrices."""
+        acc = [[Fraction(0)] * self.n for _ in range(self.n)]
+        for c, m in zip(vec(x), self.embed):
             if c:
-                acc = acc + m.scale(c)
-        return acc
+                for row, entries in zip(acc, m.nonzeros):
+                    for j, y in entries:
+                        row[j] += c * y
+        return Matrix(acc)
 
     def realize_f(self, x) -> np.ndarray:
         """The matrices of float coordinate vectors x (..., dim), as (..., n, n)."""
@@ -488,12 +492,13 @@ class XiGroupReport:
 
 def check_sample_count(what: str, samples: int, dim: int):
     """Raise ValueError, before anything is drawn, unless 1 <= samples and
-    samples x dim^2 <= MAX_SAMPLE_FLOATS: no samples would be no evidence."""
+    samples x (dim^2 + 16 dim) <= MAX_SAMPLE_FLOATS: no samples would be no
+    evidence."""
     if samples < 1:
         raise ValueError(f"{what} needs at least one sample, got {samples}")
-    if samples * dim * dim > MAX_SAMPLE_FLOATS:
+    if samples * (dim * dim + 16 * dim) > MAX_SAMPLE_FLOATS:
         raise ValueError(f"{what} with {samples} samples at dim {dim} is above the limit "
-                         f"of {MAX_SAMPLE_FLOATS} for samples x dim^2")
+                         f"of {MAX_SAMPLE_FLOATS} for samples x (dim^2 + 16 dim)")
 
 
 def check_xi_group(group: LinearXiGroup, samples: int = 1000, seed: int = 0) -> XiGroupReport:

@@ -242,6 +242,41 @@ def entrywise_matmul(a, b):
     return tuple(tuple(entrywise_dot(r, c) for c in cols) for r in a.data)
 
 
+def entrywise_sum(a, b, sign):
+    """a + sign * b on every entry."""
+    return tuple(tuple(x + sign * y for x, y in zip(r, s)) for r, s in zip(a.data, b.data))
+
+
+def entrywise_scale(c, m):
+    return tuple(tuple(Fraction(c) * x for x in r) for r in m.data)
+
+
+def entrywise_transpose(rows):
+    rows = [tuple(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    return tuple(tuple(Fraction(r[j]) for r in rows) for j in range(ncols))
+
+
+def entrywise_zero(rows, cols):
+    return tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
+
+
+def entrywise_identity(n):
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def entrywise_nonzeros(rows):
+    """Each row's (column, value) pairs with a nonzero value."""
+    return tuple(tuple((j, x) for j, x in enumerate(r) if x != 0) for r in rows)
+
+
+def entrywise_realize(embed, x):
+    """sum_i x_i embed_i on every entry."""
+    n = embed[0].rows
+    return tuple(tuple(sum((Fraction(c) * m.data[a][b] for c, m in zip(x, embed)), Fraction(0))
+                       for b in range(n)) for a in range(n))
+
+
 def entrywise_rref(rows):
     """Gauss-Jordan on every entry: (reduced rows as tuples, pivot columns)."""
     m = [list(r) for r in rows]
@@ -294,8 +329,8 @@ def entrywise_solve(m, b):
 
 def entrywise_inverse(m):
     n = m.rows
-    eye = Matrix.identity(n)
-    reduced, pivots = entrywise_rref([r + eye.row(i) for i, r in enumerate(m.data)])
+    eye = entrywise_identity(n)
+    reduced, pivots = entrywise_rref([r + e for r, e in zip(m.data, eye)])
     if pivots[:n] != list(range(n)):
         return None
     return tuple(r[n:] for r in reduced)

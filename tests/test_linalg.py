@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from leibkit.linalg import (
     Matrix,
-    dot,
     full_space,
     inverse,
     kernel,
@@ -15,7 +14,6 @@ from leibkit.linalg import (
     solve,
     span,
     vadd,
-    vsub,
 )
 
 import oracles
@@ -138,7 +136,6 @@ def test_contains_iff_sum_dim_unchanged(s, v):
 @given(subspaces(4), vectors(4), vectors(4))
 def test_vector_ops_and_coords_match_entrywise_arithmetic(s, u, v):
     assert vadd(u, v) == tuple(a + b for a, b in zip(u, v))
-    assert vsub(u, v) == tuple(a - b for a, b in zip(u, v))
     coeffs = s.coords(v)
     if coeffs is not None:
         rebuilt = [Fraction(0)] * 4
@@ -179,7 +176,6 @@ def test_zero_skipping_core_matches_entrywise_arithmetic():
         a = _sparse_matrix(rng, n, k, density)
         b = _sparse_matrix(rng, k, p, density)
         v = _sparse_matrix(rng, 1, k, density).row(0)
-        assert all(dot(r, v) == oracles.entrywise_dot(r, v) for r in a.data)
         assert a.matvec(v) == oracles.entrywise_matvec(a, v)
         assert (a @ b).data == oracles.entrywise_matmul(a, b)
         reduced, pivots = oracles.entrywise_rref(a.data)
@@ -191,3 +187,40 @@ def test_zero_skipping_core_matches_entrywise_arithmetic():
         sq = _sparse_matrix(rng, n, n, density)
         inv = inverse(sq)
         assert (inv.data if inv is not None else None) == oracles.entrywise_inverse(sq)
+        for m in (a @ b, rref(a)) + ((inv,) if inv is not None else ()):
+            _assert_exact_rows(m)
+
+
+def _assert_exact_rows(m):
+    """data is a tuple of equal-length tuples of Fractions, and the cached
+    nonzero view lists exactly its nonzero entries."""
+    assert type(m.data) is tuple and len(m.data) == m.rows
+    assert all(type(r) is tuple and len(r) == m.cols for r in m.data)
+    assert all(type(x) is Fraction for r in m.data for x in r)
+    assert m.nonzeros == oracles.entrywise_nonzeros(m.data)
+
+
+def test_sparse_matrix_operations_match_entrywise_arithmetic():
+    rng = random.Random(13)
+    for _ in range(300):
+        n, k = rng.randint(1, 6), rng.randint(1, 6)
+        density = rng.choice((0.0, 0.15, 0.4, 0.8, 1.0))
+        a, b = _sparse_matrix(rng, n, k, density), _sparse_matrix(rng, n, k, density)
+        c = rng.choice((0, 1, -1, 3, Fraction(-2, 3)))
+        ints = [[int(6 * x) for x in r] for r in b.data]  # coerced by the public constructor
+        for got, want in (
+            (a + b, oracles.entrywise_sum(a, b, 1)),
+            (a - b, oracles.entrywise_sum(a, b, -1)),
+            (-a, oracles.entrywise_scale(-1, a)),
+            (a.scale(c), oracles.entrywise_scale(c, a)),
+            (a.T, oracles.entrywise_transpose(a.data)),
+            (Matrix.from_cols(a.data), oracles.entrywise_transpose(a.data)),
+            (Matrix.from_cols(ints), oracles.entrywise_transpose(ints)),
+            (Matrix.zero(n, k), oracles.entrywise_zero(n, k)),
+            (Matrix.identity(k), oracles.entrywise_identity(k)),
+        ):
+            assert got.data == want
+            _assert_exact_rows(got)
+        assert a.is_zero() == all(x == 0 for r in a.data for x in r)
+        assert (a - a).is_zero() and Matrix.zero(n, k).is_zero()
+        assert not Matrix.identity(k).is_zero()

@@ -40,6 +40,8 @@ from leibkit.xigroup import (
 from oracles import (
     conjugation_residual,
     dense,
+    entrywise_nonzeros,
+    entrywise_realize,
     exp_curve_through_realization,
     first_nonmultiplicative_pair,
     group_closure_loop,
@@ -75,6 +77,27 @@ def test_realization_verified_multiplicative():
         x = tuple(Fraction(rng.randint(-2, 2)) for _ in range(g.dim))
         y = tuple(Fraction(rng.randint(-2, 2)) for _ in range(g.dim))
         assert R2.realize(x) @ R2.realize(y) == R2.realize(g.multiply(x, y))
+
+
+@pytest.mark.parametrize("name", ["mat2", "mat3", "block-upper-2-1"])
+def test_nonzero_view_is_invisible_and_realize_sums_the_embedding(name):
+    r = {"mat2": lambda: R2, "mat3": lambda: R3,
+         "block-upper-2-1": lambda: regular_realization(make_block_upper(2, 1))}[name]()
+    rng = random.Random(5)
+    xs = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(r.dim))
+          for _ in range(8)]
+    for x in xs:
+        assert r.realize(x).data == entrywise_realize(r.embed, x)
+    for m in r.embed + (r.realize(xs[0]),):
+        fresh = Matrix(m.data)
+        before = (fresh == m, m == fresh, hash(fresh), repr(fresh))
+        assert before[:3] == (True, True, hash(m))
+        assert fresh.nonzeros == entrywise_nonzeros(m.data)
+        assert (fresh == m, m == fresh, hash(fresh), repr(fresh)) == before
+        for attr in ("data", "rows", "cols", "nonzeros", "_nz", "other"):
+            with pytest.raises(AttributeError):
+                setattr(fresh, attr, None)
+        assert fresh.nonzeros == entrywise_nonzeros(m.data)
 
 
 def test_realization_rejects_non_multiplicative(ut_model):
@@ -258,11 +281,45 @@ def test_sampled_checks_refuse_a_count_above_the_bound_before_drawing(check):
 
 
 def test_sample_bound_admits_the_counts_in_use():
-    most = MAX_SAMPLE_FLOATS // 18 ** 2  # the Mat(3) extension
+    most = MAX_SAMPLE_FLOATS // (18 ** 2 + 16 * 18)  # the Mat(3) extension
     assert most >= 1000  # the largest count run on it, by the checks' default
     check_sample_count("check", most, 18)
     with pytest.raises(ValueError, match="above the limit"):
         check_sample_count("check", most + 1, 18)
+
+
+def _sampled_peak(check, grp, samples):
+    tracemalloc.start()
+    try:
+        check(grp, samples=samples)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_bound_admits_a_flat_peak_across_dims():
+    """The arrays of a sampled check grow with dim^2 (products, norms) and
+    with dim (even block, residuals), so the bound weighs both."""
+    one = GradedAlgebra(Algebra([[[1]]], unit=[1]), [0])
+    dual = GradedAlgebra(Algebra([[[1, 0], [0, 1]], [[0, 1], [0, 0]]], unit=[1, 0]), [0])
+    groups = [LinearXiGroup(regular_realization(one), NoConstraints()),
+              LinearXiGroup(regular_realization(dual), NoConstraints()), orth_group(3)]
+    peaks = []
+    for grp in groups:
+        lo, hi = 1, MAX_SAMPLE_FLOATS  # the largest count check_sample_count admits
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            try:
+                check_sample_count("check", mid, grp.graded.dim)
+                lo = mid
+            except ValueError:
+                hi = mid - 1
+        admitted = lo
+        for check in (check_xi_group, verify_group_closure):
+            check(grp, samples=4)  # first-call allocations are not the samples'
+            peaks.append(_sampled_peak(check, grp, admitted // 16))
+    assert [g.graded.dim for g in groups] == [1, 2, 18]
+    assert max(peaks) <= 3 * min(peaks)
 
 
 def test_curve_check_needs_a_point():
