@@ -129,6 +129,22 @@ class GradedAlgebra:
     def multiply(self, x: Sequence, y: Sequence) -> Vec:
         return self.algebra.multiply(x, y)
 
+    def even_algebra(self) -> Algebra:
+        """A0: the even basis in order, its products and the unit's even part
+        (a special grading has an even unit; see ``xigroup.invert_unit``).
+        Raises ValueError when an even*even product has an odd component."""
+        at = {i: n for n, i in enumerate(self.even)}
+        entries = []
+        for i, j, k, c in table_entries(self.algebra.table):
+            if i in at and j in at:
+                if k not in at:
+                    raise ValueError(f"even*even product ({i},{j}) has an odd component")
+                entries.append((at[i], at[j], at[k], c))
+        unit = self.algebra.unit
+        return Algebra(table_from_entries(len(at), entries),
+                       [self.algebra.basis_names[i] for i in self.even],
+                       unit=None if unit is None else [unit[i] for i in self.even])
+
     def report(self) -> Report:
         """First failure of associativity, then of the special grading;
         each is checked once per object."""
@@ -166,20 +182,20 @@ def verify_special_grading(g: GradedAlgebra) -> Report:
     return ok("special grading")
 
 
-def _action_entries(tensor, p: int, q: int, left: bool):
+def _action_entries(actions: Sequence[Matrix], p: int, left: bool):
     """Sparse (row, col, k, value) entries of an action on the module basis,
-    placed at indices p.. of the extension."""
-    for i in range(p):
-        for m in range(q):
-            col = vec(tensor[i][m] if left else tensor[m][i])
-            if len(col) != q:
-                raise ValueError("action tensor has wrong inner dimension")
-            at = (i, p + m) if left else (p + m, i)
-            yield from (at + (p + k, c) for k, c in enumerate(col) if c)
+    placed at indices p.. of the extension: column m of ``actions[i]`` is
+    basis i acting on module basis m."""
+    for i, mat in enumerate(actions):
+        for k, row in enumerate(mat.nonzeros):
+            for m, c in row:
+                yield ((i, p + m) if left else (p + m, i)) + (p + k, c)
 
 
-def _square_zero_extension(a0: Algebra, q: int, left_action, right_action) -> Algebra:
-    """``a0`` plus a q-dim module M with M*M = 0, checked associative.
+def _square_zero_extension(a0: Algebra, left: Sequence[Matrix],
+                           right: Sequence[Matrix]) -> Algebra:
+    """``a0`` plus a q-dim module M with M*M = 0, checked associative; see
+    ``make_trivial_extension`` for the actions.
 
     A basis triple with two or more module indices multiplies to zero on both
     sides, so the extension is associative exactly when ``a0`` is and each
@@ -190,12 +206,19 @@ def _square_zero_extension(a0: Algebra, q: int, left_action, right_action) -> Al
     extension's memo, so validating the extension does not check again.
     """
     p = a0.dim
+    if p == 0:
+        raise ValueError("base algebra of dimension 0: no action to read q from")
+    if len(left) != p or len(right) != p:
+        raise ValueError(f"need {p} left and {p} right actions, not {len(left)} and {len(right)}")
+    q = left[0].rows
+    if any(m.rows != q or m.cols != q for m in (*left, *right)):
+        raise ValueError(f"action matrices must all be {q} x {q}")
     rep = a0.report()
     if not rep.holds:
         raise ValueError(f"base algebra not associative: {rep.witness.note}")
     entries = table_entries(a0.table)
-    entries += _action_entries(left_action, p, q, left=True)
-    entries += _action_entries(right_action, p, q, left=False)
+    entries += _action_entries(left, p, left=True)
+    entries += _action_entries(right, p, left=False)
     names = list(a0.basis_names) + [f"m{t}" for t in range(q)]
     ext = Algebra(table_from_entries(p + q, entries), names)
     rep = ext.report()
@@ -211,17 +234,19 @@ def _square_zero_extension(a0: Algebra, q: int, left_action, right_action) -> Al
     return ext
 
 
-def make_trivial_extension(a0: Algebra, bimodule_dim: int,
-                           left_action, right_action) -> GradedAlgebra:
-    """Square-zero extension of ``a0`` by a bimodule.
+def make_trivial_extension(a0: Algebra, left: Sequence[Matrix],
+                           right: Sequence[Matrix]) -> GradedAlgebra:
+    """Square-zero extension of ``a0`` by a q-dim bimodule.
 
-    ``left_action[i][m]`` is the coordinate vector of (basis i of a0) acting on
-    module basis m from the left; ``right_action[m][i]`` acts from the right.
-    The product is (a+m)(b+n) = ab + (a.n + m.b); the odd part squares to zero.
-    The bimodule axioms are checked as associativity of that product on all
-    basis triples; a failure raises :class:`BimoduleError`.
+    ``left[i]`` and ``right[i]`` are q x q matrices for basis element i of
+    ``a0``: column m holds e_i.m and m.e_i, the form of ``operators``.  q is
+    read from them; a wrong count or shape, or dim ``a0`` = 0, raises
+    ValueError.  The product is (a+m)(b+n) = ab + (a.n + m.b); the odd part
+    squares to zero.  The bimodule axioms are checked as associativity of
+    that product on all basis triples; a failure raises
+    :class:`BimoduleError`.
     """
-    algebra = _square_zero_extension(a0, bimodule_dim, left_action, right_action)
+    algebra = _square_zero_extension(a0, left, right)
     algebra.unit = find_unit(algebra)
     return GradedAlgebra(algebra, even=range(a0.dim)).validate()
 
@@ -286,4 +311,4 @@ def upper_triangular_model() -> GradedAlgebra:
 def dual_numbers() -> GradedAlgebra:
     """Basis (u, eps): u is a unit, eps^2 = 0; grading even = {u}, odd = {eps}."""
     one = Algebra([[[1]]], ["u"], unit=[1])
-    return make_trivial_extension(one, 1, left_action=[[[1]]], right_action=[[[1]]])
+    return make_trivial_extension(one, [Matrix.identity(1)], [Matrix.identity(1)])

@@ -50,12 +50,6 @@ def _chain_nilpotent(p: int) -> Algebra:
     return Algebra(table_from_entries(p, entries))
 
 
-def _action_tensors(lam: list[Matrix], rho: list[Matrix], p: int, q: int):
-    left = [[[lam[i].data[k][m] for k in range(q)] for m in range(q)] for i in range(p)]
-    right = [[[rho[i].data[k][m] for k in range(q)] for i in range(p)] for m in range(q)]
-    return left, right
-
-
 def _random_shear(rng: random.Random, q: int) -> tuple[Matrix, Matrix]:
     a = rng.randrange(q)
     b = rng.randrange(q)
@@ -78,21 +72,16 @@ def _twist(rng: random.Random, lam, rho, q: int):
 
 
 def _strategy_split(rng: random.Random, p: int, q: int):
-    a0 = _split_idempotent(p)
-    lam = [Matrix.zero(q, q) for _ in range(p)]
-    rho = [Matrix.zero(q, q) for _ in range(p)]
+    lam = [[[0] * q for _ in range(q)] for _ in range(p)]
+    rho = [[[0] * q for _ in range(q)] for _ in range(p)]
     for m in range(q):
         li = rng.randint(0, p)
         ri = rng.randint(0, p)
         if li:
-            rows = [list(r) for r in lam[li - 1].data]
-            rows[m][m] = Fraction(1)
-            lam[li - 1] = Matrix(rows)
+            lam[li - 1][m][m] = 1
         if ri:
-            rows = [list(r) for r in rho[ri - 1].data]
-            rows[m][m] = Fraction(1)
-            rho[ri - 1] = Matrix(rows)
-    return a0, _twist(rng, lam, rho, q)
+            rho[ri - 1][m][m] = 1
+    return _split_idempotent(p), _twist(rng, list(map(Matrix, lam)), list(map(Matrix, rho)), q)
 
 
 def _strategy_chain(rng: random.Random, p: int, q: int):
@@ -115,7 +104,7 @@ def _strategy_chain(rng: random.Random, p: int, q: int):
     for _ in range(1, p):
         powers_l.append(powers_l[-1] @ nm)
         powers_r.append(powers_r[-1] @ mm)
-    return a0, ([m for m in powers_l], [m for m in powers_r])
+    return a0, (powers_l, powers_r)
 
 
 def _strategy_one_dim(rng: random.Random, q: int):
@@ -123,20 +112,14 @@ def _strategy_one_dim(rng: random.Random, q: int):
     a0 = Algebra(table_from_entries(1, [(0, 0, 0, c)] if c else []))
 
     def action() -> Matrix:
-        if rng.random() < 0.6 or c == 0:
-            # c * (idempotent diagonal) always squares correctly; c = 0 needs
-            # a square-zero matrix instead
-            if c == 0:
-                m = Matrix.zero(q, q)
-                if q >= 2:
-                    rows = [[Fraction(0)] * q for _ in range(q)]
-                    rows[0][q - 1] = Fraction(rng.randint(-_MAX_CONSTANT, _MAX_CONSTANT))
-                    m = Matrix(rows)
-                return m
-            diag = [rng.choice((0, 1)) for _ in range(q)]
-            return Matrix([[Fraction(c * diag[i] if i == j else 0) for j in range(q)]
-                           for i in range(q)])
-        rows = [[Fraction(rng.choice((0, 0, 1, -1))) for _ in range(q)] for _ in range(q)]
+        rows = [[0] * q for _ in range(q)]
+        if rng.random() >= 0.6 and c:
+            rows = [[rng.choice((0, 0, 1, -1)) for _ in range(q)] for _ in range(q)]
+        elif c:  # c * (an idempotent diagonal) always squares correctly
+            for i in range(q):
+                rows[i][i] = c * rng.choice((0, 1))
+        elif q >= 2:  # c = 0 needs a square-zero matrix instead
+            rows[0][q - 1] = rng.randint(-_MAX_CONSTANT, _MAX_CONSTANT)
         return Matrix(rows)
 
     lam, rho = [action()], [action()]
@@ -179,8 +162,7 @@ def random_trivial_extension(rng: random.Random, max_dim0: int, max_dim1: int) -
                 a0, (lam, rho) = _strategy_split(rng, p, q)
             else:
                 a0, (lam, rho) = _strategy_chain(rng, p, q)
-            left, right = _action_tensors(lam, rho, a0.dim, q)
-            g = make_trivial_extension(a0, q, left, right)
+            g = make_trivial_extension(a0, lam, rho)
         except (BimoduleError, ValueError):
             continue
         if all(c.denominator == 1 and abs(c) <= _MAX_CONSTANT

@@ -43,6 +43,8 @@ class HuLiuAlgebra:
     def __init__(self, angle: Table | LeibnizAlgebra, square: Table,
                  basis_names: Sequence[str] | None = None):
         if isinstance(angle, LeibnizAlgebra):
+            if basis_names and tuple(basis_names) != angle.basis_names:
+                raise ValueError("basis_names differ from the Leibniz algebra's")
             self.leibniz = angle
         else:
             self.leibniz = LeibnizAlgebra(angle, basis_names)

@@ -82,8 +82,10 @@ class Matrix:
         m._set(rows)
         return m
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("Matrix is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def nonzeros(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
@@ -252,8 +254,10 @@ class Subspace:
         object.__setattr__(self, "basis", tuple(tuple(b) for b in basis))
         object.__setattr__(self, "pivots", tuple(pivots))
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("Subspace is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def dim(self) -> int:

@@ -26,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._tables import operators, table_entries
+from ._tables import Table, operators, table_entries
 from .algebras import (
     BimoduleError,
     GradedAlgebra,
@@ -83,8 +83,11 @@ class MatrixRealization:
         if any(m.rows != self.n or m.cols != self.n for m in self.embed):
             raise ValueError("embedding matrices must be square of equal size")
         self._verify()
-        self.np_tensor = _float_table(graded, range(graded.dim))
-        self.even_tensor = self.np_tensor[np.ix_(*[list(graded.even)] * 3)]
+        self.np_tensor = _float_table(graded.algebra.table)
+        # A0 with its left multiplications, exact and as a float tensor
+        self.even_algebra = graded.even_algebra()
+        self.even_left = operators(self.even_algebra.table, "left")
+        self.even_tensor = _float_table(self.even_algebra.table)
         # the basis pairs (i, j) with a nonzero product, and their products
         self._pairs = np.nonzero(np.any(self.np_tensor, axis=2))
         self._pair_products = self.np_tensor[self._pairs]
@@ -94,10 +97,8 @@ class MatrixRealization:
     def _verify(self):
         # the first failing triple (i, j, m) lies at the first failing pair (i, j)
         g = self.graded
-        left = [[m.col(k) for k in range(self.n)] for m in self.embed]
-        right = [[zeros(self.n)] * g.dim] * self.n
         try:
-            _square_zero_extension(g.algebra, self.n, left, right)
+            _square_zero_extension(g.algebra, self.embed, [Matrix.zero(self.n, self.n)] * g.dim)
         except BimoduleError as e:
             raise ValueError("embedding not multiplicative at basis pair ({},{})"
                              .format(*e.indices[:2])) from None
@@ -114,14 +115,8 @@ class MatrixRealization:
         return self.graded.dim
 
     def realize(self, x) -> Matrix:
-        """sum_i x_i embed_i, summed over the nonzeros of the embedding matrices."""
-        acc = [[Fraction(0)] * self.n for _ in range(self.n)]
-        for c, m in zip(vec(x), self.embed):
-            if c:
-                for row, entries in zip(acc, m.nonzeros):
-                    for j, y in entries:
-                        row[j] += c * y
-        return Matrix(acc)
+        """sum_i x_i embed_i."""
+        return _combination(vec(x), self.embed, self.n)
 
     def realize_f(self, x) -> np.ndarray:
         """The matrices of float coordinate vectors x (..., dim), as (..., n, n)."""
@@ -141,6 +136,18 @@ class MatrixRealization:
         return terms @ self._pair_products
 
 
+def _combination(coeffs: Vec, mats, n: int) -> Matrix:
+    """sum_i coeffs_i mats_i for n x n matrices, in one pass over the
+    nonzeros of the matrices whose coefficient is nonzero."""
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for c, m in zip(coeffs, mats):
+        if c:
+            for row, entries in zip(acc, m.nonzeros):
+                for j, y in entries:
+                    row[j] += c * y
+    return Matrix(acc)
+
+
 def regular_realization(g: GradedAlgebra) -> MatrixRealization:
     """Left-multiplication realization; faithful because the algebra is unital."""
     return MatrixRealization(g, operators(g.algebra.table, "left"))
@@ -150,10 +157,7 @@ def mat_square_zero_extension(n: int) -> tuple[GradedAlgebra, MatrixRealization]
     """Mat(n) extended by itself as a bimodule, realized by 2n x 2n blocks
     [[X, M], [0, X]]; the odd block squares to zero structurally."""
     a0 = matrix_algebra(n)
-    # column m of the left (right) multiplication by e_i is e_i e_m (e_m e_i)
-    left, right = (operators(a0.table, side) for side in ("left", "right"))
-    g = make_trivial_extension(a0, n * n, [[t.col(m) for m in range(n * n)] for t in left],
-                               [[t.col(m) for t in right] for m in range(n * n)])
+    g = make_trivial_extension(a0, operators(a0.table, "left"), operators(a0.table, "right"))
 
     def ones(*cells):  # the 2n x 2n matrix with a 1 in each of the cells
         return Matrix([[Fraction((a, b) in cells) for b in range(2 * n)] for a in range(2 * n)])
@@ -175,32 +179,12 @@ def xi(g: GradedAlgebra, x):
     return g.even_part(x)
 
 
-def _entries_among(g: GradedAlgebra, positions) -> list[tuple]:
-    """The table entries (a, b, c, value) of products of the basis elements
-    at ``positions``, each index renumbered by its place there; c is None
-    for a coordinate outside ``positions``."""
-    at = {p: n for n, p in enumerate(positions)}
-    return [(at[i], at[j], at.get(k), c) for i, j, k, c in table_entries(g.algebra.table)
-            if i in at and j in at]
-
-
-def _float_table(g: GradedAlgebra, positions) -> np.ndarray:
-    """Products among the basis elements at ``positions``, as a float array
-    filled from the table entries; coordinates outside are dropped."""
-    out = np.zeros((len(positions),) * 3)
-    for a, b, c, v in _entries_among(g, positions):
-        if c is not None:
-            out[a, b, c] = float(v)
+def _float_table(table: Table) -> np.ndarray:
+    """The table as a dim x dim x dim float array, filled from its entries."""
+    out = np.zeros((len(table),) * 3)
+    for i, j, k, c in table_entries(table):
+        out[i, j, k] = float(c)
     return out
-
-
-def _even_mult_matrix(g: GradedAlgebra, x0_even):
-    """Left multiplication by x0 restricted to the even part (exact)."""
-    rows = [[Fraction(0)] * len(g.even) for _ in g.even]
-    for a, b, c, v in _entries_among(g, g.even):
-        if c is not None:
-            rows[c][b] += x0_even[a] * v
-    return Matrix(rows)
 
 
 def invert_unit(r: MatrixRealization, x):
@@ -223,14 +207,12 @@ def invert_unit(r: MatrixRealization, x):
             raise _not_a_unit(np.max(resid))
         return inv
     x = vec(x)
-    even = list(g.even)
-    x0_even = [x[i] for i in even]
-    m = _even_mult_matrix(g, x0_even)
-    unit_even = [g.algebra.unit[i] for i in even]
-    y = solve(m, unit_even)
+    # left multiplication by x0 on A0; column j is x0 e_j
+    m = _combination([x[i] for i in g.even], r.even_left, len(g.even))
+    y = solve(m, r.even_algebra.unit)
     if y is None:
         raise NotAUnitError("even component is singular")
-    x0_inv = _lift(g.dim, even, y)
+    x0_inv = _lift(g.dim, g.even, y)
     x1 = g.odd_part(x)
     mul = g.algebra.multiply
     inv = tuple(a - b for a, b in zip(x0_inv, mul(x0_inv, mul(x1, x0_inv))))
@@ -344,11 +326,14 @@ class _MatrixConstraints(ConstraintFamily):
         return {"n": self.n}
 
     def check_compatible(self, g):
-        n, even = self.n, g.even
-        if len(even) != n * n:
+        n = self.n
+        if len(g.even) != n * n:
             raise ValueError(f"{self.name} constraints need an even part of dimension {n * n}")
-        # entries come in basis order, and the place in g.even keeps that order
-        if _entries_among(g, even) != table_entries(matrix_algebra(n).table):
+        try:
+            same = g.even_algebra().table == matrix_algebra(n).table
+        except ValueError:  # an even*even product with an odd component
+            same = False
+        if not same:
             raise ValueError(
                 f"{self.name} constraints need the even part to be the n x n "
                 f"matrix algebra in row-major basis order")

@@ -128,10 +128,14 @@ def brute_force_simplicity(angle) -> str:
     return "Simple" if ideals <= allowed else "NotSimple"
 
 
-def _action_matrices(tensor, p, q, left):
-    """One q x q matrix per base index; columns are images of the module basis."""
-    return [Matrix.from_cols([tensor[i][m] if left else tensor[m][i] for m in range(q)])
-            for i in range(p)]
+def action_matrices(p, q, left_action, right_action):
+    """Nested actions, ``left_action[i][m]`` and ``right_action[m][i]`` the
+    image of module basis m, as one q x q matrix per base index on each side
+    whose columns are the images of the module basis."""
+    def side(tensor, left):
+        return [Matrix.from_cols([tensor[i][m] if left else tensor[m][i] for m in range(q)])
+                for i in range(p)]
+    return side(left_action, True), side(right_action, False)
 
 
 def bimodule_failures(a0_table, q, left_action, right_action):
@@ -142,8 +146,7 @@ def bimodule_failures(a0_table, q, left_action, right_action):
     then m; the first key is the instance a per-pair matrix check reports.
     """
     a0_table, p = dense(a0_table), len(a0_table)
-    lam = _action_matrices(left_action, p, q, left=True)
-    rho = _action_matrices(right_action, p, q, left=False)
+    lam, rho = action_matrices(p, q, left_action, right_action)
 
     def combo(mats, coeffs):
         acc = Matrix.zero(q, q)

@@ -17,9 +17,10 @@ from leibkit.algebras import (
     verify_associative,
     verify_special_grading,
 )
-from leibkit._tables import table_from_dense, table_from_entries
+from leibkit._tables import operators, table_entries, table_from_dense, table_from_entries
+from leibkit.linalg import Matrix
 
-from oracles import bimodule_failures, dense, first_grading_failure
+from oracles import action_matrices, bimodule_failures, dense, first_grading_failure
 
 
 def mat2(rows):
@@ -100,7 +101,7 @@ def test_grading_examples(ut_model):
 
 def test_trivial_extension_gives_dual_numbers():
     one = Algebra(table_from_dense([[[1]]]), unit=[1])
-    g = make_trivial_extension(one, 1, [[[1]]], [[[1]]])
+    g = make_trivial_extension(one, [Matrix([[1]])], [Matrix([[1]])])
     assert g.dim == 2 and g.even == (0,) and g.odd == (1,)
     assert g.algebra.table == dual_numbers().algebra.table
 
@@ -108,31 +109,66 @@ def test_trivial_extension_gives_dual_numbers():
 def test_trivial_extension_gives_upper_triangular(ut_model):
     # Q x Q on idempotents f1, f2; module with f1.m = m and m.f2 = m
     qxq = Algebra(table_from_entries(2, [(0, 0, 0, 1), (1, 1, 1, 1)]))
-    g = make_trivial_extension(qxq, 1, left_action=[[[1]], [[0]]],
-                               right_action=[[[0], [1]]])
+    g = make_trivial_extension(qxq, left=[Matrix([[1]]), Matrix([[0]])],
+                               right=[Matrix([[0]]), Matrix([[1]])])
     assert g.algebra.table == ut_model.algebra.table
 
 
 def test_trivial_extension_mat2_regular_bimodule():
     m2 = matrix_algebra(2)
-    g = make_trivial_extension(m2, 4, dense(m2.table), dense(m2.table))
+    g = make_trivial_extension(m2, operators(m2.table, "left"), operators(m2.table, "right"))
     assert g.dim == 8
     assert verify_special_grading(g).holds
     assert g.algebra.unit is not None
 
 
+@pytest.mark.parametrize("left, right", [
+    ([], [Matrix([[1]])]),                         # no left action
+    ([Matrix([[1]])] * 2, [Matrix([[1]])]),        # two for a dim-1 base
+    ([Matrix([[1, 0]])], [Matrix([[1, 0]])]),      # not square
+    ([Matrix([[1]])], [Matrix.identity(2)]),       # sides of different q
+])
+def test_trivial_extension_rejects_wrong_action_counts_and_shapes(left, right):
+    with pytest.raises(ValueError) as exc:
+        make_trivial_extension(Algebra([[[1]]], unit=[1]), left, right)
+    assert type(exc.value) is ValueError
+
+
+def test_trivial_extension_rejects_a_base_of_dimension_0():
+    with pytest.raises(ValueError, match="dimension 0"):
+        make_trivial_extension(Algebra(table_from_entries(0, [])), [], [])
+
+
+def test_even_algebra_is_the_even_block(ut_model):
+    a0 = ut_model.even_algebra()
+    assert a0.table == table_from_entries(2, [(0, 0, 0, 1), (1, 1, 1, 1)])
+    assert a0.basis_names == ("E11", "E22") and a0.unit == (1, 1)
+    m2 = matrix_algebra(2)
+    assert _ext8.even_algebra().table == m2.table and _ext8.even_algebra().unit == m2.unit
+    b = make_block_upper(2, 1)  # even X11 X12 X21 X22 Y11: Mat(2) x Q
+    mat_q = table_entries(m2.table) + [(4, 4, 4, 1)]
+    assert b.even_algebra().table == table_from_entries(5, mat_q)
+    assert GradedAlgebra(Algebra(table_from_entries(0, [])), []).even_algebra().dim == 0
+
+
+def test_even_algebra_rejects_an_odd_component_of_an_even_product():
+    g = GradedAlgebra(matrix_algebra(2), even=[1, 2])  # E12 E21 = E11 is odd
+    with pytest.raises(ValueError, match=r"even\*even product \(1,2\) has an odd component"):
+        g.even_algebra()
+
+
 def test_trivial_extension_rejects_nonassociative_base():
     bad = Algebra(table_from_entries(2, [(0, 0, 1, 1), (1, 0, 0, 1)]))
     with pytest.raises(ValueError, match="not associative"):
-        make_trivial_extension(bad, 1, [[[0]], [[0]]], [[[0], [0]]])
+        make_trivial_extension(bad, [Matrix([[0]])] * 2, [Matrix([[0]])] * 2)
 
 
 def test_trivial_extension_rejects_bad_action():
     # "action" by a non-idempotent on a 1-dim module over Q x Q
     qxq = Algebra(table_from_entries(2, [(0, 0, 0, 1), (1, 1, 1, 1)]))
     with pytest.raises(BimoduleError) as exc:
-        make_trivial_extension(qxq, 1, left_action=[[[2]], [[0]]],
-                               right_action=[[[0], [0]]])
+        make_trivial_extension(qxq, left=[Matrix([[2]]), Matrix([[0]])],
+                               right=[Matrix([[0]]), Matrix([[0]])])
     assert "a.(b.m) = (ab).m" in str(exc.value)
 
 
@@ -181,7 +217,7 @@ def test_trivial_extension_names_the_failing_axiom(axiom, base, left, right, ind
     q = len(left[0])
     assert {ax for ax, _ in bimodule_failures(base, q, left, right)} == {axiom}
     with pytest.raises(BimoduleError) as exc:
-        make_trivial_extension(Algebra(base), q, left, right)
+        make_trivial_extension(Algebra(base), *action_matrices(len(base), q, left, right))
     e = exc.value
     assert (e.axiom, e.indices) == (axiom, indices)
     assert e.lhs != e.rhs
@@ -227,6 +263,18 @@ def _random_action(rng):
     return base, q, left, right
 
 
+def _nested_extension_table(base, q, left, right):
+    """The extension table written straight from the nested actions:
+    e_i.m_m = left[i][m] and m_m.e_i = right[m][i], in module coordinates."""
+    p = len(base)
+    entries = table_entries(base)
+    entries += [(i, p + m, p + k, c) for i in range(p) for m in range(q)
+                for k, c in enumerate(left[i][m])]
+    entries += [(p + m, i, p + k, c) for m in range(q) for i in range(p)
+                for k, c in enumerate(right[m][i])]
+    return table_from_entries(p + q, entries)
+
+
 def test_trivial_extension_agrees_with_dense_matrix_oracle():
     rng = random.Random(20261017)
     verdicts = {True: 0, False: 0}
@@ -234,12 +282,13 @@ def test_trivial_extension_agrees_with_dense_matrix_oracle():
         base, q, left, right = _random_action(rng)
         failures = bimodule_failures(base, q, left, right)
         try:
-            make_trivial_extension(Algebra(base), q, left, right)
+            g = make_trivial_extension(Algebra(base), *action_matrices(len(base), q, left, right))
         except BimoduleError as e:
             assert failures, "raised on a valid bimodule"
             assert failures[(e.axiom, e.indices)] == (e.lhs, e.rhs)
         else:
             assert not failures, "accepted an invalid bimodule"
+            assert g.algebra.table == _nested_extension_table(base, q, left, right)
         verdicts[bool(failures)] += 1
     assert min(verdicts.values()) >= 100
 
@@ -279,7 +328,7 @@ def test_multiply_bilinear(ut_model, x, xp, y):
 
 
 _m2 = matrix_algebra(2)
-_ext8 = make_trivial_extension(_m2, 4, dense(_m2.table), dense(_m2.table))
+_ext8 = make_trivial_extension(_m2, operators(_m2.table, "left"), operators(_m2.table, "right"))
 
 
 @settings(max_examples=30)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from leibkit._tables import table_entries, zero_table
+from leibkit._tables import operators, table_entries, zero_table
 from leibkit.algebras import (
     GradedAlgebra,
     dual_numbers,
@@ -88,7 +88,7 @@ def test_derived_huliu_square_is_commutator(ut_model):
 
 def test_eight_dim_extension_passes_everything():
     m2 = matrix_algebra(2)
-    g = make_trivial_extension(m2, 4, oracles.dense(m2.table), oracles.dense(m2.table))
+    g = make_trivial_extension(m2, operators(m2.table, "left"), operators(m2.table, "right"))
     h = derive_huliu(g)
     assert verify_right_leibniz(h.leibniz).holds
     assert verify_lie(h.square).holds

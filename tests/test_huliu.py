@@ -19,7 +19,7 @@ from leibkit.huliu import (
     verify_huliu_identities,
     verify_lie,
 )
-from leibkit.leibniz import annihilator, direct_sum, ideal_closure, is_ideal
+from leibkit.leibniz import LeibnizAlgebra, annihilator, direct_sum, ideal_closure, is_ideal
 from leibkit.linalg import Matrix, full_space, span, vadd
 
 import oracles
@@ -218,3 +218,12 @@ def test_ideal_tests_agree_with_invariance_under_the_operators():
             assert (is_ideal(h.leibniz, s), is_huliu_ideal(h, s)) == want
             verdicts.add(want)
     assert {(True, True), (False, False)} <= verdicts
+
+
+def test_huliu_algebra_refuses_names_that_differ_from_the_leibniz_algebras():
+    leib = LeibnizAlgebra(zero_table(2))
+    with pytest.raises(ValueError, match="basis_names differ"):
+        HuLiuAlgebra(leib, zero_table(2), ["p", "q"])
+    assert HuLiuAlgebra(leib, zero_table(2), ["e0", "e1"]).basis_names == ("e0", "e1")
+    assert HuLiuAlgebra(leib, zero_table(2)).basis_names == ("e0", "e1")
+    assert HuLiuAlgebra(zero_table(2), zero_table(2), ["p", "q"]).basis_names == ("p", "q")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leibkit._tables import table_from_dense, table_from_entries, zero_table
+from leibkit._tables import operators, table_from_dense, table_from_entries, zero_table
 from leibkit.algebras import matrix_algebra, make_trivial_extension
 from leibkit.algebras import make_block_upper
 from leibkit.derive import derive_huliu, derive_leibniz
@@ -181,7 +181,7 @@ def test_classify_seed_reproducible(nilpotent_dim2):
 
 def test_classify_unknown_on_exhausted_budget():
     m2 = matrix_algebra(2)
-    g = make_trivial_extension(m2, 4, oracles.dense(m2.table), oracles.dense(m2.table))
+    g = make_trivial_extension(m2, operators(m2.table, "left"), operators(m2.table, "right"))
     alg = derive_leibniz(g)
     assert annihilator(alg).dim >= 2  # forces the randomized sub-test
     verdict = classify_simplicity(alg, budget=0)

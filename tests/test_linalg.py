@@ -27,6 +27,17 @@ def test_full_space_is_the_span_of_the_identity_rows():
         assert all(type(c) is Fraction for b in got.basis for c in b)
 
 
+def test_matrix_and_subspace_refuse_attribute_deletion():
+    m, s = Matrix([[1, 2]]), span([(1, 0)], 2)
+    for obj, attrs in ((m, ("data", "rows", "cols", "_nz", "other")),
+                       (s, ("ambient_dim", "basis", "pivots", "other"))):
+        for attr in attrs:
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(obj, attr)
+    assert m == Matrix([[1, 2]]) and m.nonzeros == (((0, 1), (1, 2)),)
+    assert s == span([(1, 0)], 2) and s.dim == 1
+
+
 def test_rref_identity_fixed():
     m = Matrix([[1, 0], [0, 1]])
     assert rref(m) == m

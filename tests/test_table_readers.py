@@ -17,7 +17,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from leibkit._tables import apply_table, table_entries, table_from_dense, table_from_entries
+from leibkit._tables import (
+    apply_table,
+    operators,
+    table_entries,
+    table_from_dense,
+    table_from_entries,
+)
 from leibkit.algebras import (
     Algebra,
     GradedAlgebra,
@@ -34,7 +40,7 @@ from leibkit.linalg import Matrix, inverse
 from leibkit.xigroup import (
     OrthogonalConstraints,
     SpecialLinearConstraints,
-    _even_mult_matrix,
+    _combination,
     _float_table,
     mat_square_zero_extension,
 )
@@ -214,12 +220,14 @@ def test_even_block_readers_match_the_dense_ones():
     graded = MAT_EXTENSIONS + BLOCK_UPPER + CORPUS[:80]
     for g in graded:
         t, even = g.algebra.table, g.even
-        assert np.array_equal(_float_table(g, range(g.dim)),
-                              oracles.dense_float_tensor(t, range(g.dim)))
-        assert np.array_equal(_float_table(g, even), oracles.dense_float_tensor(t, even))
+        a0 = g.even_algebra()
+        assert np.array_equal(_float_table(t), oracles.dense_float_tensor(t, range(g.dim)))
+        assert np.array_equal(_float_table(a0.table), oracles.dense_float_tensor(t, even))
+        left = operators(a0.table, "left")
         for _ in range(3):
             x0 = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in even]
-            assert _even_mult_matrix(g, x0) == oracles.dense_even_mult_matrix(t, even, x0)
+            assert (_combination(x0, left, len(even))
+                    == oracles.dense_even_mult_matrix(t, even, x0))
 
 
 def _message(family, g):
