@@ -5,10 +5,14 @@ immutable: they keep dense row tuples, and a view of each row's nonzeros,
 built on first use and cached, that products, sums and scalings walk.  The
 public ``Matrix`` constructor coerces its entries to Fractions; matrices
 that linalg computes itself are built by a trusted constructor that takes
-their rows as they are.  A ``Subspace`` stores its basis in reduced
+their rows as they are.  Elimination is one incremental Gauss-Jordan
+reducer over sparse rows: each row is reduced against the pivot rows found
+so far by its own nonzeros, reading stops at full rank, and ``solve`` and
+``inverse`` stop at the first row that shows the system inconsistent or
+the matrix singular.  A ``Subspace`` stores its basis in reduced
 row-echelon form, which makes the representation canonical: two subspaces
-are equal iff their basis tuples are equal.  All operations are pure functions; values may be
-shared freely between threads.
+are equal iff their basis tuples are equal.  All operations are pure
+functions; values may be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
+# a row given by its nonzero (column, value) pairs
+SparseRow = Iterable[tuple[int, Fraction]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -92,7 +98,7 @@ class Matrix:
         """Each row's nonzero entries as (column, value) pairs, in column order."""
         nz = self._nz
         if nz is None:
-            nz = tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in self.data)
+            nz = tuple(map(_nonzeros, self.data))
             object.__setattr__(self, "_nz", nz)
         return nz
 
@@ -182,18 +188,25 @@ class Matrix:
         v = vec(v)
         if len(v) != self.cols:
             raise ValueError(f"matvec length {len(v)} != cols {self.cols}")
-        return tuple(sum((x * v[j] for j, x in r if v[j]), _ZERO) for r in self.nonzeros)
+        out = []
+        for r in self.nonzeros:
+            acc = _ZERO
+            for j, x in r:
+                y = v[j]
+                if y:
+                    acc += x * y
+            out.append(acc)
+        return tuple(out)
 
     def is_zero(self) -> bool:
         return not any(self.nonzeros)
 
     def rref(self) -> "Matrix":
-        reduced, _ = _rref(self.data)
-        return Matrix._trusted(tuple(map(tuple, reduced)))
+        reduced, _ = _rref(self.nonzeros, self.cols)
+        return Matrix._trusted(tuple(reduced) + (zeros(self.cols),) * (self.rows - len(reduced)))
 
     def rank(self) -> int:
-        _, pivots = _rref(self.data)
-        return len(pivots)
+        return len(_echelon(self.nonzeros, self.cols))
 
 
 def _row(n: int, entries) -> Vec:
@@ -204,36 +217,78 @@ def _row(n: int, entries) -> Vec:
     return tuple(row)
 
 
-def _rref(rows: Sequence[Vec]) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan reduction; returns (reduced rows, pivot column list)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot_row is None:
+def _nonzeros(v: Vec) -> tuple[tuple[int, Fraction], ...]:
+    return tuple((j, x) for j, x in enumerate(v) if x)
+
+
+def _sub_scaled(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]):
+    """row -= f * other, in place, keeping only the nonzero entries."""
+    for j, y in other.items():
+        x = row.get(j)
+        if x is None:
+            row[j] = -f * y
+        else:
+            x -= f * y
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+
+
+def _echelon(rows: Iterable[SparseRow], width: int,
+             limit: int | None = None) -> dict[int, dict[int, Fraction]] | None:
+    """Incremental Gauss-Jordan over sparse rows of (column, value) pairs.
+
+    Returns the reduced row-echelon basis of the rows' span as {pivot column:
+    that row's other nonzeros}, the pivot entry 1 left implicit.  Each row is
+    reduced against the pivot rows so far; a remainder is normalised at its
+    leading column and eliminated from the earlier pivot rows.  Pivot rows
+    stay zero at each other's pivots and lead at their own, so the basis is
+    the canonical RREF whatever the row order.  Reading stops at full rank,
+    and ``None`` is returned at the first remainder leading at a column
+    >= ``limit``: an augmented row that reduces to 0 = c.
+    """
+    piv: dict[int, dict[int, Fraction]] = {}
+    for r in rows:
+        row = dict(r)
+        for c in [c for c in row if c in piv]:
+            _sub_scaled(row, row.pop(c), piv[c])
+        if not row:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        top = m[r]
-        # entries left of c are zero in rows r and below, so the pivot row's
-        # nonzeros lie at c and after; eliminations walk only those
-        inv = _ONE / top[c]
-        nz = [(j, x * inv) for j, x in enumerate(top[c:], c) if x]
-        for j, x in nz:
-            top[j] = x
-        for i in range(nrows):
-            row = m[i]
-            f = row[c]
-            if f and i != r:
-                for j, x in nz:
-                    row[j] -= f * x
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+        p = min(row)
+        if limit is not None and p >= limit:
+            return None
+        inv = _ONE / row.pop(p)
+        for j in row:
+            row[j] *= inv
+        for q in piv.values():
+            f = q.pop(p, None)
+            if f is not None:
+                _sub_scaled(q, f, row)
+        piv[p] = row
+        if len(piv) == width:
             break
-    return m, pivots
+    return piv
+
+
+def _rref(rows: Iterable[SparseRow], width: int) -> tuple[list[Vec], list[int]]:
+    """Reduced row-echelon form of sparse rows: (nonzero rows, pivot columns)."""
+    piv = _echelon(rows, width)
+    pivots = sorted(piv)
+    return [_row(width, [(p, _ONE), *piv[p].items()]) for p in pivots], pivots
+
+
+def _solve_rows(rows: Iterable[SparseRow], n: int) -> Vec | None:
+    """One solution, free variables 0, of the system in n unknowns whose
+    augmented rows are given sparse, the right-hand side at column n; None
+    at the first row that reduces to 0 = c."""
+    piv = _echelon(rows, n + 1, limit=n)
+    if piv is None:
+        return None
+    x = [_ZERO] * n
+    for p, r in piv.items():
+        x[p] = r.get(n, _ZERO)
+    return tuple(x)
 
 
 def rref(m: Matrix) -> Matrix:
@@ -247,12 +302,13 @@ class Subspace:
     Construct through :func:`span`; the raw constructor trusts its input.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_nz")
 
     def __init__(self, ambient_dim: int, basis: Sequence[Vec], pivots: Sequence[int]):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", tuple(tuple(b) for b in basis))
         object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_nz", None)
 
     def __setattr__(self, name, value=None):
         raise AttributeError("Subspace is immutable")
@@ -279,14 +335,23 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
+    @property
+    def nonzeros(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Each basis vector's nonzero (index, value) pairs, built on first use and kept."""
+        nz = self._nz
+        if nz is None:
+            nz = tuple(map(_nonzeros, self.basis))
+            object.__setattr__(self, "_nz", nz)
+        return nz
+
     def contains(self, v: Sequence) -> bool:
-        if len(v) != self.ambient_dim:
-            raise ValueError(f"vector length {len(v)} != ambient {self.ambient_dim}")
         return self.coords(v) is not None
 
     def coords(self, v: Sequence) -> Vec | None:
         """Coefficients of v in the RREF basis, or None if v is outside."""
         v = vec(v)
+        if len(v) != self.ambient_dim:
+            raise ValueError(f"vector length {len(v)} != ambient {self.ambient_dim}")
         return None if any(self._residual(v)) else tuple(v[p] for p in self.pivots)
 
     def _residual(self, v: Vec) -> list:
@@ -294,10 +359,11 @@ class Subspace:
         columns are standard coordinates, so this is zero exactly when v lies
         in the subspace, else the representative of v + S zero at the pivots."""
         residual = list(v)
-        for p, b in zip(self.pivots, self.basis):
+        for p, b in zip(self.pivots, self.nonzeros):
             c = v[p]
             if c:
-                residual = [x - c * y if y else x for x, y in zip(residual, b)]
+                for j, y in b:
+                    residual[j] -= c * y
         return residual
 
     def _combine(self, coeffs: Sequence) -> Vec:
@@ -342,10 +408,8 @@ def span(vectors: Sequence[Sequence], ambient_dim: int) -> Subspace:
     for v in vs:
         if len(v) != ambient_dim:
             raise ValueError(f"vector length {len(v)} != ambient {ambient_dim}")
-    if not vs:
-        return Subspace(ambient_dim, [], [])
-    reduced, pivots = _rref(vs)
-    return Subspace(ambient_dim, reduced[: len(pivots)], pivots)
+    reduced, pivots = _rref(map(_nonzeros, vs), ambient_dim)
+    return Subspace(ambient_dim, reduced, pivots)
 
 
 def full_space(n: int) -> Subspace:
@@ -355,19 +419,14 @@ def full_space(n: int) -> Subspace:
 
 def kernel(m: Matrix) -> Subspace:
     """Null space {v : m v = 0} as a canonical subspace of Q^cols."""
-    if m.cols == 0:
-        return span([], 0)
-    reduced, pivots = _rref(m.data)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [_ZERO] * m.cols
-        v[f] = _ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][f]
-        basis.append(tuple(v))
-    return span(basis, m.cols)
+    piv = _echelon(m.nonzeros, m.cols)
+    # free column f gives e_f minus the sum of piv[p][f] e_p
+    free = {f: [(f, _ONE)] for f in range(m.cols) if f not in piv}
+    for p, r in piv.items():
+        for f, x in r.items():
+            free[f].append((p, -x))
+    reduced, pivots = _rref(free.values(), m.cols)
+    return Subspace(m.cols, reduced, pivots)
 
 
 def solve(m: Matrix, b: Sequence) -> Vec | None:
@@ -375,15 +434,8 @@ def solve(m: Matrix, b: Sequence) -> Vec | None:
     b = vec(b)
     if len(b) != m.rows:
         raise ValueError(f"rhs length {len(b)} != rows {m.rows}")
-    if m.rows == 0:
-        return zeros(m.cols)
-    reduced, pivots = _rref([r + (bb,) for r, bb in zip(m.data, b)])
-    if pivots and pivots[-1] == m.cols:
-        return None
-    x = [_ZERO] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = reduced[r][m.cols]
-    return tuple(x)
+    n = m.cols
+    return _solve_rows((r + ((n, x),) if x else r for r, x in zip(m.nonzeros, b)), n)
 
 
 def inverse(m: Matrix) -> Matrix | None:
@@ -391,8 +443,10 @@ def inverse(m: Matrix) -> Matrix | None:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    eye = Matrix.identity(n)
-    reduced, pivots = _rref([r + e for r, e in zip(m.data, eye.data)])
-    if pivots[:n] != list(range(n)):
+    # [m | I] reduces to [I | m^-1]; a row of m dependent on the rows before
+    # it leaves a remainder that leads in the identity half
+    piv = _echelon((r + ((n + i, _ONE),) for i, r in enumerate(m.nonzeros)), 2 * n, limit=n)
+    if piv is None:
         return None
-    return Matrix._trusted(tuple(tuple(r[n:]) for r in reduced))
+    return Matrix._trusted(tuple(_row(n, [(j - n, x) for j, x in piv[p].items()])
+                                 for p in range(n)))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._tables import basis_vec
-from .linalg import Matrix, Subspace, Vec, kernel, solve, span
+from .linalg import Matrix, Subspace, Vec, _solve_rows, kernel, span
 
 NORTON_BUDGET = 64
 NORTON_MAX_WORD = 8
@@ -83,7 +83,7 @@ def restriction(mod: OperatorModule, s: Subspace) -> OperatorModule:
             if coords is None:
                 raise ValueError("subspace is not invariant")
             cols.append(coords)
-        mats.append(Matrix.from_cols(cols) if cols else Matrix([]))
+        mats.append(Matrix._trusted(tuple(zip(*cols))))
     return OperatorModule(s.dim, tuple(mats))
 
 
@@ -122,7 +122,7 @@ def quotient(mod: OperatorModule, s: Subspace) -> QuotientModule:
     mats = []
     for t in mod.operators:
         cols = [project(t.matvec(basis_vec(mod.dim, f))) for f in free]
-        mats.append(Matrix.from_cols(cols) if cols else Matrix([]))
+        mats.append(Matrix._trusted(tuple(zip(*cols))))
     return QuotientModule(OperatorModule(len(free), tuple(mats)), free, s)
 
 
@@ -181,24 +181,30 @@ def equivariant_projection_kernel(mod: OperatorModule, sub: Subspace) -> Subspac
 
     Solves the affine linear system P B = I, (B P) T = T (B P) for a
     coefficient matrix P; feasibility means ``sub`` has an invariant
-    complement, returned as ker P.  Returns None when infeasible.
+    complement, returned as ker P.  Returns None when infeasible.  The
+    system's rows are made one at a time as the solver reads them, so an
+    infeasible system is left at its first contradictory row.
     """
     d, k = mod.dim, sub.dim
     if k == 0 or k == d:
         raise ValueError("complement question needs a proper nonzero subspace")
-    b = Matrix.from_cols(list(sub.basis))  # d x k
-    nunk = k * d
-    rows, rhs = [], []
+    sol = _solve_rows(_projection_system(mod, sub), k * d)
+    if sol is None:
+        return None
+    return kernel(Matrix._trusted(tuple(sol[a * d:(a + 1) * d] for a in range(k))))
+
+
+def _projection_system(mod: OperatorModule, sub: Subspace):
+    """The sparse augmented rows of P B = I, (B P) T = T (B P): unknown (a, c)
+    of P is column a * d + c, the right-hand side column k * d."""
+    d, k = mod.dim, sub.dim
     for a in range(k):
-        for bb in range(k):
-            row = [Fraction(0)] * nunk
-            for c in range(d):
-                row[a * d + c] = b.data[c][bb]
-            rows.append(row)
-            rhs.append(Fraction(1 if a == bb else 0))
+        for bb, col in enumerate(sub.nonzeros):
+            yield [(a * d + c, x) for c, x in col] + ([(k * d, Fraction(1))] if a == bb else [])
     # Row (i, j) of the commutation block for T: sum_a,c b[i][a] t[c][j] at
     # unknown (a, c), minus sum_a (T B)[i][a] at unknown (a, j).  Only the
     # nonzero products are formed; zero rows are dropped.
+    b = Matrix._trusted(tuple(zip(*sub.basis)))  # d x k
     b_nz = b.nonzeros
     for t in mod.operators:
         tb_nz = (t @ b).nonzeros
@@ -213,14 +219,6 @@ def equivariant_projection_kernel(mod: OperatorModule, sub: Subspace) -> Subspac
                         terms[a * d + c] = terms.get(a * d + c, 0) + x * y
                 for a, x in tb_nz[i]:
                     terms[a * d + j] = terms.get(a * d + j, 0) - x
-                if any(terms.values()):
-                    row = [Fraction(0)] * nunk
-                    for u, x in terms.items():
-                        row[u] = x
-                    rows.append(row)
-                    rhs.append(Fraction(0))
-    sol = solve(Matrix(rows), rhs)
-    if sol is None:
-        return None
-    p = Matrix([sol[a * d:(a + 1) * d] for a in range(k)])
-    return kernel(p)
+                row = [(u, x) for u, x in terms.items() if x]
+                if row:
+                    yield row

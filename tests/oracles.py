@@ -303,9 +303,42 @@ def entrywise_rref(rows):
     return tuple(tuple(row) for row in m), pivots
 
 
-def entrywise_kernel(m):
-    """Canonical RREF basis of {v : m v = 0}."""
-    reduced, pivots = entrywise_rref(m.data)
+def dense_rref(rows):
+    """Column-by-column Gauss-Jordan on dense rows, skipping zeros only in the
+    pivot row: (all rows reduced, zero rows last, as lists; pivot columns).
+    Passed as ``rref`` to ``entrywise_solve``, ``entrywise_kernel`` and
+    ``entrywise_inverse``, it is the dense reference for the sparse reducer."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        top = m[r]
+        inv = Fraction(1) / top[c]
+        nz = [(j, x * inv) for j, x in enumerate(top[c:], c) if x]
+        for j, x in nz:
+            top[j] = x
+        for i in range(nrows):
+            row = m[i]
+            f = row[c]
+            if f and i != r:
+                for j, x in nz:
+                    row[j] -= f * x
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def entrywise_kernel(m, rref=entrywise_rref):
+    """Canonical RREF basis of {v : m v = 0}, by the given reduction."""
+    reduced, pivots = rref(m.data)
     basis = []
     for f in (j for j in range(m.cols) if j not in pivots):
         v = [Fraction(0)] * m.cols
@@ -315,13 +348,14 @@ def entrywise_kernel(m):
         basis.append(v)
     if not basis:
         return ()
-    rows, piv = entrywise_rref(basis)
-    return rows[:len(piv)]
+    rows, piv = rref(basis)
+    return tuple(map(tuple, rows[:len(piv)]))
 
 
-def entrywise_solve(m, b):
-    """The solution of m x = b with free variables 0, or None."""
-    reduced, pivots = entrywise_rref([tuple(r) + (x,) for r, x in zip(m.data, b)])
+def entrywise_solve(m, b, rref=entrywise_rref):
+    """The solution of m x = b with free variables 0, or None, by the given
+    reduction of the augmented rows."""
+    reduced, pivots = rref([tuple(r) + (x,) for r, x in zip(m.data, b)])
     if pivots and pivots[-1] == m.cols:
         return None
     x = [Fraction(0)] * m.cols
@@ -330,13 +364,13 @@ def entrywise_solve(m, b):
     return tuple(x)
 
 
-def entrywise_inverse(m):
+def entrywise_inverse(m, rref=entrywise_rref):
     n = m.rows
     eye = entrywise_identity(n)
-    reduced, pivots = entrywise_rref([r + e for r, e in zip(m.data, eye)])
+    reduced, pivots = rref([r + e for r, e in zip(m.data, eye)])
     if pivots[:n] != list(range(n)):
         return None
-    return tuple(r[n:] for r in reduced)
+    return tuple(tuple(r[n:]) for r in reduced)
 
 
 def dense_projection_kernel(mod, sub):
@@ -367,6 +401,48 @@ def dense_projection_kernel(mod, sub):
                     rows.append(row)
                     rhs.append(Fraction(0))
     sol = solve(Matrix(rows), rhs)
+    if sol is None:
+        return None
+    return kernel(Matrix([sol[a * d:(a + 1) * d] for a in range(k)]))
+
+
+def dense_system_projection_kernel(mod, sub):
+    """Kernel of an equivariant projection onto ``sub``, or None: the rows'
+    entries are summed over nonzero products only, but each row is written
+    out dense, coerced by the public ``Matrix`` constructor and solved by
+    ``dense_rref``."""
+    d, k = mod.dim, sub.dim
+    b = Matrix.from_cols(list(sub.basis))
+    nunk = k * d
+    rows, rhs = [], []
+    for a in range(k):
+        for bb in range(k):
+            row = [Fraction(0)] * nunk
+            for c in range(d):
+                row[a * d + c] = b.data[c][bb]
+            rows.append(row)
+            rhs.append(Fraction(1 if a == bb else 0))
+    b_nz = b.nonzeros
+    for t in mod.operators:
+        tb_nz = (t @ b).nonzeros
+        t_cols = t.T.nonzeros
+        for i in range(d):
+            if not b_nz[i] and not tb_nz[i]:
+                continue
+            for j in range(d):
+                terms = {}
+                for a, x in b_nz[i]:
+                    for c, y in t_cols[j]:
+                        terms[a * d + c] = terms.get(a * d + c, 0) + x * y
+                for a, x in tb_nz[i]:
+                    terms[a * d + j] = terms.get(a * d + j, 0) - x
+                if any(terms.values()):
+                    row = [Fraction(0)] * nunk
+                    for u, x in terms.items():
+                        row[u] = x
+                    rows.append(row)
+                    rhs.append(Fraction(0))
+    sol = entrywise_solve(Matrix(rows), rhs, rref=dense_rref)
     if sol is None:
         return None
     return kernel(Matrix([sol[a * d:(a + 1) * d] for a in range(k)]))

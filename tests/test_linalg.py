@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from leibkit.linalg import (
     Matrix,
+    _rref,
+    _solve_rows,
     full_space,
     inverse,
     kernel,
@@ -30,7 +32,7 @@ def test_full_space_is_the_span_of_the_identity_rows():
 def test_matrix_and_subspace_refuse_attribute_deletion():
     m, s = Matrix([[1, 2]]), span([(1, 0)], 2)
     for obj, attrs in ((m, ("data", "rows", "cols", "_nz", "other")),
-                       (s, ("ambient_dim", "basis", "pivots", "other"))):
+                       (s, ("ambient_dim", "basis", "pivots", "_nz", "other"))):
         for attr in attrs:
             with pytest.raises(AttributeError, match="immutable"):
                 delattr(obj, attr)
@@ -77,6 +79,13 @@ def test_contains():
     assert not s.contains((0, 1))
     with pytest.raises(ValueError):
         s.contains((1, 0, 0))
+
+
+def test_coords_rejects_a_vector_of_the_wrong_length():
+    s = span([(1, 0, 0)], 3)
+    for v in ((1, 0, 0, 5), (1,), ()):
+        with pytest.raises(ValueError, match="ambient 3"):
+            s.coords(v)
 
 
 def test_intersect_axes():
@@ -235,3 +244,90 @@ def test_sparse_matrix_operations_match_entrywise_arithmetic():
         assert a.is_zero() == all(x == 0 for r in a.data for x in r)
         assert (a - a).is_zero() and Matrix.zero(n, k).is_zero()
         assert not Matrix.identity(k).is_zero()
+
+
+def _random_rows(rng, rows, cols):
+    """Random small Fractions, sparse or dense, with zero rows and a zero
+    column mixed in at random."""
+    density = rng.choice((0.1, 0.3, 0.6, 1.0))
+    zero_rows = {i for i in range(rows) if rng.random() < 0.2}
+    zero_col = rng.randrange(cols) if cols and rng.random() < 0.3 else None
+    return [tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                  if i not in zero_rows and j != zero_col and rng.random() < density
+                  else Fraction(0) for j in range(cols)) for i in range(rows)]
+
+
+def _combination(rng, rows, cols):
+    """A random combination of the given rows, zero when there are none."""
+    out = [Fraction(0)] * cols
+    for r in rows:
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        out = [x + c * y for x, y in zip(out, r)]
+    return tuple(out)
+
+
+def _counted(rows, seen):
+    for r in rows:
+        seen.append(r)
+        yield r
+
+
+def test_sparse_reducer_matches_the_dense_reduction():
+    rng = random.Random(15)
+    for trial in range(400):
+        n, k = rng.randint(0, 7), rng.randint(0, 7)
+        rows = _random_rows(rng, n, k)
+        nz = [tuple((j, x) for j, x in enumerate(r) if x) for r in rows]
+        reduced, pivots = oracles.dense_rref(rows)
+        assert _rref(nz, k) == ([tuple(r) for r in reduced[:len(pivots)]], pivots)
+        if n == 0:
+            continue  # a Matrix has no 0 x k form
+        a = Matrix(rows)
+        assert a.rank() == len(pivots)
+        assert rref(a).data == tuple(map(tuple, reduced))
+        assert kernel(a).basis == oracles.entrywise_kernel(a, rref=oracles.dense_rref)
+        x0 = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(k))
+        rhs = a.matvec(x0)
+        assert solve(a, rhs) == oracles.entrywise_solve(a, rhs, rref=oracles.dense_rref)
+        assert solve(a, rhs) is not None
+        rhs = _random_rows(rng, 1, n)[0]
+        assert solve(a, rhs) == oracles.entrywise_solve(a, rhs, rref=oracles.dense_rref)
+        sq = Matrix(_random_rows(rng, n, n))
+        inv = inverse(sq)
+        assert (inv.data if inv is not None else None) == \
+            oracles.entrywise_inverse(sq, rref=oracles.dense_rref)
+
+
+def test_solve_stops_at_the_first_contradictory_row():
+    rng = random.Random(16)
+    for trial in range(300):
+        n, k = rng.randint(1, 7), rng.randint(0, 6)
+        rows = _random_rows(rng, n, k)
+        x0 = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(k))
+        # row r depends on the rows before it (it is zero when r = 0) and
+        # its right-hand side is off by one, so r is the first contradiction
+        r = rng.choice((0, n - 1, rng.randrange(n)))
+        rows[r] = _combination(rng, rows[:r], k)
+        a = Matrix(rows)
+        rhs = list(a.matvec(x0))
+        rhs[r] += 1
+        assert solve(a, rhs) is None
+        assert oracles.entrywise_solve(a, rhs, rref=oracles.dense_rref) is None
+        seen = []
+        aug = [tuple((j, x) for j, x in enumerate(row + (b,)) if x) for row, b in zip(rows, rhs)]
+        assert _solve_rows(_counted(aug, seen), k) is None
+        assert len(seen) == r + 1
+
+
+def test_elimination_of_empty_shapes():
+    for k in range(4):
+        assert _rref([], k) == ([], [])
+        assert _solve_rows([], k) == (Fraction(0),) * k
+    for n in range(1, 4):
+        a = Matrix([[]] * n)  # n x 0
+        assert (a.rows, a.cols, a.rank()) == (n, 0, 0)
+        assert rref(a) == a and kernel(a) == span([], 0)
+        assert solve(a, [0] * n) == ()
+        assert solve(a, [0] * (n - 1) + [2]) is None
+    assert solve(Matrix([]), []) == ()
+    assert inverse(Matrix([])) == Matrix([])

@@ -140,8 +140,10 @@ def test_equivariant_complement():
     d = OperatorModule(2, (Matrix([[1, 0], [0, 2]]),))
     ker = equivariant_projection_kernel(d, span([(1, 0)], 2))
     assert ker == span([(0, 1)], 2)
+    assert ker == oracles.dense_system_projection_kernel(d, span([(1, 0)], 2))
     jordan = OperatorModule(2, (Matrix([[1, 1], [0, 1]]),))
     assert equivariant_projection_kernel(jordan, span([(1, 0)], 2)) is None
+    assert oracles.dense_system_projection_kernel(jordan, span([(1, 0)], 2)) is None
 
 
 def _block_diagonal(a, b):
@@ -168,6 +170,7 @@ def test_sparse_complement_system_matches_the_dense_reference():
         sub = span([u.col(j) for j in range(d1)], d)
         got = equivariant_projection_kernel(mod, sub)
         assert got is not None and got == oracles.dense_projection_kernel(mod, sub)
+        assert got == oracles.dense_system_projection_kernel(mod, sub)
     for n in range(2, 6):
         jordan = Matrix([[1 if j in (i, i + 1) else 0 for j in range(n)] for i in range(n)])
         mod = OperatorModule(n, (jordan,))
@@ -175,8 +178,19 @@ def test_sparse_complement_system_matches_the_dense_reference():
             sub = span([[1 if j == i else 0 for j in range(n)] for i in range(k)], n)
             assert equivariant_projection_kernel(mod, sub) is None
             assert oracles.dense_projection_kernel(mod, sub) is None
+            assert oracles.dense_system_projection_kernel(mod, sub) is None
     alg = LeibnizAlgebra(oracles.sl2_semidirect((4,)))
     mod = OperatorModule(alg.dim, multiplication_operators(alg))
     ann = annihilator(alg)
     assert equivariant_projection_kernel(mod, ann) is None
     assert oracles.dense_projection_kernel(mod, ann) is None
+
+
+def test_complement_of_the_sl2_annihilators_matches_the_dense_system():
+    for n in range(1, 9):
+        alg = LeibnizAlgebra(oracles.sl2_semidirect((n,)))
+        mod = OperatorModule(alg.dim, multiplication_operators(alg))
+        ann = annihilator(alg)
+        assert ann.dim == n + 1
+        assert equivariant_projection_kernel(mod, ann) is None
+        assert oracles.dense_system_projection_kernel(mod, ann) is None
