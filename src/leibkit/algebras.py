@@ -23,7 +23,7 @@ from ._tables import (
     table_from_entries,
     verify_identities,
 )
-from .linalg import Matrix, Vec, solve, vec
+from .linalg import Matrix, Vec, _solve_rows, vec
 from .report import Report, checked_once, fail, memo, ok, require
 
 
@@ -96,10 +96,10 @@ def find_unit(a: Algebra) -> Vec | None:
     if any((j, j, side) not in eqs for j in range(a.dim) for side in (0, 1)):
         return None
     # each distinct equation once; a row's unknowns were added in ascending order
-    distinct = dict.fromkeys((tuple(row.items()), int(j == k)) for (j, k, _), row in eqs.items())
-    zero = Fraction(0)
-    rows = [[dict(row).get(i, zero) for i in range(a.dim)] for row, _ in distinct]
-    return solve(Matrix(rows), [rhs for _, rhs in distinct])
+    distinct = dict.fromkeys((tuple(row.items()), j == k) for (j, k, _), row in eqs.items())
+    # the right-hand side, 1 when j = k, sits at column dim
+    one = ((a.dim, Fraction(1)),)
+    return _solve_rows((row + one if diag else row for row, diag in distinct), a.dim)
 
 
 class GradedAlgebra:

@@ -5,14 +5,15 @@ immutable: they keep dense row tuples, and a view of each row's nonzeros,
 built on first use and cached, that products, sums and scalings walk.  The
 public ``Matrix`` constructor coerces its entries to Fractions; matrices
 that linalg computes itself are built by a trusted constructor that takes
-their rows as they are.  Elimination is one incremental Gauss-Jordan
-reducer over sparse rows: each row is reduced against the pivot rows found
-so far by its own nonzeros, reading stops at full rank, and ``solve`` and
-``inverse`` stop at the first row that shows the system inconsistent or
-the matrix singular.  A ``Subspace`` stores its basis in reduced
-row-echelon form, which makes the representation canonical: two subspaces
-are equal iff their basis tuples are equal.  All operations are pure
-functions; values may be shared freely between threads.
+their rows as they are.  One incremental Gauss-Jordan reducer over sparse
+rows does elimination, spin (``modules.closure``) and membership: a row is
+reduced by its own nonzeros against the pivot rows so far and, if nonzero,
+added as a pivot row.  Elimination stops at full rank, ``solve`` and
+``inverse`` at the first row that shows the system inconsistent or the
+matrix singular.  A ``Subspace`` keeps its basis in reduced row-echelon
+form, which is canonical (equal subspaces have equal basis tuples), and as
+the pivot rows that membership reduces against.  Values are immutable and
+may be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -235,37 +236,53 @@ def _sub_scaled(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction
                 del row[j]
 
 
+def _reduce(piv: dict[int, dict[int, Fraction]], r: SparseRow) -> dict[int, Fraction]:
+    """The nonzeros of a sparse row reduced against the pivot rows, a new
+    dict; pivot rows are zero at each other's pivots, so it is zero at every
+    pivot and empty exactly when the row lies in their span."""
+    row = dict(r)
+    for c in [c for c in row if c in piv]:
+        _sub_scaled(row, row.pop(c), piv[c])
+    return row
+
+
+def _add(piv: dict[int, dict[int, Fraction]], r: SparseRow) -> int | None:
+    """Add a sparse row to the pivot rows in place; its new pivot, or None.
+
+    A nonzero remainder is normalised at its leading column and eliminated
+    from the earlier pivot rows, so the pivot rows are the canonical RREF
+    of their span whatever the order the rows came in.
+    """
+    row = _reduce(piv, r)
+    if not row:
+        return None
+    p = min(row)
+    inv = _ONE / row.pop(p)
+    for j in row:
+        row[j] *= inv
+    for q in piv.values():
+        f = q.pop(p, None)
+        if f is not None:
+            _sub_scaled(q, f, row)
+    piv[p] = row
+    return p
+
+
 def _echelon(rows: Iterable[SparseRow], width: int,
              limit: int | None = None) -> dict[int, dict[int, Fraction]] | None:
     """Incremental Gauss-Jordan over sparse rows of (column, value) pairs.
 
     Returns the reduced row-echelon basis of the rows' span as {pivot column:
-    that row's other nonzeros}, the pivot entry 1 left implicit.  Each row is
-    reduced against the pivot rows so far; a remainder is normalised at its
-    leading column and eliminated from the earlier pivot rows.  Pivot rows
-    stay zero at each other's pivots and lead at their own, so the basis is
-    the canonical RREF whatever the row order.  Reading stops at full rank,
-    and ``None`` is returned at the first remainder leading at a column
-    >= ``limit``: an augmented row that reduces to 0 = c.
+    that row's other nonzeros}, the pivot entry 1 left implicit, built by
+    :func:`_add`.  Reading stops at full rank, and ``None`` is returned at
+    the first remainder leading at a column >= ``limit``: an augmented row
+    that reduces to 0 = c.
     """
     piv: dict[int, dict[int, Fraction]] = {}
     for r in rows:
-        row = dict(r)
-        for c in [c for c in row if c in piv]:
-            _sub_scaled(row, row.pop(c), piv[c])
-        if not row:
-            continue
-        p = min(row)
-        if limit is not None and p >= limit:
+        p = _add(piv, r)
+        if p is not None and limit is not None and p >= limit:
             return None
-        inv = _ONE / row.pop(p)
-        for j in row:
-            row[j] *= inv
-        for q in piv.values():
-            f = q.pop(p, None)
-            if f is not None:
-                _sub_scaled(q, f, row)
-        piv[p] = row
         if len(piv) == width:
             break
     return piv
@@ -273,9 +290,8 @@ def _echelon(rows: Iterable[SparseRow], width: int,
 
 def _rref(rows: Iterable[SparseRow], width: int) -> tuple[list[Vec], list[int]]:
     """Reduced row-echelon form of sparse rows: (nonzero rows, pivot columns)."""
-    piv = _echelon(rows, width)
-    pivots = sorted(piv)
-    return [_row(width, [(p, _ONE), *piv[p].items()]) for p in pivots], pivots
+    s = Subspace._from_rows(width, _echelon(rows, width))
+    return list(s.basis), list(s.pivots)
 
 
 def _solve_rows(rows: Iterable[SparseRow], n: int) -> Vec | None:
@@ -300,6 +316,8 @@ class Subspace:
     """A linear subspace of Q^n with a canonical RREF basis.
 
     Construct through :func:`span`; the raw constructor trusts its input.
+    Membership and coordinates reduce against the basis as the reducer's
+    pivot rows, kept from the reducer or built on first use.
     """
 
     __slots__ = ("ambient_dim", "basis", "pivots", "_nz")
@@ -335,14 +353,29 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
+    @staticmethod
+    def _from_rows(ambient_dim: int, piv: dict[int, dict[int, Fraction]]) -> "Subspace":
+        """The subspace with the given pivot rows, which it keeps as they are."""
+        pivots = sorted(piv)
+        s = Subspace(ambient_dim, [_row(ambient_dim, [(p, _ONE), *piv[p].items()])
+                                   for p in pivots], pivots)
+        object.__setattr__(s, "_nz", piv)
+        return s
+
+    @property
+    def _rows(self) -> dict[int, dict[int, Fraction]]:
+        """The basis as pivot rows {pivot: other nonzeros}; not to be mutated."""
+        piv = self._nz
+        if piv is None:
+            piv = {p: {j: x for j, x in enumerate(b) if x and j != p}
+                   for p, b in zip(self.pivots, self.basis)}
+            object.__setattr__(self, "_nz", piv)
+        return piv
+
     @property
     def nonzeros(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """Each basis vector's nonzero (index, value) pairs, built on first use and kept."""
-        nz = self._nz
-        if nz is None:
-            nz = tuple(map(_nonzeros, self.basis))
-            object.__setattr__(self, "_nz", nz)
-        return nz
+        """Each basis vector's nonzero (index, value) pairs, in index order."""
+        return tuple(map(_nonzeros, self.basis))
 
     def contains(self, v: Sequence) -> bool:
         return self.coords(v) is not None
@@ -352,19 +385,8 @@ class Subspace:
         v = vec(v)
         if len(v) != self.ambient_dim:
             raise ValueError(f"vector length {len(v)} != ambient {self.ambient_dim}")
-        return None if any(self._residual(v)) else tuple(v[p] for p in self.pivots)
-
-    def _residual(self, v: Vec) -> list:
-        """v minus the basis combination with v's pivot coordinates: RREF pivot
-        columns are standard coordinates, so this is zero exactly when v lies
-        in the subspace, else the representative of v + S zero at the pivots."""
-        residual = list(v)
-        for p, b in zip(self.pivots, self.nonzeros):
-            c = v[p]
-            if c:
-                for j, y in b:
-                    residual[j] -= c * y
-        return residual
+        # v lies in the span iff it reduces to 0; RREF coordinates are its pivot entries
+        return None if _reduce(self._rows, _nonzeros(v)) else tuple(v[p] for p in self.pivots)
 
     def _combine(self, coeffs: Sequence) -> Vec:
         """The combination sum_i coeffs[i] * basis[i]."""
@@ -408,8 +430,7 @@ def span(vectors: Sequence[Sequence], ambient_dim: int) -> Subspace:
     for v in vs:
         if len(v) != ambient_dim:
             raise ValueError(f"vector length {len(v)} != ambient {ambient_dim}")
-    reduced, pivots = _rref(map(_nonzeros, vs), ambient_dim)
-    return Subspace(ambient_dim, reduced, pivots)
+    return Subspace._from_rows(ambient_dim, _echelon(map(_nonzeros, vs), ambient_dim))
 
 
 def full_space(n: int) -> Subspace:
@@ -425,8 +446,7 @@ def kernel(m: Matrix) -> Subspace:
     for p, r in piv.items():
         for f, x in r.items():
             free[f].append((p, -x))
-    reduced, pivots = _rref(free.values(), m.cols)
-    return Subspace(m.cols, reduced, pivots)
+    return Subspace._from_rows(m.cols, _echelon(free.values(), m.cols))
 
 
 def solve(m: Matrix, b: Sequence) -> Vec | None:

@@ -9,9 +9,10 @@ transpose-kernel vector both spin to the full space is a proof, any proper
 spin is a counterexample, and an exhausted retry budget returns "unknown",
 never a wrong answer.
 
-Spinning is incremental: a semi-echelon basis grows one vector at a time,
-each new vector is hit once by each nonzero operator, and the spin stops at
-full dimension.  The result is returned as the canonical RREF ``Subspace``.
+Spinning is incremental and runs on linalg's one reducer: each image is
+added to the pivot rows of the span so far, each image that adds a pivot is
+hit once by each nonzero operator, and the spin stops at full dimension.
+The pivot rows are the canonical RREF of the span, so they are the result.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._tables import basis_vec
-from .linalg import Matrix, Subspace, Vec, _solve_rows, kernel, span
+from .linalg import (Matrix, Subspace, Vec, _ZERO, _add, _nonzeros, _reduce, _row, _solve_rows,
+                     kernel, span)
 
 NORTON_BUDGET = 64
 NORTON_MAX_WORD = 8
@@ -36,33 +38,25 @@ class OperatorModule:
 def closure(operators, s: Subspace) -> Subspace:
     """Least subspace containing s and invariant under all operators.
 
-    Each basis vector, starting with those of s, is hit once by each nonzero
-    operator; an image's remainder against the basis so far, if nonzero,
-    becomes a new basis vector.  Every basis vector is zero at the pivots
-    of the earlier ones, so reducing in insertion order clears all pivots.
+    The reducer starts from the pivot rows of s.  Each basis vector of s,
+    and each image that adds a pivot, is hit once by each nonzero operator,
+    and spinning stops at full dimension.  The images of a spanning set lie
+    in the span, so it is invariant, and its pivot rows are its RREF basis.
     """
     n = s.ambient_dim
     ops = [t for t in operators if not t.is_zero()]
-    basis = list(zip(s.pivots, s.basis))
-    todo = 0
-    while todo < len(basis) and len(basis) < n:
-        v = basis[todo][1]
-        todo += 1
+    piv = {p: dict(r) for p, r in s._rows.items()}
+    todo = list(s.basis)
+    for v in todo:
+        if len(piv) == n:
+            break
         for t in ops:
             w = t.matvec(v)
-            for p, b in basis:
-                c = w[p]
-                if c:
-                    w = [x - c * y if y else x for x, y in zip(w, b)]
-            p = next((i for i, x in enumerate(w) if x), None)
-            if p is not None:
-                inv = 1 / w[p]
-                basis.append((p, [x * inv if x else x for x in w]))
-                if len(basis) == n:
+            if _add(piv, _nonzeros(w)) is not None:
+                todo.append(w)
+                if len(piv) == n:
                     break
-    if len(basis) == s.dim:
-        return s
-    return span([b for _, b in basis], n)
+    return s if len(piv) == s.dim else Subspace._from_rows(n, piv)
 
 
 def spin(mod: OperatorModule, vectors) -> Subspace:
@@ -105,24 +99,17 @@ class QuotientModule:
         return self.mod.dim
 
     def lift(self, coords) -> Vec:
-        v = [Fraction(0)] * self.sub.ambient_dim
-        for c, f in zip(coords, self.free):
-            v[f] = c
-        return tuple(v)
+        return _row(self.sub.ambient_dim, zip(self.free, coords))
 
 
 def quotient(mod: OperatorModule, s: Subspace) -> QuotientModule:
     pivots = set(s.pivots)
     free = tuple(j for j in range(mod.dim) if j not in pivots)
-
-    def project(v: Vec) -> Vec:
-        res = s._residual(v)
-        return tuple(res[f] for f in free)
-
     mats = []
     for t in mod.operators:
-        cols = [project(t.matvec(basis_vec(mod.dim, f))) for f in free]
-        mats.append(Matrix._trusted(tuple(zip(*cols))))
+        # t e_f reduced against s is zero at the pivots: column f of the quotient
+        cols = [_reduce(s._rows, _nonzeros(t.col(f))) for f in free]
+        mats.append(Matrix._trusted(tuple(tuple(c.get(g, _ZERO) for c in cols) for g in free)))
     return QuotientModule(OperatorModule(len(free), tuple(mats)), free, s)
 
 

@@ -36,7 +36,7 @@ from .algebras import (
 )
 from .derive import derive_huliu
 from .huliu import is_huliu_subalgebra
-from .linalg import Matrix, Subspace, Vec, full_space, kernel, solve, span, vec, zeros
+from .linalg import Matrix, Subspace, Vec, _row, full_space, kernel, solve, span, vec, zeros
 from .report import Report, fail, ok
 
 DEFAULT_TOLERANCE = 1e-9
@@ -212,7 +212,7 @@ def invert_unit(r: MatrixRealization, x):
     y = solve(m, r.even_algebra.unit)
     if y is None:
         raise NotAUnitError("even component is singular")
-    x0_inv = _lift(g.dim, g.even, y)
+    x0_inv = _row(g.dim, zip(g.even, y))
     x1 = g.odd_part(x)
     mul = g.algebra.multiply
     inv = tuple(a - b for a, b in zip(x0_inv, mul(x0_inv, mul(x1, x0_inv))))
@@ -554,14 +554,6 @@ class TangentSpace:
     exact: ClassVar[bool] = True
 
 
-def _lift(dim: int, positions, v) -> Vec:
-    """The dim-vector with v's entries at ``positions`` and 0 elsewhere."""
-    out = [Fraction(0)] * dim
-    for c, i in zip(v, positions):
-        out[i] = c
-    return tuple(out)
-
-
 def tangent_space(group: LinearXiGroup) -> TangentSpace:
     """Kernel of the even-constraint Jacobian at the unit, plus V1, exactly."""
     g = group.graded
@@ -574,8 +566,8 @@ def tangent_space(group: LinearXiGroup) -> TangentSpace:
         if j.rows != m or j.cols != even_dim:
             raise RuntimeError("constraint Jacobian has the wrong shape; family bug")
         even_ker = kernel(j)
-    vecs = [_lift(g.dim, g.even, v) for v in even_ker.basis]
-    vecs += [_lift(g.dim, g.odd, b) for b in group.odd_subspace.basis]
+    vecs = [_row(g.dim, zip(g.even, v)) for v in even_ker.basis]
+    vecs += [_row(g.dim, zip(g.odd, b)) for b in group.odd_subspace.basis]
     return TangentSpace(span(vecs, g.dim))
 
 

@@ -35,7 +35,7 @@ def _sparse_ops(rng, d, count, density):
 def test_closure_matches_naive_closure():
     rng = random.Random(11)
     for _ in range(150):
-        d = rng.randint(1, 6)
+        d = rng.randint(1, 9)
         ops = _sparse_ops(rng, d, rng.randint(0, 3), rng.choice((0.1, 0.25, 0.5)))
         if rng.random() < 0.3:
             ops.append(Matrix.zero(d, d))
@@ -75,6 +75,30 @@ def test_spin_and_restriction_quotient():
     quo = quotient(mod, sub)
     assert quo.mod.operators[0] == Matrix([[2]])
     assert quo.lift((1,)) == (0, 1)
+
+
+def test_quotient_operators_lift_to_the_operators_modulo_the_subspace():
+    rng = random.Random(17)
+    for _ in range(60):
+        d = rng.randint(1, 8)
+        # each block keeps e_0 .. e_(d-2) in their span, so in the basis u the
+        # first d - 1 columns of u span an invariant hyperplane
+        blocks = [Matrix([r if i < d - 1 else [0] * (d - 1) + [r[-1]]
+                          for i, r in enumerate(t.data)])
+                  for t in _sparse_ops(rng, d, rng.randint(1, 3), rng.choice((0.2, 0.5)))]
+        u, uinv = _random_invertible(rng, d)
+        ops = tuple(u @ t @ uinv for t in blocks)
+        subs = [span([], d), span([u.col(j) for j in range(d - 1)], d)]
+        subs += [closure(ops, span([_sparse_ops(rng, d, 1, 0.5)[0].row(0)], d)) for _ in range(3)]
+        for s in subs:
+            assert oracles.is_invariant(ops, s)
+            quo = quotient(OperatorModule(d, ops), s)
+            assert quo.dim == d - s.dim
+            for t, qt in zip(ops, quo.mod.operators):
+                for f in range(quo.dim):
+                    e_f = [int(i == f) for i in range(quo.dim)]
+                    diff = [x - y for x, y in zip(t.matvec(quo.lift(e_f)), quo.lift(qt.col(f)))]
+                    assert len(oracles.dense_rref([*s.basis, diff])[1]) == s.dim
 
 
 def test_restriction_rejects_noninvariant():
@@ -151,6 +175,14 @@ def _block_diagonal(a, b):
     return Matrix([list(r) + [0] * m for r in a.data] + [[0] * n + list(r) for r in b.data])
 
 
+def _random_invertible(rng, d):
+    while True:
+        u = _sparse_ops(rng, d, 1, 0.6)[0]
+        uinv = inverse(u)
+        if uinv is not None:
+            return u, uinv
+
+
 def test_sparse_complement_system_matches_the_dense_reference():
     rng = random.Random(13)
     for _ in range(40):
@@ -161,11 +193,7 @@ def test_sparse_complement_system_matches_the_dense_reference():
         d = d1 + d2
         ops = [_block_diagonal(a, b) for a, b in zip(
             _sparse_ops(rng, d1, 2, 0.5), _sparse_ops(rng, d2, 2, 0.5))]
-        while True:
-            u = _sparse_ops(rng, d, 1, 0.6)[0]
-            uinv = inverse(u)
-            if uinv is not None:
-                break
+        u, uinv = _random_invertible(rng, d)
         mod = OperatorModule(d, tuple(u @ t @ uinv for t in ops))
         sub = span([u.col(j) for j in range(d1)], d)
         got = equivariant_projection_kernel(mod, sub)
