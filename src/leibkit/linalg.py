@@ -14,6 +14,10 @@ matrix singular.  A ``Subspace`` keeps its basis in reduced row-echelon
 form, which is canonical (equal subspaces have equal basis tuples), and as
 the pivot rows that membership reduces against.  Values are immutable and
 may be shared freely between threads.
+
+A GF(p) layer for the fixed prime p = 2^31 - 1 mirrors that reducer over
+sparse rows of Python ints, and each matrix caches its columns mod p; it
+can only prove ranks full (see ``modules``), never decide an answer alone.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ SparseRow = Iterable[tuple[int, Fraction]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# the GF(p) layer's prime
+_P = 2 ** 31 - 1
 
 
 def rat(x) -> Fraction:
@@ -63,12 +69,13 @@ class Matrix:
     ``data`` holds the dense row tuples, which alone decide equality, hash
     and repr.  ``nonzeros`` is a view of each row's nonzero ``(j, x)``
     pairs, built on first use and kept; products, sums and scalings walk
-    only that view.  The public constructor coerces its entries; rows that
+    only that view.  ``_cols_p``, the columns mod p, is built and kept the
+    same way.  The public constructor coerces its entries; rows that
     linalg computes itself go through ``_trusted``, which takes them as
     they are.
     """
 
-    __slots__ = ("rows", "cols", "data", "_nz")
+    __slots__ = ("rows", "cols", "data", "_nz", "_p")
 
     def __init__(self, data: Sequence[Sequence]):
         rows = tuple(vec(r) for r in data)
@@ -81,6 +88,7 @@ class Matrix:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
         object.__setattr__(self, "_nz", None)
+        object.__setattr__(self, "_p", None)
 
     @classmethod
     def _trusted(cls, rows: tuple[Vec, ...]) -> "Matrix":
@@ -102,6 +110,25 @@ class Matrix:
             nz = tuple(map(_nonzeros, self.data))
             object.__setattr__(self, "_nz", nz)
         return nz
+
+    @property
+    def _cols_p(self) -> tuple[dict[int, int], ...] | None:
+        """Each column's nonzeros mod p as {row: value}, built on first use
+        and kept; None when p divides a denominator."""
+        cp = self._p
+        if cp is None:
+            cols: list[dict[int, int]] = [{} for _ in range(self.cols)]
+            for i, r in enumerate(self.nonzeros):
+                rp = _mod_p(r)
+                if rp is None:
+                    cp = False
+                    break
+                for j, x in rp.items():
+                    cols[j][i] = x
+            else:
+                cp = tuple(cols)
+            object.__setattr__(self, "_p", cp)
+        return None if cp is False else cp
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
@@ -286,6 +313,71 @@ def _echelon(rows: Iterable[SparseRow], width: int,
         if len(piv) == width:
             break
     return piv
+
+
+def _mod_p(r: SparseRow) -> dict[int, int] | None:
+    """The nonzeros mod p of a sparse rational row, or None when p divides a
+    denominator (the row is not p-integral and has no reduction)."""
+    out = {}
+    for j, x in r:
+        if not x.denominator % _P:
+            return None
+        y = x.numerator * pow(x.denominator, -1, _P) % _P
+        if y:
+            out[j] = y
+    return out
+
+
+def _matvec_p(cols: Sequence[dict[int, int]], v: dict[int, int]) -> dict[int, int]:
+    """A matrix given by its columns mod p applied to a sparse vector mod p:
+    the sum of v[j] * column j, following v's nonzeros."""
+    acc: dict[int, int] = {}
+    for j, x in v.items():
+        for i, y in cols[j].items():
+            acc[i] = acc.get(i, 0) + x * y
+    out = {}
+    for i, y in acc.items():
+        y %= _P
+        if y:
+            out[i] = y
+    return out
+
+
+def _sub_scaled_p(row: dict[int, int], f: int, other: dict[int, int]):
+    """row -= f * other mod p, in place, keeping only the nonzero entries."""
+    for j, y in other.items():
+        x = (row.get(j, 0) - f * y) % _P
+        if x:
+            row[j] = x
+        else:
+            row.pop(j, None)
+
+
+def _reduce_p(piv: dict[int, dict[int, int]], r: dict[int, int]) -> dict[int, int]:
+    """:func:`_reduce` mod p: the remainder of a sparse row against the pivot
+    rows mod p, a new dict, empty exactly when the row lies in their span."""
+    row = dict(r)
+    for c in [c for c in row if c in piv]:
+        _sub_scaled_p(row, row.pop(c), piv[c])
+    return row
+
+
+def _add_p(piv: dict[int, dict[int, int]], r: dict[int, int]) -> int | None:
+    """:func:`_add` mod p: add a sparse row to the pivot rows in place, kept
+    in reduced row-echelon form; its new pivot, or None."""
+    row = _reduce_p(piv, r)
+    if not row:
+        return None
+    p = min(row)
+    inv = pow(row.pop(p), -1, _P)
+    for j in row:
+        row[j] = row[j] * inv % _P
+    for q in piv.values():
+        f = q.pop(p, None)
+        if f is not None:
+            _sub_scaled_p(q, f, row)
+    piv[p] = row
+    return p
 
 
 def _rref(rows: Iterable[SparseRow], width: int) -> tuple[list[Vec], list[int]]:

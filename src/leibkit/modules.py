@@ -13,6 +13,21 @@ Spinning is incremental and runs on linalg's one reducer: each image is
 added to the pivot rows of the span so far, each image that adds a pivot is
 hit once by each nonzero operator, and the spin stops at full dimension.
 The pivot rows are the canonical RREF of the span, so they are the result.
+
+Both spin and Norton's rank test first run modulo the prime p = 2^31 - 1
+(linalg's GF(p) layer), on the same inputs, and that pre-pass can only
+prove an answer.  Lemma: for a matrix M with p-integral rational entries,
+rank over Q >= rank over GF(p) of M mod p, since a nonzero minor mod p is
+a nonzero minor over Q.  The spin of s is spanned by the vectors w(T)b for
+words w in the operators and basis vectors b of s; reduction mod p is a
+ring map on p-integral rationals, so those vectors reduce to the ones that
+span the mod-p spin.  Hence a mod-p spin of full dimension proves that the
+rational spin is full, and a Norton element theta of full rank mod p is
+invertible over Q, so its kernel is 0.  A proper mod-p result proves
+nothing (p may divide a minor), and then the rational computation runs
+unchanged.  When p divides a denominator there is no reduction, and the
+pre-pass is skipped.  Norton's random draws are the same either way, so
+the pre-pass changes no result.
 """
 
 from __future__ import annotations
@@ -22,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._tables import basis_vec
-from .linalg import (Matrix, Subspace, Vec, _ZERO, _add, _nonzeros, _reduce, _row, _solve_rows,
-                     kernel, span)
+from .linalg import (Matrix, Subspace, Vec, _ONE, _P, _ZERO, _add, _add_p, _matvec_p, _mod_p,
+                     _nonzeros, _reduce, _row, _solve_rows, full_space, kernel, span)
 
 NORTON_BUDGET = 64
 NORTON_MAX_WORD = 8
@@ -42,9 +57,12 @@ def closure(operators, s: Subspace) -> Subspace:
     and each image that adds a pivot, is hit once by each nonzero operator,
     and spinning stops at full dimension.  The images of a spanning set lie
     in the span, so it is invariant, and its pivot rows are its RREF basis.
+    A mod-p spin of full dimension returns the full space first.
     """
     n = s.ambient_dim
     ops = [t for t in operators if not t.is_zero()]
+    if s.dim < n and _spin_full_mod_p(ops, s):
+        return full_space(n)
     piv = {p: dict(r) for p, r in s._rows.items()}
     todo = list(s.basis)
     for v in todo:
@@ -59,6 +77,30 @@ def closure(operators, s: Subspace) -> Subspace:
     return s if len(piv) == s.dim else Subspace._from_rows(n, piv)
 
 
+def _spin_full_mod_p(ops: list[Matrix], s: Subspace) -> bool:
+    """Whether the spin of s under ops, reduced mod p, is the whole space.
+
+    True proves the rational spin is the whole space (the lemma in the
+    module docstring); False proves nothing, and is also the answer when p
+    divides a denominator of an operator or of s.
+    """
+    n = s.ambient_dim
+    cols = [t._cols_p for t in ops]
+    piv = {p: _mod_p(r.items()) for p, r in s._rows.items()}
+    if None in cols or None in piv.values():
+        return False
+    # s's pivot rows stay in reduced row-echelon form mod p: pivot 1, zero at the others
+    todo = [{p: 1, **r} for p, r in piv.items()]
+    for v in todo:
+        for c in cols:
+            w = _matvec_p(c, v)
+            if _add_p(piv, w) is not None:
+                if len(piv) == n:
+                    return True
+                todo.append(w)
+    return False
+
+
 def spin(mod: OperatorModule, vectors) -> Subspace:
     return closure(mod.operators, span(vectors, mod.dim))
 
@@ -68,15 +110,29 @@ def is_invariant(operators, s: Subspace) -> bool:
 
 
 def restriction(mod: OperatorModule, s: Subspace) -> OperatorModule:
-    """Operators restricted to an invariant subspace, in its RREF-basis coordinates."""
+    """Operators restricted to an invariant subspace, in its RREF-basis coordinates.
+
+    Each image t b is summed from the columns of t at b's nonzeros; it lies
+    in s iff it reduces to 0, and its coordinates are its pivot entries.
+    """
+    rows, k = s._rows, s.dim
+    basis = [((p, _ONE), *rows[p].items()) for p in s.pivots]
+    position = {p: a for a, p in enumerate(s.pivots)}
     mats = []
     for t in mod.operators:
+        t_cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(mod.dim)]
+        for i, r in enumerate(t.nonzeros):
+            for j, x in r:
+                t_cols[j].append((i, x))
         cols = []
-        for b in s.basis:
-            coords = s.coords(t.matvec(b))
-            if coords is None:
+        for b in basis:
+            w: dict[int, Fraction] = {}
+            for j, x in b:
+                for i, y in t_cols[j]:
+                    w[i] = w[i] + x * y if i in w else x * y
+            if _reduce(rows, ((i, y) for i, y in w.items() if y)):
                 raise ValueError("subspace is not invariant")
-            cols.append(coords)
+            cols.append(_row(k, [(position[i], y) for i, y in w.items() if i in position]))
         mats.append(Matrix._trusted(tuple(zip(*cols))))
     return OperatorModule(s.dim, tuple(mats))
 
@@ -113,17 +169,46 @@ def quotient(mod: OperatorModule, s: Subspace) -> QuotientModule:
     return QuotientModule(OperatorModule(len(free), tuple(mats)), free, s)
 
 
-def _random_algebra_element(ops: list[Matrix], rng: random.Random) -> Matrix:
+def _random_recipe(count: int, rng: random.Random) -> list[tuple[tuple[int, ...], int]]:
+    """A random element of the algebra of ``count`` operators, as a recipe
+    [(operator indices, coefficient)]: the sum over its terms of the
+    coefficient times the product of the operators, left to right."""
+    recipe = []
+    for _ in range(rng.randint(1, 3)):
+        word = tuple(rng.randrange(count) for _ in range(rng.randint(1, NORTON_MAX_WORD)))
+        recipe.append((word, rng.choice((-3, -2, -1, 1, 2, 3))))
+    return recipe
+
+
+def _recipe_matrix(ops: list[Matrix], recipe) -> Matrix:
     d = ops[0].rows
     acc = Matrix.zero(d, d)
-    for _ in range(rng.randint(1, 3)):
-        word = None
-        for _ in range(rng.randint(1, NORTON_MAX_WORD)):
-            t = ops[rng.randrange(len(ops))]
-            word = t if word is None else word @ t
-        c = rng.choice((-3, -2, -1, 1, 2, 3))
-        acc = acc + word.scale(c)
+    for word, c in recipe:
+        m = ops[word[0]]
+        for i in word[1:]:
+            m = m @ ops[i]
+        acc = acc + m.scale(c)
     return acc
+
+
+def _full_rank_mod_p(cols: list[tuple[dict[int, int], ...]], recipe, d: int) -> bool:
+    """Whether the recipe's d x d matrix, from operators given by their
+    columns mod p, has rank d mod p.  True proves it invertible over Q (the
+    lemma in the module docstring); False proves nothing.  Column j is built
+    as the words applied to e_j, and the test stops at the first column
+    dependent on those before it."""
+    piv: dict[int, dict[int, int]] = {}
+    for j in range(d):
+        col: dict[int, int] = {}
+        for word, c in recipe:
+            v = {j: 1}
+            for i in reversed(word):
+                v = _matvec_p(cols[i], v)
+            for i, x in v.items():
+                col[i] = (col.get(i, 0) + c * x) % _P
+        if _add_p(piv, {i: x for i, x in col.items() if x}) is None:
+            return False
+    return True
 
 
 def norton_irreducible(mod: OperatorModule, rng: random.Random,
@@ -132,7 +217,9 @@ def norton_irreducible(mod: OperatorModule, rng: random.Random,
 
     Returns ("irreducible", None), ("reducible", proper invariant subspace),
     or ("unknown", None) when the randomized budget is exhausted without a
-    proof either way.
+    proof either way.  Each element theta is drawn as a recipe and tested
+    for full rank mod p first; only a theta that fails that test is built
+    over Q and its kernel taken.
     """
     d = mod.dim
     if d == 0:
@@ -142,8 +229,14 @@ def norton_irreducible(mod: OperatorModule, rng: random.Random,
     ops = [t for t in mod.operators if not t.is_zero()]
     if not ops:
         return "reducible", span([basis_vec(d, 0)], d)
+    cols = [t._cols_p for t in ops]
+    if None in cols:
+        cols = None
     for _ in range(budget):
-        theta = _random_algebra_element(ops, rng)
+        recipe = _random_recipe(len(ops), rng)
+        if cols is not None and _full_rank_mod_p(cols, recipe, d):
+            continue  # theta is invertible over Q: its kernel is 0
+        theta = _recipe_matrix(ops, recipe)
         ker = kernel(theta)
         if ker.dim == 0:
             continue

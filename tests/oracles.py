@@ -52,6 +52,55 @@ def naive_closure(ops, sub):
         cur = cur.sum(span(extra, cur.ambient_dim))
 
 
+def rational_norton(mod, rng, budget, max_word=8):
+    """Norton's null-space/spin test over Q alone, with the same random
+    draws as ``modules.norton_irreducible``: every element theta is built as
+    a rational matrix and its kernel taken, and every spin is the naive
+    closure.  Returns (status, witness) like the tested function."""
+    d = mod.dim
+    if d == 1:
+        return "irreducible", None
+    ops = [t for t in mod.operators if not t.is_zero()]
+    if not ops:
+        return "reducible", span([[1] + [0] * (d - 1)], d)
+    for _ in range(budget):
+        theta = Matrix.zero(d, d)
+        for _ in range(rng.randint(1, 3)):
+            word = None
+            for _ in range(rng.randint(1, max_word)):
+                t = ops[rng.randrange(len(ops))]
+                word = t if word is None else word @ t
+            theta = theta + word.scale(rng.choice((-3, -2, -1, 1, 2, 3)))
+        ker = kernel(theta)
+        if ker.dim == 0:
+            continue
+        for v in ker.basis:
+            w = naive_closure(mod.operators, span([v], d))
+            if w.dim < d:
+                return "reducible", w
+        if ker.dim == 1:
+            wt = naive_closure([t.T for t in mod.operators], span([kernel(theta.T).basis[0]], d))
+            if wt.dim < d:
+                return "reducible", kernel(wt.matrix())
+            return "irreducible", None
+    return "unknown", None
+
+
+def rotation_bracket(p):
+    """Dense bracket of Phi_p: Q x + Q^(p-1) with <v, x> = C v for the
+    companion matrix C of 1 + t + ... + t^(p-1); its annihilator Q^(p-1) is
+    an irreducible module whose operator algebra is the field Q(zeta_p)."""
+    t = [[[Fraction(0)] * p for _ in range(p)] for _ in range(p)]
+    q = p - 1
+    for col in range(q):
+        if col < q - 1:
+            t[1 + col][0][2 + col] = Fraction(1)
+        else:
+            for row in range(q):
+                t[1 + col][0][1 + row] = Fraction(-1)
+    return t
+
+
 def is_invariant(ops, sub):
     return all(sub.contains(t.matvec(b)) for b in sub.basis for t in ops)
 

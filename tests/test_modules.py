@@ -1,11 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from leibkit.leibniz import LeibnizAlgebra, annihilator, multiplication_operators
-from leibkit.linalg import Matrix, full_space, inverse, span
+from leibkit.linalg import _P, Matrix, full_space, inverse, span
 from leibkit.modules import (
+    NORTON_BUDGET,
+    _spin_full_mod_p,
     OperatorModule,
     closure,
     equivariant_projection_kernel,
@@ -63,6 +66,79 @@ def test_closure_applies_each_nonzero_operator_once_per_basis_vector(monkeypatch
         calls = 0
         got = closure(ops, span([_sparse_ops(rng, d, 1, 0.5)[0].row(0)], d))
         assert calls <= sum(not t.is_zero() for t in ops) * got.dim
+
+
+def _with_entry(m, i, j, x):
+    rows = [list(r) for r in m.data]
+    rows[i][j] = x
+    return Matrix(rows)
+
+
+def test_mod_p_spin_proves_only_full_spins():
+    # Operators scaled by p vanish mod p, so the mod-p spin is proper where
+    # the rational one may be full and the rational spin must run; an entry
+    # with denominator p has no reduction, so the pre-pass is skipped.
+    rng = random.Random(17)
+    seen = Counter()
+    for _ in range(300):
+        d = rng.randint(1, 9)
+        ops = _sparse_ops(rng, d, rng.randint(1, 3), rng.choice((0.1, 0.25, 0.5)))
+        kind = rng.choice(("integral", "factor p", "denominator p"))
+        if kind == "factor p":
+            ops = [t.scale(_P) if rng.random() < 0.7 else t for t in ops]
+        elif kind == "denominator p":
+            ops[0] = _with_entry(ops[0], rng.randrange(d), rng.randrange(d), Fraction(1, _P))
+        s = span(_sparse_ops(rng, d, 1, 0.4)[0].data[:rng.randint(1, d)], d)
+        want = oracles.naive_closure(ops, s)
+        proved = _spin_full_mod_p([t for t in ops if not t.is_zero()], s)
+        assert closure(ops, s) == want
+        assert not proved or want.dim == d
+        if kind == "denominator p":
+            assert not proved
+        seen[kind, proved, want.dim == d] += 1
+    assert seen["integral", True, True] > 20
+    assert seen["factor p", False, True] > 5
+    assert seen["denominator p", False, True] > 5
+    # the pre-pass proves nothing here, and the rational spin is full
+    shift = Matrix([[1 if i == j + 1 else 0 for j in range(4)] for i in range(4)]).scale(_P)
+    e0 = span([(1, 0, 0, 0)], 4)
+    assert not _spin_full_mod_p([shift], e0)
+    assert closure([shift], e0) == full_space(4) == oracles.naive_closure([shift], e0)
+
+
+def _norton_modules():
+    rng = random.Random(19)
+    for _ in range(60):
+        d = rng.randint(2, 7)
+        ops = _sparse_ops(rng, d, rng.randint(1, 3), rng.choice((0.2, 0.4, 0.7)))
+        if rng.random() < 0.3:
+            # block upper triangular: reducible
+            k = rng.randint(1, d - 1)
+            ops = [Matrix([[x if i < k or j >= k else 0 for j, x in enumerate(r)]
+                           for i, r in enumerate(t.data)]) for t in ops]
+        if rng.random() < 0.2:
+            ops[0] = ops[0].scale(_P)
+        if rng.random() < 0.1:
+            ops[-1] = _with_entry(ops[-1], 0, d - 1, Fraction(2, _P))
+        yield OperatorModule(d, tuple(ops)), 16
+    for p in (5, 7):
+        alg = LeibnizAlgebra(oracles.rotation_bracket(p))
+        mod = OperatorModule(alg.dim, multiplication_operators(alg))
+        ann = annihilator(alg)
+        for m in (mod, restriction(mod, ann), quotient(mod, ann).mod):
+            yield m, NORTON_BUDGET
+
+
+def test_norton_matches_the_rational_reference():
+    statuses = Counter()
+    for i, (mod, budget) in enumerate(_norton_modules()):
+        for budget in (4, budget):
+            rng, ref_rng = random.Random(i), random.Random(i)
+            got = norton_irreducible(mod, rng, budget)
+            assert got == oracles.rational_norton(mod, ref_rng, budget)
+            assert rng.getstate() == ref_rng.getstate()
+            statuses[got[0]] += 1
+    assert set(statuses) == {"irreducible", "reducible", "unknown"}
 
 
 def test_spin_and_restriction_quotient():
