@@ -198,7 +198,7 @@ def operators(t: Table, side: str) -> tuple[Matrix, ...]:
             m, col = (mats[j], i) if right else (mats[i], j)
             for k, c in cell:
                 m[k][col] = c
-    return tuple(Matrix(m) for m in mats)
+    return tuple(Matrix._trusted(tuple(map(tuple, m))) for m in mats)
 
 
 def basis_products(t: Table, vectors: Iterable[Sequence], side: str) -> Iterator[Vec]:

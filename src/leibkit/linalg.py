@@ -15,9 +15,11 @@ form, which is canonical (equal subspaces have equal basis tuples), and as
 the pivot rows that membership reduces against.  Values are immutable and
 may be shared freely between threads.
 
-A GF(p) layer for the fixed prime p = 2^31 - 1 mirrors that reducer over
-sparse rows of Python ints, and each matrix caches its columns mod p; it
-can only prove ranks full (see ``modules``), never decide an answer alone.
+The reducer and the column apply that spin uses run over either field: a
+modulus of 0 means Q, and the fixed prime p = 2^31 - 1 means GF(p), on
+sparse rows of Python ints.  Each matrix caches its columns over Q and mod
+p.  Work mod p can only prove ranks full (see ``modules``), never decide an
+answer alone.
 """
 
 from __future__ import annotations
@@ -69,13 +71,13 @@ class Matrix:
     ``data`` holds the dense row tuples, which alone decide equality, hash
     and repr.  ``nonzeros`` is a view of each row's nonzero ``(j, x)``
     pairs, built on first use and kept; products, sums and scalings walk
-    only that view.  ``_cols_p``, the columns mod p, is built and kept the
-    same way.  The public constructor coerces its entries; rows that
-    linalg computes itself go through ``_trusted``, which takes them as
-    they are.
+    only that view.  ``_cols`` and ``_cols_p``, the columns over Q and mod
+    p, are built and kept the same way.  The public constructor coerces its
+    entries; rows that linalg computes itself go through ``_trusted``, which
+    takes them as they are.
     """
 
-    __slots__ = ("rows", "cols", "data", "_nz", "_p")
+    __slots__ = ("rows", "cols", "data", "_nz", "_c", "_p")
 
     def __init__(self, data: Sequence[Sequence]):
         rows = tuple(vec(r) for r in data)
@@ -88,6 +90,7 @@ class Matrix:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
         object.__setattr__(self, "_nz", None)
+        object.__setattr__(self, "_c", None)
         object.__setattr__(self, "_p", None)
 
     @classmethod
@@ -112,21 +115,23 @@ class Matrix:
         return nz
 
     @property
-    def _cols_p(self) -> tuple[dict[int, int], ...] | None:
-        """Each column's nonzeros mod p as {row: value}, built on first use
-        and kept; None when p divides a denominator."""
+    def _cols(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Each column's nonzero (row, value) pairs, in row order, built on
+        first use and kept."""
+        c = self._c
+        if c is None:
+            c = _transpose(self.nonzeros, self.cols)
+            object.__setattr__(self, "_c", c)
+        return c
+
+    @property
+    def _cols_p(self) -> tuple[tuple[tuple[int, int], ...], ...] | None:
+        """:attr:`_cols` mod p, built on first use and kept; None when p
+        divides a denominator."""
         cp = self._p
         if cp is None:
-            cols: list[dict[int, int]] = [{} for _ in range(self.cols)]
-            for i, r in enumerate(self.nonzeros):
-                rp = _mod_p(r)
-                if rp is None:
-                    cp = False
-                    break
-                for j, x in rp.items():
-                    cols[j][i] = x
-            else:
-                cp = tuple(cols)
+            rows = [_mod_p(r) for r in self.nonzeros]
+            cp = False if None in rows else _transpose([r.items() for r in rows], self.cols)
             object.__setattr__(self, "_p", cp)
         return None if cp is False else cp
 
@@ -249,50 +254,60 @@ def _nonzeros(v: Vec) -> tuple[tuple[int, Fraction], ...]:
     return tuple((j, x) for j, x in enumerate(v) if x)
 
 
-def _sub_scaled(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]):
-    """row -= f * other, in place, keeping only the nonzero entries."""
-    for j, y in other.items():
-        x = row.get(j)
-        if x is None:
-            row[j] = -f * y
-        else:
-            x -= f * y
-            if x:
+def _sub_scaled(row: dict, f, other: dict, p: int):
+    """row -= f * other, in place, keeping only the nonzero entries: over Q
+    when p is 0, else mod p."""
+    if p:
+        for j, y in other.items():
+            if x := (row.get(j, 0) - f * y) % p:
                 row[j] = x
             else:
                 del row[j]
+        return
+    for j, y in other.items():
+        x = row.get(j)
+        x = -f * y if x is None else x - f * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
 
-def _reduce(piv: dict[int, dict[int, Fraction]], r: SparseRow) -> dict[int, Fraction]:
+def _reduce(piv: dict[int, dict], r: SparseRow, p: int = 0) -> dict:
     """The nonzeros of a sparse row reduced against the pivot rows, a new
-    dict; pivot rows are zero at each other's pivots, so it is zero at every
-    pivot and empty exactly when the row lies in their span."""
+    dict, over Q when p is 0, else mod p; pivot rows are zero at each
+    other's pivots, so it is zero at every pivot and empty exactly when the
+    row lies in their span."""
     row = dict(r)
     for c in [c for c in row if c in piv]:
-        _sub_scaled(row, row.pop(c), piv[c])
+        _sub_scaled(row, row.pop(c), piv[c], p)
     return row
 
 
-def _add(piv: dict[int, dict[int, Fraction]], r: SparseRow) -> int | None:
-    """Add a sparse row to the pivot rows in place; its new pivot, or None.
+def _add(piv: dict[int, dict], r: SparseRow, p: int = 0) -> int | None:
+    """Add a sparse row to the pivot rows in place, over Q when p is 0, else
+    mod p; its new pivot, or None.
 
     A nonzero remainder is normalised at its leading column and eliminated
     from the earlier pivot rows, so the pivot rows are the canonical RREF
     of their span whatever the order the rows came in.
     """
-    row = _reduce(piv, r)
+    row = _reduce(piv, r, p)
     if not row:
         return None
-    p = min(row)
-    inv = _ONE / row.pop(p)
-    for j in row:
-        row[j] *= inv
+    c = min(row)
+    if p:
+        inv = pow(row.pop(c), -1, p)
+        row = {j: x * inv % p for j, x in row.items()}
+    else:
+        inv = _ONE / row.pop(c)
+        row = {j: x * inv for j, x in row.items()}
     for q in piv.values():
-        f = q.pop(p, None)
+        f = q.pop(c, None)
         if f is not None:
-            _sub_scaled(q, f, row)
-    piv[p] = row
-    return p
+            _sub_scaled(q, f, row, p)
+    piv[c] = row
+    return c
 
 
 def _echelon(rows: Iterable[SparseRow], width: int,
@@ -307,8 +322,8 @@ def _echelon(rows: Iterable[SparseRow], width: int,
     """
     piv: dict[int, dict[int, Fraction]] = {}
     for r in rows:
-        p = _add(piv, r)
-        if p is not None and limit is not None and p >= limit:
+        c = _add(piv, r)
+        if c is not None and limit is not None and c >= limit:
             return None
         if len(piv) == width:
             break
@@ -322,62 +337,31 @@ def _mod_p(r: SparseRow) -> dict[int, int] | None:
     for j, x in r:
         if not x.denominator % _P:
             return None
-        y = x.numerator * pow(x.denominator, -1, _P) % _P
-        if y:
+        if y := x.numerator * pow(x.denominator, -1, _P) % _P:
             out[j] = y
     return out
 
 
-def _matvec_p(cols: Sequence[dict[int, int]], v: dict[int, int]) -> dict[int, int]:
-    """A matrix given by its columns mod p applied to a sparse vector mod p:
-    the sum of v[j] * column j, following v's nonzeros."""
-    acc: dict[int, int] = {}
+def _apply(cols: Sequence[Iterable[tuple[int, object]]], v: dict, p: int) -> dict:
+    """A matrix given by its columns' nonzero (row, value) pairs applied to a
+    sparse vector: the sum of v[j] * column j, following v's nonzeros, over
+    Q when p is 0, else mod p."""
+    acc: dict = {}
     for j, x in v.items():
-        for i, y in cols[j].items():
-            acc[i] = acc.get(i, 0) + x * y
-    out = {}
-    for i, y in acc.items():
-        y %= _P
-        if y:
-            out[i] = y
-    return out
+        for i, y in cols[j]:
+            acc[i] = acc[i] + x * y if i in acc else x * y
+    if p:
+        return {i: r for i, y in acc.items() if (r := y % p)}
+    return {i: y for i, y in acc.items() if y}
 
 
-def _sub_scaled_p(row: dict[int, int], f: int, other: dict[int, int]):
-    """row -= f * other mod p, in place, keeping only the nonzero entries."""
-    for j, y in other.items():
-        x = (row.get(j, 0) - f * y) % _P
-        if x:
-            row[j] = x
-        else:
-            row.pop(j, None)
-
-
-def _reduce_p(piv: dict[int, dict[int, int]], r: dict[int, int]) -> dict[int, int]:
-    """:func:`_reduce` mod p: the remainder of a sparse row against the pivot
-    rows mod p, a new dict, empty exactly when the row lies in their span."""
-    row = dict(r)
-    for c in [c for c in row if c in piv]:
-        _sub_scaled_p(row, row.pop(c), piv[c])
-    return row
-
-
-def _add_p(piv: dict[int, dict[int, int]], r: dict[int, int]) -> int | None:
-    """:func:`_add` mod p: add a sparse row to the pivot rows in place, kept
-    in reduced row-echelon form; its new pivot, or None."""
-    row = _reduce_p(piv, r)
-    if not row:
-        return None
-    p = min(row)
-    inv = pow(row.pop(p), -1, _P)
-    for j in row:
-        row[j] = row[j] * inv % _P
-    for q in piv.values():
-        f = q.pop(p, None)
-        if f is not None:
-            _sub_scaled_p(q, f, row)
-    piv[p] = row
-    return p
+def _transpose(rows: Iterable[SparseRow], n: int) -> tuple[tuple[tuple[int, object], ...], ...]:
+    """Sparse rows read by column: the n columns' (row, value) pairs, in row order."""
+    cols: list[list] = [[] for _ in range(n)]
+    for i, r in enumerate(rows):
+        for j, x in r:
+            cols[j].append((i, x))
+    return tuple(map(tuple, cols))
 
 
 def _rref(rows: Iterable[SparseRow], width: int) -> tuple[list[Vec], list[int]]:

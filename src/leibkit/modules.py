@@ -9,25 +9,25 @@ transpose-kernel vector both spin to the full space is a proof, any proper
 spin is a counterexample, and an exhausted retry budget returns "unknown",
 never a wrong answer.
 
-Spinning is incremental and runs on linalg's one reducer: each image is
-added to the pivot rows of the span so far, each image that adds a pivot is
-hit once by each nonzero operator, and the spin stops at full dimension.
-The pivot rows are the canonical RREF of the span, so they are the result.
+One spin loop serves both fields, as does one builder of Norton's elements
+from the operators' cached columns; both run on linalg's one reducer.  Each
+image is added to the pivot rows of the span so far, each image that adds
+a pivot is hit once by each nonzero operator, and the spin stops at full
+dimension; the pivot rows are the canonical RREF of the span.
 
-Both spin and Norton's rank test first run modulo the prime p = 2^31 - 1
-(linalg's GF(p) layer), on the same inputs, and that pre-pass can only
-prove an answer.  Lemma: for a matrix M with p-integral rational entries,
-rank over Q >= rank over GF(p) of M mod p, since a nonzero minor mod p is
-a nonzero minor over Q.  The spin of s is spanned by the vectors w(T)b for
-words w in the operators and basis vectors b of s; reduction mod p is a
-ring map on p-integral rationals, so those vectors reduce to the ones that
-span the mod-p spin.  Hence a mod-p spin of full dimension proves that the
-rational spin is full, and a Norton element theta of full rank mod p is
-invertible over Q, so its kernel is 0.  A proper mod-p result proves
-nothing (p may divide a minor), and then the rational computation runs
-unchanged.  When p divides a denominator there is no reduction, and the
-pre-pass is skipped.  Norton's random draws are the same either way, so
-the pre-pass changes no result.
+Spin and Norton's rank test first run modulo the prime p = 2^31 - 1, and
+that pass can only prove an answer.  Lemma: for a matrix M with p-integral
+rational entries, rank over Q >= rank over GF(p) of M mod p, since a
+nonzero minor mod p is a nonzero minor over Q.  The spin of s is spanned by
+the vectors w(T)b for words w in the operators and basis vectors b of s;
+reduction mod p is a ring map on p-integral rationals, so those vectors
+reduce to the ones that span the mod-p spin.  Hence a mod-p spin of full
+dimension proves that the rational spin is full, and a Norton element
+theta of full rank mod p is invertible over Q, so its kernel is 0.  A
+proper mod-p result proves nothing (p may divide a minor), and then the
+same spin runs over Q.  When p divides a denominator there is no
+reduction, and the pass is skipped.  Norton's random draws are the same
+either way, so the pass changes no result.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._tables import basis_vec
-from .linalg import (Matrix, Subspace, Vec, _ONE, _P, _ZERO, _add, _add_p, _matvec_p, _mod_p,
-                     _nonzeros, _reduce, _row, _solve_rows, full_space, kernel, span)
+from .linalg import (Matrix, Subspace, Vec, _ONE, _P, _ZERO, _add, _apply, _mod_p, _reduce,
+                     _row, _solve_rows, _transpose, full_space, kernel, span)
 
 NORTON_BUDGET = 64
 NORTON_MAX_WORD = 8
@@ -53,28 +53,38 @@ class OperatorModule:
 def closure(operators, s: Subspace) -> Subspace:
     """Least subspace containing s and invariant under all operators.
 
-    The reducer starts from the pivot rows of s.  Each basis vector of s,
-    and each image that adds a pivot, is hit once by each nonzero operator,
-    and spinning stops at full dimension.  The images of a spanning set lie
-    in the span, so it is invariant, and its pivot rows are its RREF basis.
-    A mod-p spin of full dimension returns the full space first.
+    The spin of the basis of s (:func:`_spin`) is invariant, since the
+    images of a spanning set lie in the span, and its pivot rows are its
+    RREF basis.  A mod-p spin of full dimension returns the full space first.
     """
     n = s.ambient_dim
     ops = [t for t in operators if not t.is_zero()]
     if s.dim < n and _spin_full_mod_p(ops, s):
         return full_space(n)
-    piv = {p: dict(r) for p, r in s._rows.items()}
-    todo = list(s.basis)
-    for v in todo:
-        if len(piv) == n:
-            break
-        for t in ops:
-            w = t.matvec(v)
-            if _add(piv, _nonzeros(w)) is not None:
-                todo.append(w)
-                if len(piv) == n:
-                    break
+    piv = _spin([t._cols for t in ops], _sparse_basis(s), n)
     return s if len(piv) == s.dim else Subspace._from_rows(n, piv)
+
+
+def _sparse_basis(s: Subspace) -> list[dict[int, Fraction]]:
+    """The RREF basis of s as sparse vectors, in pivot order."""
+    return [{p: _ONE, **s._rows[p]} for p in s.pivots]
+
+
+def _spin(cols, vectors, n: int, p: int = 0) -> dict[int, dict]:
+    """The pivot rows of the spin of sparse vectors under the operators given
+    by their columns (``Matrix._cols``, or ``_cols_p`` when p is not 0), over
+    Q when p is 0, else mod p.  Each vector that adds a pivot is hit once by
+    each operator, and spinning stops at dimension n."""
+    piv: dict[int, dict] = {}
+    todo = [v for v in vectors if _add(piv, v, p) is not None]
+    for v in todo:
+        for c in cols:
+            if len(piv) == n:
+                return piv
+            w = _apply(c, v, p)
+            if _add(piv, w, p) is not None:
+                todo.append(w)
+    return piv
 
 
 def _spin_full_mod_p(ops: list[Matrix], s: Subspace) -> bool:
@@ -84,21 +94,15 @@ def _spin_full_mod_p(ops: list[Matrix], s: Subspace) -> bool:
     module docstring); False proves nothing, and is also the answer when p
     divides a denominator of an operator or of s.
     """
-    n = s.ambient_dim
-    cols = [t._cols_p for t in ops]
-    piv = {p: _mod_p(r.items()) for p, r in s._rows.items()}
-    if None in cols or None in piv.values():
-        return False
-    # s's pivot rows stay in reduced row-echelon form mod p: pivot 1, zero at the others
-    todo = [{p: 1, **r} for p, r in piv.items()]
-    for v in todo:
-        for c in cols:
-            w = _matvec_p(c, v)
-            if _add_p(piv, w) is not None:
-                if len(piv) == n:
-                    return True
-                todo.append(w)
-    return False
+    return _full_mod_p([t._cols_p for t in ops], _sparse_basis(s), s.ambient_dim)
+
+
+def _full_mod_p(cols_p, vectors, n: int) -> bool:
+    """Whether the spin of sparse rational vectors under operators given by
+    their columns mod p is the whole space mod p; False when p divides a
+    denominator of a vector, or an operator's columns are None."""
+    vs = [_mod_p(v.items()) for v in vectors]
+    return None not in cols_p and None not in vs and len(_spin(cols_p, vs, n, _P)) == n
 
 
 def spin(mod: OperatorModule, vectors) -> Subspace:
@@ -112,27 +116,17 @@ def is_invariant(operators, s: Subspace) -> bool:
 def restriction(mod: OperatorModule, s: Subspace) -> OperatorModule:
     """Operators restricted to an invariant subspace, in its RREF-basis coordinates.
 
-    Each image t b is summed from the columns of t at b's nonzeros; it lies
-    in s iff it reduces to 0, and its coordinates are its pivot entries.
+    Each image t b is applied from t's cached columns; it lies in s iff it
+    reduces to 0, and its coordinates are its pivot entries.
     """
-    rows, k = s._rows, s.dim
-    basis = [((p, _ONE), *rows[p].items()) for p in s.pivots]
-    position = {p: a for a, p in enumerate(s.pivots)}
+    basis, position = _sparse_basis(s), {c: a for a, c in enumerate(s.pivots)}
     mats = []
     for t in mod.operators:
-        t_cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(mod.dim)]
-        for i, r in enumerate(t.nonzeros):
-            for j, x in r:
-                t_cols[j].append((i, x))
         cols = []
-        for b in basis:
-            w: dict[int, Fraction] = {}
-            for j, x in b:
-                for i, y in t_cols[j]:
-                    w[i] = w[i] + x * y if i in w else x * y
-            if _reduce(rows, ((i, y) for i, y in w.items() if y)):
+        for w in (_apply(t._cols, b, 0) for b in basis):
+            if _reduce(s._rows, w):
                 raise ValueError("subspace is not invariant")
-            cols.append(_row(k, [(position[i], y) for i, y in w.items() if i in position]))
+            cols.append(_row(s.dim, [(position[i], y) for i, y in w.items() if i in position]))
         mats.append(Matrix._trusted(tuple(zip(*cols))))
     return OperatorModule(s.dim, tuple(mats))
 
@@ -159,12 +153,11 @@ class QuotientModule:
 
 
 def quotient(mod: OperatorModule, s: Subspace) -> QuotientModule:
-    pivots = set(s.pivots)
-    free = tuple(j for j in range(mod.dim) if j not in pivots)
+    free = tuple(j for j in range(mod.dim) if j not in s._rows)
     mats = []
     for t in mod.operators:
         # t e_f reduced against s is zero at the pivots: column f of the quotient
-        cols = [_reduce(s._rows, _nonzeros(t.col(f))) for f in free]
+        cols = [_reduce(s._rows, t._cols[f]) for f in free]
         mats.append(Matrix._trusted(tuple(tuple(c.get(g, _ZERO) for c in cols) for g in free)))
     return QuotientModule(OperatorModule(len(free), tuple(mats)), free, s)
 
@@ -180,35 +173,30 @@ def _random_recipe(count: int, rng: random.Random) -> list[tuple[tuple[int, ...]
     return recipe
 
 
-def _recipe_matrix(ops: list[Matrix], recipe) -> Matrix:
-    d = ops[0].rows
-    acc = Matrix.zero(d, d)
-    for word, c in recipe:
-        m = ops[word[0]]
-        for i in word[1:]:
-            m = m @ ops[i]
-        acc = acc + m.scale(c)
-    return acc
+def _recipe_columns(cols, recipe, d: int, p: int = 0):
+    """The columns of the recipe's d x d matrix theta, as sparse dicts, from
+    operators given by their columns, over Q when p is 0, else mod p.
+    Column j applies each word to e_j, its last operator first (that image
+    is the operator's column j), and sums the images with the recipe's
+    coefficients: one more column apply."""
+    coeffs = {k: c for k, (_, c) in enumerate(recipe)}
+    for j in range(d):
+        images = []
+        for word, _ in recipe:
+            v = dict(cols[word[-1]][j])
+            for i in word[-2::-1]:
+                v = _apply(cols[i], v, p)
+            images.append(v.items())
+        yield _apply(images, coeffs, p)
 
 
-def _full_rank_mod_p(cols: list[tuple[dict[int, int], ...]], recipe, d: int) -> bool:
+def _full_rank_mod_p(cols_p, recipe, d: int) -> bool:
     """Whether the recipe's d x d matrix, from operators given by their
     columns mod p, has rank d mod p.  True proves it invertible over Q (the
-    lemma in the module docstring); False proves nothing.  Column j is built
-    as the words applied to e_j, and the test stops at the first column
-    dependent on those before it."""
+    lemma in the module docstring); False proves nothing.  The test stops at
+    the first column dependent on those before it."""
     piv: dict[int, dict[int, int]] = {}
-    for j in range(d):
-        col: dict[int, int] = {}
-        for word, c in recipe:
-            v = {j: 1}
-            for i in reversed(word):
-                v = _matvec_p(cols[i], v)
-            for i, x in v.items():
-                col[i] = (col.get(i, 0) + c * x) % _P
-        if _add_p(piv, {i: x for i, x in col.items() if x}) is None:
-            return False
-    return True
+    return all(_add(piv, c, _P) is not None for c in _recipe_columns(cols_p, recipe, d, _P))
 
 
 def norton_irreducible(mod: OperatorModule, rng: random.Random,
@@ -219,7 +207,8 @@ def norton_irreducible(mod: OperatorModule, rng: random.Random,
     or ("unknown", None) when the randomized budget is exhausted without a
     proof either way.  Each element theta is drawn as a recipe and tested
     for full rank mod p first; only a theta that fails that test is built
-    over Q and its kernel taken.
+    over Q and its kernel taken.  The dual spin runs under the transposes,
+    whose columns are the operators' rows.
     """
     d = mod.dim
     if d == 0:
@@ -229,15 +218,15 @@ def norton_irreducible(mod: OperatorModule, rng: random.Random,
     ops = [t for t in mod.operators if not t.is_zero()]
     if not ops:
         return "reducible", span([basis_vec(d, 0)], d)
-    cols = [t._cols_p for t in ops]
-    if None in cols:
-        cols = None
+    cols_p = [t._cols_p for t in ops]
+    if None in cols_p:
+        cols_p = None
     for _ in range(budget):
         recipe = _random_recipe(len(ops), rng)
-        if cols is not None and _full_rank_mod_p(cols, recipe, d):
+        if cols_p is not None and _full_rank_mod_p(cols_p, recipe, d):
             continue  # theta is invertible over Q: its kernel is 0
-        theta = _recipe_matrix(ops, recipe)
-        ker = kernel(theta)
+        theta_cols = [c.items() for c in _recipe_columns([t._cols for t in ops], recipe, d)]
+        ker = kernel(Matrix._trusted(tuple(_row(d, r) for r in _transpose(theta_cols, d))))
         if ker.dim == 0:
             continue
         for v in ker.basis:
@@ -245,13 +234,15 @@ def norton_irreducible(mod: OperatorModule, rng: random.Random,
             if w.dim < d:
                 return "reducible", w
         if ker.dim == 1:
-            ops_t = [t.T for t in mod.operators]
-            ker_t = kernel(theta.T)
-            wt = closure(ops_t, span([ker_t.basis[0]], d))
-            if wt.dim < d:
+            # theta's columns are the rows of its transpose
+            ker_t = kernel(Matrix._trusted(tuple(_row(d, c) for c in theta_cols)))
+            seed = [_sparse_basis(ker_t)[0]]
+            if cols_p is not None and _full_mod_p([_transpose(c, d) for c in cols_p], seed, d):
+                return "irreducible", None
+            wt = _spin([t.nonzeros for t in ops], seed, d)
+            if len(wt) < d:
                 # the annihilator of a proper dual submodule is a proper submodule
-                perp = kernel(wt.matrix())
-                return "reducible", perp
+                return "reducible", kernel(Subspace._from_rows(d, wt).matrix())
             return "irreducible", None
     return "unknown", None
 

@@ -322,6 +322,17 @@ def entrywise_nonzeros(rows):
     return tuple(tuple((j, x) for j, x in enumerate(r) if x != 0) for r in rows)
 
 
+def assert_exact_rows(m):
+    """data is a tuple of equal-length tuples of Fractions, and the cached
+    views of its rows' and its columns' nonzeros list exactly its nonzero
+    entries."""
+    assert type(m.data) is tuple and len(m.data) == m.rows
+    assert all(type(r) is tuple and len(r) == m.cols for r in m.data)
+    assert all(type(x) is Fraction for r in m.data for x in r)
+    assert m.nonzeros == entrywise_nonzeros(m.data)
+    assert m._cols == entrywise_nonzeros(entrywise_transpose(m.data))
+
+
 def entrywise_realize(embed, x):
     """sum_i x_i embed_i on every entry."""
     n = embed[0].rows
@@ -383,6 +394,31 @@ def dense_rref(rows):
         if r == nrows:
             break
     return m, pivots
+
+
+def dense_rref_mod_p(rows, p):
+    """Gauss-Jordan mod p on dense rows of p-integral Fractions, each entry
+    first reduced to numerator / denominator mod p: (the nonzero reduced
+    rows as tuples of ints in [0, p), pivot columns)."""
+    m = [[x.numerator * pow(x.denominator, -1, p) % p for x in r] for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots, r = [], 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return [tuple(row) for row in m[:r]], pivots
 
 
 def entrywise_kernel(m, rref=entrywise_rref):

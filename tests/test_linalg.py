@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibkit.linalg import (
+    _P,
     Matrix,
+    _add,
+    _mod_p,
+    _reduce,
     _rref,
     _solve_rows,
     full_space,
@@ -208,16 +212,7 @@ def test_zero_skipping_core_matches_entrywise_arithmetic():
         inv = inverse(sq)
         assert (inv.data if inv is not None else None) == oracles.entrywise_inverse(sq)
         for m in (a @ b, rref(a)) + ((inv,) if inv is not None else ()):
-            _assert_exact_rows(m)
-
-
-def _assert_exact_rows(m):
-    """data is a tuple of equal-length tuples of Fractions, and the cached
-    nonzero view lists exactly its nonzero entries."""
-    assert type(m.data) is tuple and len(m.data) == m.rows
-    assert all(type(r) is tuple and len(r) == m.cols for r in m.data)
-    assert all(type(x) is Fraction for r in m.data for x in r)
-    assert m.nonzeros == oracles.entrywise_nonzeros(m.data)
+            oracles.assert_exact_rows(m)
 
 
 def test_sparse_matrix_operations_match_entrywise_arithmetic():
@@ -240,7 +235,7 @@ def test_sparse_matrix_operations_match_entrywise_arithmetic():
             (Matrix.identity(k), oracles.entrywise_identity(k)),
         ):
             assert got.data == want
-            _assert_exact_rows(got)
+            oracles.assert_exact_rows(got)
         assert a.is_zero() == all(x == 0 for r in a.data for x in r)
         assert (a - a).is_zero() and Matrix.zero(n, k).is_zero()
         assert not Matrix.identity(k).is_zero()
@@ -296,6 +291,52 @@ def test_sparse_reducer_matches_the_dense_reduction():
         inv = inverse(sq)
         assert (inv.data if inv is not None else None) == \
             oracles.entrywise_inverse(sq, rref=oracles.dense_rref)
+
+
+def _p_integral_rows(rng, rows, cols):
+    """Random rows whose denominators p does not divide; some entries are
+    multiples of p, and some rows are a combination of the rows before them
+    plus p times another row, so they are dependent mod p but may not be
+    over Q."""
+    out = []
+    for r in _random_rows(rng, rows, cols):
+        r = tuple(x * _P if rng.random() < 0.15 else x for x in r)
+        if out and rng.random() < 0.3:
+            r = tuple(x + _P * y for x, y in zip(_combination(rng, out, cols), r))
+        out.append(r)
+    return out
+
+
+def _sparse(v):
+    return [(j, x) for j, x in enumerate(v) if x]
+
+
+def test_reducer_mod_p_matches_dense_gauss_jordan_mod_p():
+    rng = random.Random(21)
+    drops, members = 0, [0, 0]
+    for trial in range(300):
+        n, k = rng.randint(0, 7), rng.randint(1, 7)
+        rows = _p_integral_rows(rng, n, k)
+        piv = {}
+        for r in rows:
+            _add(piv, _mod_p(_sparse(r)), _P)
+        want, pivots = oracles.dense_rref_mod_p(rows, _P)
+        assert sorted(piv) == pivots
+        got = [[0] * k for _ in pivots]
+        for g, c in zip(got, pivots):
+            g[c] = 1
+            for j, x in piv[c].items():
+                g[j] = x
+        assert list(map(tuple, got)) == want
+        rank_q = len(oracles.dense_rref(rows)[1])
+        assert len(pivots) <= rank_q
+        drops += len(pivots) < rank_q
+        for v in (_combination(rng, rows, k), _random_rows(rng, 1, k)[0],
+                  *_p_integral_rows(rng, 2, k)):
+            in_span = len(oracles.dense_rref_mod_p(rows + [v], _P)[1]) == len(pivots)
+            assert (not _reduce(piv, _mod_p(_sparse(v)), _P)) == in_span
+            members[in_span] += 1
+    assert drops > 20 and min(members) > 100
 
 
 def test_solve_stops_at_the_first_contradictory_row():

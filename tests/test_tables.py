@@ -102,6 +102,8 @@ def test_operators_match_the_oracle_builder(seed):
     expected = oracles.bracket_operators(t)  # right multiplications, then left
     assert operators(t, "right") == tuple(expected[:dim])
     assert operators(t, "left") == tuple(expected[dim:])
+    for m in operators(t, "right") + operators(t, "left"):
+        oracles.assert_exact_rows(m)
 
 
 def test_operators_reject_an_unknown_side():
