@@ -42,30 +42,30 @@ from .linalg import Matrix, Subspace, full_space, kernel, rref, span
 from .report import HomReport, Report, Witness
 from .fuzz import generate_corpus, run_fuzz
 from .io import SchemaError, load_file, save_file
-from .xigroup import (
-    CurveReport,
-    LinearXiGroup,
-    MatrixRealization,
-    NoConstraints,
-    NotAUnitError,
-    OrthogonalConstraints,
-    SamplingError,
-    SpecialLinearConstraints,
-    TangentSpace,
-    UnipotentConstraints,
-    XiGroupReport,
-    check_xi_group,
-    constraint_family,
-    exp_curve_check,
-    expm,
-    fitted_log_slope,
-    invert_unit,
-    mat_square_zero_extension,
-    regular_realization,
-    tangent_space,
-    verify_group_closure,
-    verify_tangent_huliu,
-    xi,
-)
 
 __version__ = "0.1.0"
+
+# The xi-group layer is the only one that needs numpy.  Its names are looked
+# up on ``leibkit.xigroup`` at each access (PEP 562), so importing the
+# package, and every exact command, leaves numpy unloaded until an xi-group
+# name is first used.
+_XIGROUP_NAMES = frozenset({
+    "CurveReport", "LinearXiGroup", "MatrixRealization", "NoConstraints",
+    "NotAUnitError", "OrthogonalConstraints", "SamplingError",
+    "SpecialLinearConstraints", "TangentSpace", "UnipotentConstraints",
+    "XiGroupReport", "check_xi_group", "constraint_family", "exp_curve_check",
+    "expm", "fitted_log_slope", "invert_unit", "mat_square_zero_extension",
+    "regular_realization", "tangent_space", "verify_group_closure",
+    "verify_tangent_huliu", "xi",
+})
+
+
+def __getattr__(name):
+    if name in _XIGROUP_NAMES:
+        from . import xigroup
+        return getattr(xigroup, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _XIGROUP_NAMES)

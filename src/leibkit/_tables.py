@@ -25,9 +25,11 @@ declarations:
   every term's contributions to the triples (i, j, k) in one block.  A term
   contributes only where its inner product is nonzero, so its inner
   nonzeros are grouped by their product coordinate l, and the outer cells
-  that take l as an argument by l as well.  The first block with a nonzero
-  residual names the lexicographically least failing triple.  The cost
-  follows the nonzeros, and memory holds one block, at most dim^3 entries;
+  that take l as an argument by l as well; the cells that take i as an
+  argument are read from the same groupings, by row or by column, so no
+  empty cell is probed.  The first block with a nonzero residual names the
+  lexicographically least failing triple.  The cost follows the nonzeros,
+  and memory holds one block, at most dim^3 entries;
 * the witness replay :func:`evaluate` re-evaluates a failing triple, or any
   vectors, with the original rational entries.
 """
@@ -160,22 +162,24 @@ def table_entries(t: Table) -> list[tuple[int, int, int, Fraction]]:
             for k, c in cell]
 
 
-def apply_table(t: Table, x: Sequence, y: Sequence) -> Vec:
-    """Bilinear product of coordinate vectors x and y."""
+def apply_table(t: Table, x: Iterable, y: Iterable) -> Vec:
+    """Bilinear product of coordinate vectors x and y; only their nonzero
+    entries are read as rationals."""
     dim = len(t)
-    x = vec(x)
-    y = vec(y)
+    x, y = tuple(x), tuple(y)
     if len(x) != dim or len(y) != dim:
         raise ValueError(f"vector length mismatch for dim {dim}")
     acc = [_ZERO] * dim
-    for i, xi in enumerate(x):
+    ys = [(j, rat(yj)) for j, yj in enumerate(y) if yj]
+    for row, xi in zip(t, x):
         if not xi:
             continue
-        row = t[i]
-        for j, yj in enumerate(y):
-            if yj and row[j]:
+        xi = rat(xi)
+        for j, yj in ys:
+            cell = row[j]
+            if cell:
                 c = xi * yj
-                for k, v in row[j]:
+                for k, v in cell:
                     acc[k] += c * v
     return tuple(acc)
 
@@ -256,7 +260,6 @@ def _grouped(ints: Mapping, name: str, how: str, cache: dict) -> dict:
 def _term_walk(sign: int, term: Term, ints: Mapping, dim: int, cache: dict):
     """``walk(i, acc)`` adds ``sign`` times the term at every triple (i, j, k)
     into ``acc``, keyed by (j * dim + k) * dim + m for output coordinate m."""
-    outer, inner = ints[term.outer], ints[term.inner]
     left = term.shape == LEFT
     # key weight of p, q, r: x is the block's own index, y and z place (j, k)
     wp, wq, wr = ((0, dim * dim, dim)["xyz".index(v)] for v in term.perm)
@@ -264,18 +267,18 @@ def _term_walk(sign: int, term: Term, ints: Mapping, dim: int, cache: dict):
     at = term.perm.index("x")  # 0, 1, 2: x is p, q, r
 
     if at == (2 if left else 0):
-        # x is the outer product's own argument: outer[l][x] or outer[x][l]
+        # x is the outer product's own argument: the cells outer[l][x] of
+        # column x, or outer[x][l] of row x
         by_l = _grouped(ints, term.inner, "product", cache)
+        at_x = _grouped(ints, term.outer, "column" if left else "row", cache)
 
         def walk(i, acc):
-            for l, entries in by_l.items():
-                v = outer[l][i] if left else outer[i][l]
-                if v:
-                    for a, b, c in entries:
-                        base, c = a * w1 + b * w2, sign * c
-                        for m, cm in v:
-                            key = base + m
-                            acc[key] = acc.get(key, 0) + c * cm
+            for l, v in at_x.get(i, ()):
+                for a, b, c in by_l.get(l, ()):
+                    base, c = a * w1 + b * w2, sign * c
+                    for m, cm in v:
+                        key = base + m
+                        acc[key] = acc.get(key, 0) + c * cm
         return walk
 
     # x is an argument of the inner product; s is its partner there, t the
@@ -283,10 +286,11 @@ def _term_walk(sign: int, term: Term, ints: Mapping, dim: int, cache: dict):
     first = at == (0 if left else 1)
     ws, wt = (w2 if first else w1), (wr if left else wp)
     cells = _grouped(ints, term.outer, "row" if left else "column", cache)
+    partners = _grouped(ints, term.inner, "row" if first else "column", cache)
 
     def walk(i, acc):
-        for s in range(dim):
-            for l, c in (inner[i][s] if first else inner[s][i]):
+        for s, inner_cell in partners.get(i, ()):
+            for l, c in inner_cell:
                 c *= sign
                 for t, v in cells.get(l, ()):
                     base = s * ws + t * wt

@@ -19,7 +19,6 @@ from .algebras import Algebra, GradedAlgebra, find_unit
 from .huliu import HuLiuAlgebra
 from .leibniz import LeibnizAlgebra
 from .linalg import span
-from .xigroup import LinearXiGroup, constraint_family, regular_realization
 
 
 class SchemaError(ValueError):
@@ -118,6 +117,7 @@ def load_obj(data):
         g = GradedAlgebra(a, even)
         if kind == "graded":
             return g
+        from .xigroup import LinearXiGroup, constraint_family, regular_realization
         spec = data["constraints"]
         if not isinstance(spec, dict) or "family" not in spec:
             raise SchemaError("field 'constraints' must be {'family': name, ...}")
@@ -166,9 +166,16 @@ def _entries_json(table):
     return [[i, j, k, str(c)] for i, j, k, c in table_entries(table)]
 
 
+def _is_xi_group(obj) -> bool:
+    """Whether ``obj`` is a ``LinearXiGroup``, without loading numpy: no
+    xi-group can exist before ``xigroup`` is imported."""
+    xigroup = sys.modules.get(f"{__package__}.xigroup")
+    return xigroup is not None and isinstance(obj, xigroup.LinearXiGroup)
+
+
 def dump_obj(obj) -> dict:
     # a richer kind extends the document of its part, keeping its key order
-    if isinstance(obj, LinearXiGroup):
+    if _is_xi_group(obj):
         return {
             **dump_obj(obj.graded),
             "kind": "xigroup",

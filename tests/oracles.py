@@ -35,6 +35,18 @@ def dense(t):
                        for cell in row) for row in t)
 
 
+def dense_apply_table(t, x, y):
+    """sum_ij x_i y_j t[i][j], over every basis pair, with every entry of x
+    and y read as a Fraction first."""
+    cells, x, y = dense(t), vec(x), vec(y)
+    dim = len(cells)
+    acc = zeros(dim)
+    for i in range(dim):
+        for j in range(dim):
+            acc = vadd(acc, vscale(x[i] * y[j], cells[i][j]))
+    return acc
+
+
 def bracket_operators(angle):
     angle, dim = dense(angle), len(angle)
     right = [Matrix.from_cols([angle[i][j] for i in range(dim)]) for j in range(dim)]

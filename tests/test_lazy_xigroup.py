@@ -1,0 +1,137 @@
+"""numpy loads only with ``leibkit.xigroup``, on the first use of a xi-group.
+
+The package's xi-group names resolve through a module ``__getattr__``, and
+``io`` and ``cli`` import ``xigroup`` only where a xi-group file is loaded
+or a xi-group command runs.  Each exact command is run in a fresh
+interpreter in which ``import numpy`` fails, and must print what it prints,
+with the same exit code, in one where numpy is importable but never loaded.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import leibkit
+from leibkit import cli
+from leibkit import io as lio
+from leibkit.algebras import upper_triangular_model
+from leibkit.derive import derive_leibniz
+from leibkit.linalg import span
+from leibkit.xigroup import LinearXiGroup, OrthogonalConstraints, mat_square_zero_extension
+
+SRC = str(Path(leibkit.__file__).resolve().parents[1])
+
+# (arguments, exit code); "{d}" is the directory of the input files
+COMMANDS = [
+    (["verify", "{d}/L.json", "--kind", "leibniz"], 0),
+    (["verify", "{d}/bad.json", "--kind", "leibniz", "--json"], 1),
+    (["verify", "{d}/g.json", "--kind", "grading"], 0),
+    (["derive", "{d}/g.json", "--huliu", "-o", "{d}/h.json"], 0),
+    (["verify", "{d}/h.json", "--kind", "huliu", "--json"], 0),
+    (["derive", "{d}/g.json", "-o", "{d}/L2.json"], 0),
+    (["simple", "{d}/L.json", "--json"], 1),
+    (["simple", "{d}/simple.json"], 0),
+    (["annihilator", "{d}/L.json", "--json"], 0),
+    (["annihilator", "{d}/bad.json"], 2),
+    (["fuzz", "--trials", "5", "--seed", "2", "--dump-dir", "{d}"], 0),
+]
+
+# writes the inputs with save_file, then runs COMMANDS through cli.main;
+# prints {"codes": [...], "out": [...], "numpy": whether numpy got loaded}
+SCRIPT = """
+import contextlib, io, json, sys
+from pathlib import Path
+if sys.argv[3] == "blocked":
+    sys.modules["numpy"] = None
+import leibkit
+from leibkit import cli
+from leibkit import io as lio
+d, commands = Path(sys.argv[1]), json.loads(sys.argv[2])
+g = leibkit.upper_triangular_model()
+lio.save_file(g, d / "g.json")
+lio.save_file(leibkit.derive_leibniz(g), d / "L.json")
+lio.save_file(leibkit.LeibnizAlgebra([[[1]]]), d / "bad.json")
+lio.save_file(leibkit.LeibnizAlgebra([[[0, 0], [0, 0]], [[0, 0], [1, 0]]]), d / "simple.json")
+codes, outs = [], []
+for argv in commands:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        codes.append(cli.main([a.replace("{d}", str(d)) for a in argv]))
+    outs.append(buf.getvalue().replace(str(d), "{d}"))
+print(json.dumps({"codes": codes, "out": outs,
+                  "numpy": sys.modules.get("numpy") is not None}))
+"""
+
+
+def run(script, *args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_exact_commands_run_without_numpy(tmp_path):
+    commands = [argv for argv, _ in COMMANDS]
+    (tmp_path / "blocked").mkdir()
+    (tmp_path / "normal").mkdir()
+    blocked = run(SCRIPT, tmp_path / "blocked", json.dumps(commands), "blocked")
+    normal = run(SCRIPT, tmp_path / "normal", json.dumps(commands), "normal")
+    assert blocked["codes"] == [code for _, code in COMMANDS]
+    assert not blocked["numpy"] and not normal["numpy"]
+    assert blocked == normal
+    for name in ("h.json", "L2.json"):
+        assert ((tmp_path / "blocked" / name).read_text()
+                == (tmp_path / "normal" / name).read_text())
+
+
+def test_xigroup_file_loads_and_saves_in_a_fresh_interpreter(tmp_path):
+    # nothing has imported leibkit.xigroup when the file is loaded
+    grp = LinearXiGroup(mat_square_zero_extension(2)[1], OrthogonalConstraints(2),
+                        span([(1, 0, 0, 0)], 4), 1e-8)
+    path = tmp_path / "x.json"
+    lio.save_file(grp, path)
+    script = ("import json, sys, leibkit.io as lio; "
+              "assert 'leibkit.xigroup' not in sys.modules; "
+              "obj = lio.load_file(sys.argv[1]); "
+              "print(json.dumps([type(obj).__name__, lio.dumps(obj)]))")
+    assert run(script, path) == ["LinearXiGroup", path.read_text()]
+    script = ("import json, sys; from leibkit import cli; "
+              "print(json.dumps(cli.main(['verify', sys.argv[1], '--kind', 'grading'])))")
+    assert run(script, path) == 0
+
+
+def test_xigroup_names_resolve_on_the_package(monkeypatch):
+    from leibkit import check_xi_group
+    from leibkit import xigroup
+
+    assert leibkit.LinearXiGroup is xigroup.LinearXiGroup
+    assert check_xi_group is xigroup.check_xi_group
+    assert {"LinearXiGroup", "check_xi_group", "xi", "classify_simplicity"} <= set(dir(leibkit))
+    # looked up on each access, never stored on the package, so rebinding the
+    # function on its module is seen through the package
+    assert "check_xi_group" not in vars(leibkit)
+    monkeypatch.setattr(xigroup, "check_xi_group", len)
+    assert leibkit.check_xi_group is len
+    with pytest.raises(AttributeError, match="no_such_name"):
+        leibkit.no_such_name
+    with pytest.raises(ImportError):
+        from leibkit import no_such_name  # noqa: F401
+
+
+def test_cli_tangent_and_verify_on_an_xigroup_file(tmp_path, capsys):
+    grp = LinearXiGroup(mat_square_zero_extension(2)[1], OrthogonalConstraints(2))
+    path = str(tmp_path / "x.json")
+    lio.save_file(grp, path)
+    assert cli.main(["verify", path, "--kind", "assoc"]) == 0
+    assert cli.main(["tangent", path]) == 0
+    leib = str(tmp_path / "L.json")
+    lio.save_file(derive_leibniz(upper_triangular_model()), leib)
+    assert cli.main(["tangent", leib]) == 2
+    assert cli.main(["xi-check", leib]) == 2
+    assert "needs an xigroup file" in capsys.readouterr().err

@@ -16,6 +16,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from leibkit._tables import (
     apply_table,
@@ -111,6 +112,28 @@ def rebased_unital_tables():
     """Each small unital table in two random rational bases."""
     rng = random.Random(3)
     return [rebased(t, rng) for t in UNITAL for _ in range(2)]
+
+
+def test_apply_table_matches_the_dense_product_on_mixed_inputs():
+    # ints, "p/q" strings (also "0", which is truthy) and Fractions, passed as
+    # tuples, lists and generators
+    rng = random.Random(5)
+    entries = (0, 0, "0", 1, -2, "3/4", "-5", Fraction(2, 3), Fraction(0))
+    forms = (tuple, list, lambda v: (c for c in v))
+    for t in random_tables(6, count=40):
+        dim = len(t)
+        for _ in range(3):
+            x, y = ([rng.choice(entries) for _ in range(dim)] for _ in range(2))
+            want = oracles.dense_apply_table(t, x, y)
+            for form in forms:
+                got = apply_table(t, form(x), form(y))
+                assert got == want and all(type(c) is Fraction for c in got)
+        for bad in ((0,) * (dim + 1), (0,) * (dim - 1)):
+            for form in forms:
+                with pytest.raises(ValueError, match="vector length mismatch"):
+                    apply_table(t, form(bad), (1,) * dim)
+                with pytest.raises(ValueError, match="vector length mismatch"):
+                    apply_table(t, (1,) * dim, form(bad))
 
 
 def test_find_unit_matches_the_dense_solve():

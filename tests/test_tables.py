@@ -48,6 +48,13 @@ def random_table(rng, dim):
     return table_from_entries(dim, items)
 
 
+def random_sparse_table(rng, dim, per_row):
+    """A table with about ``per_row`` * dim nonzero entries in all."""
+    items = [(*(rng.randrange(dim) for _ in range(3)), rng.choice((-2, -1, 1, 2, "1/2")))
+             for _ in range(round(per_row * dim))]
+    return table_from_entries(dim, items)
+
+
 def _entry_list(rng, dim):
     """Random (i, j, k, value) items in random order, with repeats, zeros and
     pairs of items that cancel."""
@@ -206,6 +213,20 @@ def test_sparse_checker_matches_the_dense_loop_on_random_tables():
                 for tables in (sets, _mutant(sets, rng)):
                     failing += _same_first_failures(tables)
                     checked += 1
+    assert 0 < failing < checked * len(DECLARED)
+
+
+def test_sparse_checker_matches_the_dense_loop_on_sparse_tables_up_to_dim_12():
+    # most cells are empty, so the walks read the cells at the leading index
+    # from the row and column groupings and rarely find one
+    rng = random.Random(3)
+    failing = checked = 0
+    for dim in range(7, 13):
+        for per_row in (0.1, 0.25, 1, 3):
+            sets = {name: random_sparse_table(rng, dim, per_row) for name in "mas"}
+            for tables in (sets, _mutant(sets, rng)):
+                failing += _same_first_failures(tables)
+                checked += 1
     assert 0 < failing < checked * len(DECLARED)
 
 
