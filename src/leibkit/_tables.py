@@ -8,8 +8,8 @@ table with :func:`table_from_entries` or :func:`table_from_dense` (or
 :func:`as_table`, which passes a built :class:`Table` through), and read it
 through its nonzeros: :func:`table_entries` (the (i, j, k, c) entries in
 basis order), :func:`apply_table` (the product of two vectors),
-:func:`basis_products` (the products of vectors with every basis element),
-:func:`operators` (the multiplication matrices) and :func:`int_scaled` (the
+:func:`columns` (the cells as the columns of the multiplication operators),
+:func:`operators` (those operators as matrices) and :func:`int_scaled` (the
 same cells over one common denominator, which the exact checker walks).
 
 Each identity the package verifies (associativity, the right Leibniz
@@ -39,9 +39,9 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .linalg import Matrix, Vec, rat, vadd, vec, zeros
+from .linalg import Matrix, Vec, _row, rat, vadd, vec, zeros
 from .report import Report, fail, ok
 
 
@@ -191,36 +191,21 @@ def _check_side(side: str) -> bool:
     return side == "right"
 
 
+def columns(t: Table, side: str) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
+    """For j = 0..dim-1, the columns of x -> t(x, e_j) for side "right", of
+    x -> t(e_j, x) for side "left", as their nonzero (k, c) pairs: column i
+    is the cell t[i][j] or t[j][i], so the right operators read the table by
+    column and the left ones by row."""
+    return tuple(zip(*t)) if _check_side(side) else tuple(t)
+
+
 def operators(t: Table, side: str) -> tuple[Matrix, ...]:
     """Matrices of x -> t(x, e_j) for side "right", of x -> t(e_j, x) for side
-    "left", for j = 0..dim-1."""
-    right = _check_side(side)
+    "left", for j = 0..dim-1, from their :func:`columns`."""
     dim = len(t)
-    mats = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for i, row in enumerate(t):
-        for j, cell in enumerate(row):
-            m, col = (mats[j], i) if right else (mats[i], j)
-            for k, c in cell:
-                m[k][col] = c
-    return tuple(Matrix._trusted(tuple(map(tuple, m))) for m in mats)
-
-
-def basis_products(t: Table, vectors: Iterable[Sequence], side: str) -> Iterator[Vec]:
-    """The products t(b, e_j) for side "right", t(e_j, b) for side "left",
-    for each b in ``vectors`` and j = 0..dim-1, as the combinations
-    sum_i b_i t[i][j] or sum_i b_i t[j][i] of table cells; a product with no
-    nonzero term is skipped."""
-    right = _check_side(side)
-    dim = len(t)
-    for b in vectors:
-        terms = [(i, c) for i, c in enumerate(b) if c]
-        for j in range(dim):
-            acc = {}
-            for i, c in terms:
-                for k, x in (t[i][j] if right else t[j][i]):
-                    acc[k] = acc.get(k, 0) + c * x
-            if acc:
-                yield tuple(acc.get(k, _ZERO) for k in range(dim))
+    zero = zeros(dim)
+    return tuple(Matrix._trusted(tuple(zip(*(_row(dim, c) if c else zero for c in cols))))
+                 for cols in columns(t, side))
 
 
 def int_scaled(tables: Sequence[Table]) -> list[tuple]:

@@ -17,8 +17,8 @@ from ._tables import (
     Table,
     apply_table,
     as_table,
-    basis_products,
     basis_vec,
+    columns,
     evaluate,
     operators,
     verify_identities,
@@ -32,8 +32,8 @@ from .leibniz import (
     check_leibniz_homomorphism,
     multiplication_operators,
 )
-from .linalg import Matrix, Subspace, Vec, is_zero_vec, vscale, zeros
-from .modules import NORTON_BUDGET
+from .linalg import Matrix, Subspace, Vec, is_zero_vec, span, vscale, zeros
+from .modules import NORTON_BUDGET, _maps_into
 from .report import HomReport, Report, checked_once, fail, memo, ok, require
 
 
@@ -126,9 +126,9 @@ def is_huliu_ideal(h: HuLiuAlgebra, sub: Subspace) -> bool:
     """True iff <I,L>, <L,I> and [L,I] all land in I."""
     if sub.ambient_dim != h.dim:
         raise ValueError(f"ambient mismatch: {sub.ambient_dim} vs {h.dim}")
-    g, s = h.leibniz.angle, h.square
-    return all(sub.contains(v) for t, side in ((g, "right"), (g, "left"), (s, "left"))
-               for v in basis_products(t, sub.basis, side))
+    g = h.leibniz.angle
+    return _maps_into(columns(g, "right") + columns(g, "left") + columns(h.square, "left"),
+                      sub, sub)
 
 
 def is_huliu_subalgebra(h: HuLiuAlgebra, sub: Subspace) -> Report:
@@ -213,4 +213,4 @@ def killing_form(h: HuLiuAlgebra) -> Matrix:
 def annihilator_square_action_nonzero(h: HuLiuAlgebra) -> bool:
     """Informational flag: is [annihilator, L] nonzero?"""
     ann = annihilator(h.leibniz)
-    return any(any(v) for v in basis_products(h.square, ann.basis, "right"))
+    return not _maps_into(columns(h.square, "right"), ann, span([], h.dim))

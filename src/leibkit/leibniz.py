@@ -18,8 +18,8 @@ from ._tables import (
     Table,
     apply_table,
     as_table,
-    basis_products,
     basis_vec,
+    columns,
     evaluate,
     operators,
     table_entries,
@@ -30,6 +30,7 @@ from .linalg import Matrix, Subspace, Vec, span, vadd, zeros
 from .modules import (
     NORTON_BUDGET,
     OperatorModule,
+    _maps_into,
     closure,
     equivariant_projection_kernel,
     is_invariant,
@@ -126,8 +127,7 @@ def is_ideal(algebra: LeibnizAlgebra, sub: Subspace) -> bool:
     if sub.ambient_dim != algebra.dim:
         raise ValueError(f"ambient mismatch: {sub.ambient_dim} vs {algebra.dim}")
     t = algebra.angle
-    return all(sub.contains(v) for side in ("right", "left")
-               for v in basis_products(t, sub.basis, side))
+    return _maps_into(columns(t, "right") + columns(t, "left"), sub, sub)
 
 
 def ideal_closure(algebra: LeibnizAlgebra, seed_space: Subspace) -> Subspace:
@@ -279,4 +279,4 @@ def annihilator_action_nonzero(algebra: LeibnizAlgebra) -> bool:
     linear; the flag is reported, the conclusion is never asserted.
     """
     ann = annihilator(algebra)
-    return any(any(v) for v in basis_products(algebra.angle, ann.basis, "right"))
+    return not _maps_into(columns(algebra.angle, "right"), ann, span([], algebra.dim))

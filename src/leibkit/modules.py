@@ -113,6 +113,14 @@ def is_invariant(operators, s: Subspace) -> bool:
     return all(s.contains(t.matvec(b)) for b in s.basis for t in operators)
 
 
+def _maps_into(cols, s: Subspace, target: Subspace) -> bool:
+    """Whether every operator, given by its columns' nonzero (row, value)
+    pairs, maps s into target: each image of s's sparse basis reduces to 0
+    against target's pivot rows."""
+    basis, rows = _sparse_basis(s), target._rows
+    return not any(_reduce(rows, _apply(c, b, 0)) for c in cols for b in basis)
+
+
 def restriction(mod: OperatorModule, s: Subspace) -> OperatorModule:
     """Operators restricted to an invariant subspace, in its RREF-basis coordinates.
 
@@ -269,8 +277,9 @@ def _projection_system(mod: OperatorModule, sub: Subspace):
     """The sparse augmented rows of P B = I, (B P) T = T (B P): unknown (a, c)
     of P is column a * d + c, the right-hand side column k * d."""
     d, k = mod.dim, sub.dim
+    sub_nz = sub.nonzeros
     for a in range(k):
-        for bb, col in enumerate(sub.nonzeros):
+        for bb, col in enumerate(sub_nz):
             yield [(a * d + c, x) for c, x in col] + ([(k * d, Fraction(1))] if a == bb else [])
     # Row (i, j) of the commutation block for T: sum_a,c b[i][a] t[c][j] at
     # unknown (a, c), minus sum_a (T B)[i][a] at unknown (a, j).  Only the
@@ -279,7 +288,7 @@ def _projection_system(mod: OperatorModule, sub: Subspace):
     b_nz = b.nonzeros
     for t in mod.operators:
         tb_nz = (t @ b).nonzeros
-        t_cols = t.T.nonzeros
+        t_cols = t._cols
         for i in range(d):
             if not b_nz[i] and not tb_nz[i]:
                 continue

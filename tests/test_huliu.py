@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from leibkit._tables import table_from_entries, zero_table
+from leibkit.algebras import make_block_upper
 from leibkit.derive import derive_huliu
 from leibkit.fuzz import generate_corpus
 from leibkit.huliu import (
@@ -19,7 +20,14 @@ from leibkit.huliu import (
     verify_huliu_identities,
     verify_lie,
 )
-from leibkit.leibniz import LeibnizAlgebra, annihilator, direct_sum, ideal_closure, is_ideal
+from leibkit.leibniz import (
+    LeibnizAlgebra,
+    annihilator,
+    annihilator_action_nonzero,
+    direct_sum,
+    ideal_closure,
+    is_ideal,
+)
 from leibkit.linalg import Matrix, full_space, span, vadd
 
 import oracles
@@ -203,12 +211,25 @@ def test_eval_huliu_identity_replays_witness():
 
 def test_ideal_tests_agree_with_invariance_under_the_operators():
     rng = random.Random(3)
-    verdicts = set()
-    for _, g in generate_corpus(11, 30, 3, 3):
-        h = derive_huliu(g)
+    verdicts, flags = set(), set()
+    pairs = [derive_huliu(g) for _, g in generate_corpus(11, 30, 3, 3)]
+    # In a derived pair each square adjoint is minus a right or a left angle
+    # operator, so every Leibniz ideal is a Hu-Liu ideal.  Under a zero angle
+    # bracket every subspace is a Leibniz ideal, and the Heisenberg square
+    # bracket [e0, e1] = e2 moves e0 out of its span.
+    heisenberg = table_from_entries(3, [(0, 1, 2, 1), (1, 0, 2, -1)])
+    pairs += [derive_huliu(make_block_upper(2, 2)),
+              HuLiuAlgebra(zero_table(3), heisenberg).validate()]
+    for h in pairs:
         ops = oracles.bracket_operators(h.leibniz.angle)
-        huliu_ops = ops + oracles.bracket_operators(h.square)[h.dim:]  # v -> [e_j, v]
-        subs = [span([], h.dim), annihilator(h.leibniz), full_space(h.dim)]
+        squares = oracles.bracket_operators(h.square)
+        huliu_ops = ops + squares[h.dim:]  # v -> [e_j, v]
+        ann = annihilator(h.leibniz)
+        flag = (annihilator_action_nonzero(h.leibniz), annihilator_square_action_nonzero(h))
+        assert flag == tuple(any(any(t.matvec(a)) for t in mats[:h.dim] for a in ann.basis)
+                             for mats in (ops, squares))
+        flags.add(flag)
+        subs = [span([], h.dim), ann, full_space(h.dim)]
         for _ in range(4):
             seed_space = span([tuple(rng.choice((0, 0, 1, -1, 2)) for _ in range(h.dim))
                                for _ in range(rng.randint(1, 2))], h.dim)
@@ -217,7 +238,8 @@ def test_ideal_tests_agree_with_invariance_under_the_operators():
             want = (oracles.is_invariant(ops, s), oracles.is_invariant(huliu_ops, s))
             assert (is_ideal(h.leibniz, s), is_huliu_ideal(h, s)) == want
             verdicts.add(want)
-    assert {(True, True), (False, False)} <= verdicts
+    assert {(True, True), (False, False), (True, False)} <= verdicts
+    assert {(True, True), (False, False)} <= flags
 
 
 def test_huliu_algebra_refuses_names_that_differ_from_the_leibniz_algebras():

@@ -1,7 +1,8 @@
 """The multiplication matrices of a structure table, built in one place,
 the integer scaling the exact checker walks, and the checker itself.
 
-``_tables.operators`` is checked against the independent builder in
+``_tables.operators`` and the cell columns it is built from,
+``_tables.columns``, are checked against the independent builder in
 ``oracles.py`` on seeded random tables, for both sides.  The sparse
 identity checker must name the same first failing basis triple, or none,
 as the dense loop over every triple kept in ``oracles.py``, for every
@@ -22,7 +23,7 @@ from leibkit._tables import (
     JACOBI,
     RIGHT_LEIBNIZ,
     _first_failing_triple,
-    basis_products,
+    columns,
     int_scaled,
     operators,
     table_entries,
@@ -245,17 +246,13 @@ def test_sparse_checker_matches_the_dense_loop_on_derived_pairs():
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_basis_products_are_the_nonzero_operator_columns(seed):
+def test_columns_are_the_operator_columns(seed):
     rng = random.Random(seed)
     t = random_table(rng, rng.randint(1, 5))
     dim = len(t)
-    b = tuple(Fraction(rng.choice((0, 0, 1, -1, 3)), rng.choice((1, 2))) for _ in range(dim))
-    cells = oracles.dense(t)
-    for side in ("right", "left"):
-        images = [m.matvec(b) for m in operators(t, side)]
-        assert list(basis_products(t, [b], side)) == [
-            v for j, v in enumerate(images)
-            if any(b[i] and any(cells[i][j] if side == "right" else cells[j][i])
-                   for i in range(dim))]
+    expected = oracles.bracket_operators(t)  # right multiplications, then left
+    for side, mats in (("right", expected[:dim]), ("left", expected[dim:])):
+        assert columns(t, side) == tuple(m._cols for m in operators(t, side))
+        assert columns(t, side) == tuple(m._cols for m in mats)
     with pytest.raises(ValueError, match="side"):
-        list(basis_products(t, [b], "both"))
+        columns(t, "both")
