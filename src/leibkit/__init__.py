@@ -38,7 +38,7 @@ from .leibniz import (
     is_ideal,
     verify_right_leibniz,
 )
-from .linalg import Matrix, Subspace, full_space, kernel, rref, span
+from .linalg import Matrix, Subspace, full_space, kernel, span
 from .report import HomReport, Report, Witness
 from .fuzz import generate_corpus, run_fuzz
 from .io import SchemaError, load_file, save_file

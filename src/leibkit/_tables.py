@@ -41,7 +41,7 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .linalg import Matrix, Vec, _row, rat, vadd, vec, zeros
+from .linalg import Matrix, Vec, rat, vadd, vec, zeros
 from .report import Report, fail, ok
 
 
@@ -203,9 +203,7 @@ def operators(t: Table, side: str) -> tuple[Matrix, ...]:
     """Matrices of x -> t(x, e_j) for side "right", of x -> t(e_j, x) for side
     "left", for j = 0..dim-1, from their :func:`columns`."""
     dim = len(t)
-    zero = zeros(dim)
-    return tuple(Matrix._trusted(tuple(zip(*(_row(dim, c) if c else zero for c in cols))))
-                 for cols in columns(t, side))
+    return tuple(Matrix._sparse(dim, dim, c=cols) for cols in columns(t, side))
 
 
 def int_scaled(tables: Sequence[Table]) -> list[tuple]:

@@ -1,19 +1,20 @@
 """Exact linear algebra over the rationals.
 
 Scalars are arbitrary-precision ``fractions.Fraction``.  Matrices are
-immutable: they keep dense row tuples, and a view of each row's nonzeros,
-built on first use and cached, that products, sums and scalings walk.  The
-public ``Matrix`` constructor coerces its entries to Fractions; matrices
-that linalg computes itself are built by a trusted constructor that takes
-their rows as they are.  One incremental Gauss-Jordan reducer over sparse
-rows does elimination, spin (``modules.closure``) and membership: a row is
-reduced by its own nonzeros against the pivot rows so far and, if nonzero,
-added as a pivot row.  Elimination stops at full rank, ``solve`` and
-``inverse`` at the first row that shows the system inconsistent or the
-matrix singular.  A ``Subspace`` keeps its basis in reduced row-echelon
-form, which is canonical (equal subspaces have equal basis tuples), and as
-the pivot rows that membership reduces against.  Values are immutable and
-may be shared freely between threads.
+immutable and sparse: they store their shape and each row's nonzeros,
+which products, sums, scalings and elimination walk.  Dense rows are built
+on first use, only for the public ``data``, ``row``, ``col`` and ``repr``.
+The public ``Matrix`` constructor coerces its entries to Fractions; the
+package builds its own matrices from the sparse rows or columns it has.
+One incremental Gauss-Jordan reducer over sparse rows does elimination,
+spin (``modules.closure``) and membership: a row is reduced by its own
+nonzeros against the pivot rows so far and, if nonzero, added as a pivot
+row.  Elimination stops at full rank, ``solve`` and ``inverse`` at the
+first row that shows the system inconsistent or the matrix singular.  A
+``Subspace`` keeps its basis in reduced row-echelon form, which is
+canonical (equal subspaces have equal basis tuples), and as the pivot rows
+that membership reduces against.  Values are immutable and may be shared
+freely between threads.
 
 The reducer and the column apply that spin uses run over either field: a
 modulus of 0 means Q, and the fixed prime p = 2^31 - 1 means GF(p), on
@@ -66,38 +67,39 @@ def is_zero_vec(u: Vec) -> bool:
 
 
 class Matrix:
-    """Immutable matrix of Fractions: dense rows, read through their nonzeros.
+    """Immutable matrix of Fractions: its shape and sparse rows.
 
-    ``data`` holds the dense row tuples, which alone decide equality, hash
-    and repr.  ``nonzeros`` is a view of each row's nonzero ``(j, x)``
-    pairs, built on first use and kept; products, sums and scalings walk
-    only that view.  ``_cols`` and ``_cols_p``, the columns over Q and mod
-    p, are built and kept the same way.  The public constructor coerces its
-    entries; rows that linalg computes itself go through ``_trusted``, which
-    takes them as they are.
+    ``nonzeros``, each row's nonzero ``(j, x)`` pairs in column order, is
+    the canonical form that equality and hash compare with the shape.
+    ``_cols`` and ``_cols_p``, the columns over Q and mod p, and the dense
+    rows ``data`` are built on first use and kept.  The public constructor
+    coerces dense entries; ``_sparse`` takes sparse rows or columns as they
+    are, and builds the other view from them on first use.
     """
 
-    __slots__ = ("rows", "cols", "data", "_nz", "_c", "_p")
+    __slots__ = ("rows", "cols", "_nz", "_c", "_d", "_p")
 
     def __init__(self, data: Sequence[Sequence]):
         rows = tuple(vec(r) for r in data)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        self._set(rows)
+        self._set(len(rows), len(rows[0]) if rows else 0, tuple(map(_nonzeros, rows)), None, rows)
 
-    def _set(self, rows: tuple[Vec, ...]):
-        object.__setattr__(self, "data", rows)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
-        object.__setattr__(self, "_nz", None)
-        object.__setattr__(self, "_c", None)
+    def _set(self, rows: int, cols: int, nz, c, d=None):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_nz", nz)
+        object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "_d", d)
         object.__setattr__(self, "_p", None)
 
     @classmethod
-    def _trusted(cls, rows: tuple[Vec, ...]) -> "Matrix":
-        """A matrix on rows of equal length that hold only Fractions, as given."""
+    def _sparse(cls, rows: int, cols: int, nz=None, c=None) -> "Matrix":
+        """The rows x cols matrix with sparse rows ``nz`` or sparse columns
+        ``c``: tuples of nonzero (index, Fraction) pairs in index order,
+        taken as they are."""
         m = object.__new__(cls)
-        m._set(rows)
+        m._set(rows, cols, nz, c)
         return m
 
     def __setattr__(self, name, value=None):
@@ -110,17 +112,16 @@ class Matrix:
         """Each row's nonzero entries as (column, value) pairs, in column order."""
         nz = self._nz
         if nz is None:
-            nz = tuple(map(_nonzeros, self.data))
+            nz = _transpose(self._c, self.rows)
             object.__setattr__(self, "_nz", nz)
         return nz
 
     @property
     def _cols(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """Each column's nonzero (row, value) pairs, in row order, built on
-        first use and kept."""
+        """Each column's nonzero (row, value) pairs, in row order, kept."""
         c = self._c
         if c is None:
-            c = _transpose(self.nonzeros, self.cols)
+            c = _transpose(self._nz, self.cols)
             object.__setattr__(self, "_c", c)
         return c
 
@@ -130,18 +131,27 @@ class Matrix:
         divides a denominator."""
         cp = self._p
         if cp is None:
-            rows = [_mod_p(r) for r in self.nonzeros]
-            cp = False if None in rows else _transpose([r.items() for r in rows], self.cols)
+            cols = [_mod_p(c) for c in self._cols]
+            cp = False if None in cols else tuple(tuple(c.items()) for c in cols)
             object.__setattr__(self, "_p", cp)
         return None if cp is False else cp
 
+    @property
+    def data(self) -> tuple[Vec, ...]:
+        """The dense row tuples, built on first use and kept."""
+        d = self._d
+        if d is None:
+            d = tuple(_row(self.cols, r) for r in self.nonzeros)
+            object.__setattr__(self, "_d", d)
+        return d
+
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix._trusted((zeros(cols),) * rows)
+        return Matrix._sparse(rows, cols, nz=((),) * rows)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix._trusted(tuple(zeros(i) + (_ONE,) + zeros(n - 1 - i) for i in range(n)))
+        return Matrix._sparse(n, n, nz=tuple(((i, _ONE),) for i in range(n)))
 
     @staticmethod
     def from_cols(cols: Sequence[Sequence]) -> "Matrix":
@@ -155,13 +165,14 @@ class Matrix:
 
     @property
     def T(self) -> "Matrix":
-        return Matrix._trusted(tuple(zip(*self.data)))
+        return Matrix._sparse(self.cols, self.rows, nz=self._c, c=self._nz)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.data == other.data
+        return (isinstance(other, Matrix) and self.rows == other.rows
+                and self.cols == other.cols and self.nonzeros == other.nonzeros)
 
     def __hash__(self):
-        return hash(self.data)
+        return hash((self.rows, self.cols, self.nonzeros))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.data)
@@ -177,14 +188,14 @@ class Matrix:
         """Entries op(self, other), walking other's nonzeros; op(a, 0) = a."""
         self._same_shape(other)
         out = []
-        for a, r in zip(self.data, other.nonzeros):
+        for a, r in zip(self.nonzeros, other.nonzeros):
             if r:
-                a = list(a)
+                acc = dict(a)
                 for j, y in r:
-                    a[j] = op(a[j], y)
-                a = tuple(a)
+                    acc[j] = op(acc.get(j, _ZERO), y)
+                a = _pairs(acc.items())
             out.append(a)
-        return Matrix._trusted(tuple(out))
+        return Matrix._sparse(self.rows, self.cols, nz=tuple(out))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._combine(other, operator.add)
@@ -199,8 +210,8 @@ class Matrix:
         c = rat(c)
         if not c:
             return Matrix.zero(self.rows, self.cols)
-        return Matrix._trusted(tuple(_row(self.cols, [(j, c * x) for j, x in r])
-                                     for r in self.nonzeros))
+        return Matrix._sparse(self.rows, self.cols,
+                              nz=tuple(tuple((j, c * x) for j, x in r) for r in self.nonzeros))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Row by row (Gustavson): row i of the product sums x * row k of
@@ -214,8 +225,8 @@ class Matrix:
             for k, x in r:
                 for j, y in onz[k]:
                     acc[j] = acc[j] + x * y if j in acc else x * y
-            out.append(_row(other.cols, acc.items()))
-        return Matrix._trusted(tuple(out))
+            out.append(_pairs(acc.items()))
+        return Matrix._sparse(self.rows, other.cols, nz=tuple(out))
 
     def matvec(self, v: Sequence) -> Vec:
         v = vec(v)
@@ -232,11 +243,12 @@ class Matrix:
         return tuple(out)
 
     def is_zero(self) -> bool:
-        return not any(self.nonzeros)
+        return not any(self._nz if self._nz is not None else self._c)
 
     def rref(self) -> "Matrix":
         reduced, _ = _rref(self.nonzeros, self.cols)
-        return Matrix._trusted(tuple(reduced) + (zeros(self.cols),) * (self.rows - len(reduced)))
+        return Matrix._sparse(self.rows, self.cols, nz=tuple(map(_nonzeros, reduced))
+                              + ((),) * (self.rows - len(reduced)))
 
     def rank(self) -> int:
         return len(_echelon(self.nonzeros, self.cols))
@@ -252,6 +264,12 @@ def _row(n: int, entries) -> Vec:
 
 def _nonzeros(v: Vec) -> tuple[tuple[int, Fraction], ...]:
     return tuple((j, x) for j, x in enumerate(v) if x)
+
+
+def _pairs(entries: Iterable[tuple[int, Fraction]]) -> tuple[tuple[int, Fraction], ...]:
+    """The nonzero ones of (index, value) pairs with distinct indices, in
+    index order: a sparse row as ``Matrix._sparse`` takes it."""
+    return tuple(sorted((j, x) for j, x in entries if x))
 
 
 def _sub_scaled(row: dict, f, other: dict, p: int):
@@ -383,11 +401,6 @@ def _solve_rows(rows: Iterable[SparseRow], n: int) -> Vec | None:
     return tuple(x)
 
 
-def rref(m: Matrix) -> Matrix:
-    """Reduced row-echelon form; preserves the row space."""
-    return m.rref()
-
-
 class Subspace:
     """A linear subspace of Q^n with a canonical RREF basis.
 
@@ -472,22 +485,9 @@ class Subspace:
                 x = vadd(x, vscale(c, b))
         return x
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        self._same_ambient(other)
-        return all(self.contains(b) for b in other.basis)
-
     def sum(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
         return span(list(self.basis) + list(other.basis), self.ambient_dim)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._same_ambient(other)
-        if self.is_zero() or other.is_zero():
-            return span([], self.ambient_dim)
-        # x in both spans: x = sum a_i s_i = sum b_j t_j; solve for (a, -b).
-        cols = [list(b) for b in self.basis] + [[-x for x in b] for b in other.basis]
-        ker = kernel(Matrix.from_cols(cols))
-        return span([self._combine(k[: self.dim]) for k in ker.basis], self.ambient_dim)
 
     def _same_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -497,7 +497,7 @@ class Subspace:
 
     def matrix(self) -> Matrix:
         """Basis vectors as rows."""
-        return Matrix._trusted(self.basis)
+        return Matrix._sparse(self.dim, self.ambient_dim, nz=self.nonzeros)
 
 
 def span(vectors: Sequence[Sequence], ambient_dim: int) -> Subspace:
@@ -511,7 +511,7 @@ def span(vectors: Sequence[Sequence], ambient_dim: int) -> Subspace:
 
 def full_space(n: int) -> Subspace:
     """Q^n with its canonical basis, the identity rows, which are in RREF."""
-    return Subspace(n, Matrix.identity(n).data, range(n))
+    return Subspace._from_rows(n, {i: {} for i in range(n)})
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -544,5 +544,5 @@ def inverse(m: Matrix) -> Matrix | None:
     piv = _echelon((r + ((n + i, _ONE),) for i, r in enumerate(m.nonzeros)), 2 * n, limit=n)
     if piv is None:
         return None
-    return Matrix._trusted(tuple(_row(n, [(j - n, x) for j, x in piv[p].items()])
-                                 for p in range(n)))
+    return Matrix._sparse(n, n, nz=tuple(_pairs((j - n, x) for j, x in piv[p].items())
+                                         for p in range(n)))

