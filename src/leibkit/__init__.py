@@ -10,7 +10,6 @@ from .algebras import (
     make_block_upper,
     make_trivial_extension,
     matrix_algebra,
-    multiply,
     upper_triangular_model,
     verify_associative,
     verify_special_grading,
@@ -23,7 +22,6 @@ from .huliu import (
     classify_huliu_simplicity,
     is_huliu_ideal,
     is_huliu_subalgebra,
-    killing_form,
     verify_huliu_identities,
     verify_lie,
 )
@@ -33,7 +31,6 @@ from .leibniz import (
     annihilator,
     check_leibniz_homomorphism,
     classify_simplicity,
-    direct_sum,
     ideal_closure,
     is_ideal,
     verify_right_leibniz,
@@ -54,7 +51,7 @@ _XIGROUP_NAMES = frozenset({
     "NotAUnitError", "OrthogonalConstraints", "SamplingError",
     "SpecialLinearConstraints", "TangentSpace", "UnipotentConstraints",
     "XiGroupReport", "check_xi_group", "constraint_family", "exp_curve_check",
-    "expm", "fitted_log_slope", "invert_unit", "mat_square_zero_extension",
+    "expm", "invert_unit", "mat_square_zero_extension",
     "regular_realization", "tangent_space", "verify_group_closure",
     "verify_tangent_huliu", "xi",
 })

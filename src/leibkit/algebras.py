@@ -71,11 +71,6 @@ class Algebra:
         return memo(self, verify_associative)
 
 
-def multiply(a: Algebra, x: Sequence, y: Sequence) -> Vec:
-    """Bilinear extension of the structure tensor to coordinate vectors."""
-    return a.multiply(x, y)
-
-
 @checked_once
 def verify_associative(a: Algebra) -> Report:
     """Check (ei ej) ek = ei (ej ek) for all basis triples."""

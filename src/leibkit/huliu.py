@@ -8,7 +8,6 @@ over characteristic zero; everything else runs on basis triples.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from ._tables import (
@@ -32,7 +31,7 @@ from .leibniz import (
     check_leibniz_homomorphism,
     multiplication_operators,
 )
-from .linalg import Matrix, Subspace, Vec, is_zero_vec, span, vscale, zeros
+from .linalg import Matrix, Subspace, Vec, is_zero_vec, vscale, zeros
 from .modules import NORTON_BUDGET, _maps_into
 from .report import HomReport, Report, checked_once, fail, memo, ok, require
 
@@ -199,18 +198,3 @@ def annihilator_abelian_check(h: HuLiuAlgebra) -> Report:
                 return fail("annihilator is abelian", (a, b), val, zeros(h.dim))
     return ok("annihilator is abelian")
 
-
-def killing_form(h: HuLiuAlgebra) -> Matrix:
-    """Trace form of the square-bracket adjoints."""
-    ads = adjoint_operators(h)
-
-    def trace(m: Matrix) -> Fraction:
-        return sum((m.data[i][i] for i in range(m.rows)), Fraction(0))
-
-    return Matrix([[trace(ads[i] @ ads[j]) for j in range(h.dim)] for i in range(h.dim)])
-
-
-def annihilator_square_action_nonzero(h: HuLiuAlgebra) -> bool:
-    """Informational flag: is [annihilator, L] nonzero?"""
-    ann = annihilator(h.leibniz)
-    return not _maps_into(columns(h.square, "right"), ann, span([], h.dim))

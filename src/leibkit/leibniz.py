@@ -23,7 +23,6 @@ from ._tables import (
     evaluate,
     operators,
     table_entries,
-    table_from_entries,
     verify_identities,
 )
 from .linalg import Matrix, Subspace, Vec, span, vadd, zeros
@@ -263,20 +262,3 @@ def check_leibniz_homomorphism(algebra: LeibnizAlgebra, target: LeibnizAlgebra,
     rep = _bracket_compatibility(algebra.angle, target.angle, phi, "bracket compatibility")
     return HomReport(rep.holds, rep.identity, rep.witness, ker.dim == 0, ker, image)
 
-
-def direct_sum(a: LeibnizAlgebra, b: LeibnizAlgebra) -> LeibnizAlgebra:
-    s = a.dim
-    entries = table_entries(a.angle)
-    entries += [(s + i, s + j, s + k, c) for i, j, k, c in table_entries(b.angle)]
-    names = [f"a.{n}" for n in a.basis_names] + [f"b.{n}" for n in b.basis_names]
-    return LeibnizAlgebra(table_from_entries(s + b.dim, entries), names)
-
-
-def annihilator_action_nonzero(algebra: LeibnizAlgebra) -> bool:
-    """Informational flag: is <annihilator, L> nonzero?
-
-    This is the hypothesis under which a simple algebra is claimed to be
-    linear; the flag is reported, the conclusion is never asserted.
-    """
-    ann = annihilator(algebra)
-    return not _maps_into(columns(algebra.angle, "right"), ann, span([], algebra.dim))

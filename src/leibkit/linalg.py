@@ -11,10 +11,10 @@ spin (``modules.closure``) and membership: a row is reduced by its own
 nonzeros against the pivot rows so far and, if nonzero, added as a pivot
 row.  Elimination stops at full rank, ``solve`` and ``inverse`` at the
 first row that shows the system inconsistent or the matrix singular.  A
-``Subspace`` keeps its basis in reduced row-echelon form, which is
-canonical (equal subspaces have equal basis tuples), and as the pivot rows
-that membership reduces against.  Values are immutable and may be shared
-freely between threads.
+``Subspace`` is made from the reducer's pivot rows, which membership
+reduces against, and holds its basis in reduced row-echelon form, which is
+canonical (equal subspaces have equal basis tuples).  Values are immutable
+and may be shared freely between threads.
 
 The reducer and the column apply that spin uses run over either field: a
 modulus of 0 means Q, and the fixed prime p = 2^31 - 1 means GF(p), on
@@ -384,7 +384,7 @@ def _transpose(rows: Iterable[SparseRow], n: int) -> tuple[tuple[tuple[int, obje
 
 def _rref(rows: Iterable[SparseRow], width: int) -> tuple[list[Vec], list[int]]:
     """Reduced row-echelon form of sparse rows: (nonzero rows, pivot columns)."""
-    s = Subspace._from_rows(width, _echelon(rows, width))
+    s = Subspace(width, _echelon(rows, width))
     return list(s.basis), list(s.pivots)
 
 
@@ -404,18 +404,22 @@ def _solve_rows(rows: Iterable[SparseRow], n: int) -> Vec | None:
 class Subspace:
     """A linear subspace of Q^n with a canonical RREF basis.
 
-    Construct through :func:`span`; the raw constructor trusts its input.
-    Membership and coordinates reduce against the basis as the reducer's
-    pivot rows, kept from the reducer or built on first use.
+    Construct through :func:`span`.  The constructor takes the reducer's
+    pivot rows ``{pivot: that row's other nonzeros}``, the pivot entry 1
+    left implicit, trusts that they are in RREF and keeps them as they are;
+    the dense basis is built from them at once.  Membership and coordinates
+    reduce against the pivot rows, which are not to be mutated.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_nz")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_rows")
 
-    def __init__(self, ambient_dim: int, basis: Sequence[Vec], pivots: Sequence[int]):
+    def __init__(self, ambient_dim: int, rows: dict[int, dict[int, Fraction]]):
+        pivots = tuple(sorted(rows))
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(tuple(b) for b in basis))
-        object.__setattr__(self, "pivots", tuple(pivots))
-        object.__setattr__(self, "_nz", None)
+        object.__setattr__(self, "basis", tuple(
+            _row(ambient_dim, [(p, _ONE), *rows[p].items()]) for p in pivots))
+        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "_rows", rows)
 
     def __setattr__(self, name, value=None):
         raise AttributeError("Subspace is immutable")
@@ -441,25 +445,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
-
-    @staticmethod
-    def _from_rows(ambient_dim: int, piv: dict[int, dict[int, Fraction]]) -> "Subspace":
-        """The subspace with the given pivot rows, which it keeps as they are."""
-        pivots = sorted(piv)
-        s = Subspace(ambient_dim, [_row(ambient_dim, [(p, _ONE), *piv[p].items()])
-                                   for p in pivots], pivots)
-        object.__setattr__(s, "_nz", piv)
-        return s
-
-    @property
-    def _rows(self) -> dict[int, dict[int, Fraction]]:
-        """The basis as pivot rows {pivot: other nonzeros}; not to be mutated."""
-        piv = self._nz
-        if piv is None:
-            piv = {p: {j: x for j, x in enumerate(b) if x and j != p}
-                   for p, b in zip(self.pivots, self.basis)}
-            object.__setattr__(self, "_nz", piv)
-        return piv
 
     @property
     def nonzeros(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
@@ -506,12 +491,12 @@ def span(vectors: Sequence[Sequence], ambient_dim: int) -> Subspace:
     for v in vs:
         if len(v) != ambient_dim:
             raise ValueError(f"vector length {len(v)} != ambient {ambient_dim}")
-    return Subspace._from_rows(ambient_dim, _echelon(map(_nonzeros, vs), ambient_dim))
+    return Subspace(ambient_dim, _echelon(map(_nonzeros, vs), ambient_dim))
 
 
 def full_space(n: int) -> Subspace:
     """Q^n with its canonical basis, the identity rows, which are in RREF."""
-    return Subspace._from_rows(n, {i: {} for i in range(n)})
+    return Subspace(n, {i: {} for i in range(n)})
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -522,7 +507,7 @@ def kernel(m: Matrix) -> Subspace:
     for p, r in piv.items():
         for f, x in r.items():
             free[f].append((p, -x))
-    return Subspace._from_rows(m.cols, _echelon(free.values(), m.cols))
+    return Subspace(m.cols, _echelon(free.values(), m.cols))
 
 
 def solve(m: Matrix, b: Sequence) -> Vec | None:

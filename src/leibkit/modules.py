@@ -51,20 +51,36 @@ class OperatorModule:
     dim: int
     operators: tuple[Matrix, ...]
 
+    def __post_init__(self):
+        _check_square(self.operators, self.dim)
+
+
+def _check_square(operators, n: int):
+    for t in operators:
+        if t.rows != n or t.cols != n:
+            raise ValueError(f"operator is {t.rows}x{t.cols}, not {n}x{n}")
+
+
+def _check_ambient(mod: OperatorModule, s: Subspace):
+    if s.ambient_dim != mod.dim:
+        raise ValueError(f"ambient mismatch: {s.ambient_dim} vs {mod.dim}")
+
 
 def closure(operators, s: Subspace) -> Subspace:
-    """Least subspace containing s and invariant under all operators.
+    """Least subspace containing s and invariant under all operators, each
+    of which must be square of the ambient dimension of s.
 
     The spin of the basis of s (:func:`_spin`) is invariant, since the
     images of a spanning set lie in the span, and its pivot rows are its
     RREF basis.  A mod-p spin of full dimension returns the full space first.
     """
     n = s.ambient_dim
+    _check_square(operators, n)
     ops = [t for t in operators if not t.is_zero()]
     if s.dim < n and _spin_full_mod_p(ops, s):
         return full_space(n)
     piv = _spin([t._cols for t in ops], _sparse_basis(s), n)
-    return s if len(piv) == s.dim else Subspace._from_rows(n, piv)
+    return s if len(piv) == s.dim else Subspace(n, piv)
 
 
 def _sparse_basis(s: Subspace) -> list[dict[int, Fraction]]:
@@ -119,6 +135,7 @@ def restriction(mod: OperatorModule, s: Subspace) -> OperatorModule:
     Each image t b is applied from t's cached columns; it lies in s iff it
     reduces to 0, and its coordinates are its pivot entries.
     """
+    _check_ambient(mod, s)
     basis, position = _sparse_basis(s), {c: a for a, c in enumerate(s.pivots)}
     mats = []
     for t in mod.operators:
@@ -153,6 +170,7 @@ class QuotientModule:
 
 
 def quotient(mod: OperatorModule, s: Subspace) -> QuotientModule:
+    _check_ambient(mod, s)
     free = tuple(j for j in range(mod.dim) if j not in s._rows)
     position = {f: a for a, f in enumerate(free)}
     mats = []
@@ -265,6 +283,7 @@ def equivariant_projection_kernel(mod: OperatorModule, sub: Subspace) -> Subspac
     system's rows are made one at a time as the solver reads them, so an
     infeasible system is left at its first contradictory row.
     """
+    _check_ambient(mod, sub)
     d, k = mod.dim, sub.dim
     if k == 0 or k == d:
         raise ValueError("complement question needs a proper nonzero subspace")

@@ -618,55 +618,34 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CurveReport:
-    """Membership residuals of a one-parameter curve through the unit."""
+    """Membership residuals of the exp curve through the unit."""
 
     holds: bool
-    curve: str
     t_grid: tuple[float, ...]
     residuals: tuple[float, ...]
     max_residual: float
     note: str = ""
 
 
-def exp_curve_check(group: LinearXiGroup, x, t_grid, curve: str = "exp") -> CurveReport:
-    """Walk a curve a(t) with a(0) = 1, a'(0) = x and measure how far it
-    leaves the group (constraint residual plus odd-part distance from V1).
+def exp_curve_check(group: LinearXiGroup, x, t_grid) -> CurveReport:
+    """Walk the curve a(t) = exp(t L_x) 1, with a(0) = 1 and a'(0) = x, and
+    measure how far it leaves the group (constraint residual plus odd-part
+    distance from V1).
 
-    ``curve="exp"``: a(t) = exp(t L_x) 1, where L_x is left multiplication
-    by x on the algebra; L is multiplicative, so this is the power series
-    exp(t x) taken in algebra coordinates.  For tangent x of a group whose
-    constraints are preserved by exp (orthogonality from skewness, unit
-    determinant from tracelessness) the residual stays at rounding level.
-    ``curve="line"``: a(t) = 1 + t x; its residual is quadratic in t exactly
-    when x is tangent and linear when it is not, which is what the slope
-    test fits.  The grid needs at least one t.
+    L_x is left multiplication by x on the algebra; L is multiplicative, so
+    the curve is the power series exp(t x) taken in algebra coordinates.
+    For tangent x of a group whose constraints are preserved by exp
+    (orthogonality from skewness, unit determinant from tracelessness) the
+    residual stays at rounding level.  The grid needs at least one t.
     """
     r = group.realization
     xf = np.array(x, dtype=float)
     ts = tuple(float(t) for t in t_grid)
     if not ts:
         raise ValueError("curve check needs at least one t")
-    if curve == "exp":
-        left = np.tensordot(xf, r.np_tensor, 1).T  # column j is x e_j
-        coords = np.array([expm(t * left) @ r.np_unit for t in ts])
-    elif curve == "line":
-        coords = r.np_unit + np.multiply.outer(ts, xf)
-    else:
-        raise ValueError(f"unknown curve kind {curve!r}")
+    left = np.tensordot(xf, r.np_tensor, 1).T  # column j is x e_j
+    coords = np.array([expm(t * left) @ r.np_unit for t in ts])
     residuals = tuple(map(float, group.membership_residual(coords)))
     scale = max(1.0, *np.linalg.norm(coords, axis=-1))
     worst = max(residuals)
-    return CurveReport(worst <= group.tolerance * scale, curve, ts, residuals, worst)
-
-
-def fitted_log_slope(t_grid, residuals, floor: float = 1e-14) -> float:
-    """Least-squares slope of log residual against log t.
-
-    Residuals at or below ``floor`` are rounding noise and are dropped; if
-    nothing remains the slope is reported as infinite (the curve sits in the
-    group to machine precision).
-    """
-    pts = [(t, r) for t, r in zip(t_grid, residuals) if r > floor]
-    if len(pts) < 2:
-        return float("inf")
-    return float(np.polyfit(*np.log10(pts).T, 1)[0])
+    return CurveReport(worst <= group.tolerance * scale, ts, residuals, worst)

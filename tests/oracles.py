@@ -10,7 +10,10 @@ which makes the search exhaustive.  The per-sample xi-group loops reuse
 the float primitives (products, inverses, norms, membership residuals) that
 the batched checks are built from, and redo only the looping.  The curve
 reference takes its exponential in the matrix realization and maps it back
-to coordinates, where leibkit exponentiates left multiplication directly.
+to coordinates, where leibkit exponentiates left multiplication directly;
+the line curve and its slope fit live only here.  The direct sum, the
+Killing form and the two annihilator-action flags, which only tests call,
+reuse the package's annihilator and operator-column test.
 """
 
 from fractions import Fraction
@@ -19,10 +22,12 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from leibkit._tables import LEFT
-from leibkit.huliu import HuLiuAlgebra
+from leibkit._tables import LEFT, columns, table_entries, table_from_entries
+from leibkit.huliu import HuLiuAlgebra, adjoint_operators
 from leibkit.algebras import matrix_algebra
+from leibkit.leibniz import LeibnizAlgebra, annihilator
 from leibkit.linalg import Matrix, full_space, kernel, solve, span, vadd, vec, vscale, zeros
+from leibkit.modules import _maps_into
 from leibkit.report import fail, ok
 from leibkit.xigroup import XiGroupReport, expm, invert_unit, xi
 
@@ -89,6 +94,43 @@ def intersect(s, t):
 def _same_ambient(s, t):
     if s.ambient_dim != t.ambient_dim:
         raise ValueError(f"ambient mismatch: {s.ambient_dim} vs {t.ambient_dim}")
+
+
+# -- Leibniz and Hu-Liu helpers that only tests call ----------------------------
+
+def direct_sum(a, b):
+    """The Leibniz algebra a + b with the block-diagonal bracket."""
+    s = a.dim
+    entries = table_entries(a.angle)
+    entries += [(s + i, s + j, s + k, c) for i, j, k, c in table_entries(b.angle)]
+    names = [f"a.{n}" for n in a.basis_names] + [f"b.{n}" for n in b.basis_names]
+    return LeibnizAlgebra(table_from_entries(s + b.dim, entries), names)
+
+
+def killing_form(h):
+    """Trace form of the square-bracket adjoints."""
+    ads = adjoint_operators(h)
+
+    def trace(m):
+        return sum((m.data[i][i] for i in range(m.rows)), Fraction(0))
+
+    return Matrix([[trace(ads[i] @ ads[j]) for j in range(h.dim)] for i in range(h.dim)])
+
+
+def annihilator_action_nonzero(algebra):
+    """Informational flag: is <annihilator, L> nonzero?
+
+    This is the hypothesis under which a simple algebra is claimed to be
+    linear; the flag is reported, the conclusion is never asserted.
+    """
+    ann = annihilator(algebra)
+    return not _maps_into(columns(algebra.angle, "right"), ann, span([], algebra.dim))
+
+
+def annihilator_square_action_nonzero(h):
+    """Informational flag: is [annihilator, L] nonzero?"""
+    ann = annihilator(h.leibniz)
+    return not _maps_into(columns(h.square, "right"), ann, span([], h.dim))
 
 
 def rational_norton(mod, rng, budget, max_word=8):
@@ -609,6 +651,54 @@ def sl2_semidirect(ns):
     return t
 
 
+def sl_standard_semidirect(n, copies):
+    """Bracket table of sl_n + (C^n)^copies with <x+v, y+w> = [x,y] - y.v.
+
+    sl_n has the basis E_ij (i != j, rows first) then H_i = E_ii - E_i+1,i+1,
+    and each copy of C^n its standard basis; the structure constants are
+    integers.  The annihilator is the module part, of dimension copies * n.
+    One copy is irreducible and nontrivial, so the algebra is Simple; two
+    copies make each one a proper ideal, so it is NotSimple.  At n = 2 this
+    is ``sl2_semidirect((1,))``.
+    """
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    g = len(off) + n - 1
+
+    def mat(a):  # basis element a of sl_n as {(row, column): entry}
+        if a < len(off):
+            return {off[a]: 1}
+        i = a - len(off)
+        return {(i, i): 1, (i + 1, i + 1): -1}
+
+    def commutator(x, y):
+        out = {}
+        for u, v, sign in ((x, y, 1), (y, x, -1)):
+            for (i, k), p in u.items():
+                for (k2, j), q in v.items():
+                    if k == k2:
+                        out[i, j] = out.get((i, j), 0) + sign * p * q
+        return out
+
+    def coords(m):  # a traceless matrix in the basis
+        out = {off.index(rc): c for rc, c in m.items() if rc[0] != rc[1]}
+        h = 0
+        for i in range(n - 1):  # H_i's coefficient: the first i + 1 diagonal entries' sum
+            h += m.get((i, i), 0)
+            out[len(off) + i] = h
+        return out
+
+    dim = g + copies * n
+    t = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for a in range(g):
+        for b in range(g):
+            for k, c in coords(commutator(mat(a), mat(b))).items():
+                t[a][b][k] = Fraction(c)
+        for base in range(g, dim, n):
+            for (i, j), x in mat(a).items():
+                t[base + j][a][base + i] -= x  # <e_j, y> = -y e_j = -sum_i y_ij e_i
+    return t
+
+
 # -- dense references for the sparse identity checker --------------------------
 
 def dense_int_scaled(tables):
@@ -902,3 +992,24 @@ def exp_curve_through_realization(group, x, t_grid):
     residuals = tuple(map(float, group.membership_residual(np.array(coords))))
     scale = max(1.0, *np.linalg.norm(coords, axis=-1))
     return max(residuals) <= group.tolerance * scale, residuals
+
+
+def line_curve_residuals(group, x, t_grid):
+    """Membership residuals of the line a(t) = 1 + t x; they are quadratic
+    in t exactly when x is tangent and linear when it is not."""
+    r = group.realization
+    coords = r.np_unit + np.multiply.outer([float(t) for t in t_grid], np.array(x, dtype=float))
+    return tuple(map(float, group.membership_residual(coords)))
+
+
+def fitted_log_slope(t_grid, residuals, floor=1e-14):
+    """Least-squares slope of log residual against log t.
+
+    Residuals at or below ``floor`` are rounding noise and are dropped; if
+    nothing remains the slope is reported as infinite (the curve sits in the
+    group to machine precision).
+    """
+    pts = [(t, r) for t, r in zip(t_grid, residuals) if r > floor]
+    if len(pts) < 2:
+        return float("inf")
+    return float(np.polyfit(*np.log10(pts).T, 1)[0])

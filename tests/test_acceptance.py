@@ -31,8 +31,6 @@ from leibkit.xigroup import (
     LinearXiGroup,
     OrthogonalConstraints,
     check_xi_group,
-    exp_curve_check,
-    fitted_log_slope,
     mat_square_zero_extension,
     tangent_space,
     verify_tangent_huliu,
@@ -249,13 +247,13 @@ def test_criterion_8_curve_slopes():
     skew = np.zeros(8)
     skew[1], skew[2] = -1.0, 1.0
     skew[4:] = [0.4, -0.3, 0.2, 0.1]
-    tangent_slope = fitted_log_slope(
-        ts, exp_curve_check(grp, skew, ts, curve="line").residuals)
+    tangent_slope = oracles.fitted_log_slope(
+        ts, oracles.line_curve_residuals(grp, skew, ts))
     sym = np.zeros(8)
     sym[0], sym[3] = 1.0, -0.5
     sym[1] = sym[2] = 0.25
-    non_tangent_slope = fitted_log_slope(
-        ts, exp_curve_check(grp, sym, ts, curve="line").residuals)
+    non_tangent_slope = oracles.fitted_log_slope(
+        ts, oracles.line_curve_residuals(grp, sym, ts))
     ok = tangent_slope >= 1.8 and abs(non_tangent_slope - 1.0) <= 0.1
     elapsed = time.time() - start
     report(8, ok, f"first-order curve residual slopes: tangent "

@@ -10,27 +10,29 @@ from leibkit.fuzz import generate_corpus
 from leibkit.huliu import (
     HuLiuAlgebra,
     annihilator_abelian_check,
-    annihilator_square_action_nonzero,
     check_huliu_homomorphism,
     classify_huliu_simplicity,
     eval_huliu_identity,
     is_huliu_ideal,
     is_huliu_subalgebra,
-    killing_form,
     verify_huliu_identities,
     verify_lie,
 )
 from leibkit.leibniz import (
     LeibnizAlgebra,
     annihilator,
-    annihilator_action_nonzero,
-    direct_sum,
     ideal_closure,
     is_ideal,
 )
 from leibkit.linalg import Matrix, full_space, span, vadd
 
 import oracles
+from oracles import (
+    annihilator_action_nonzero,
+    annihilator_square_action_nonzero,
+    direct_sum,
+    killing_form,
+)
 
 
 def commutator2(a, b):

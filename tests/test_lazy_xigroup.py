@@ -7,6 +7,7 @@ interpreter in which ``import numpy`` fails, and must print what it prints,
 with the same exit code, in one where numpy is importable but never loaded.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -122,6 +123,31 @@ def test_xigroup_names_resolve_on_the_package(monkeypatch):
         leibkit.no_such_name
     with pytest.raises(ImportError):
         from leibkit import no_such_name  # noqa: F401
+
+
+PUBLIC_NAMES = {
+    "Algebra", "BimoduleError", "CurveReport", "GradedAlgebra", "HomReport", "HuLiuAlgebra",
+    "LeibnizAlgebra", "LinearXiGroup", "Matrix", "MatrixRealization", "NoConstraints",
+    "NotAUnitError", "OrthogonalConstraints", "Report", "SamplingError", "SchemaError",
+    "SimplicityVerdict", "SpecialLinearConstraints", "Subspace", "TangentSpace",
+    "UnipotentConstraints", "Witness", "XiGroupReport", "annihilator",
+    "annihilator_abelian_check", "check_huliu_homomorphism", "check_leibniz_homomorphism",
+    "check_xi_group", "classify_huliu_simplicity", "classify_simplicity", "constraint_family",
+    "derive_huliu", "derive_leibniz", "dual_numbers", "exp_curve_check", "expm", "find_unit",
+    "full_space", "generate_corpus", "ideal_closure", "invert_unit", "is_huliu_ideal",
+    "is_huliu_subalgebra", "is_ideal", "kernel", "load_file", "make_block_upper",
+    "make_trivial_extension", "mat_square_zero_extension", "matrix_algebra",
+    "regular_realization", "run_fuzz", "save_file", "span", "tangent_space",
+    "upper_triangular_model", "verify_associative", "verify_group_closure",
+    "verify_huliu_identities", "verify_lie", "verify_linear_embedding", "verify_right_leibniz",
+    "verify_special_grading", "verify_tangent_huliu", "xi",
+}
+
+
+def test_public_names_on_the_package():
+    names = {n for n in dir(leibkit)
+             if not n.startswith("_") and not inspect.ismodule(getattr(leibkit, n))}
+    assert names == PUBLIC_NAMES
 
 
 def test_cli_tangent_and_verify_on_an_xigroup_file(tmp_path, capsys):

@@ -14,10 +14,8 @@ from leibkit.huliu import adjoint_operators
 from leibkit.leibniz import (
     LeibnizAlgebra,
     annihilator,
-    annihilator_action_nonzero,
     check_leibniz_homomorphism,
     classify_simplicity,
-    direct_sum,
     eval_right_leibniz,
     ideal_closure,
     is_ideal,
@@ -28,7 +26,7 @@ from leibkit.linalg import Matrix, full_space, span
 from leibkit.modules import OperatorModule, equivariant_projection_kernel
 
 import oracles
-from oracles import contains_subspace
+from oracles import annihilator_action_nonzero, contains_subspace, direct_sum
 
 
 def brute_force_leibniz(angle) -> bool:
@@ -190,6 +188,26 @@ def test_classify_unknown_on_exhausted_budget():
     full = classify_simplicity(alg, seed=1)
     assert full.tag == "NotSimple"  # eps*identity spans a 1-dim ideal
     assert full.certificate is not None and is_ideal(alg, full.certificate)
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sl_standard_semidirect_verdicts_are_never_wrong(n, copies):
+    # sl_n + (C^n)^copies: one copy is Simple, two are NotSimple; Unknown is
+    # allowed, a wrong verdict never
+    table = oracles.sl_standard_semidirect(n, copies)
+    alg = LeibnizAlgebra(table)
+    assert verify_right_leibniz(alg).holds
+    assert annihilator(alg).dim == copies * n
+    verdict = classify_simplicity(alg)
+    assert verdict.tag in ({"Simple", "Unknown"} if copies == 1 else {"NotSimple", "Unknown"})
+    if verdict.tag == "NotSimple":
+        ops = oracles.bracket_operators(alg.angle)
+        assert verdict.certificate is not None and oracles.is_invariant(ops, verdict.certificate)
+    if (n, copies) == (2, 1):
+        assert table == oracles.sl2_semidirect((1,))
+        sl2 = classify_simplicity(LeibnizAlgebra(oracles.sl2_semidirect((1,))))
+        assert verdict.tag == sl2.tag
 
 
 def test_homomorphism_identity_and_zero(nilpotent_dim2):

@@ -34,6 +34,27 @@ def test_closure_reaches_fixpoint():
     assert closure([shift], span([(0, 0, 1)], 3)) == span([(0, 0, 1)], 3)
 
 
+_SHIFT3 = Matrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+
+
+def test_closure_rejects_operators_of_another_size():
+    with pytest.raises(ValueError, match="not 2x2"):
+        closure([_SHIFT3], span([(1, 0)], 2))
+
+
+def test_a_module_rejects_operators_of_another_size():
+    # Norton's probe: the module is built before any element is drawn
+    with pytest.raises(ValueError, match="not 2x2"):
+        norton_irreducible(OperatorModule(2, (_SHIFT3,)), random.Random(0))
+
+
+def test_restriction_quotient_and_complement_reject_a_subspace_of_another_space():
+    mod = OperatorModule(3, (_SHIFT3,))
+    for f in (quotient, restriction, equivariant_projection_kernel):
+        with pytest.raises(ValueError, match="ambient mismatch: 2 vs 3"):
+            f(mod, span([(0, 1)], 2))
+
+
 def _sparse_ops(rng, d, count, density):
     return [Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                      if rng.random() < density else 0 for _ in range(d)] for _ in range(d)])
