@@ -7,8 +7,9 @@ form is canonical: two tables are equal iff their products are.  Build a
 table with :func:`table_from_entries` or :func:`table_from_dense` (or
 :func:`as_table`, which passes a built :class:`Table` through), and read it
 through its nonzeros: :func:`table_entries` (the (i, j, k, c) entries in
-basis order), :func:`apply_table` (the product of two vectors),
-:func:`columns` (the cells as the columns of the multiplication operators),
+basis order), :func:`columns` (the cells as the columns of the
+multiplication operators), :func:`apply_table` (the product of two vectors,
+which reads each row of cells as the columns of a left operator),
 :func:`operators` (those operators as matrices) and :func:`int_scaled` (the
 same cells over one common denominator, which the exact checker walks).
 
@@ -41,7 +42,7 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .linalg import Matrix, Vec, rat, vadd, vec, zeros
+from .linalg import Matrix, Vec, _apply, _row, rat, vadd, vec, zeros
 from .report import Report, fail, ok
 
 
@@ -50,8 +51,6 @@ class Table(tuple):
 
     __slots__ = ()
 
-
-_ZERO = Fraction(0)
 
 LEFT = "(pq)r"
 RIGHT = "p(qr)"
@@ -164,24 +163,17 @@ def table_entries(t: Table) -> list[tuple[int, int, int, Fraction]]:
 
 def apply_table(t: Table, x: Iterable, y: Iterable) -> Vec:
     """Bilinear product of coordinate vectors x and y; only their nonzero
-    entries are read as rationals."""
+    entries are read as rationals.  Row i of the table holds the columns of
+    the left operator of e_i, so x y sums x_i times that operator applied
+    to y."""
     dim = len(t)
     x, y = tuple(x), tuple(y)
     if len(x) != dim or len(y) != dim:
         raise ValueError(f"vector length mismatch for dim {dim}")
-    acc = [_ZERO] * dim
+    xs = [(i, rat(xi)) for i, xi in enumerate(x) if xi]
     ys = [(j, rat(yj)) for j, yj in enumerate(y) if yj]
-    for row, xi in zip(t, x):
-        if not xi:
-            continue
-        xi = rat(xi)
-        for j, yj in ys:
-            cell = row[j]
-            if cell:
-                c = xi * yj
-                for k, v in cell:
-                    acc[k] += c * v
-    return tuple(acc)
+    left = columns(t, "left")
+    return _row(dim, _apply({i: _apply(left[i], ys, 0).items() for i, _ in xs}, xs, 0).items())
 
 
 def _check_side(side: str) -> bool:

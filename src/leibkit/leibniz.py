@@ -9,7 +9,6 @@ something to run on; operations whose meaning depends on the bracket identity
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,7 +24,7 @@ from ._tables import (
     table_entries,
     verify_identities,
 )
-from .linalg import Matrix, Subspace, Vec, span, vadd, zeros
+from .linalg import Matrix, Subspace, Vec, _ONE, _apply, _echelon, span
 from .modules import (
     NORTON_BUDGET,
     OperatorModule,
@@ -93,22 +92,19 @@ def annihilator(algebra: LeibnizAlgebra) -> Subspace:
 
 
 def _span_of_squares(algebra: LeibnizAlgebra) -> Subspace:
-    dim, zero = algebra.dim, zeros(algebra.dim)
-    cells: dict[tuple[int, int], list] = defaultdict(lambda: list(zero))
-    for i, j, k, c in table_entries(algebra.angle):
-        cells[i, j][k] = c
+    dim, t = algebra.dim, algebra.angle
 
-    def t(i, j):
-        return cells.get((i, j), zero)
+    def total(*cells):  # the sum of the given table cells, sparse
+        return _apply(cells, [(k, _ONE) for k in range(len(cells))], 0)
 
     # only pairs with an entry in cell (i, j) or (j, i) are taken: for any
     # other, <ei,ej> + <ej,ei> = 0 and <ei+ej,ei+ej> = <ei,ei> + <ej,ej>
-    pairs = sorted({(min(i, j), max(i, j)) for i, j in cells})
-    squares = [t(i, i) if i == j else vadd(vadd(t(i, i), t(j, j)), vadd(t(i, j), t(j, i)))
+    pairs = sorted({(min(i, j), max(i, j)) for i, j, _, _ in table_entries(t)})
+    squares = [total(t[i][i]) if i == j else total(t[i][i], t[j][j], t[i][j], t[j][i])
                for i, j in pairs]
-    by_squares = span(squares, dim)
-    symmetrized = [vadd(t(i, j), t(j, i)) for i, j in pairs]
-    by_symmetrized = span(symmetrized, dim)
+    by_squares = Subspace(dim, _echelon(squares, dim))
+    symmetrized = [total(t[i][j], t[j][i]) for i, j in pairs]
+    by_symmetrized = Subspace(dim, _echelon(symmetrized, dim))
     if by_squares != by_symmetrized:
         raise RuntimeError(
             "annihilator presentations disagree; this is a bug in the bracket tables"

@@ -16,16 +16,17 @@ reduces against, and holds its basis in reduced row-echelon form, which is
 canonical (equal subspaces have equal basis tuples).  Values are immutable
 and may be shared freely between threads.
 
-The reducer and the column apply that spin uses run over either field: a
-modulus of 0 means Q, and the fixed prime p = 2^31 - 1 means GF(p), on
-sparse rows of Python ints.  Each matrix caches its columns over Q and mod
-p.  Work mod p can only prove ranks full (see ``modules``), never decide an
-answer alone.
+One column-apply kernel, ``_apply``, forms every linear combination of
+sparse vectors: the images in spin and Norton's elements, table products,
+matrix products and sums, ``matvec`` and subspace combinations.  It and the
+reducer run over either field: a modulus of 0 means Q, and the fixed prime
+p = 2^31 - 1 means GF(p), on sparse rows of Python ints.  Each matrix caches
+its columns over Q and mod p.  Work mod p can only prove ranks full (see
+``modules``), never decide an answer alone.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -107,6 +108,10 @@ class Matrix:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        # copy and pickle rebuild through _sparse: setting the slots is refused
+        return Matrix._sparse, (self.rows, self.cols, self.nonzeros)
+
     @property
     def nonzeros(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
         """Each row's nonzero entries as (column, value) pairs, in column order."""
@@ -184,24 +189,18 @@ class Matrix:
                 f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
-    def _combine(self, other: "Matrix", op) -> "Matrix":
-        """Entries op(self, other), walking other's nonzeros; op(a, 0) = a."""
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        """Each row of self plus sign times that row of other."""
         self._same_shape(other)
-        out = []
-        for a, r in zip(self.nonzeros, other.nonzeros):
-            if r:
-                acc = dict(a)
-                for j, y in r:
-                    acc[j] = op(acc.get(j, _ZERO), y)
-                a = _pairs(acc.items())
-            out.append(a)
-        return Matrix._sparse(self.rows, self.cols, nz=tuple(out))
+        c = ((0, _ONE), (1, Fraction(sign)))
+        return Matrix._sparse(self.rows, self.cols, nz=tuple(
+            _pairs(_apply(rows, c, 0).items()) for rows in zip(self.nonzeros, other.nonzeros)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, operator.add)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, operator.sub)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
@@ -219,28 +218,14 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         onz = other.nonzeros
-        out = []
-        for r in self.nonzeros:
-            acc: dict[int, Fraction] = {}
-            for k, x in r:
-                for j, y in onz[k]:
-                    acc[j] = acc[j] + x * y if j in acc else x * y
-            out.append(_pairs(acc.items()))
-        return Matrix._sparse(self.rows, other.cols, nz=tuple(out))
+        return Matrix._sparse(self.rows, other.cols, nz=tuple(
+            _pairs(_apply(onz, r, 0).items()) for r in self.nonzeros))
 
     def matvec(self, v: Sequence) -> Vec:
         v = vec(v)
         if len(v) != self.cols:
             raise ValueError(f"matvec length {len(v)} != cols {self.cols}")
-        out = []
-        for r in self.nonzeros:
-            acc = _ZERO
-            for j, x in r:
-                y = v[j]
-                if y:
-                    acc += x * y
-            out.append(acc)
-        return tuple(out)
+        return _row(self.rows, _apply(self._cols, _nonzeros(v), 0).items())
 
     def is_zero(self) -> bool:
         return not any(self._nz if self._nz is not None else self._c)
@@ -360,12 +345,13 @@ def _mod_p(r: SparseRow) -> dict[int, int] | None:
     return out
 
 
-def _apply(cols: Sequence[Iterable[tuple[int, object]]], v: dict, p: int) -> dict:
-    """A matrix given by its columns' nonzero (row, value) pairs applied to a
-    sparse vector: the sum of v[j] * column j, following v's nonzeros, over
-    Q when p is 0, else mod p."""
+def _apply(cols: Sequence[SparseRow] | dict, v: SparseRow, p: int) -> dict:
+    """A matrix given by its columns' nonzero (row, value) pairs, indexed by
+    column, applied to a sparse vector given by its nonzero (j, x) pairs:
+    the sum of x * column j, as a dict of its nonzeros, over Q when p is 0,
+    else mod p."""
     acc: dict = {}
-    for j, x in v.items():
+    for j, x in v:
         for i, y in cols[j]:
             acc[i] = acc[i] + x * y if i in acc else x * y
     if p:
@@ -426,6 +412,9 @@ class Subspace:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        return Subspace, (self.ambient_dim, self._rows)
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -448,8 +437,9 @@ class Subspace:
 
     @property
     def nonzeros(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """Each basis vector's nonzero (index, value) pairs, in index order."""
-        return tuple(map(_nonzeros, self.basis))
+        """Each basis vector's nonzero (index, value) pairs, in index order,
+        read off its pivot row, whose other nonzeros lie past its pivot."""
+        return tuple(((p, _ONE), *sorted(self._rows[p].items())) for p in self.pivots)
 
     def contains(self, v: Sequence) -> bool:
         return self.coords(v) is not None
@@ -464,11 +454,8 @@ class Subspace:
 
     def _combine(self, coeffs: Sequence) -> Vec:
         """The combination sum_i coeffs[i] * basis[i]."""
-        x = zeros(self.ambient_dim)
-        for c, b in zip(coeffs, self.basis):
-            if c:
-                x = vadd(x, vscale(c, b))
-        return x
+        c = [(i, rat(x)) for i, x in enumerate(coeffs) if x]
+        return _row(self.ambient_dim, _apply(self.nonzeros, c, 0).items())
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)

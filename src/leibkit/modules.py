@@ -99,7 +99,7 @@ def _spin(cols, vectors, n: int, p: int = 0) -> dict[int, dict]:
         for c in cols:
             if len(piv) == n:
                 return piv
-            w = _apply(c, v, p)
+            w = _apply(c, v.items(), p)
             if _add(piv, w, p) is not None:
                 todo.append(w)
     return piv
@@ -126,21 +126,25 @@ def _maps_into(cols, s: Subspace, target: Subspace) -> bool:
     pairs, maps s into target: each image of s's sparse basis reduces to 0
     against target's pivot rows."""
     basis, rows = _sparse_basis(s), target._rows
-    return not any(_reduce(rows, _apply(c, b, 0)) for c in cols for b in basis)
+    return not any(_reduce(rows, _apply(c, b.items(), 0)) for c in cols for b in basis)
 
 
 def restriction(mod: OperatorModule, s: Subspace) -> OperatorModule:
     """Operators restricted to an invariant subspace, in its RREF-basis coordinates.
 
     Each image t b is applied from t's cached columns; it lies in s iff it
-    reduces to 0, and its coordinates are its pivot entries.
+    reduces to 0, and its coordinates are its pivot entries.  A zero
+    operator restricts to zero without being applied.
     """
     _check_ambient(mod, s)
     basis, position = _sparse_basis(s), {c: a for a, c in enumerate(s.pivots)}
     mats = []
     for t in mod.operators:
+        if t.is_zero():
+            mats.append(Matrix.zero(s.dim, s.dim))
+            continue
         cols = []
-        for w in (_apply(t._cols, b, 0) for b in basis):
+        for w in (_apply(t._cols, b.items(), 0) for b in basis):
             if _reduce(s._rows, w):
                 raise ValueError("subspace is not invariant")
             cols.append(_pairs((position[i], y) for i, y in w.items() if i in position))
@@ -175,6 +179,9 @@ def quotient(mod: OperatorModule, s: Subspace) -> QuotientModule:
     position = {f: a for a, f in enumerate(free)}
     mats = []
     for t in mod.operators:
+        if t.is_zero():
+            mats.append(Matrix.zero(len(free), len(free)))
+            continue
         # t e_f reduced against s is zero at the pivots: column f of the quotient
         cols = tuple(_pairs((position[g], y) for g, y in _reduce(s._rows, t._cols[f]).items())
                      for f in free)
@@ -199,14 +206,14 @@ def _recipe_columns(cols, recipe, d: int, p: int = 0):
     Column j applies each word to e_j, its last operator first (that image
     is the operator's column j), and sums the images with the recipe's
     coefficients: one more column apply."""
-    coeffs = {k: c for k, (_, c) in enumerate(recipe)}
+    coeffs = [(k, c) for k, (_, c) in enumerate(recipe)]
     for j in range(d):
         images = []
         for word, _ in recipe:
-            v = dict(cols[word[-1]][j])
+            v = cols[word[-1]][j]
             for i in word[-2::-1]:
-                v = _apply(cols[i], v, p)
-            images.append(v.items())
+                v = _apply(cols[i], v, p).items()
+            images.append(v)
         yield _apply(images, coeffs, p)
 
 

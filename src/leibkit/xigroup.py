@@ -36,7 +36,8 @@ from .algebras import (
 )
 from .derive import derive_huliu
 from .huliu import is_huliu_subalgebra
-from .linalg import Matrix, Subspace, Vec, _row, full_space, kernel, solve, span, vec, zeros
+from .linalg import (Matrix, Subspace, Vec, _apply, _pairs, _row, full_space, kernel, solve, span,
+                     vec, zeros)
 from .report import Report, fail, ok
 
 DEFAULT_TOLERANCE = 1e-9
@@ -137,15 +138,11 @@ class MatrixRealization:
 
 
 def _combination(coeffs: Vec, mats, n: int) -> Matrix:
-    """sum_i coeffs_i mats_i for n x n matrices, in one pass over the
+    """sum_i coeffs_i mats_i for n x n matrices, row by row over the
     nonzeros of the matrices whose coefficient is nonzero."""
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    for c, m in zip(coeffs, mats):
-        if c:
-            for row, entries in zip(acc, m.nonzeros):
-                for j, y in entries:
-                    row[j] += c * y
-    return Matrix(acc)
+    c = [(i, x) for i, x in enumerate(coeffs) if x]
+    return Matrix._sparse(n, n, nz=tuple(_pairs(_apply(rows, c, 0).items())
+                                         for rows in zip(*(m.nonzeros for m in mats))))
 
 
 def regular_realization(g: GradedAlgebra) -> MatrixRealization:

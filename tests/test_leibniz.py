@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -169,6 +171,14 @@ def test_classify_direct_sum_not_simple(nilpotent_dim2):
     assert cert is not None and is_ideal(ds, cert)
     ann = annihilator(ds)
     assert cert.dim not in (0, ds.dim) and cert != ann
+
+
+def test_a_verdict_with_a_certificate_survives_copy_and_pickle(nilpotent_dim2):
+    verdict = classify_simplicity(direct_sum(nilpotent_dim2, nilpotent_dim2), seed=5)
+    assert verdict.certificate is not None
+    for got in (copy.copy(verdict), copy.deepcopy(verdict),
+                pickle.loads(pickle.dumps(verdict))):
+        assert got == verdict and got.certificate.pivots == verdict.certificate.pivots
 
 
 def test_classify_seed_reproducible(nilpotent_dim2):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -42,6 +44,22 @@ def test_matrix_and_subspace_refuse_attribute_deletion():
                 delattr(obj, attr)
     assert m == Matrix([[1, 2]]) and m.nonzeros == (((0, 1), (1, 2)),)
     assert s == span([(1, 0)], 2) and s.dim == 1
+
+
+def test_matrices_and_subspaces_survive_copy_and_pickle():
+    values = (Matrix([[1, 0, Fraction(2, 3)], [0, 0, -1]]), Matrix.zero(0, 3),
+              Matrix._sparse(2, 3, c=(((1, Fraction(5)),), (), ((0, Fraction(-1, 2)),))),
+              span([(1, 2, 0), (0, 1, 1)], 3), span([], 2))
+    for x in values:
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is type(x) and y == x and hash(y) == hash(x)
+            if isinstance(x, Matrix):
+                assert (y.rows, y.cols, y._cols, y.data) == (x.rows, x.cols, x._cols, x.data)
+            else:
+                assert (y.pivots, y.nonzeros) == (x.pivots, x.nonzeros)
+                assert all(y.contains(b) for b in x.basis)
+            with pytest.raises(AttributeError, match="immutable"):
+                y.other = 1
 
 
 def test_rref_identity_fixed():
@@ -192,6 +210,11 @@ def _sparse_matrix(rng, rows, cols, density):
                     for j in range(cols)] for i in range(rows)])
 
 
+def _by_columns(m):
+    """m stored only by its columns' nonzeros."""
+    return Matrix._sparse(m.rows, m.cols, c=m._cols)
+
+
 def test_zero_skipping_core_matches_entrywise_arithmetic():
     rng = random.Random(6)
     for _ in range(300):
@@ -200,8 +223,10 @@ def test_zero_skipping_core_matches_entrywise_arithmetic():
         a = _sparse_matrix(rng, n, k, density)
         b = _sparse_matrix(rng, k, p, density)
         v = _sparse_matrix(rng, 1, k, density).row(0)
-        assert a.matvec(v) == oracles.entrywise_matvec(a, v)
-        assert (a @ b).data == oracles.entrywise_matmul(a, b)
+        # stored by rows, and only by columns, as the operators of a table are
+        for x, y in ((a, b), (_by_columns(a), _by_columns(b))):
+            assert x.matvec(v) == oracles.entrywise_matvec(a, v)
+            assert (x @ y).data == oracles.entrywise_matmul(a, b)
         reduced, pivots = oracles.entrywise_rref(a.data)
         assert rref(a).data == reduced and a.rank() == len(pivots)
         assert kernel(a).basis == oracles.entrywise_kernel(a)
@@ -226,6 +251,8 @@ def test_sparse_matrix_operations_match_entrywise_arithmetic():
         for got, want in (
             (a + b, oracles.entrywise_sum(a, b, 1)),
             (a - b, oracles.entrywise_sum(a, b, -1)),
+            (_by_columns(a) + _by_columns(b), oracles.entrywise_sum(a, b, 1)),
+            (_by_columns(a) - b, oracles.entrywise_sum(a, b, -1)),
             (-a, oracles.entrywise_scale(-1, a)),
             (a.scale(c), oracles.entrywise_scale(c, a)),
             (a.T, oracles.entrywise_transpose(a.data)),
@@ -395,3 +422,21 @@ def test_matrices_with_no_rows_and_different_column_counts_differ():
 def test_a_matrix_built_from_no_rows_is_zero_by_zero():
     a = Matrix([])
     assert (a.rows, a.cols, a.data) == (0, 0, ()) and a == Matrix.zero(0, 0)
+
+
+def test_subspace_combinations_match_the_entrywise_sum():
+    rng = random.Random(29)
+    sizes = set()
+    for _ in range(200):
+        n = rng.randint(0, 5)
+        vs = [[rng.choice((0, 0, 1, -2, Fraction(1, 3))) for _ in range(n)]
+              for _ in range(rng.randint(0, n + 1))]
+        s = span(vs, n)
+        assert s.nonzeros == oracles.entrywise_nonzeros(s.basis)
+        coeffs = [rng.choice((0, 0, 2, Fraction(-1, 2), "3/4")) for _ in range(s.dim)]
+        want = tuple(sum((Fraction(c) * b[j] for c, b in zip(coeffs, s.basis)), Fraction(0))
+                     for j in range(n))
+        got = s._combine(coeffs)
+        assert got == want and all(type(x) is Fraction for x in got)
+        sizes.add(s.dim)
+    assert 0 in sizes and max(sizes) >= 4

@@ -269,6 +269,31 @@ def test_restriction_rejects_noninvariant():
         restriction(OperatorModule(2, (rot,)), span([(1, 0)], 2))
 
 
+def test_zero_operators_restrict_and_pass_to_the_quotient_as_zero_unapplied():
+    rng = random.Random(31)
+    for _ in range(40):
+        d = rng.randint(1, 6)
+        ops = [t for t in _sparse_ops(rng, d, rng.randint(0, 3), 0.4) if not t.is_zero()]
+        zeros = [Matrix.zero(d, d) for _ in range(rng.randint(1, 3))]
+        mixed = list(ops)
+        for z in zeros:
+            mixed.insert(rng.randrange(len(mixed) + 1), z)
+        s = closure(ops, span([_sparse_ops(rng, d, 1, 0.5)[0].row(0)], d))
+        for got, want in ((restriction(OperatorModule(d, tuple(mixed)), s),
+                           restriction(OperatorModule(d, tuple(ops)), s)),
+                          (quotient(OperatorModule(d, tuple(mixed)), s).mod,
+                           quotient(OperatorModule(d, tuple(ops)), s).mod)):
+            k = want.dim
+            rest = iter(want.operators)
+            assert got.operators == tuple(Matrix.zero(k, k) if any(t is z for z in zeros)
+                                          else next(rest) for t in mixed)
+        # the zero operators' columns were never read
+        assert all(z._c is None for z in zeros)
+    rot, z = Matrix([[0, -1], [1, 0]]), Matrix.zero(2, 2)
+    with pytest.raises(ValueError, match="not invariant"):
+        restriction(OperatorModule(2, (z, rot, z)), span([(1, 0)], 2))
+
+
 def test_norton_reducible_diagonal():
     mod = OperatorModule(2, (Matrix([[1, 0], [0, 2]]),))
     status, wit = norton_irreducible(mod, random.Random(0))
