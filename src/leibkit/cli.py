@@ -76,11 +76,7 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_annihilator(args, out) -> int:
-    leib = _as_leibniz(lio.load_file(args.path))
-    try:
-        ann = annihilator(leib)
-    except ValueError as e:
-        raise lio.SchemaError(str(e)) from None
+    ann = annihilator(_as_leibniz(lio.load_file(args.path)))
     if args.json:
         json.dump({"dim": ann.dim,
                    "basis": [[str(c) for c in b] for b in ann.basis]}, out)
@@ -94,15 +90,10 @@ def cmd_annihilator(args, out) -> int:
 
 def cmd_simple(args, out) -> int:
     obj = lio.load_file(args.path)
-    try:
-        if isinstance(obj, HuLiuAlgebra):
-            verdict = classify_huliu_simplicity(obj, seed=args.seed)
-        elif isinstance(obj, LeibnizAlgebra):
-            verdict = classify_simplicity(obj, seed=args.seed)
-        else:
-            raise lio.SchemaError("this command needs a leibniz or huliu file")
-    except ValueError as e:
-        raise lio.SchemaError(str(e)) from None
+    if isinstance(obj, HuLiuAlgebra):
+        verdict = classify_huliu_simplicity(obj, seed=args.seed)
+    else:
+        verdict = classify_simplicity(_as_leibniz(obj), seed=args.seed)
     if args.json:
         json.dump({
             "verdict": verdict.tag,
@@ -127,10 +118,7 @@ def cmd_derive(args, out) -> int:
     obj = lio.load_file(args.path)
     if not isinstance(obj, GradedAlgebra):
         raise lio.SchemaError("derive needs a graded file")
-    try:
-        derived = derive_huliu(obj) if args.huliu else derive_leibniz(obj)
-    except ValueError as e:
-        raise lio.SchemaError(str(e)) from None
+    derived = derive_huliu(obj) if args.huliu else derive_leibniz(obj)
     lio.save_file(derived, args.output)
     out.write(f"wrote {'huliu' if args.huliu else 'leibniz'} file {args.output}\n")
     return 0
@@ -167,10 +155,7 @@ def cmd_xi_check(args, out) -> int:
     group = lio.load_file(args.path)
     if not isinstance(group, LinearXiGroup):
         raise lio.SchemaError("xi-check needs an xigroup file")
-    try:
-        check_sample_count("xi-check", args.samples, group.graded.dim)
-    except ValueError as e:
-        raise lio.SchemaError(str(e)) from None
+    check_sample_count("xi-check", args.samples, group.graded.dim)
     try:
         chk = check_xi_group(group, samples=args.samples, seed=args.seed)
     except (NotAUnitError, SamplingError) as e:  # a sample the check cannot use
@@ -254,10 +239,7 @@ def main(argv=None) -> int:
             return run_fuzz(args.trials, args.seed, args.dim0, args.dim1, out,
                             dump_dir=args.dump_dir)
         return dispatch[args.command](args, out)
-    except lio.SchemaError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except OSError as e:
+    except (ValueError, OSError) as e:  # bad input; a RuntimeError is a bug
         sys.stderr.write(f"error: {e}\n")
         return 2
 

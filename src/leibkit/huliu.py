@@ -31,7 +31,7 @@ from .leibniz import (
     check_leibniz_homomorphism,
     multiplication_operators,
 )
-from .linalg import Matrix, Subspace, Vec, is_zero_vec, vscale, zeros
+from .linalg import Matrix, Subspace, Vec, _check_ambient, is_zero_vec, vscale, zeros
 from .modules import NORTON_BUDGET, _maps_into
 from .report import HomReport, Report, checked_once, fail, memo, ok, require
 
@@ -123,8 +123,7 @@ def adjoint_operators(h: HuLiuAlgebra) -> tuple[Matrix, ...]:
 
 def is_huliu_ideal(h: HuLiuAlgebra, sub: Subspace) -> bool:
     """True iff <I,L>, <L,I> and [L,I] all land in I."""
-    if sub.ambient_dim != h.dim:
-        raise ValueError(f"ambient mismatch: {sub.ambient_dim} vs {h.dim}")
+    _check_ambient(sub, h.dim)
     g = h.leibniz.angle
     return _maps_into(columns(g, "right") + columns(g, "left") + columns(h.square, "left"),
                       sub, sub)
@@ -136,8 +135,7 @@ def is_huliu_subalgebra(h: HuLiuAlgebra, sub: Subspace) -> Report:
     Pairs run over a, then b, the angle bracket before the square one; the
     report names the first bracket value outside S.
     """
-    if sub.ambient_dim != h.dim:
-        raise ValueError(f"ambient mismatch: {sub.ambient_dim} vs {h.dim}")
+    _check_ambient(sub, h.dim)
     for a in sub.basis:
         for b in sub.basis:
             for which, value in (("angle", h.angle_bracket(a, b)),

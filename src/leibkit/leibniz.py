@@ -24,7 +24,7 @@ from ._tables import (
     table_entries,
     verify_identities,
 )
-from .linalg import Matrix, Subspace, Vec, _ONE, _apply, _echelon, span
+from .linalg import Matrix, Subspace, Vec, _ONE, _apply, _check_ambient, _echelon, span
 from .modules import (
     NORTON_BUDGET,
     OperatorModule,
@@ -119,18 +119,14 @@ def multiplication_operators(algebra: LeibnizAlgebra) -> tuple[Matrix, ...]:
 
 def is_ideal(algebra: LeibnizAlgebra, sub: Subspace) -> bool:
     """True iff <I,L> and <L,I> both land in I, checked on bases."""
-    if sub.ambient_dim != algebra.dim:
-        raise ValueError(f"ambient mismatch: {sub.ambient_dim} vs {algebra.dim}")
+    _check_ambient(sub, algebra.dim)
     t = algebra.angle
     return _maps_into(columns(t, "right") + columns(t, "left"), sub, sub)
 
 
 def ideal_closure(algebra: LeibnizAlgebra, seed_space: Subspace) -> Subspace:
     """Least ideal containing the given subspace (fixpoint of adding products)."""
-    if seed_space.ambient_dim != algebra.dim:
-        raise ValueError(
-            f"ambient mismatch: {seed_space.ambient_dim} vs {algebra.dim}"
-        )
+    _check_ambient(seed_space, algebra.dim)
     return closure(multiplication_operators(algebra), seed_space)
 
 

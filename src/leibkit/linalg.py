@@ -13,8 +13,9 @@ row.  Elimination stops at full rank, ``solve`` and ``inverse`` at the
 first row that shows the system inconsistent or the matrix singular.  A
 ``Subspace`` is made from the reducer's pivot rows, which membership
 reduces against, and holds its basis in reduced row-echelon form, which is
-canonical (equal subspaces have equal basis tuples).  Values are immutable
-and may be shared freely between threads.
+canonical (equal subspaces have equal basis tuples), both sparse, as the
+``nonzeros`` the module engine reads, and dense.  Values are immutable and
+may be shared freely between threads.
 
 One column-apply kernel, ``_apply``, forms every linear combination of
 sparse vectors: the images in spin and Norton's elements, table products,
@@ -136,8 +137,8 @@ class Matrix:
         divides a denominator."""
         cp = self._p
         if cp is None:
-            cols = [_mod_p(c) for c in self._cols]
-            cp = False if None in cols else tuple(tuple(c.items()) for c in cols)
+            cols = tuple(_mod_p(c) for c in self._cols)
+            cp = False if None in cols else cols
             object.__setattr__(self, "_p", cp)
         return None if cp is False else cp
 
@@ -333,16 +334,17 @@ def _echelon(rows: Iterable[SparseRow], width: int,
     return piv
 
 
-def _mod_p(r: SparseRow) -> dict[int, int] | None:
-    """The nonzeros mod p of a sparse rational row, or None when p divides a
-    denominator (the row is not p-integral and has no reduction)."""
-    out = {}
+def _mod_p(r: SparseRow) -> tuple[tuple[int, int], ...] | None:
+    """The nonzero (index, value) pairs mod p of a sparse rational row, or
+    None when p divides a denominator (the row is not p-integral and has no
+    reduction)."""
+    out = []
     for j, x in r:
         if not x.denominator % _P:
             return None
         if y := x.numerator * pow(x.denominator, -1, _P) % _P:
-            out[j] = y
-    return out
+            out.append((j, y))
+    return tuple(out)
 
 
 def _apply(cols: Sequence[SparseRow] | dict, v: SparseRow, p: int) -> dict:
@@ -392,19 +394,23 @@ class Subspace:
 
     Construct through :func:`span`.  The constructor takes the reducer's
     pivot rows ``{pivot: that row's other nonzeros}``, the pivot entry 1
-    left implicit, trusts that they are in RREF and keeps them as they are;
-    the dense basis is built from them at once.  Membership and coordinates
-    reduce against the pivot rows, which are not to be mutated.
+    left implicit, trusts that they are in RREF and keeps them as they are.
+    From them it builds, at once, ``nonzeros``, each basis vector's nonzero
+    (index, value) pairs in index order, pivot entry included (a pivot
+    row's other nonzeros lie past its pivot), and the dense ``basis``.
+    Membership and coordinates reduce against the pivot rows, which are not
+    to be mutated.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_rows")
+    __slots__ = ("ambient_dim", "basis", "pivots", "nonzeros", "_rows")
 
     def __init__(self, ambient_dim: int, rows: dict[int, dict[int, Fraction]]):
         pivots = tuple(sorted(rows))
+        nonzeros = tuple(((p, _ONE), *sorted(rows[p].items())) for p in pivots)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(
-            _row(ambient_dim, [(p, _ONE), *rows[p].items()]) for p in pivots))
+        object.__setattr__(self, "basis", tuple(_row(ambient_dim, r) for r in nonzeros))
         object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "nonzeros", nonzeros)
         object.__setattr__(self, "_rows", rows)
 
     def __setattr__(self, name, value=None):
@@ -435,12 +441,6 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    @property
-    def nonzeros(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """Each basis vector's nonzero (index, value) pairs, in index order,
-        read off its pivot row, whose other nonzeros lie past its pivot."""
-        return tuple(((p, _ONE), *sorted(self._rows[p].items())) for p in self.pivots)
-
     def contains(self, v: Sequence) -> bool:
         return self.coords(v) is not None
 
@@ -458,18 +458,19 @@ class Subspace:
         return _row(self.ambient_dim, _apply(self.nonzeros, c, 0).items())
 
     def sum(self, other: "Subspace") -> "Subspace":
-        self._same_ambient(other)
-        return span(list(self.basis) + list(other.basis), self.ambient_dim)
-
-    def _same_ambient(self, other: "Subspace"):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError(
-                f"ambient mismatch: {self.ambient_dim} vs {other.ambient_dim}"
-            )
+        _check_ambient(self, other.ambient_dim)
+        n = self.ambient_dim
+        return Subspace(n, _echelon(self.nonzeros + other.nonzeros, n))
 
     def matrix(self) -> Matrix:
         """Basis vectors as rows."""
         return Matrix._sparse(self.dim, self.ambient_dim, nz=self.nonzeros)
+
+
+def _check_ambient(s: Subspace, n: int):
+    """Raise ValueError unless s is a subspace of Q^n."""
+    if s.ambient_dim != n:
+        raise ValueError(f"ambient mismatch: {s.ambient_dim} vs {n}")
 
 
 def span(vectors: Sequence[Sequence], ambient_dim: int) -> Subspace:

@@ -12,10 +12,13 @@ operators, but both spins run over the distinct ones: an operator that is a
 nonzero multiple of another adds no invariant subspace.
 
 One spin loop serves both fields, as does one builder of Norton's elements
-from the operators' cached columns; both run on linalg's one reducer.  Each
-image is added to the pivot rows of the span so far, each image that adds
-a pivot is hit once by each nonzero operator, and the spin stops at full
-dimension; the pivot rows are the canonical RREF of the span.
+from the operators' cached columns; both run on linalg's one reducer and
+read a subspace's basis as its ``Subspace.nonzeros``.  Each image is added
+to the pivot rows of the span so far, each image that adds a pivot is hit
+once by each nonzero operator, and the spin stops at full dimension; the
+pivot rows are the canonical RREF of the span.  Restricted and quotient
+modules are built by one helper, which keeps a zero operator, unapplied, in
+its place.
 
 Spin and Norton's rank test first run modulo the prime p = 2^31 - 1, and
 that pass can only prove an answer.  Lemma: for a matrix M with p-integral
@@ -39,8 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._tables import basis_vec
-from .linalg import (Matrix, Subspace, Vec, _ONE, _P, _add, _apply, _mod_p, _pairs, _reduce,
-                     _row, _solve_rows, full_space, kernel, span)
+from .linalg import (Matrix, Subspace, Vec, _P, _add, _apply, _check_ambient, _mod_p, _pairs,
+                     _reduce, _row, _solve_rows, full_space, kernel, span)
 
 NORTON_BUDGET = 64
 NORTON_MAX_WORD = 8
@@ -61,11 +64,6 @@ def _check_square(operators, n: int):
             raise ValueError(f"operator is {t.rows}x{t.cols}, not {n}x{n}")
 
 
-def _check_ambient(mod: OperatorModule, s: Subspace):
-    if s.ambient_dim != mod.dim:
-        raise ValueError(f"ambient mismatch: {s.ambient_dim} vs {mod.dim}")
-
-
 def closure(operators, s: Subspace) -> Subspace:
     """Least subspace containing s and invariant under all operators, each
     of which must be square of the ambient dimension of s.
@@ -79,29 +77,24 @@ def closure(operators, s: Subspace) -> Subspace:
     ops = [t for t in operators if not t.is_zero()]
     if s.dim < n and _spin_full_mod_p(ops, s):
         return full_space(n)
-    piv = _spin([t._cols for t in ops], _sparse_basis(s), n)
+    piv = _spin([t._cols for t in ops], s.nonzeros, n)
     return s if len(piv) == s.dim else Subspace(n, piv)
 
 
-def _sparse_basis(s: Subspace) -> list[dict[int, Fraction]]:
-    """The RREF basis of s as sparse vectors, in pivot order."""
-    return [{p: _ONE, **s._rows[p]} for p in s.pivots]
-
-
 def _spin(cols, vectors, n: int, p: int = 0) -> dict[int, dict]:
-    """The pivot rows of the spin of sparse vectors under the operators given
-    by their columns (``Matrix._cols``, or ``_cols_p`` when p is not 0), over
-    Q when p is 0, else mod p.  Each vector that adds a pivot is hit once by
-    each operator, and spinning stops at dimension n."""
+    """The pivot rows of the spin of vectors given as (index, value) pairs
+    under the operators given by their columns (``Matrix._cols``, or
+    ``_cols_p`` when p is not 0), over Q when p is 0, else mod p.  Each vector
+    that adds a pivot is hit once by each operator; spinning stops at dim n."""
     piv: dict[int, dict] = {}
     todo = [v for v in vectors if _add(piv, v, p) is not None]
     for v in todo:
         for c in cols:
             if len(piv) == n:
                 return piv
-            w = _apply(c, v.items(), p)
+            w = _apply(c, v, p)
             if _add(piv, w, p) is not None:
-                todo.append(w)
+                todo.append(w.items())
     return piv
 
 
@@ -113,7 +106,7 @@ def _spin_full_mod_p(ops: list[Matrix], s: Subspace) -> bool:
     divides a denominator of an operator or of s.
     """
     n, cols_p = s.ambient_dim, [t._cols_p for t in ops]
-    vs = [_mod_p(v.items()) for v in _sparse_basis(s)]
+    vs = [_mod_p(v) for v in s.nonzeros]
     return None not in cols_p and None not in vs and len(_spin(cols_p, vs, n, _P)) == n
 
 
@@ -125,31 +118,37 @@ def _maps_into(cols, s: Subspace, target: Subspace) -> bool:
     """Whether every operator, given by its columns' nonzero (row, value)
     pairs, maps s into target: each image of s's sparse basis reduces to 0
     against target's pivot rows."""
-    basis, rows = _sparse_basis(s), target._rows
-    return not any(_reduce(rows, _apply(c, b.items(), 0)) for c in cols for b in basis)
+    rows = target._rows
+    return not any(_reduce(rows, _apply(c, b, 0)) for c in cols for b in s.nonzeros)
+
+
+def _induced(mod: OperatorModule, k: int, column) -> OperatorModule:
+    """The k-dim module with one operator per operator t of mod, in order:
+    the k x k matrix whose column a is ``column(t, a)``, as sparse pairs.  A
+    zero operator becomes the zero matrix without being applied, and keeps
+    its place, so Norton's draws index the same operators."""
+    return OperatorModule(k, tuple(
+        Matrix.zero(k, k) if t.is_zero()
+        else Matrix._sparse(k, k, c=tuple(column(t, a) for a in range(k)))
+        for t in mod.operators))
 
 
 def restriction(mod: OperatorModule, s: Subspace) -> OperatorModule:
     """Operators restricted to an invariant subspace, in its RREF-basis coordinates.
 
     Each image t b is applied from t's cached columns; it lies in s iff it
-    reduces to 0, and its coordinates are its pivot entries.  A zero
-    operator restricts to zero without being applied.
+    reduces to 0, and its coordinates are its pivot entries.
     """
-    _check_ambient(mod, s)
-    basis, position = _sparse_basis(s), {c: a for a, c in enumerate(s.pivots)}
-    mats = []
-    for t in mod.operators:
-        if t.is_zero():
-            mats.append(Matrix.zero(s.dim, s.dim))
-            continue
-        cols = []
-        for w in (_apply(t._cols, b.items(), 0) for b in basis):
-            if _reduce(s._rows, w):
-                raise ValueError("subspace is not invariant")
-            cols.append(_pairs((position[i], y) for i, y in w.items() if i in position))
-        mats.append(Matrix._sparse(s.dim, s.dim, c=tuple(cols)))
-    return OperatorModule(s.dim, tuple(mats))
+    _check_ambient(s, mod.dim)
+    position = {c: a for a, c in enumerate(s.pivots)}
+
+    def column(t: Matrix, a: int):
+        w = _apply(t._cols, s.nonzeros[a], 0)
+        if _reduce(s._rows, w):
+            raise ValueError("subspace is not invariant")
+        return _pairs((position[i], y) for i, y in w.items() if i in position)
+
+    return _induced(mod, s.dim, column)
 
 
 @dataclass(frozen=True)
@@ -174,19 +173,12 @@ class QuotientModule:
 
 
 def quotient(mod: OperatorModule, s: Subspace) -> QuotientModule:
-    _check_ambient(mod, s)
+    _check_ambient(s, mod.dim)
     free = tuple(j for j in range(mod.dim) if j not in s._rows)
     position = {f: a for a, f in enumerate(free)}
-    mats = []
-    for t in mod.operators:
-        if t.is_zero():
-            mats.append(Matrix.zero(len(free), len(free)))
-            continue
-        # t e_f reduced against s is zero at the pivots: column f of the quotient
-        cols = tuple(_pairs((position[g], y) for g, y in _reduce(s._rows, t._cols[f]).items())
-                     for f in free)
-        mats.append(Matrix._sparse(len(free), len(free), c=cols))
-    return QuotientModule(OperatorModule(len(free), tuple(mats)), free, s)
+    # t e_f reduced against s is zero at the pivots: column f of the quotient
+    return QuotientModule(_induced(mod, len(free), lambda t, a: _pairs(
+        (position[g], y) for g, y in _reduce(s._rows, t._cols[free[a]]).items())), free, s)
 
 
 def _random_recipe(count: int, rng: random.Random) -> list[tuple[tuple[int, ...], int]]:
@@ -290,7 +282,7 @@ def equivariant_projection_kernel(mod: OperatorModule, sub: Subspace) -> Subspac
     system's rows are made one at a time as the solver reads them, so an
     infeasible system is left at its first contradictory row.
     """
-    _check_ambient(mod, sub)
+    _check_ambient(sub, mod.dim)
     d, k = mod.dim, sub.dim
     if k == 0 or k == d:
         raise ValueError("complement question needs a proper nonzero subspace")

@@ -384,9 +384,12 @@ def entrywise_scale(c, m):
     return tuple(tuple(Fraction(c) * x for x in r) for r in m.data)
 
 
-def entrywise_transpose(rows):
+def entrywise_transpose(rows, ncols=None):
+    """The columns of the rows; pass ncols for rows that may be none, which
+    do not show their width."""
     rows = [tuple(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
     return tuple(tuple(Fraction(r[j]) for r in rows) for j in range(ncols))
 
 
@@ -411,7 +414,7 @@ def assert_exact_rows(m):
     assert all(type(r) is tuple and len(r) == m.cols for r in m.data)
     assert all(type(x) is Fraction for r in m.data for x in r)
     assert m.nonzeros == entrywise_nonzeros(m.data)
-    assert m._cols == entrywise_nonzeros(entrywise_transpose(m.data))
+    assert m._cols == entrywise_nonzeros(entrywise_transpose(m.data, m.cols))
 
 
 def entrywise_realize(embed, x):

@@ -38,7 +38,7 @@ def test_full_space_is_the_span_of_the_identity_rows():
 def test_matrix_and_subspace_refuse_attribute_deletion():
     m, s = Matrix([[1, 2]]), span([(1, 0)], 2)
     for obj, attrs in ((m, ("data", "rows", "cols", "_nz", "other")),
-                       (s, ("ambient_dim", "basis", "pivots", "_nz", "other"))):
+                       (s, ("ambient_dim", "basis", "pivots", "nonzeros", "_nz", "other"))):
         for attr in attrs:
             with pytest.raises(AttributeError, match="immutable"):
                 delattr(obj, attr)
@@ -55,6 +55,7 @@ def test_matrices_and_subspaces_survive_copy_and_pickle():
             assert type(y) is type(x) and y == x and hash(y) == hash(x)
             if isinstance(x, Matrix):
                 assert (y.rows, y.cols, y._cols, y.data) == (x.rows, x.cols, x._cols, x.data)
+                oracles.assert_exact_rows(y)
             else:
                 assert (y.pivots, y.nonzeros) == (x.pivots, x.nonzeros)
                 assert all(y.contains(b) for b in x.basis)

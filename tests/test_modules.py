@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from leibkit._tables import zero_table
 from leibkit.algebras import make_block_upper
 from leibkit.derive import derive_huliu
-from leibkit.huliu import adjoint_operators, classify_huliu_simplicity
-from leibkit.leibniz import (LeibnizAlgebra, annihilator, classify_simplicity,
-                             multiplication_operators)
+from leibkit.huliu import (HuLiuAlgebra, adjoint_operators, classify_huliu_simplicity,
+                           is_huliu_ideal, is_huliu_subalgebra)
+from leibkit.leibniz import (LeibnizAlgebra, annihilator, classify_simplicity, ideal_closure,
+                             is_ideal, multiplication_operators)
 from leibkit.linalg import _P, Matrix, full_space, inverse, span
 from leibkit.xigroup import mat_square_zero_extension
 from leibkit import modules
@@ -48,11 +50,26 @@ def test_a_module_rejects_operators_of_another_size():
         norton_irreducible(OperatorModule(2, (_SHIFT3,)), random.Random(0))
 
 
-def test_restriction_quotient_and_complement_reject_a_subspace_of_another_space():
-    mod = OperatorModule(3, (_SHIFT3,))
-    for f in (quotient, restriction, equivariant_projection_kernel):
-        with pytest.raises(ValueError, match="ambient mismatch: 2 vs 3"):
-            f(mod, span([(0, 1)], 2))
+_ZERO3 = HuLiuAlgebra(zero_table(3), zero_table(3))
+_MOD3 = OperatorModule(3, (_SHIFT3,))
+_AMBIENT_CHECKS = {
+    "is_ideal": lambda s: is_ideal(_ZERO3.leibniz, s),
+    "ideal_closure": lambda s: ideal_closure(_ZERO3.leibniz, s),
+    "is_huliu_ideal": lambda s: is_huliu_ideal(_ZERO3, s),
+    "is_huliu_subalgebra": lambda s: is_huliu_subalgebra(_ZERO3, s),
+    "Subspace.sum": lambda s: s.sum(full_space(3)),
+    "restriction": lambda s: restriction(_MOD3, s),
+    "quotient": lambda s: quotient(_MOD3, s),
+    "equivariant_projection_kernel": lambda s: equivariant_projection_kernel(_MOD3, s),
+}
+
+
+@pytest.mark.parametrize("name", _AMBIENT_CHECKS)
+def test_a_subspace_of_another_space_is_refused_with_one_message(name):
+    # a subspace of Q^2 given with a dim-3 algebra, module or subspace
+    with pytest.raises(ValueError) as e:
+        _AMBIENT_CHECKS[name](span([(0, 1)], 2))
+    assert str(e.value) == "ambient mismatch: 2 vs 3"
 
 
 def _sparse_ops(rng, d, count, density):
