@@ -210,12 +210,12 @@ def _check_trial(g: GradedAlgebra) -> list[str]:
 def run_fuzz(trials: int, seed: int, dim0: int, dim1: int, writer,
              dump_dir: str = ".") -> int:
     """Drive the corpus through every verifier; 0 all pass, 1 any failure,
-    2 when generation is infeasible.  Output is deterministic in the seed."""
+    2 when generation is infeasible.  Output is deterministic in the seed.
+    Raises ValueError, writing nothing, unless all of trials, dim0, dim1 >= 1."""
     from .io import save_file
 
     if trials < 1 or dim0 < 1 or dim1 < 1:
-        writer.write("fuzz: trials and dimensions must be positive\n")
-        return 2
+        raise ValueError(f"fuzz needs trials, dim0 and dim1 >= 1, got {trials}, {dim0}, {dim1}")
     failures = 0
     try:
         for index, g in generate_corpus(seed, trials, dim0, dim1):

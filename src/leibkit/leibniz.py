@@ -196,7 +196,9 @@ def _classify(algebra: LeibnizAlgebra, ops: tuple[Matrix, ...], seed: int,
 
     status, wit = norton_irreducible(restriction(mod, ann), rng, budget)
     if status == "reducible":
-        cert = span([ann._combine(c) for c in wit.basis], dim)
+        # wit is in the coordinates of ann's RREF basis
+        images = (_apply(ann.nonzeros, c, 0).items() for c in wit.nonzeros)
+        cert = Subspace(dim, _echelon(images, dim))
         return _certified_not_simple(
             ops, ann, dim, cert, "proper ideal strictly inside the annihilator")
     if status == "unknown":
@@ -207,7 +209,9 @@ def _classify(algebra: LeibnizAlgebra, ops: tuple[Matrix, ...], seed: int,
     quo = quotient(mod, ann)
     status, wit = norton_irreducible(quo.mod, rng, budget)
     if status == "reducible":
-        cert = ann.sum(span([quo.lift(c) for c in wit.basis], dim))
+        # wit is in quotient coordinates, which lift to the positions quo.free
+        lifted = (((quo.free[a], x) for a, x in c) for c in wit.nonzeros)
+        cert = Subspace(dim, _echelon([*ann.nonzeros, *lifted], dim))
         return _certified_not_simple(
             ops, ann, dim, cert, "ideal strictly between the annihilator and L")
     if status == "unknown":

@@ -12,14 +12,14 @@ nonzeros against the pivot rows so far and, if nonzero, added as a pivot
 row.  Elimination stops at full rank, ``solve`` and ``inverse`` at the
 first row that shows the system inconsistent or the matrix singular.  A
 ``Subspace`` is made from the reducer's pivot rows, which membership
-reduces against, and holds its basis in reduced row-echelon form, which is
-canonical (equal subspaces have equal basis tuples), both sparse, as the
-``nonzeros`` the module engine reads, and dense.  Values are immutable and
-may be shared freely between threads.
+reduces against, and is stored as a matrix is: its canonical reduced
+row-echelon basis as the sparse ``nonzeros`` that equality, hash and the
+module engine read, the dense ``basis`` built on first use.  Values are
+immutable and may be shared freely between threads.
 
 One column-apply kernel, ``_apply``, forms every linear combination of
 sparse vectors: the images in spin and Norton's elements, table products,
-matrix products and sums, ``matvec`` and subspace combinations.  It and the
+matrix products and sums, ``matvec`` and certificates.  It and the
 reducer run over either field: a modulus of 0 means Q, and the fixed prime
 p = 2^31 - 1 means GF(p), on sparse rows of Python ints.  Each matrix caches
 its columns over Q and mod p.  Work mod p can only prove ranks full (see
@@ -232,9 +232,8 @@ class Matrix:
         return not any(self._nz if self._nz is not None else self._c)
 
     def rref(self) -> "Matrix":
-        reduced, _ = _rref(self.nonzeros, self.cols)
-        return Matrix._sparse(self.rows, self.cols, nz=tuple(map(_nonzeros, reduced))
-                              + ((),) * (self.rows - len(reduced)))
+        s = Subspace(self.cols, _echelon(self.nonzeros, self.cols))
+        return Matrix._sparse(self.rows, self.cols, nz=s.nonzeros + ((),) * (self.rows - s.dim))
 
     def rank(self) -> int:
         return len(_echelon(self.nonzeros, self.cols))
@@ -370,12 +369,6 @@ def _transpose(rows: Iterable[SparseRow], n: int) -> tuple[tuple[tuple[int, obje
     return tuple(map(tuple, cols))
 
 
-def _rref(rows: Iterable[SparseRow], width: int) -> tuple[list[Vec], list[int]]:
-    """Reduced row-echelon form of sparse rows: (nonzero rows, pivot columns)."""
-    s = Subspace(width, _echelon(rows, width))
-    return list(s.basis), list(s.pivots)
-
-
 def _solve_rows(rows: Iterable[SparseRow], n: int) -> Vec | None:
     """One solution, free variables 0, of the system in n unknowns whose
     augmented rows are given sparse, the right-hand side at column n; None
@@ -395,23 +388,24 @@ class Subspace:
     Construct through :func:`span`.  The constructor takes the reducer's
     pivot rows ``{pivot: that row's other nonzeros}``, the pivot entry 1
     left implicit, trusts that they are in RREF and keeps them as they are.
-    From them it builds, at once, ``nonzeros``, each basis vector's nonzero
-    (index, value) pairs in index order, pivot entry included (a pivot
-    row's other nonzeros lie past its pivot), and the dense ``basis``.
+    From them it builds ``nonzeros``, each basis vector's nonzero (index,
+    value) pairs in index order, pivot entry included (a pivot row's other
+    nonzeros lie past its pivot), which equality and hash compare.  The
+    dense ``basis`` is built on first use and kept.
     Membership and coordinates reduce against the pivot rows, which are not
     to be mutated.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "nonzeros", "_rows")
+    __slots__ = ("ambient_dim", "pivots", "nonzeros", "_rows", "_b")
 
     def __init__(self, ambient_dim: int, rows: dict[int, dict[int, Fraction]]):
         pivots = tuple(sorted(rows))
-        nonzeros = tuple(((p, _ONE), *sorted(rows[p].items())) for p in pivots)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(_row(ambient_dim, r) for r in nonzeros))
         object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "nonzeros", nonzeros)
+        object.__setattr__(self, "nonzeros",
+                           tuple(((p, _ONE), *sorted(rows[p].items())) for p in pivots))
         object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_b", None)
 
     def __setattr__(self, name, value=None):
         raise AttributeError("Subspace is immutable")
@@ -422,21 +416,30 @@ class Subspace:
         return Subspace, (self.ambient_dim, self._rows)
 
     @property
+    def basis(self) -> tuple[Vec, ...]:
+        """The dense basis rows, built on first use and kept."""
+        b = self._b
+        if b is None:
+            b = tuple(_row(self.ambient_dim, r) for r in self.nonzeros)
+            object.__setattr__(self, "_b", b)
+        return b
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.pivots
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.nonzeros == other.nonzeros
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.nonzeros))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -451,11 +454,6 @@ class Subspace:
             raise ValueError(f"vector length {len(v)} != ambient {self.ambient_dim}")
         # v lies in the span iff it reduces to 0; RREF coordinates are its pivot entries
         return None if _reduce(self._rows, _nonzeros(v)) else tuple(v[p] for p in self.pivots)
-
-    def _combine(self, coeffs: Sequence) -> Vec:
-        """The combination sum_i coeffs[i] * basis[i]."""
-        c = [(i, rat(x)) for i, x in enumerate(coeffs) if x]
-        return _row(self.ambient_dim, _apply(self.nonzeros, c, 0).items())
 
     def sum(self, other: "Subspace") -> "Subspace":
         _check_ambient(self, other.ambient_dim)

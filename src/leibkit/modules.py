@@ -41,9 +41,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._tables import basis_vec
-from .linalg import (Matrix, Subspace, Vec, _P, _add, _apply, _check_ambient, _mod_p, _pairs,
-                     _reduce, _row, _solve_rows, full_space, kernel, span)
+from .linalg import (Matrix, Subspace, _P, _add, _apply, _check_ambient, _mod_p, _pairs,
+                     _reduce, _solve_rows, full_space, kernel)
 
 NORTON_BUDGET = 64
 NORTON_MAX_WORD = 8
@@ -155,21 +154,17 @@ def restriction(mod: OperatorModule, s: Subspace) -> OperatorModule:
 class QuotientModule:
     """Module on the quotient by an invariant subspace.
 
-    Quotient coordinates live on the non-pivot standard positions of the
-    subspace's RREF basis; ``lift`` sends quotient coordinates back to
-    representative vectors in the ambient space.
+    Quotient coordinates live on the non-pivot standard positions ``free``
+    of the subspace's RREF basis; placed there, they give a representative
+    vector in the ambient space.
     """
 
     mod: OperatorModule
     free: tuple[int, ...]
-    sub: Subspace
 
     @property
     def dim(self) -> int:
         return self.mod.dim
-
-    def lift(self, coords) -> Vec:
-        return _row(self.sub.ambient_dim, zip(self.free, coords))
 
 
 def quotient(mod: OperatorModule, s: Subspace) -> QuotientModule:
@@ -178,7 +173,7 @@ def quotient(mod: OperatorModule, s: Subspace) -> QuotientModule:
     position = {f: a for a, f in enumerate(free)}
     # t e_f reduced against s is zero at the pivots: column f of the quotient
     return QuotientModule(_induced(mod, len(free), lambda t, a: _pairs(
-        (position[g], y) for g, y in _reduce(s._rows, t._cols[free[a]]).items())), free, s)
+        (position[g], y) for g, y in _reduce(s._rows, t._cols[free[a]]).items())), free)
 
 
 def _random_recipe(count: int, rng: random.Random) -> list[tuple[tuple[int, ...], int]]:
@@ -247,7 +242,7 @@ def norton_irreducible(mod: OperatorModule, rng: random.Random,
         return "irreducible", None
     ops = [t for t in mod.operators if not t.is_zero()]
     if not ops:
-        return "reducible", span([basis_vec(d, 0)], d)
+        return "reducible", Subspace(d, {0: {}})  # the line of e_0
     distinct = _distinct(ops)
     cols_p = [t._cols_p for t in ops]
     for _ in range(budget):
@@ -259,8 +254,9 @@ def norton_irreducible(mod: OperatorModule, rng: random.Random,
         ker = kernel(theta)
         if ker.dim == 0:
             continue
-        for v in ker.basis:
-            w = closure(distinct, span([v], d))
+        for p in ker.pivots:
+            # an RREF basis row is the one pivot row of the line it spans
+            w = closure(distinct, Subspace(d, {p: ker._rows[p]}))
             if w.dim < d:
                 return "reducible", w
         if ker.dim == 1:

@@ -26,7 +26,8 @@ from leibkit._tables import LEFT, columns, table_entries, table_from_entries
 from leibkit.huliu import HuLiuAlgebra, adjoint_operators
 from leibkit.algebras import matrix_algebra
 from leibkit.leibniz import LeibnizAlgebra, annihilator
-from leibkit.linalg import Matrix, full_space, kernel, solve, span, vadd, vec, vscale, zeros
+from leibkit.linalg import (Matrix, Subspace, _echelon, full_space, kernel, solve, span, vadd,
+                            vec, vscale, zeros)
 from leibkit.modules import _maps_into
 from leibkit.report import fail, ok
 from leibkit.xigroup import XiGroupReport, expm, invert_unit, xi
@@ -74,6 +75,13 @@ def rref(m):
     return m.rref()
 
 
+def _rref(rows, width):
+    """Reduced row-echelon form of sparse rows by the package's reducer:
+    (nonzero dense rows, pivot columns)."""
+    s = Subspace(width, _echelon(rows, width))
+    return list(s.basis), list(s.pivots)
+
+
 def contains_subspace(s, t):
     """Whether the subspace t lies in the subspace s of the same Q^n."""
     _same_ambient(s, t)
@@ -88,7 +96,9 @@ def intersect(s, t):
         return span([], s.ambient_dim)
     cols = [list(b) for b in s.basis] + [[-x for x in b] for b in t.basis]
     ker = kernel(Matrix.from_cols(cols))
-    return span([s._combine(k[: s.dim]) for k in ker.basis], s.ambient_dim)
+    combos = [[sum((c * b[j] for c, b in zip(k, s.basis)), Fraction(0))
+               for j in range(s.ambient_dim)] for k in ker.basis]
+    return span(combos, s.ambient_dim)
 
 
 def _same_ambient(s, t):

@@ -1,6 +1,8 @@
 import hashlib
 import io
 
+import pytest
+
 from leibkit import fuzz
 from leibkit import io as lio
 from leibkit._tables import table_entries
@@ -37,10 +39,19 @@ def test_run_fuzz_output_pinned(tmp_path):
     assert digest == "706f46303f0b0e249c6ba111e8fcf04062332f88689c6752ba0de836ee54129f"
 
 
-def test_run_fuzz_bad_params():
+def test_run_fuzz_bad_params(monkeypatch):
     buf = io.StringIO()
-    assert fuzz.run_fuzz(0, 1, 3, 3, buf) == 2
-    assert fuzz.run_fuzz(5, 1, 0, 3, buf) == 2
+    for args in ((0, 1, 3, 3), (5, 1, 0, 3), (5, 1, 3, -1)):
+        with pytest.raises(ValueError, match=">= 1"):
+            fuzz.run_fuzz(*args, buf)
+    assert buf.getvalue() == ""
+
+    def infeasible(rng, max_dim0, max_dim1):
+        raise fuzz.FuzzGenerationError("no valid extension")
+
+    monkeypatch.setattr(fuzz, "random_trivial_extension", infeasible)
+    assert fuzz.run_fuzz(5, 1, 3, 3, buf) == 2
+    assert buf.getvalue() == "fuzz: generation infeasible: no valid extension\n"
 
 
 def test_run_fuzz_failure_dumps_replayable_file(tmp_path, monkeypatch):

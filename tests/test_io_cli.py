@@ -170,7 +170,12 @@ def test_cli_tangent_and_xi_check(tmp_path, capsys):
 def test_cli_fuzz_exit_codes(tmp_path, capsys):
     assert cli.main(["fuzz", "--trials", "5", "--seed", "2",
                      "--dump-dir", str(tmp_path)]) == 0
-    assert cli.main(["fuzz", "--trials", "0", "--seed", "2"]) == 2
+    capsys.readouterr()
+    for bad in (["--trials", "0"], ["--trials", "5", "--dim0", "0"]):
+        assert cli.main(["fuzz", *bad, "--seed", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert cli.main(["nonsense"]) == 2
 
 

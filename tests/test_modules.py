@@ -11,7 +11,7 @@ from leibkit.huliu import (HuLiuAlgebra, adjoint_operators, classify_huliu_simpl
                            is_huliu_ideal, is_huliu_subalgebra)
 from leibkit.leibniz import (LeibnizAlgebra, annihilator, classify_simplicity, ideal_closure,
                              is_ideal, multiplication_operators)
-from leibkit.linalg import _P, Matrix, full_space, inverse, span
+from leibkit.linalg import _P, Matrix, Subspace, full_space, inverse, span
 from leibkit.xigroup import mat_square_zero_extension
 from leibkit import modules
 from leibkit.modules import (
@@ -226,22 +226,32 @@ def test_distinct_operators_keep_the_first_of_each_multiple():
 
 
 def test_the_module_engine_builds_no_dense_rows(monkeypatch):
-    # the classifiers build their matrices from sparse rows or columns and
-    # never ask them for dense rows; the control at the end shows the count works
-    built = []
-    data = Matrix.data
+    # the classifiers build their matrices and subspaces from sparse rows or
+    # columns and never ask them for dense rows, but for is_invariant, which
+    # re-checks a returned certificate on its dense basis; the controls at
+    # the end show the counts work
+    built, bases = [], []
+    data, basis = Matrix.data, Subspace.basis
 
     def counting(m):
         if m._d is None:
             built.append((m.rows, m.cols))
         return data.fget(m)
 
+    def counting_basis(s):
+        if s._b is None:
+            bases.append(s)
+        return basis.fget(s)
+
     monkeypatch.setattr(Matrix, "data", property(counting))
+    monkeypatch.setattr(Subspace, "basis", property(counting_basis))
     assert classify_simplicity(LeibnizAlgebra(oracles.sl2_semidirect((8,)))).tag == "Simple"
-    assert classify_huliu_simplicity(_huliu_pairs()[0]).tag == "NotSimple"
-    assert built == []
+    verdict = classify_huliu_simplicity(_huliu_pairs()[0])
+    assert verdict.tag == "NotSimple"
+    assert built == [] and len(bases) == 1 and bases[0] is verdict.certificate
     Matrix.identity(2).row(0)
-    assert built == [(2, 2)]
+    span([(1, 0)], 2).basis
+    assert built == [(2, 2)] and len(bases) == 2
 
 
 def test_spin_and_restriction_quotient():
@@ -253,7 +263,8 @@ def test_spin_and_restriction_quotient():
     assert res.operators[0] == Matrix([[1]])
     quo = quotient(mod, sub)
     assert quo.mod.operators[0] == Matrix([[2]])
-    assert quo.lift((1,)) == (0, 1)
+    lifted = dict(zip(quo.free, (1,)))  # quotient coordinates sit at the positions quo.free
+    assert tuple(lifted.get(j, 0) for j in range(2)) == (0, 1)
 
 
 def test_quotient_operators_lift_to_the_operators_modulo_the_subspace():
@@ -273,10 +284,14 @@ def test_quotient_operators_lift_to_the_operators_modulo_the_subspace():
             assert oracles.is_invariant(ops, s)
             quo = quotient(OperatorModule(d, ops), s)
             assert quo.dim == d - s.dim
+            def lift(coords):  # quotient coordinates sit at the positions quo.free
+                at = dict(zip(quo.free, coords))
+                return [at.get(j, 0) for j in range(d)]
+
             for t, qt in zip(ops, quo.mod.operators):
                 for f in range(quo.dim):
                     e_f = [int(i == f) for i in range(quo.dim)]
-                    diff = [x - y for x, y in zip(t.matvec(quo.lift(e_f)), quo.lift(qt.col(f)))]
+                    diff = [x - y for x, y in zip(t.matvec(lift(e_f)), lift(qt.col(f)))]
                     assert len(oracles.dense_rref([*s.basis, diff])[1]) == s.dim
 
 
