@@ -9,7 +9,9 @@ transpose-kernel vector both spin to the full space is a proof, any proper
 spin is a counterexample, and an exhausted retry budget returns "unknown",
 never a wrong answer.  Its random elements are drawn from all the nonzero
 operators, but both spins run over the distinct ones: an operator that is a
-nonzero multiple of another adds no invariant subspace.
+nonzero multiple of another adds no invariant subspace.  Each kernel line is
+spun at most once per call: a line seen again would spin to the full space
+again, so it is skipped, and the random draws do not change.
 
 One spin loop serves both fields, as does one builder of Norton's elements
 from the operators' cached columns; both run on linalg's one reducer and
@@ -233,7 +235,11 @@ def norton_irreducible(mod: OperatorModule, rng: random.Random,
     for full rank mod p first; only a theta that fails that test is built
     over Q, from its sparse columns, and its kernel taken.  The spins are
     closures under the distinct operators, the dual one under their
-    transposes, which read the operators' rows as their columns.
+    transposes, which read the operators' rows as their columns.  Each
+    kernel line is spun at most once per call: the singular elements of a
+    nilpotent-heavy module keep returning the same few lines, and a line
+    already spun to the full space is skipped.  The draws, kernels and
+    answers are those of spinning every line.
     """
     d = mod.dim
     if d == 0:
@@ -245,6 +251,7 @@ def norton_irreducible(mod: OperatorModule, rng: random.Random,
         return "reducible", Subspace(d, {0: {}})  # the line of e_0
     distinct = _distinct(ops)
     cols_p = [t._cols_p for t in ops]
+    spun: set[Subspace] = set()  # kernel lines whose spin is the full space
     for _ in range(budget):
         recipe = _random_recipe(len(ops), rng)
         if None not in cols_p and _full_rank_mod_p(cols_p, recipe, d):
@@ -256,9 +263,13 @@ def norton_irreducible(mod: OperatorModule, rng: random.Random,
             continue
         for p in ker.pivots:
             # an RREF basis row is the one pivot row of the line it spans
-            w = closure(distinct, Subspace(d, {p: ker._rows[p]}))
+            line = Subspace(d, {p: ker._rows[p]})
+            if line in spun:
+                continue
+            w = closure(distinct, line)
             if w.dim < d:
                 return "reducible", w
+            spun.add(line)
         if ker.dim == 1:
             # the dual spin: theta's transpose has a one-dimensional kernel too
             wt = closure([t.T for t in distinct], kernel(theta.T))

@@ -177,6 +177,14 @@ def rational_norton(mod, rng, budget, max_word=8):
     return "unknown", None
 
 
+def derived_ideal(h):
+    """The span of all products of the Hu-Liu pair h under both brackets,
+    read from the dense table cells: every product lands in it, so it is a
+    two-bracket ideal."""
+    return span([cell for t in (h.leibniz.angle, h.square) for row in dense(t) for cell in row],
+                h.dim)
+
+
 def rotation_bracket(p):
     """Dense bracket of Phi_p: Q x + Q^(p-1) with <v, x> = C v for the
     companion matrix C of 1 + t + ... + t^(p-1); its annihilator Q^(p-1) is

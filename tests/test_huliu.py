@@ -25,6 +25,7 @@ from leibkit.leibniz import (
     is_ideal,
 )
 from leibkit.linalg import Matrix, full_space, span, vadd
+from leibkit.xigroup import mat_square_zero_extension
 
 import oracles
 from oracles import (
@@ -142,6 +143,28 @@ def test_classify_huliu_examples(ut_model):
     assert is_huliu_ideal(h, verdict.certificate)
     hz = HuLiuAlgebra(zero_table(2), zero_table(2))
     assert classify_huliu_simplicity(hz).tag == "NotSimple"
+
+
+_GRADED = {
+    "Mat(3)": lambda: mat_square_zero_extension(3)[0],
+    "Mat(4)": lambda: mat_square_zero_extension(4)[0],
+    "block_upper(3,3)": lambda: make_block_upper(3, 3),
+    "block_upper(4,4)": lambda: make_block_upper(4, 4),
+}
+
+
+@pytest.mark.parametrize("name", _GRADED)
+def test_derived_pairs_are_never_called_simple(name):
+    # the span D of all products is a proper ideal other than the
+    # annihilator, so Simple would be wrong; Unknown is allowed
+    h = derive_huliu(_GRADED[name]())
+    d = oracles.derived_ideal(h)
+    assert is_huliu_ideal(h, d)
+    assert 0 < d.dim < h.dim and d != annihilator(h.leibniz)
+    verdict = classify_huliu_simplicity(h)
+    assert verdict.tag != "Simple"
+    if verdict.tag == "NotSimple":
+        assert is_huliu_ideal(h, verdict.certificate)
 
 
 def test_huliu_homomorphism_identity_zero_and_quotient(ut_model):

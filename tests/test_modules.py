@@ -186,14 +186,23 @@ def _norton_modules():
     # the Hu-Liu classifier's modules, whose square adjoints repeat the
     # Leibniz operators up to sign
     for h in _huliu_pairs():
-        mod = OperatorModule(h.dim, multiplication_operators(h.leibniz) + adjoint_operators(h))
-        ann = annihilator(h.leibniz)
+        mod, ann = _huliu_module(h), annihilator(h.leibniz)
         for m in (restriction(mod, ann), quotient(mod, ann).mod):
             yield m, NORTON_BUDGET
+    # larger pairs, whose singular elements keep repeating the same kernel
+    # lines; the dense reference is slow here, so the budget is small
+    for h in (derive_huliu(mat_square_zero_extension(3)[0]), derive_huliu(make_block_upper(3, 3))):
+        mod, ann = _huliu_module(h), annihilator(h.leibniz)
+        for m in (restriction(mod, ann), quotient(mod, ann).mod):
+            yield m, 8
 
 
 def _huliu_pairs():
     return derive_huliu(make_block_upper(2, 2)), derive_huliu(mat_square_zero_extension(2)[0])
+
+
+def _huliu_module(h):
+    return OperatorModule(h.dim, multiplication_operators(h.leibniz) + adjoint_operators(h))
 
 
 def test_norton_matches_the_rational_reference():
@@ -206,6 +215,26 @@ def test_norton_matches_the_rational_reference():
             assert rng.getstate() == ref_rng.getstate()
             statuses[got[0]] += 1
     assert set(statuses) == {"irreducible", "reducible", "unknown"}
+
+
+def test_norton_spins_each_kernel_line_once(monkeypatch):
+    # the block_upper(2,2) pair's annihilator module: most singular elements
+    # have kernels of dim 2-4 made of the same few lines
+    h = _huliu_pairs()[0]
+    mod = restriction(_huliu_module(h), annihilator(h.leibniz))
+    lines = []
+    spin = modules.closure
+
+    def recording(ops, s):
+        lines.append(s)
+        return spin(ops, s)
+
+    monkeypatch.setattr(modules, "closure", recording)
+    rng, ref_rng = random.Random(0), random.Random(0)
+    got = norton_irreducible(mod, rng, NORTON_BUDGET)
+    assert len(lines) == len(set(lines))
+    assert got == oracles.rational_norton(mod, ref_rng, NORTON_BUDGET)
+    assert rng.getstate() == ref_rng.getstate()
 
 
 def _multiple(t, u):
