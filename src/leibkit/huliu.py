@@ -32,7 +32,7 @@ from .leibniz import (
     multiplication_operators,
 )
 from .linalg import Matrix, Subspace, Vec, _check_ambient, is_zero_vec, vscale, zeros
-from .modules import NORTON_BUDGET, _maps_into
+from .modules import NORTON_BUDGET, _check_budget, _maps_into
 from .report import HomReport, Report, checked_once, fail, memo, ok, require
 
 
@@ -149,6 +149,7 @@ def is_huliu_subalgebra(h: HuLiuAlgebra, sub: Subspace) -> Report:
 def classify_huliu_simplicity(h: HuLiuAlgebra, seed: int = 0,
                               budget: int = NORTON_BUDGET) -> SimplicityVerdict:
     """Same module-theoretic test, with the adjoint operators added."""
+    _check_budget(budget)
     h.validate()
     ops = multiplication_operators(h.leibniz) + adjoint_operators(h)
     verdict = _classify(h.leibniz, ops, seed, budget)

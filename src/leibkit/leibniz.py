@@ -28,6 +28,7 @@ from .linalg import Matrix, Subspace, Vec, _ONE, _apply, _check_ambient, _echelo
 from .modules import (
     NORTON_BUDGET,
     OperatorModule,
+    _check_budget,
     _maps_into,
     closure,
     equivariant_projection_kernel,
@@ -161,12 +162,14 @@ def classify_simplicity(algebra: LeibnizAlgebra, seed: int = 0,
     operators, so the test runs module-theoretically: the annihilator must be
     irreducible, the quotient by it must be irreducible, and it must admit no
     invariant complement.  Randomized sub-tests take an explicit seed; an
-    exhausted budget yields Unknown, never a wrong answer.
+    exhausted budget yields Unknown, never a wrong answer.  A budget that is
+    not an int >= 0 raises ValueError before any work.
 
     The annihilator is never all of L: the right Leibniz identity at z = y
     gives <x,<y,y>> = 0, so if the squares spanned L every bracket, and with
     it every square, would vanish.
     """
+    _check_budget(budget)
     algebra.validate()
     return _classify(algebra, multiplication_operators(algebra), seed, budget)
 
@@ -184,6 +187,12 @@ def _classify(algebra: LeibnizAlgebra, ops: tuple[Matrix, ...], seed: int,
     <j+a, j+a> = <j,j> lies in J, so every square lies in J and I lies in
     J meet I = 0, a contradiction.  The Hu-Liu classifier's ideals are among
     these, so the same holds there.
+
+    The step still runs, and its check is reported.  It solves for a module
+    section L/I -> L, k (d - k) unknowns for I of dimension k in L of
+    dimension d, and stops at the first contradictory row.  A nonzero left
+    multiplication L_a by a in I gives one outright: it kills I, as
+    <L,I> = 0, and maps L into I, so its rows read 0 = c.
     """
     ann = annihilator(algebra)
     dim = algebra.dim

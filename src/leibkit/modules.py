@@ -35,16 +35,23 @@ proper mod-p result proves nothing (p may divide a minor), and then the
 same spin runs over Q.  When p divides a denominator there is no
 reduction, and the pass is skipped.  Norton's random draws are the same
 either way, so the pass changes no result.
+
+An invariant subspace W of V has an invariant complement exactly when
+0 -> W -> V -> V/W -> 0 splits, that is, when some section V/W -> V
+commutes with the operators.  The complement search solves for that
+section, k (d - k) unknowns for W of dimension k in V of dimension d, from
+the operators' restrictions to W, their quotient operators, and the entries
+at W's pivots of their columns at W's free positions; it returns the
+section's image, the kernel of an equivariant projection onto W.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import (Matrix, Subspace, _P, _add, _apply, _check_ambient, _mod_p, _pairs,
-                     _reduce, _solve_rows, full_space, kernel)
+from .linalg import (_ONE, Matrix, Subspace, _P, _add, _apply, _check_ambient, _echelon,
+                     _mod_p, _pairs, _reduce, _solve_rows, full_space, kernel)
 
 NORTON_BUDGET = 64
 NORTON_MAX_WORD = 8
@@ -178,6 +185,13 @@ def quotient(mod: OperatorModule, s: Subspace) -> QuotientModule:
         (position[g], y) for g, y in _reduce(s._rows, t._cols[free[a]]).items())), free)
 
 
+def _check_budget(budget):
+    """Raise ValueError unless Norton's budget, a count of attempts, is an
+    int >= 0; a bool is not a count."""
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        raise ValueError(f"budget must be an int >= 0, not {budget!r}")
+
+
 def _random_recipe(count: int, rng: random.Random) -> list[tuple[tuple[int, ...], int]]:
     """A random element of the algebra of ``count`` operators, as a recipe
     [(operator indices, coefficient)]: the sum over its terms of the
@@ -241,6 +255,7 @@ def norton_irreducible(mod: OperatorModule, rng: random.Random,
     already spun to the full space is skipped.  The draws, kernels and
     answers are those of spinning every line.
     """
+    _check_budget(budget)
     d = mod.dim
     if d == 0:
         raise ValueError("empty module")
@@ -281,50 +296,86 @@ def norton_irreducible(mod: OperatorModule, rng: random.Random,
 
 
 def equivariant_projection_kernel(mod: OperatorModule, sub: Subspace) -> Subspace | None:
-    """Kernel of a projection onto ``sub`` commuting with all operators.
+    """Kernel of a projection onto ``sub`` commuting with all operators, or
+    None when there is none.
 
-    Solves the affine linear system P B = I, (B P) T = T (B P) for a
-    coefficient matrix P; feasibility means ``sub`` has an invariant
-    complement, returned as ker P.  Returns None when infeasible.  The
-    system's rows are made one at a time as the solver reads them, so an
-    infeasible system is left at its first contradictory row.
+    ``sub`` = W has an invariant complement exactly when 0 -> W -> V -> V/W
+    -> 0 splits, that is, when a module section V/W -> V exists.  With W's
+    RREF basis b_a (a < k) and its m = d - k free positions f, a section is
+    s(e_f) = e_f + sum_a X[a][f] b_a, and it commutes with every operator T
+    exactly when R_T X - X Q_T = -C_T (:func:`_section_system`): k * m
+    unknowns.  The image span{s(e_f)} of the solution with free unknowns 0
+    is returned; it is the kernel of the equivariant projection I - s pi
+    onto W.  A W that is not invariant has no such projection.
+
+    The result is the one that solving for the projection gives: the k x d
+    coefficient matrix P with P B = I and B P commuting with every T, free
+    unknowns 0, and then ker P.  Row a of P is read off row a of X: P's
+    column f is -X's column f, and its column at b_a's pivot is a
+    combination of X's columns at the free positions past that pivot.  So a
+    homogeneous solution P, unknown (a, c) ordered by a * d + c, has its
+    last nonzero where X has, unknown (a, f) ordered by a * m + the index
+    of f.  An unknown is free exactly when some homogeneous solution has
+    its last nonzero there, so the two systems have the same free unknowns,
+    and their solutions with those unknowns 0 give the same section.
     """
     _check_ambient(sub, mod.dim)
     d, k = mod.dim, sub.dim
     if k == 0 or k == d:
         raise ValueError("complement question needs a proper nonzero subspace")
-    sol = _solve_rows(_projection_system(mod, sub), k * d)
+    free = tuple(j for j in range(d) if j not in sub._rows)
+    m = len(free)
+    sol = _solve_rows(_section_system(mod, sub, free), k * m)
     if sol is None:
         return None
-    return kernel(Matrix([sol[a * d:(a + 1) * d] for a in range(k)]))
+    # s(e_f) = e_f + sum_a X[a][f] b_a: columns b_0 .. b_(k-1), then the e_f
+    cols = (*sub.nonzeros, *(((f, _ONE),) for f in free))
+    images = (_apply(cols, [*_pairs((a, sol[a * m + i]) for a in range(k)), (k + i, _ONE)], 0)
+              for i in range(m))
+    return Subspace(d, _echelon((w.items() for w in images), d))
 
 
-def _projection_system(mod: OperatorModule, sub: Subspace):
-    """The sparse augmented rows of P B = I, (B P) T = T (B P): unknown (a, c)
-    of P is column a * d + c, the right-hand side column k * d."""
-    d, k = mod.dim, sub.dim
-    sub_nz = sub.nonzeros
-    for a in range(k):
-        for bb, col in enumerate(sub_nz):
-            yield [(a * d + c, x) for c, x in col] + ([(k * d, Fraction(1))] if a == bb else [])
-    # Row (i, j) of the commutation block for T: sum_a,c b[i][a] t[c][j] at
-    # unknown (a, c), minus sum_a (T B)[i][a] at unknown (a, j).  Only the
-    # nonzero products are formed; zero rows are dropped.
-    b = Matrix._sparse(d, k, c=sub_nz)  # d x k
-    b_nz = b.nonzeros
+def _section_system(mod: OperatorModule, sub: Subspace, free: tuple[int, ...]):
+    """The sparse augmented rows of R_T X - X Q_T = -C_T over the nonzero
+    operators T, one operator at a time, as the solver reads them.
+
+    X[a][i] is unknown a * m + i, the right-hand side column k * m.  Column
+    b of R_T holds the pivot entries of column b of T B, T applied to basis
+    vector b (as :func:`restriction` reads them); column i of Q_T is T e_f,
+    f = free[i], reduced against the pivot rows (as :func:`quotient` reads
+    it); and column i of C_T holds T e_f's entries at the pivots.  Only the
+    nonzero rows are made.  A T that does not keep ``sub`` invariant
+    contributes the row 0 = 1: no projection onto ``sub`` commutes with it.
+    An infeasible system is left at its first contradictory row, so the
+    operators after it are never read.
+    """
+    k, m = sub.dim, len(free)
+    n = k * m
+    position = {c: a for a, c in enumerate(sub.pivots)}
+    index = {f: i for i, f in enumerate(free)}
+    basis = Matrix._sparse(mod.dim, k, c=sub.nonzeros)  # d x k, column b is basis vector b
     for t in mod.operators:
-        tb_nz = (t @ b).nonzeros
-        t_cols = t._cols
-        for i in range(d):
-            if not b_nz[i] and not tb_nz[i]:
-                continue
-            for j in range(d):
-                terms: dict[int, Fraction] = {}
-                for a, x in b_nz[i]:
-                    for c, y in t_cols[j]:
-                        terms[a * d + c] = terms.get(a * d + c, 0) + x * y
-                for a, x in tb_nz[i]:
-                    terms[a * d + j] = terms.get(a * d + j, 0) - x
-                row = [(u, x) for u, x in terms.items() if x]
-                if row:
+        if t.is_zero():
+            continue
+        r_rows: list[list] = [[] for _ in range(k)]  # row a of R_T at unknowns b * m
+        for b, w in enumerate((t @ basis)._cols):
+            if _reduce(sub._rows, w):
+                yield [(n, _ONE)]
+                return
+            for c, y in w:
+                if c in position:
+                    r_rows[position[c]].append((b * m, y))
+        q_cols = [[(index[g], y) for g, y in _reduce(sub._rows, t._cols[f]).items()]
+                  for f in free]
+        c_cols = [{position[c]: y for c, y in t._cols[f] if c in position} for f in free]
+        for a, r_row in enumerate(r_rows):
+            for i, (q_col, c_col) in enumerate(zip(q_cols, c_cols)):
+                # row (a, i): sum_b R[a][b] X[b][i] - sum_g X[a][g] Q[g][i] = -C[a][i]
+                row = {bm + i: y for bm, y in r_row}
+                for g, y in q_col:
+                    u = a * m + g
+                    row[u] = row[u] - y if u in row else -y
+                if a in c_col:
+                    row[n] = -c_col[a]
+                if row := [(u, x) for u, x in row.items() if x]:
                     yield row

@@ -26,6 +26,7 @@ from leibkit.leibniz import (
 )
 from leibkit.linalg import Matrix, full_space, span
 from leibkit.modules import OperatorModule, equivariant_projection_kernel
+from leibkit.xigroup import mat_square_zero_extension
 
 import oracles
 from oracles import annihilator_action_nonzero, contains_subspace, direct_sum
@@ -279,12 +280,14 @@ def _complement_inputs():
                 [[[next(it) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]))
             if verify_right_leibniz(leib).holds:
                 algebras.append((leib, ()))
-    algebras += [(LeibnizAlgebra(oracles.sl2_semidirect((n,))), ()) for n in range(1, 9)]
+    algebras += [(LeibnizAlgebra(oracles.sl2_semidirect((n,))), ()) for n in range(1, 49)]
     for _, g in generate_corpus(7, 60, 3, 3):
         h = derive_huliu(g)
         algebras += [(derive_leibniz(g), ()), (h.leibniz, adjoint_operators(h))]
-    h = derive_huliu(make_block_upper(2, 2))
-    algebras.append((h.leibniz, adjoint_operators(h)))
+    for g in (make_block_upper(2, 2), mat_square_zero_extension(2)[0],
+              mat_square_zero_extension(3)[0], make_block_upper(3, 3)):
+        h = derive_huliu(g)
+        algebras += [(h.leibniz, ()), (h.leibniz, adjoint_operators(h))]
     for alg, extra in algebras:
         ann = annihilator(alg)
         if ann.dim:

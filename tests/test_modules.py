@@ -1,10 +1,11 @@
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from leibkit._tables import zero_table
+from leibkit._tables import table_from_entries, zero_table
 from leibkit.algebras import make_block_upper
 from leibkit.derive import derive_huliu
 from leibkit.huliu import (HuLiuAlgebra, adjoint_operators, classify_huliu_simplicity,
@@ -470,3 +471,109 @@ def test_complement_of_the_sl2_annihilators_matches_the_dense_system():
         assert ann.dim == n + 1
         assert equivariant_projection_kernel(mod, ann) is None
         assert oracles.dense_system_projection_kernel(mod, ann) is None
+
+
+def _split_module(rng):
+    """A direct sum of blocks in a random basis, and the image of some of
+    them: repeated isomorphic blocks, zero operators and one-dimensional
+    blocks make the invariant complement not unique."""
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+    count = rng.randint(1, 3)
+    blocks = []
+    for s in sizes:
+        same = [b for b in blocks if b[0].rows == s]
+        if same and rng.random() < 0.5:
+            blocks.append(same[0])
+        elif rng.random() < 0.25:
+            blocks.append([Matrix.zero(s, s)] * count)
+        else:
+            blocks.append(_sparse_ops(rng, s, count, 0.5))
+    ops = [functools.reduce(_block_diagonal, [b[c] for b in blocks]) for c in range(count)]
+    d = sum(sizes)
+    ops += [Matrix.zero(d, d)] * rng.randint(0, 1)
+    u, uinv = _random_invertible(rng, d)
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    chosen = rng.sample(range(len(sizes)), rng.randint(1, len(sizes) - 1))
+    sub = span([u.col(starts[i] + j) for i in chosen for j in range(sizes[i])], d)
+    return OperatorModule(d, tuple(u @ t @ uinv for t in ops)), sub
+
+
+def _non_split_module(rng):
+    """A block-triangular module [[A, B], [0, A]] in a random basis, with
+    the span of the first block.  It splits only if B = A X - X A for some
+    X, so a nonzero B with A scalar, or a B of nonzero trace, makes it
+    non-split."""
+    s = rng.randint(1, 3)
+    a = Matrix.identity(s).scale(rng.randint(-2, 2)) if rng.random() < 0.5 \
+        else _sparse_ops(rng, s, 1, 0.5)[0]
+    b = _sparse_ops(rng, s, 1, 0.6)[0]
+    ops = [Matrix([list(ra) + list(rb) for ra, rb in zip(a.data, b.data)]
+                  + [[0] * s + list(r) for r in a.data])]
+    if rng.random() < 0.5:
+        ops.append(_block_diagonal(a, a))
+    u, uinv = _random_invertible(rng, 2 * s)
+    sub = span([u.col(j) for j in range(s)], 2 * s)
+    return OperatorModule(2 * s, tuple(u @ t @ uinv for t in ops)), sub
+
+
+def test_the_section_system_matches_the_projection_system(monkeypatch):
+    # the complement is found from a module section V/W -> V, k (d - k)
+    # unknowns; the reference solves for the projection, k d unknowns, and
+    # gives the same subspace even where the complement is not unique
+    unknowns = []
+    solve_rows = modules._solve_rows
+
+    def counting(rows, n):
+        unknowns.append(n)
+        return solve_rows(rows, n)
+
+    monkeypatch.setattr(modules, "_solve_rows", counting)
+    rng = random.Random(27)
+    cases = [_split_module(rng) for _ in range(60)] + [_non_split_module(rng) for _ in range(40)]
+    for n in range(2, 6):
+        jordan = Matrix([[1 if j in (i, i + 1) else 0 for j in range(n)] for i in range(n)])
+        cases += [(OperatorModule(n, (jordan,)), span([[int(j == i) for j in range(n)]
+                                                       for i in range(k)], n))
+                  for k in range(1, n)]
+    results = Counter()
+    for mod, sub in cases:
+        unknowns.clear()
+        got = equivariant_projection_kernel(mod, sub)
+        assert unknowns == [sub.dim * (mod.dim - sub.dim)]
+        assert got == oracles.dense_projection_kernel(mod, sub)
+        results[got is None] += 1
+        if got is not None:
+            assert is_invariant(mod.operators, got)
+            assert got.dim + sub.dim == mod.dim and sub.sum(got) == full_space(mod.dim)
+    assert results[True] >= 20 and results[False] >= 40
+    for n in range(1, 17):
+        alg = LeibnizAlgebra(oracles.sl2_semidirect((n,)))
+        mod, ann = OperatorModule(alg.dim, multiplication_operators(alg)), annihilator(alg)
+        unknowns.clear()
+        assert equivariant_projection_kernel(mod, ann) is None
+        assert unknowns == [(n + 1) * 3]
+        assert oracles.dense_system_projection_kernel(mod, ann) is None
+        if n <= 6:
+            # the entrywise dense reference grows as d^5: it stops at dim 10
+            assert oracles.dense_projection_kernel(mod, ann) is None
+
+
+_BAD_BUDGETS = (-5, -1, True, False, 2.0, "8", None)
+# fails the right Leibniz identity: validating it would raise a different error
+_NOT_LEIBNIZ = table_from_entries(2, [(0, 0, 1, 1), (1, 0, 0, 1)])
+_BUDGETED = {
+    "classify_simplicity": lambda b: classify_simplicity(LeibnizAlgebra(_NOT_LEIBNIZ), budget=b),
+    "classify_huliu_simplicity": lambda b: classify_huliu_simplicity(
+        HuLiuAlgebra(_NOT_LEIBNIZ, zero_table(2)), budget=b),
+    # an empty module, which Norton would refuse with a different error
+    "norton_irreducible": lambda b: norton_irreducible(
+        OperatorModule(0, ()), random.Random(0), budget=b),
+}
+
+
+@pytest.mark.parametrize("budget", _BAD_BUDGETS, ids=repr)
+@pytest.mark.parametrize("name", _BUDGETED)
+def test_a_budget_that_is_not_a_count_is_refused_before_any_work(name, budget):
+    with pytest.raises(ValueError) as e:
+        _BUDGETED[name](budget)
+    assert str(e.value) == f"budget must be an int >= 0, not {budget!r}"
