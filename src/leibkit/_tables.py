@@ -8,10 +8,11 @@ table with :func:`table_from_entries` or :func:`table_from_dense` (or
 :func:`as_table`, which passes a built :class:`Table` through), and read it
 through its nonzeros: :func:`table_entries` (the (i, j, k, c) entries in
 basis order), :func:`columns` (the cells as the columns of the
-multiplication operators), :func:`apply_table` (the product of two vectors,
-which reads each row of cells as the columns of a left operator),
-:func:`operators` (those operators as matrices) and :func:`int_scaled` (the
-same cells over one common denominator, which the exact checker walks).
+multiplication operators), :func:`product` (the product of two sparse
+vectors, which reads each row of cells as the columns of a left operator;
+:func:`apply_table` is its dense wrapper), :func:`operators` (those
+operators as matrices) and :func:`int_scaled` (the same cells over one
+common denominator, which the exact checker walks).
 
 Each identity the package verifies (associativity, the right Leibniz
 identity, the Jacobi identity and the four Hu-Liu compatibility identities)
@@ -162,18 +163,20 @@ def table_entries(t: Table) -> list[tuple[int, int, int, Fraction]]:
 
 
 def apply_table(t: Table, x: Iterable, y: Iterable) -> Vec:
-    """Bilinear product of coordinate vectors x and y; only their nonzero
-    entries are read as rationals.  Row i of the table holds the columns of
-    the left operator of e_i, so x y sums x_i times that operator applied
-    to y."""
+    """The :func:`product` of coordinate vectors x and y, whose nonzero
+    entries are read as rationals."""
     dim = len(t)
     x, y = tuple(x), tuple(y)
     if len(x) != dim or len(y) != dim:
         raise ValueError(f"vector length mismatch for dim {dim}")
-    xs = [(i, rat(xi)) for i, xi in enumerate(x) if xi]
-    ys = [(j, rat(yj)) for j, yj in enumerate(y) if yj]
-    left = columns(t, "left")
-    return _row(dim, _apply({i: _apply(left[i], ys, 0).items() for i, _ in xs}, xs, 0).items())
+    xs, ys = ([(i, rat(c)) for i, c in enumerate(v) if c] for v in (x, y))
+    return _row(dim, product(t, xs, ys).items())
+
+
+def product(t: Table, x: Sequence, y: Sequence) -> dict:
+    """x y for vectors given by their nonzero (index, Fraction) pairs, as a dict of
+    its nonzeros: the sum of x_i times the left operator of e_i (row i of t) at y."""
+    return _apply({i: _apply(t[i], y, 0).items() for i, _ in x}, x, 0)
 
 
 def _check_side(side: str) -> bool:

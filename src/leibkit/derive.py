@@ -11,6 +11,8 @@ into a derived algebra -- only the witness is checked, never searched for.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ._tables import table_entries, table_from_entries
 from .algebras import GradedAlgebra
 from .huliu import HuLiuAlgebra, check_huliu_homomorphism
@@ -66,6 +68,5 @@ def verify_linear_embedding(algebra, g: GradedAlgebra, phi: Matrix) -> HomReport
     else:
         raise TypeError("expected a LeibnizAlgebra or HuLiuAlgebra")
     if rep.holds and not rep.injective:
-        return HomReport(False, "injectivity violated (nonzero kernel)", None,
-                         False, rep.kernel, rep.image)
+        return replace(rep, holds=False, identity="injectivity violated (nonzero kernel)")
     return rep

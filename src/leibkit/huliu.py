@@ -8,6 +8,7 @@ over characteristic zero; everything else runs on basis triples.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 from ._tables import (
@@ -20,6 +21,7 @@ from ._tables import (
     columns,
     evaluate,
     operators,
+    product,
     verify_identities,
 )
 from .leibniz import (
@@ -31,7 +33,7 @@ from .leibniz import (
     check_leibniz_homomorphism,
     multiplication_operators,
 )
-from .linalg import Matrix, Subspace, Vec, _check_ambient, is_zero_vec, vscale, zeros
+from .linalg import Matrix, Subspace, Vec, _check_ambient, _reduce, _row, vscale, zeros
 from .modules import NORTON_BUDGET, _check_budget, _maps_into
 from .report import HomReport, Report, checked_once, fail, memo, ok, require
 
@@ -135,14 +137,15 @@ def is_huliu_subalgebra(h: HuLiuAlgebra, sub: Subspace) -> Report:
     Pairs run over a, then b, the angle bracket before the square one; the
     report names the first bracket value outside S.
     """
-    _check_ambient(sub, h.dim)
-    for a in sub.basis:
-        for b in sub.basis:
-            for which, value in (("angle", h.angle_bracket(a, b)),
-                                 ("square", h.square_bracket(a, b))):
-                if not sub.contains(value):
-                    return fail(f"closure under the {which} bracket", (a, b), value,
-                                zeros(h.dim), note="bracket value leaves the subspace")
+    dim = h.dim
+    _check_ambient(sub, dim)
+    for a in sub.nonzeros:
+        for b in sub.nonzeros:
+            for which, t in (("angle", h.leibniz.angle), ("square", h.square)):
+                if _reduce(sub._rows, value := product(t, a, b)):
+                    return fail(f"closure under the {which} bracket",
+                                (_row(dim, a), _row(dim, b)), _row(dim, value.items()),
+                                zeros(dim), note="bracket value leaves the subspace")
     return ok("Hu-Liu subalgebra")
 
 
@@ -168,19 +171,16 @@ def check_huliu_homomorphism(h: HuLiuAlgebra, target: HuLiuAlgebra,
     """
     base = check_leibniz_homomorphism(h.leibniz, target.leibniz, phi)
     if not base.holds:
-        return HomReport(False, "angle " + base.identity, base.witness,
-                         base.injective, base.kernel, base.image)
+        return replace(base, identity="angle " + base.identity)
     rep = _bracket_compatibility(h.square, target.square, phi,
                                  "square bracket compatibility")
     if not rep.holds:
-        return HomReport(False, rep.identity, rep.witness,
-                         base.injective, base.kernel, base.image)
+        return replace(base, holds=False, identity=rep.identity, witness=rep.witness)
     if not is_huliu_ideal(h, base.kernel):
         raise RuntimeError("homomorphism kernel is not an ideal; check is buggy")
     if not is_huliu_subalgebra(target, base.image):
         raise RuntimeError("homomorphism image is not a subalgebra; check is buggy")
-    return HomReport(True, "both brackets", None, base.injective,
-                     base.kernel, base.image)
+    return replace(base, identity="both brackets")
 
 
 def annihilator_abelian_check(h: HuLiuAlgebra) -> Report:
@@ -189,11 +189,11 @@ def annihilator_abelian_check(h: HuLiuAlgebra) -> Report:
     Runnable on a raw pair whose compatibility identities fail, as a
     diagnostic; only the Leibniz part must verify (the annihilator needs it).
     """
-    ann = annihilator(h.leibniz)
-    for a in ann.basis:
-        for b in ann.basis:
-            val = h.square_bracket(a, b)
-            if not is_zero_vec(val):
-                return fail("annihilator is abelian", (a, b), val, zeros(h.dim))
+    ann, dim = annihilator(h.leibniz), h.dim
+    for a in ann.nonzeros:
+        for b in ann.nonzeros:
+            if val := product(h.square, a, b):
+                return fail("annihilator is abelian", (_row(dim, a), _row(dim, b)),
+                            _row(dim, val.items()), zeros(dim))
     return ok("annihilator is abelian")
 

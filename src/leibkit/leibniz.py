@@ -21,10 +21,11 @@ from ._tables import (
     columns,
     evaluate,
     operators,
+    product,
     table_entries,
     verify_identities,
 )
-from .linalg import Matrix, Subspace, Vec, _ONE, _apply, _check_ambient, _echelon, span
+from .linalg import Matrix, Subspace, Vec, _ONE, _apply, _check_ambient, _echelon, _row, kernel
 from .modules import (
     NORTON_BUDGET,
     OperatorModule,
@@ -241,29 +242,27 @@ def _classify(algebra: LeibnizAlgebra, ops: tuple[Matrix, ...], seed: int,
 def _bracket_compatibility(source: Table, target: Table, phi: Matrix,
                            identity: str) -> Report:
     """First basis pair (i, j), in lexicographic order, where
-    phi(source(ei, ej)) != target(phi ei, phi ej)."""
-    dim = len(source)
-    basis = [basis_vec(dim, i) for i in range(dim)]
-    for i, ei in enumerate(basis):
-        for j, ej in enumerate(basis):
-            lhs = phi.matvec(apply_table(source, ei, ej))
-            rhs = apply_table(target, phi.col(i), phi.col(j))
+    phi(source(ei, ej)) != target(phi ei, phi ej), read off phi's columns."""
+    dim, n, cols = len(source), phi.rows, phi._cols
+    for i in range(dim):
+        for j in range(dim):
+            lhs = _apply(cols, source[i][j], 0)
+            rhs = product(target, cols[i], cols[j])
             if lhs != rhs:
-                return fail(identity, (ei, ej), lhs, rhs, note=f"basis pair ({i},{j})")
+                return fail(identity, (basis_vec(dim, i), basis_vec(dim, j)), _row(n, lhs.items()),
+                            _row(n, rhs.items()), note=f"basis pair ({i},{j})")
     return ok(identity)
 
 
 def check_leibniz_homomorphism(algebra: LeibnizAlgebra, target: LeibnizAlgebra,
                                phi: Matrix) -> HomReport:
     """Check phi(<x,y>) = <phi x, phi y> on basis pairs; report injectivity too."""
-    from .linalg import kernel as _kernel
-
     if phi.rows != target.dim or phi.cols != algebra.dim:
         raise ValueError(
             f"map shape {phi.rows}x{phi.cols} does not fit {algebra.dim} -> {target.dim}"
         )
-    ker = _kernel(phi)
-    image = span([phi.col(j) for j in range(phi.cols)], target.dim)
+    ker = kernel(phi)
+    image = Subspace(target.dim, _echelon(phi._cols, target.dim))
     rep = _bracket_compatibility(algebra.angle, target.angle, phi, "bracket compatibility")
     return HomReport(rep.holds, rep.identity, rep.witness, ker.dim == 0, ker, image)
 

@@ -64,10 +64,6 @@ def vscale(c, u: Vec) -> Vec:
     return tuple(c * a for a in u)
 
 
-def is_zero_vec(u: Vec) -> bool:
-    return all(a == 0 for a in u)
-
-
 class Matrix:
     """Immutable matrix of Fractions: its shape and sparse rows.
 

@@ -20,6 +20,7 @@ at once, so its size is bounded by ``MAX_SAMPLE_FLOATS``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import ClassVar
@@ -36,8 +37,8 @@ from .algebras import (
 )
 from .derive import derive_huliu
 from .huliu import is_huliu_subalgebra
-from .linalg import (Matrix, Subspace, Vec, _apply, _pairs, _row, full_space, kernel, solve, span,
-                     vec, zeros)
+from .linalg import (Matrix, Subspace, Vec, _apply, _pairs, _row, full_space, kernel, solve, vec,
+                     zeros)
 from .report import Report, fail, ok
 
 DEFAULT_TOLERANCE = 1e-9
@@ -424,7 +425,10 @@ class LinearXiGroup:
         if self.odd_subspace.ambient_dim != odd_dim:
             raise ValueError(
                 f"odd subspace ambient {self.odd_subspace.ambient_dim} != {odd_dim}")
-        self.tolerance = float(tolerance)
+        try:
+            self.tolerance = float(tolerance)
+        except OverflowError:  # an int or Fraction past the float range
+            self.tolerance = math.inf
         if not 0 <= self.tolerance < math.inf:
             raise ValueError(f"tolerance must be a finite nonnegative number, not {tolerance!r}")
         constraints.check_compatible(g)
@@ -469,9 +473,16 @@ class XiGroupReport:
 
 
 def check_sample_count(what: str, samples: int, dim: int):
-    """Raise ValueError, before anything is drawn, unless 1 <= samples and
+    """Raise ValueError, before anything is drawn, unless samples is an
+    integer (numpy's included, a bool not), 1 <= samples and
     samples x (dim^2 + 16 dim) <= MAX_SAMPLE_FLOATS: no samples would be no
     evidence."""
+    try:
+        operator.index(samples)
+        if isinstance(samples, bool):
+            raise TypeError
+    except TypeError:
+        raise ValueError(f"{what} needs an integer sample count, not {samples!r}") from None
     if samples < 1:
         raise ValueError(f"{what} needs at least one sample, got {samples}")
     if samples * (dim * dim + 16 * dim) > MAX_SAMPLE_FLOATS:
@@ -559,9 +570,10 @@ def tangent_space(group: LinearXiGroup) -> TangentSpace:
         if j.rows != m or j.cols != even_dim:
             raise RuntimeError("constraint Jacobian has the wrong shape; family bug")
         even_ker = kernel(j)
-    vecs = [_row(g.dim, zip(g.even, v)) for v in even_ker.basis]
-    vecs += [_row(g.dim, zip(g.odd, b)) for b in group.odd_subspace.basis]
-    return TangentSpace(span(vecs, g.dim))
+    # pivot rows of ker J and V1 relabelled by g.even, g.odd (disjoint, increasing): still RREF
+    rows = {at[p]: {at[c]: x for c, x in r.items()} for s, at in
+            ((even_ker, g.even), (group.odd_subspace, g.odd)) for p, r in s._rows.items()}
+    return TangentSpace(Subspace(g.dim, rows))
 
 
 def verify_tangent_huliu(t: TangentSpace, r: MatrixRealization) -> Report:

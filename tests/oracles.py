@@ -13,7 +13,9 @@ reference takes its exponential in the matrix realization and maps it back
 to coordinates, where leibkit exponentiates left multiplication directly;
 the line curve and its slope fit live only here.  The direct sum, the
 Killing form and the two annihilator-action flags, which only tests call,
-reuse the package's annihilator and operator-column test.
+reuse the package's annihilator and operator-column test.  The dense
+subalgebra and abelian-annihilator loops read each bracket as a dense
+vector through the public ``apply_table`` and test it on the dense basis.
 """
 
 from fractions import Fraction
@@ -863,6 +865,32 @@ def dense_bracket_compatibility(source, target, phi, identity):
                 return fail(identity, (_basis(dim, i), _basis(dim, j)), lhs, rhs,
                             note=f"basis pair ({i},{j})")
     return ok(identity)
+
+
+def dense_huliu_subalgebra(h, sub):
+    """The Hu-Liu subalgebra report by dense vectors: both brackets of each
+    pair of dense basis vectors, a then b, angle before square, must pass
+    the membership test."""
+    for a in sub.basis:
+        for b in sub.basis:
+            for which, value in (("angle", h.angle_bracket(a, b)),
+                                 ("square", h.square_bracket(a, b))):
+                if not sub.contains(value):
+                    return fail(f"closure under the {which} bracket", (a, b), value,
+                                zeros(h.dim), note="bracket value leaves the subspace")
+    return ok("Hu-Liu subalgebra")
+
+
+def dense_annihilator_abelian_check(h):
+    """The abelian-annihilator report by dense vectors: the square bracket
+    of each pair of dense annihilator basis vectors must be zero."""
+    ann = annihilator(h.leibniz)
+    for a in ann.basis:
+        for b in ann.basis:
+            val = h.square_bracket(a, b)
+            if any(val):
+                return fail("annihilator is abelian", (a, b), val, zeros(h.dim))
+    return ok("annihilator is abelian")
 
 
 def dense_antisymmetry_failure(square):

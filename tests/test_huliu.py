@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,8 +9,10 @@ from leibkit._tables import table_from_entries, zero_table
 from leibkit.algebras import make_block_upper
 from leibkit.derive import derive_huliu
 from leibkit.fuzz import generate_corpus
+from leibkit.derive import verify_linear_embedding
 from leibkit.huliu import (
     HuLiuAlgebra,
+    adjoint_operators,
     annihilator_abelian_check,
     check_huliu_homomorphism,
     classify_huliu_simplicity,
@@ -21,10 +25,14 @@ from leibkit.huliu import (
 from leibkit.leibniz import (
     LeibnizAlgebra,
     annihilator,
+    check_leibniz_homomorphism,
     ideal_closure,
     is_ideal,
+    multiplication_operators,
 )
-from leibkit.linalg import Matrix, full_space, span, vadd
+from leibkit.linalg import Matrix, full_space, kernel, span, vadd
+from leibkit.modules import closure
+from leibkit.report import HomReport
 from leibkit.xigroup import mat_square_zero_extension
 
 import oracles
@@ -274,3 +282,92 @@ def test_huliu_algebra_refuses_names_that_differ_from_the_leibniz_algebras():
     assert HuLiuAlgebra(leib, zero_table(2), ["e0", "e1"]).basis_names == ("e0", "e1")
     assert HuLiuAlgebra(leib, zero_table(2)).basis_names == ("e0", "e1")
     assert HuLiuAlgebra(zero_table(2), zero_table(2), ["p", "q"]).basis_names == ("p", "q")
+
+
+def _random_vector(rng, dim):
+    return tuple(rng.choice((0, 0, 0, 1, -1, 2, Fraction(1, 2))) for _ in range(dim))
+
+
+def _witness_pairs(seed, trials):
+    """Derived pairs of a fuzz corpus and the block_upper(2,2), (3,3) pairs."""
+    pairs = [derive_huliu(g) for _, g in generate_corpus(seed, trials, 3, 3)]
+    return pairs + [derive_huliu(make_block_upper(p, p)) for p in (2, 3)]
+
+
+def test_subalgebra_and_abelian_reports_match_the_dense_loops():
+    # random subspaces and the Hu-Liu ideals they generate, each with and
+    # without one extra vector; then raw pairs with a random square bracket,
+    # whose annihilator is mostly not abelian
+    rng = random.Random(29)
+    pairs = _witness_pairs(5, 40)
+    outcomes, abelian = Counter(), Counter()
+    for h in pairs:
+        ops = multiplication_operators(h.leibniz) + adjoint_operators(h)
+        subs = [span([], h.dim), annihilator(h.leibniz), full_space(h.dim)]
+        for _ in range(2):
+            seed_space = span([_random_vector(rng, h.dim) for _ in range(rng.randint(1, 2))],
+                              h.dim)
+            subs += [seed_space, closure(ops, seed_space)]
+        for s in subs:
+            for sub in (s, s.sum(span([_random_vector(rng, h.dim)], h.dim))):
+                rep = is_huliu_subalgebra(h, sub)
+                assert rep == oracles.dense_huliu_subalgebra(h, sub)
+                outcomes[rep.identity] += 1
+    raw = [HuLiuAlgebra(h.leibniz, table_from_entries(h.dim, [
+        (i, j, k, rng.choice((1, -1, Fraction(2, 3)))) for i in range(h.dim)
+        for j in range(h.dim) for k in range(h.dim) if rng.random() < 0.3]))
+        for h in pairs[:30]]
+    for h in pairs + raw:
+        rep = annihilator_abelian_check(h)
+        assert rep == oracles.dense_annihilator_abelian_check(h)
+        abelian[rep.holds] += 1
+    for h in raw:
+        sub = span([_random_vector(rng, h.dim)], h.dim)
+        assert is_huliu_subalgebra(h, sub) == oracles.dense_huliu_subalgebra(h, sub)
+    assert set(outcomes) == {"Hu-Liu subalgebra", "closure under the angle bracket",
+                             "closure under the square bracket"}
+    assert abelian[True] > 0 and abelian[False] > 0
+
+
+def test_homomorphism_reports_match_the_dense_bracket_compatibility():
+    # phi is the identity, the identity with one entry perturbed, or the
+    # identity with column j moved to k, whose image is not its row space;
+    # the target is the pair itself, or its angle bracket with a zero square
+    rng = random.Random(31)
+    identities = Counter()
+    for h in _witness_pairs(6, 20):
+        n = h.dim
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        rows[rng.randrange(n)][rng.randrange(n)] += rng.choice((1, -1, Fraction(1, 2)))
+        phis = [Matrix.identity(n), Matrix(rows)]
+        if n > 1:
+            j, k = rng.sample(range(n), 2)
+            phis.append(Matrix.from_cols([(int(i == (k if c == j else c)) for i in range(n))
+                                          for c in range(n)]))
+        for phi in phis:
+            ker, image = kernel(phi), span([phi.col(j) for j in range(n)], n)
+            angle = oracles.dense_bracket_compatibility(h.leibniz.angle, h.leibniz.angle, phi,
+                                                        "bracket compatibility")
+            assert check_leibniz_homomorphism(h.leibniz, h.leibniz, phi) == HomReport(
+                angle.holds, angle.identity, angle.witness, ker.is_zero(), ker, image)
+            for target in (h, HuLiuAlgebra(h.leibniz, zero_table(n))):
+                square = oracles.dense_bracket_compatibility(h.square, target.square, phi,
+                                                             "square bracket compatibility")
+                want = (replace(angle, identity="angle bracket compatibility")
+                        if not angle.holds else square if not square.holds
+                        else replace(square, identity="both brackets"))
+                rep = check_huliu_homomorphism(h, target, phi)
+                assert rep == HomReport(want.holds, want.identity, want.witness,
+                                        ker.is_zero(), ker, image)
+                identities[rep.identity] += 1
+    assert set(identities) == {"both brackets", "angle bracket compatibility",
+                               "square bracket compatibility"}
+
+
+def test_linear_embedding_reports_keep_kernel_and_image():
+    g = make_block_upper(2, 2)
+    h, n = derive_huliu(g), g.dim
+    assert verify_linear_embedding(h, g, Matrix.identity(n)) == HomReport(
+        True, "both brackets", None, True, span([], n), full_space(n))
+    assert verify_linear_embedding(h, g, Matrix.zero(n, n)) == HomReport(
+        False, "injectivity violated (nonzero kernel)", None, False, full_space(n), span([], n))

@@ -1,19 +1,23 @@
 import functools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from leibkit import _tables, fuzz
 from leibkit._tables import table_from_entries, zero_table
 from leibkit.algebras import make_block_upper
-from leibkit.derive import derive_huliu
-from leibkit.huliu import (HuLiuAlgebra, adjoint_operators, classify_huliu_simplicity,
-                           is_huliu_ideal, is_huliu_subalgebra)
+from leibkit.derive import derive_huliu, verify_linear_embedding
+from leibkit.huliu import (HuLiuAlgebra, adjoint_operators, annihilator_abelian_check,
+                           check_huliu_homomorphism, classify_huliu_simplicity, is_huliu_ideal,
+                           is_huliu_subalgebra)
 from leibkit.leibniz import (LeibnizAlgebra, annihilator, classify_simplicity, ideal_closure,
                              is_ideal, multiplication_operators)
 from leibkit.linalg import _P, Matrix, Subspace, full_space, inverse, span
-from leibkit.xigroup import mat_square_zero_extension
+from leibkit.xigroup import (LinearXiGroup, SpecialLinearConstraints, mat_square_zero_extension,
+                             tangent_space, verify_tangent_huliu)
 from leibkit import modules
 from leibkit.modules import (
     NORTON_BUDGET,
@@ -255,13 +259,12 @@ def test_distinct_operators_keep_the_first_of_each_multiple():
         assert modules._distinct(ops) == want
 
 
-def test_the_module_engine_builds_no_dense_rows(monkeypatch):
-    # the classifiers build their matrices and subspaces from sparse rows or
-    # columns and never ask them for dense rows, but for is_invariant, which
-    # re-checks a returned certificate on its dense basis; the controls at
-    # the end show the counts work
-    built, bases = [], []
-    data, basis = Matrix.data, Subspace.basis
+def _count_dense_reads(monkeypatch):
+    """From here on, record the shape of each matrix whose dense rows are
+    built, each subspace whose dense basis is built, and each call of
+    ``apply_table``, under every name a leibkit module binds it to."""
+    built, bases, products = [], [], []
+    data, basis, apply_table = Matrix.data, Subspace.basis, _tables.apply_table
 
     def counting(m):
         if m._d is None:
@@ -273,8 +276,24 @@ def test_the_module_engine_builds_no_dense_rows(monkeypatch):
             bases.append(s)
         return basis.fget(s)
 
+    def counting_product(*args):
+        products.append(args)
+        return apply_table(*args)
+
     monkeypatch.setattr(Matrix, "data", property(counting))
     monkeypatch.setattr(Subspace, "basis", property(counting_basis))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("leibkit") and getattr(module, "apply_table", None) is apply_table:
+            monkeypatch.setattr(module, "apply_table", counting_product)
+    return built, bases, products
+
+
+def test_the_module_engine_builds_no_dense_rows(monkeypatch):
+    # the classifiers build their matrices and subspaces from sparse rows or
+    # columns and never ask them for dense rows, but for is_invariant, which
+    # re-checks a returned certificate on its dense basis; the controls at
+    # the end show the counts work
+    built, bases, _ = _count_dense_reads(monkeypatch)
     assert classify_simplicity(LeibnizAlgebra(oracles.sl2_semidirect((8,)))).tag == "Simple"
     verdict = classify_huliu_simplicity(_huliu_pairs()[0])
     assert verdict.tag == "NotSimple"
@@ -282,6 +301,33 @@ def test_the_module_engine_builds_no_dense_rows(monkeypatch):
     Matrix.identity(2).row(0)
     span([(1, 0)], 2).basis
     assert built == [(2, 2)] and len(bases) == 2
+
+
+def test_the_closure_homomorphism_and_tangent_checks_read_products_sparse(monkeypatch):
+    # on holding inputs these checks read every product through the sparse
+    # table product: no dense matrix rows, no dense subspace basis and no
+    # apply_table call; the controls at the end show the counts work
+    g = make_block_upper(3, 3)
+    h = derive_huliu(g).validate()
+    phi = Matrix.identity(g.dim)
+    r = mat_square_zero_extension(3)[1]
+    group = LinearXiGroup(r, SpecialLinearConstraints(3))
+    subs = (annihilator(h.leibniz), oracles.derived_ideal(h), full_space(g.dim))
+    built, bases, products = _count_dense_reads(monkeypatch)
+    assert annihilator_abelian_check(h).holds
+    for sub in subs:
+        assert is_huliu_subalgebra(h, sub).holds
+    assert check_huliu_homomorphism(h, h, phi).holds
+    assert verify_linear_embedding(h, g, phi).holds
+    assert verify_linear_embedding(h.leibniz, g, phi).holds
+    t = tangent_space(group)
+    assert t.subspace.dim == 8 + 9
+    assert verify_tangent_huliu(t, r).holds
+    assert fuzz._check_trial(g) == [] and fuzz._check_trial(r.graded) == []
+    assert built == [] and bases == [] and products == []
+    h.square_bracket(*full_space(g.dim).basis[:2])
+    phi.col(0)
+    assert len(products) == 1 and len(bases) == 1 and built == [(g.dim, g.dim)]
 
 
 def test_spin_and_restriction_quotient():

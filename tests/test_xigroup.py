@@ -282,6 +282,21 @@ def test_sampled_checks_refuse_a_count_above_the_bound_before_drawing(check):
     assert peak < 100_000
 
 
+@pytest.mark.parametrize("samples", [True, False, 2.5, 3.0, "4", None], ids=repr)
+@pytest.mark.parametrize("check", [check_xi_group, verify_group_closure])
+def test_sampled_checks_refuse_a_count_that_is_not_an_integer(check, samples):
+    # refused before anything is drawn, not by numpy with a TypeError
+    with pytest.raises(ValueError, match="needs an integer sample count"):
+        check(orth_group(2), samples=samples)
+
+
+@pytest.mark.parametrize("check", [check_xi_group, verify_group_closure])
+def test_sampled_checks_take_a_numpy_integer_count(check):
+    assert check(orth_group(2), samples=np.int64(5)).holds
+    with pytest.raises(ValueError, match="at least one sample"):
+        check(orth_group(2), samples=np.int64(0))
+
+
 def test_sample_bound_admits_the_counts_in_use():
     most = MAX_SAMPLE_FLOATS // (18 ** 2 + 16 * 18)  # the Mat(3) extension
     assert most >= 1000  # the largest count run on it, by the checks' default
@@ -574,9 +589,13 @@ def test_matrix_families_need_a_positive_integer_n(family, n):
         family(n)
 
 
-@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -float("inf"), -1e-9],
-                         ids=["nan", "inf", "-inf", "negative"])
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -float("inf"), -1e-9,
+                                       10 ** 400, -10 ** 400, Fraction(10 ** 400, 3)],
+                         ids=["nan", "inf", "-inf", "negative", "int past the float range",
+                              "negative int past the float range",
+                              "Fraction past the float range"])
 def test_group_tolerance_must_be_finite_and_nonnegative(tolerance):
+    # a number past the float range is refused like inf, not with float()'s OverflowError
     with pytest.raises(ValueError, match="tolerance must be a finite nonnegative number"):
         LinearXiGroup(R2, OrthogonalConstraints(2), tolerance=tolerance)
 
