@@ -185,15 +185,15 @@ def _check_trial(g: GradedAlgebra) -> list[str]:
     """
     bad = []
     try:
-        leib = derive_leibniz(g)
-    except RuntimeError:
-        return ["derived bracket fails the right Leibniz identity"]
-    try:
         hu = derive_huliu(g)
     except RuntimeError:
+        try:  # name the layer that failed
+            derive_leibniz(g)
+        except RuntimeError:
+            return ["derived bracket fails the right Leibniz identity"]
         return ["derived pair fails the Lie or compatibility identities"]
     try:
-        ann = annihilator(leib)
+        ann = annihilator(hu.leibniz)
     except RuntimeError:
         return ["annihilator presentations disagree"]
     if not set(g.even).isdisjoint(i for b in ann.nonzeros for i, _ in b):

@@ -117,7 +117,8 @@ def load_obj(data):
         g = GradedAlgebra(a, even)
         if kind == "graded":
             return g
-        from .xigroup import LinearXiGroup, constraint_family, regular_realization
+        from .xigroup import (DEFAULT_TOLERANCE, LinearXiGroup, constraint_family,
+                              regular_realization)
         spec = data["constraints"]
         if not isinstance(spec, dict) or "family" not in spec:
             raise SchemaError("field 'constraints' must be {'family': name, ...}")
@@ -131,7 +132,7 @@ def load_obj(data):
         if "odd_subspace" in data:
             vectors = _vector_list(data["odd_subspace"], "odd_subspace", odd_dim)
             odd_subspace = span(vectors, odd_dim)
-        tolerance = data.get("tolerance", 1e-9)
+        tolerance = data.get("tolerance", DEFAULT_TOLERANCE)
         # also rejects NaN, infinities and integers too large for a float
         if (isinstance(tolerance, bool) or not isinstance(tolerance, (int, float))
                 or not 0 <= tolerance <= sys.float_info.max):

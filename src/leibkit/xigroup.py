@@ -27,7 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._tables import Table, operators, table_entries
+from ._tables import operators
 from .algebras import (
     BimoduleError,
     GradedAlgebra,
@@ -84,19 +84,24 @@ class MatrixRealization:
         self.n = self.embed[0].rows
         if any(m.rows != self.n or m.cols != self.n for m in self.embed):
             raise ValueError("embedding matrices must be square of equal size")
-        self._verify()
-        self.np_tensor = _float_table(graded.algebra.table)
-        # A0 with its left multiplications, exact and as a float tensor
+        # each matrix as one sparse row of its n^2 coordinates, row-major
+        n, dim = self.n, self.dim
+        flat = tuple(tuple((a * n + b, x) for a, r in enumerate(m.nonzeros) for b, x in r)
+                     for m in self.embed)
+        self._verify(flat)
+        table = graded.algebra.table
+        self.np_tensor = _float_rows([c for row in table for c in row], dim).reshape((dim,) * 3)
+        # A0 with its left multiplications, exact and as the float tensor's even block
         self.even_algebra = graded.even_algebra()
         self.even_left = operators(self.even_algebra.table, "left")
-        self.even_tensor = _float_table(self.even_algebra.table)
+        self.even_tensor = self.np_tensor[np.ix_(*(graded.even,) * 3)]
         # the basis pairs (i, j) with a nonzero product, and their products
         self._pairs = np.nonzero(np.any(self.np_tensor, axis=2))
         self._pair_products = self.np_tensor[self._pairs]
-        self.np_embed = np.array([m.data for m in self.embed], dtype=float)
+        self.np_embed = _float_rows(flat, n * n).reshape(dim, n, n)
         self.np_unit = np.array(graded.algebra.unit, dtype=float)
 
-    def _verify(self):
+    def _verify(self, flat):
         # the first failing triple (i, j, m) lies at the first failing pair (i, j)
         g = self.graded
         try:
@@ -107,9 +112,7 @@ class MatrixRealization:
         unit_mat = self.realize(g.algebra.unit)
         if unit_mat != Matrix.identity(self.n):
             raise ValueError("embedding does not send the unit to the identity")
-        coord_rows = [[m.data[a][b] for a in range(self.n) for b in range(self.n)]
-                      for m in self.embed]
-        if Matrix(coord_rows).rank() != g.dim:
+        if Matrix._sparse(g.dim, self.n ** 2, nz=flat).rank() != g.dim:
             raise ValueError("embedding is not injective")
 
     @property
@@ -157,8 +160,10 @@ def mat_square_zero_extension(n: int) -> tuple[GradedAlgebra, MatrixRealization]
     a0 = matrix_algebra(n)
     g = make_trivial_extension(a0, operators(a0.table, "left"), operators(a0.table, "right"))
 
-    def ones(*cells):  # the 2n x 2n matrix with a 1 in each of the cells
-        return Matrix([[Fraction((a, b) in cells) for b in range(2 * n)] for a in range(2 * n)])
+    def ones(*cells):  # the 2n x 2n matrix with a 1 in each of the cells, one a row
+        at = dict(cells)
+        return Matrix._sparse(2 * n, 2 * n, nz=tuple(((at[a], Fraction(1)),) if a in at else ()
+                                                      for a in range(2 * n)))
 
     pairs = [(i, j) for i in range(n) for j in range(n)]
     embed = ([ones((i, j), (n + i, n + j)) for i, j in pairs]
@@ -177,11 +182,12 @@ def xi(g: GradedAlgebra, x):
     return g.even_part(x)
 
 
-def _float_table(table: Table) -> np.ndarray:
-    """The table as a dim x dim x dim float array, filled from its entries."""
-    out = np.zeros((len(table),) * 3)
-    for i, j, k, c in table_entries(table):
-        out[i, j, k] = float(c)
+def _float_rows(rows, width: int) -> np.ndarray:
+    """Sparse rows of (column, value) pairs as the rows of a float array."""
+    out = np.zeros((len(rows), width))
+    for i, r in enumerate(rows):
+        for j, x in r:
+            out[i, j] = float(x)
     return out
 
 
@@ -299,7 +305,7 @@ class NoConstraints(ConstraintFamily):
         return np.zeros(np.shape(x0_even)[:-1] + (0,))
 
     def jacobian_at_unit(self, g):
-        return Matrix([])
+        return Matrix.zero(0, len(g.even))
 
     def sample(self, r, rng, count):
         unit_even = _unit_even(r.graded)
@@ -345,9 +351,10 @@ class OrthogonalConstraints(_MatrixConstraints):
 
     def jacobian_at_unit(self, g):
         n = self.n
-        # row (a, b) is the differential of (X^T X)_ab at X = 1: dX_ba + dX_ab
-        return Matrix([[Fraction((k == b * n + a) + (k == a * n + b)) for k in range(n * n)]
-                       for a in range(n) for b in range(n)])
+        # row (a, b) is the differential of (X^T X)_ab at X = 1: dX_ba + dX_ab (2 dX_aa if a = b)
+        cells = ({a * n + b, b * n + a} for a in range(n) for b in range(n))
+        return Matrix._sparse(n * n, n * n, nz=tuple(
+            tuple((k, Fraction(2 // len(ks))) for k in sorted(ks)) for ks in cells))
 
     def sample(self, r, rng, count):
         q, t = np.linalg.qr(rng.standard_normal((count, self.n, self.n)))
@@ -366,10 +373,7 @@ class SpecialLinearConstraints(_MatrixConstraints):
 
     def jacobian_at_unit(self, g):
         n = self.n
-        row = [Fraction(0)] * (n * n)
-        for a in range(n):
-            row[a * n + a] = Fraction(1)
-        return Matrix([row])
+        return Matrix._sparse(1, n * n, nz=(tuple((a * n + a, Fraction(1)) for a in range(n)),))
 
     def sample(self, r, rng, count):
         x = _redraw(lambda k: rng.standard_normal((k, self.n, self.n)),
@@ -438,9 +442,8 @@ class LinearXiGroup:
         if resid.size and float(np.max(np.abs(resid))) > 1e-12:
             raise ValueError("the identity does not satisfy the constraints")
         self.num_constraints = resid.size
-        self._v1 = np.array(self.odd_subspace.basis, dtype=float)
-        self._v1_proj = (self._v1.T @ np.linalg.pinv(self._v1.T) if self._v1.size
-                         else np.zeros((odd_dim, odd_dim)))
+        self._v1 = _float_rows(self.odd_subspace.nonzeros, odd_dim)
+        self._v1_proj = self._v1.T @ np.linalg.pinv(self._v1.T)
 
     @property
     def graded(self) -> GradedAlgebra:
@@ -459,8 +462,7 @@ class LinearXiGroup:
         """``count`` group elements drawn at random, as rows."""
         x = np.zeros((count, self.graded.dim))
         x[:, self._even] = self.constraints.sample(self.realization, rng, count)
-        if self._v1.size:
-            x[:, self._odd] = rng.standard_normal((count, self._v1.shape[0])) @ self._v1
+        x[:, self._odd] = rng.standard_normal((count, self._v1.shape[0])) @ self._v1
         return x
 
 
@@ -561,15 +563,10 @@ class TangentSpace:
 def tangent_space(group: LinearXiGroup) -> TangentSpace:
     """Kernel of the even-constraint Jacobian at the unit, plus V1, exactly."""
     g = group.graded
-    even_dim = len(g.even)
-    m = group.num_constraints
-    if m == 0:
-        even_ker = full_space(even_dim)
-    else:
-        j = group.constraints.jacobian_at_unit(g)
-        if j.rows != m or j.cols != even_dim:
-            raise RuntimeError("constraint Jacobian has the wrong shape; family bug")
-        even_ker = kernel(j)
+    j = group.constraints.jacobian_at_unit(g)
+    if j.rows != group.num_constraints or j.cols != len(g.even):
+        raise RuntimeError("constraint Jacobian has the wrong shape; family bug")
+    even_ker = kernel(j)
     # pivot rows of ker J and V1 relabelled by g.even, g.odd (disjoint, increasing): still RREF
     rows = {at[p]: {at[c]: x for c, x in r.items()} for s, at in
             ((even_ker, g.even), (group.odd_subspace, g.odd)) for p, r in s._rows.items()}

@@ -7,6 +7,9 @@ from leibkit import fuzz
 from leibkit import io as lio
 from leibkit._tables import table_entries
 from leibkit.algebras import verify_associative, verify_special_grading
+from leibkit.huliu import HuLiuAlgebra
+from leibkit.leibniz import LeibnizAlgebra
+from leibkit.report import fail
 
 
 def test_trial_seed_stable_and_spread():
@@ -22,6 +25,18 @@ def test_corpus_members_are_valid():
         assert 1 <= len(g.even) <= 3 and 1 <= len(g.odd) <= 3
         for _, _, _, c in table_entries(g.algebra.table):
             assert c.denominator == 1 and abs(c) <= 2
+
+
+@pytest.mark.parametrize("cls, message", [
+    (LeibnizAlgebra, "derived bracket fails the right Leibniz identity"),
+    (HuLiuAlgebra, "derived pair fails the Lie or compatibility identities"),
+], ids=["leibniz", "huliu"])
+def test_a_trial_names_the_derived_layer_that_fails(monkeypatch, cls, message):
+    # a derived structure failing its identities is a bug; the trial names its layer
+    _, g = next(fuzz.generate_corpus(seed=3, trials=1, max_dim0=2, max_dim1=2))
+    assert fuzz._check_trial(g) == []
+    monkeypatch.setattr(cls, "report", lambda self: fail("planted", (), (), (), note="nowhere"))
+    assert fuzz._check_trial(g) == [message]
 
 
 def test_run_fuzz_deterministic():

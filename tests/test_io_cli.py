@@ -16,9 +16,13 @@ from leibkit.linalg import span
 from leibkit.xigroup import (
     ConstraintFamily,
     LinearXiGroup,
+    NoConstraints,
     OrthogonalConstraints,
     SamplingError,
+    SpecialLinearConstraints,
+    UnipotentConstraints,
     mat_square_zero_extension,
+    tangent_space,
 )
 
 import oracles
@@ -45,16 +49,23 @@ def test_huliu_roundtrip(tmp_path, ut_model):
     assert loaded.square == h.square
 
 
-def test_xigroup_roundtrip(tmp_path):
+@pytest.mark.parametrize("family", [
+    NoConstraints(), OrthogonalConstraints(2), SpecialLinearConstraints(2), UnipotentConstraints(),
+], ids=lambda f: f.name)
+@pytest.mark.parametrize("odd", [None, span([(1, 0, 0, 0)], 4)], ids=["all-odd", "one-odd-line"])
+def test_xigroup_roundtrip(tmp_path, family, odd):
     g2, r2 = mat_square_zero_extension(2)
-    grp = LinearXiGroup(r2, OrthogonalConstraints(2), span([(1, 0, 0, 0)], 4), 1e-8)
+    grp = LinearXiGroup(r2, family, odd, 1e-8)
     p = tmp_path / "x.json"
     lio.save_file(grp, p)
     loaded = lio.load_file(p)
     assert isinstance(loaded, LinearXiGroup)
-    assert loaded.constraints.name == "orthogonal" and loaded.constraints.n == 2
+    assert loaded.constraints.name == family.name
+    assert loaded.constraints.params() == family.params()
     assert loaded.odd_subspace == grp.odd_subspace
     assert loaded.tolerance == 1e-8
+    assert lio.dumps(loaded) == p.read_text()
+    assert tangent_space(loaded).subspace.dim == tangent_space(grp).subspace.dim
 
 
 @pytest.mark.parametrize("mutate, message", [
@@ -66,12 +77,53 @@ def test_xigroup_roundtrip(tmp_path):
     (lambda d: d["product"].append([0, 0, "0", "1"]), "indices must be integers"),
     (lambda d: d.update(dim=True), "positive integer"),
     (lambda d: d.update(basis=["only-one"]), "list of 3 names"),
+    (lambda d: d["product"].append([0, 0, 0, True]), "rational must be an int"),
+    (lambda d: d["product"].append([0, 0, 0, 0.5]), "rational must be an int"),
+    (lambda d: d.update(product={}), "must be a list of [i, j, k, value] entries"),
+    (lambda d: d["product"].append([0, 0, 0]), "expected [i, j, k, value]"),
+    (lambda d: d.update(even=[0, 3]), "field 'even' must be a list of in-range indices"),
+    (lambda d: d.update(even="0"), "field 'even' must be a list of in-range indices"),
 ])
 def test_schema_rejections(tmp_path, ut_model, mutate, message):
     data = lio.dump_obj(ut_model)
     mutate(data)
     with pytest.raises(lio.SchemaError) as exc:
         lio.load_obj(data)
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("data", [[], "graded", None])
+def test_a_document_that_is_not_an_object_is_rejected(data):
+    with pytest.raises(lio.SchemaError, match="top level must be a JSON object"):
+        lio.load_obj(data)
+
+
+def _block_upper_xigroup():
+    """The xigroup document of the full unit group of make_block_upper(1, 1):
+    dim 3, even part the two diagonal units, odd part the corner."""
+    return {**lio.dump_obj(make_block_upper(1, 1)), "kind": "xigroup",
+            "constraints": {"family": "none"}}
+
+
+def test_the_block_upper_xigroup_document_loads():
+    group = lio.load_obj({**_block_upper_xigroup(), "odd_subspace": [["1"]]})
+    assert isinstance(group, LinearXiGroup) and group.odd_subspace.dim == 1
+    assert group.tolerance == 1e-9
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"constraints": "none"}, "field 'constraints' must be {'family': name, ...}"),
+    ({"constraints": {"n": 2}}, "field 'constraints' must be {'family': name, ...}"),
+    ({"odd_subspace": {"0": ["1"]}}, "field 'odd_subspace' must be a list of vectors"),
+    ({"odd_subspace": [["1", "0"]]}, "odd_subspace[0]: expected a vector of length 1"),
+    ({"odd_subspace": ["1"]}, "odd_subspace[0]: expected a vector of length 1"),
+    ({"constraints": {"family": "orthogonal", "n": 1}},
+     "orthogonal constraints need an even part of dimension 1"),
+], ids=["constraints not a dict", "no family", "odd_subspace not a list",
+        "odd vector too long", "odd vector not a list", "family does not fit"])
+def test_xigroup_schema_rejections(extra, message):
+    with pytest.raises(lio.SchemaError) as exc:
+        lio.load_obj({**_block_upper_xigroup(), **extra})
     assert message in str(exc.value)
 
 
@@ -189,6 +241,16 @@ def test_cli_unreadable_json_is_an_input_error(tmp_path, capsys, content):
     p.write_bytes(content)
     assert cli.main(["verify", str(p), "--kind", "leibniz"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_unreadable_path_is_an_input_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    for path in (missing, tmp_path):  # no such file, and a directory
+        assert cli.main(["verify", str(path), "--kind", "leibniz"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path}: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_cli_dim_above_the_limit_is_an_input_error(tmp_path, capsys):

@@ -16,8 +16,10 @@ from leibkit.huliu import (HuLiuAlgebra, adjoint_operators, annihilator_abelian_
 from leibkit.leibniz import (LeibnizAlgebra, annihilator, classify_simplicity, ideal_closure,
                              is_ideal, multiplication_operators)
 from leibkit.linalg import _P, Matrix, Subspace, full_space, inverse, span
-from leibkit.xigroup import (LinearXiGroup, SpecialLinearConstraints, mat_square_zero_extension,
-                             tangent_space, verify_tangent_huliu)
+from leibkit.xigroup import (LinearXiGroup, NoConstraints, OrthogonalConstraints,
+                             SpecialLinearConstraints, UnipotentConstraints,
+                             mat_square_zero_extension, regular_realization, tangent_space,
+                             verify_tangent_huliu)
 from leibkit import modules
 from leibkit.modules import (
     NORTON_BUDGET,
@@ -261,10 +263,12 @@ def test_distinct_operators_keep_the_first_of_each_multiple():
 
 def _count_dense_reads(monkeypatch):
     """From here on, record the shape of each matrix whose dense rows are
-    built, each subspace whose dense basis is built, and each call of
-    ``apply_table``, under every name a leibkit module binds it to."""
-    built, bases, products = [], [], []
+    built, each subspace whose dense basis is built, each call of
+    ``apply_table``, under every name a leibkit module binds it to, and the
+    dense rows of each call of the coercing ``Matrix`` constructor."""
+    built, bases, products, coerced = [], [], [], []
     data, basis, apply_table = Matrix.data, Subspace.basis, _tables.apply_table
+    init = Matrix.__init__
 
     def counting(m):
         if m._d is None:
@@ -280,12 +284,17 @@ def _count_dense_reads(monkeypatch):
         products.append(args)
         return apply_table(*args)
 
+    def counting_init(m, rows):
+        coerced.append(rows)
+        init(m, rows)
+
     monkeypatch.setattr(Matrix, "data", property(counting))
+    monkeypatch.setattr(Matrix, "__init__", counting_init)
     monkeypatch.setattr(Subspace, "basis", property(counting_basis))
     for name, module in list(sys.modules.items()):
         if name.startswith("leibkit") and getattr(module, "apply_table", None) is apply_table:
             monkeypatch.setattr(module, "apply_table", counting_product)
-    return built, bases, products
+    return built, bases, products, coerced
 
 
 def test_the_module_engine_builds_no_dense_rows(monkeypatch):
@@ -293,7 +302,7 @@ def test_the_module_engine_builds_no_dense_rows(monkeypatch):
     # columns and never ask them for dense rows, but for is_invariant, which
     # re-checks a returned certificate on its dense basis; the controls at
     # the end show the counts work
-    built, bases, _ = _count_dense_reads(monkeypatch)
+    built, bases, _, _ = _count_dense_reads(monkeypatch)
     assert classify_simplicity(LeibnizAlgebra(oracles.sl2_semidirect((8,)))).tag == "Simple"
     verdict = classify_huliu_simplicity(_huliu_pairs()[0])
     assert verdict.tag == "NotSimple"
@@ -313,7 +322,7 @@ def test_the_closure_homomorphism_and_tangent_checks_read_products_sparse(monkey
     r = mat_square_zero_extension(3)[1]
     group = LinearXiGroup(r, SpecialLinearConstraints(3))
     subs = (annihilator(h.leibniz), oracles.derived_ideal(h), full_space(g.dim))
-    built, bases, products = _count_dense_reads(monkeypatch)
+    built, bases, products, _ = _count_dense_reads(monkeypatch)
     assert annihilator_abelian_check(h).holds
     for sub in subs:
         assert is_huliu_subalgebra(h, sub).holds
@@ -328,6 +337,32 @@ def test_the_closure_homomorphism_and_tangent_checks_read_products_sparse(monkey
     h.square_bracket(*full_space(g.dim).basis[:2])
     phi.col(0)
     assert len(products) == 1 and len(bases) == 1 and built == [(g.dim, g.dim)]
+
+
+def test_the_xi_group_layer_builds_its_exact_matrices_from_their_nonzeros(monkeypatch):
+    # realizations, the Mat(n) extension, the four families' Jacobians,
+    # V1 and the tangent spaces are built and checked from sparse rows: no
+    # dense matrix rows, no dense subspace basis and no coercing Matrix
+    # call; the controls at the end show the counts work
+    built, bases, _, coerced = _count_dense_reads(monkeypatch)
+    g, r = mat_square_zero_extension(3)
+    regular = regular_realization(g)
+    v1 = span([[1, 2] + [0] * 7], 9)  # closed under the brackets with a pinned even part
+    groups = [(family, odd) for family in (NoConstraints(), OrthogonalConstraints(3),
+                                           SpecialLinearConstraints(3), UnipotentConstraints())
+              for odd in (None, span([], 9))] + [(UnipotentConstraints(), v1)]
+    dims = []
+    for realization in (r, regular):
+        for family, odd in groups:
+            t = tangent_space(LinearXiGroup(realization, family, odd))
+            assert verify_tangent_huliu(t, r).holds
+            dims.append(t.subspace.dim)
+    assert dims == [18, 9, 12, 3, 17, 8, 9, 0, 1] * 2
+    assert built == [] and bases == [] and coerced == []
+    Matrix([[1, 2]])
+    Matrix.identity(2).row(0)
+    v1.basis
+    assert coerced == [[[1, 2]]] and built == [(2, 2)] and bases == [v1]
 
 
 def test_spin_and_restriction_quotient():

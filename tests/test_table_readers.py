@@ -42,8 +42,9 @@ from leibkit.xigroup import (
     OrthogonalConstraints,
     SpecialLinearConstraints,
     _combination,
-    _float_table,
+    _float_rows,
     mat_square_zero_extension,
+    regular_realization,
 )
 
 import oracles
@@ -241,16 +242,25 @@ def test_bracket_compatibility_witnesses_match_the_dense_reads():
 def test_even_block_readers_match_the_dense_ones():
     rng = random.Random(14)
     graded = MAT_EXTENSIONS + BLOCK_UPPER + CORPUS[:80]
+    realized = 0
     for g in graded:
         t, even = g.algebra.table, g.even
         a0 = g.even_algebra()
-        assert np.array_equal(_float_table(t), oracles.dense_float_tensor(t, range(g.dim)))
-        assert np.array_equal(_float_table(a0.table), oracles.dense_float_tensor(t, even))
+        tensor = oracles.dense_float_tensor(t, range(g.dim))
+        cells = [c for row in t for c in row]
+        assert np.array_equal(_float_rows(cells, g.dim).reshape(tensor.shape), tensor)
+        if g.algebra.unit is not None:  # the float tables a realization keeps
+            r = regular_realization(g)
+            assert np.array_equal(r.np_tensor, tensor)
+            assert np.array_equal(r.even_tensor, oracles.dense_float_tensor(t, even))
+            assert np.array_equal(r.np_embed, np.array([m.data for m in r.embed], dtype=float))
+            realized += 1
         left = operators(a0.table, "left")
         for _ in range(3):
             x0 = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in even]
             assert (_combination(x0, left, len(even))
                     == oracles.dense_even_mult_matrix(t, even, x0))
+    assert realized == 33
 
 
 def _message(family, g):
