@@ -12,7 +12,8 @@ multiplication operators), :func:`product` (the product of two sparse
 vectors, which reads each row of cells as the columns of a left operator;
 :func:`apply_table` is its dense wrapper), :func:`operators` (those
 operators as matrices) and :func:`int_scaled` (the same cells over one
-common denominator, which the exact checker walks).
+common denominator, grouped by row, by column and by product coordinate
+for the exact checker).
 
 Each identity the package verifies (associativity, the right Leibniz
 identity, the Jacobi identity and the four Hu-Liu compatibility identities)
@@ -21,17 +22,18 @@ nested products, each a :class:`Term`.  Two consumers read the
 declarations:
 
 * the exact checker :func:`verify_identities` reads only the nonzero
-  products of :func:`int_scaled` tables; every term has degree two in the
-  table entries, so clearing denominators once cannot change which side
+  products, through the groupings :func:`int_scaled` builds in the pass
+  that clears denominators, once per call; every term has degree two in
+  the table entries, so clearing denominators cannot change which side
   differs.  It walks the leading index i upward and, for each i, adds up
   every term's contributions to the triples (i, j, k) in one block.  A term
-  contributes only where its inner product is nonzero, so its inner
-  nonzeros are grouped by their product coordinate l, and the outer cells
-  that take l as an argument by l as well; the cells that take i as an
-  argument are read from the same groupings, by row or by column, so no
-  empty cell is probed.  The first block with a nonzero residual names the
-  lexicographically least failing triple.  The cost follows the nonzeros,
-  and memory holds one block, at most dim^3 entries;
+  contributes only where its inner product is nonzero, so it reads its
+  inner nonzeros by their product coordinate l and the outer cells that
+  take l as an argument by row or by column l; the cells that take i as an
+  argument come from the same groupings, so no empty cell is probed.  The
+  first block with a nonzero residual names the lexicographically least
+  failing triple.  The cost follows the nonzeros, and memory holds one
+  block, at most dim^3 entries;
 * the witness replay :func:`evaluate` re-evaluates a failing triple, or any
   vectors, with the original rational entries.
 """
@@ -39,7 +41,6 @@ declarations:
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -201,58 +202,52 @@ def operators(t: Table, side: str) -> tuple[Matrix, ...]:
     return tuple(Matrix._sparse(dim, dim, c=cols) for cols in columns(t, side))
 
 
-def int_scaled(tables: Sequence[Table]) -> list[tuple]:
-    """Clear denominators jointly; one table of (index, int) cells per input.
-
-    A single common factor multiplies every table so that identities mixing
-    two tables stay homogeneous of the same degree.
+def int_scaled(tables: Sequence[Table]) -> list[tuple[list, list, list]]:
+    """Clear denominators jointly, and group each table's integer nonzeros
+    for the exact checker in the same pass: per input, lists indexed by
+    basis index of the (b, cell) with t[a][b] nonzero by row a, the (a, cell)
+    by column b, and the (a, b, c) where t[a][b] has c at l by product
+    coordinate l; a cell is its (k, int) pairs.  One common factor scales
+    every table, so identities mixing two tables stay homogeneous of the
+    same degree.
     """
     d = math.lcm(*{c.denominator for t in tables for row in t for cell in row
                    for _, c in cell})
-    return [tuple(tuple(tuple((k, c.numerator * (d // c.denominator)) for k, c in cell)
-                        if cell else cell for cell in row) for row in t)
-            for t in tables]
+    views = []
+    for t in tables:
+        by_row, by_column, by_product = ([[] for _ in t] for _ in range(3))
+        for a, row in enumerate(t):
+            for b, cell in enumerate(row):
+                if cell:
+                    cell = tuple((k, c.numerator * (d // c.denominator)) for k, c in cell)
+                    by_row[a].append((b, cell))
+                    by_column[b].append((a, cell))
+                    for l, c in cell:
+                        by_product[l].append((a, b, c))
+        views.append((by_row, by_column, by_product))
+    return views
 
 
-def _grouped(ints: Mapping, name: str, how: str, cache: dict) -> dict:
-    """The nonzeros of table ``name`` grouped by a coordinate l, once per cache.
-
-    ``how`` "product": l -> (a, b, c) where t[a][b] has c at l; "row":
-    l -> (b, t[l][b]); "column": l -> (a, t[a][l]).
-    """
-    key = (name, how)
-    if key not in cache:
-        groups = cache[key] = defaultdict(list)
-        for a, row in enumerate(ints[name]):
-            for b, v in enumerate(row):
-                if how == "product":
-                    for l, c in v:
-                        groups[l].append((a, b, c))
-                elif v and how == "row":
-                    groups[a].append((b, v))
-                elif v:
-                    groups[b].append((a, v))
-    return cache[key]
-
-
-def _term_walk(sign: int, term: Term, ints: Mapping, dim: int, cache: dict):
+def _term_walk(sign: int, term: Term, ints: Mapping, dim: int):
     """``walk(i, acc)`` adds ``sign`` times the term at every triple (i, j, k)
-    into ``acc``, keyed by (j * dim + k) * dim + m for output coordinate m."""
+    into ``acc``, keyed by (j * dim + k) * dim + m for output coordinate m;
+    ``ints`` maps table names to their :func:`int_scaled` views."""
     left = term.shape == LEFT
     # key weight of p, q, r: x is the block's own index, y and z place (j, k)
     wp, wq, wr = ((0, dim * dim, dim)["xyz".index(v)] for v in term.perm)
     w1, w2 = (wp, wq) if left else (wq, wr)  # inner's two arguments
     at = term.perm.index("x")  # 0, 1, 2: x is p, q, r
+    outer_row, outer_column, _ = ints[term.outer]
+    inner_row, inner_column, by_l = ints[term.inner]
 
     if at == (2 if left else 0):
         # x is the outer product's own argument: the cells outer[l][x] of
         # column x, or outer[x][l] of row x
-        by_l = _grouped(ints, term.inner, "product", cache)
-        at_x = _grouped(ints, term.outer, "column" if left else "row", cache)
+        at_x = outer_column if left else outer_row
 
         def walk(i, acc):
-            for l, v in at_x.get(i, ()):
-                for a, b, c in by_l.get(l, ()):
+            for l, v in at_x[i]:
+                for a, b, c in by_l[l]:
                     base, c = a * w1 + b * w2, sign * c
                     for m, cm in v:
                         key = base + m
@@ -263,14 +258,14 @@ def _term_walk(sign: int, term: Term, ints: Mapping, dim: int, cache: dict):
     # outer product's own argument
     first = at == (0 if left else 1)
     ws, wt = (w2 if first else w1), (wr if left else wp)
-    cells = _grouped(ints, term.outer, "row" if left else "column", cache)
-    partners = _grouped(ints, term.inner, "row" if first else "column", cache)
+    cells = outer_row if left else outer_column
+    partners = inner_row if first else inner_column
 
     def walk(i, acc):
-        for s, inner_cell in partners.get(i, ()):
+        for s, inner_cell in partners[i]:
             for l, c in inner_cell:
                 c *= sign
-                for t, v in cells.get(l, ()):
+                for t, v in cells[l]:
                     base = s * ws + t * wt
                     for m, cm in v:
                         key = base + m
@@ -278,13 +273,10 @@ def _term_walk(sign: int, term: Term, ints: Mapping, dim: int, cache: dict):
     return walk
 
 
-def _first_failing_triple(identity: Identity, ints: Mapping, dim: int,
-                          cache: dict) -> tuple[int, int, int] | None:
-    """First basis triple (i, j, k), in lexicographic order, where lhs != rhs.
-
-    ``cache`` keeps the grouped nonzeros for the next identity on ``ints``.
-    """
-    walks = [_term_walk(sign, t, ints, dim, cache)
+def _first_failing_triple(identity: Identity, ints: Mapping,
+                          dim: int) -> tuple[int, int, int] | None:
+    """First basis triple (i, j, k), in lexicographic order, where lhs != rhs."""
+    walks = [_term_walk(sign, t, ints, dim)
              for sign, side in ((1, identity.lhs), (-1, identity.rhs))
              for t in side]
     for i in range(dim):
@@ -304,9 +296,8 @@ def verify_identities(identities: Sequence[Identity], tables: Mapping[str, Table
     failure with its witness replayed in exact rationals, else ``ok(holds)``."""
     ints = dict(zip(tables, int_scaled(list(tables.values()))))
     dim = len(next(iter(tables.values())))
-    cache: dict = {}
     for identity in identities:
-        ijk = _first_failing_triple(identity, ints, dim, cache)
+        ijk = _first_failing_triple(identity, ints, dim)
         if ijk is not None:
             inputs = tuple(basis_vec(dim, x) for x in ijk)
             lhs, rhs = evaluate(identity, tables, *inputs)

@@ -630,7 +630,6 @@ class CurveReport:
     t_grid: tuple[float, ...]
     residuals: tuple[float, ...]
     max_residual: float
-    note: str = ""
 
 
 def exp_curve_check(group: LinearXiGroup, x, t_grid) -> CurveReport:

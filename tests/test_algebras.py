@@ -359,3 +359,15 @@ def test_grading_check_names_the_first_failing_pair_of_the_dense_scan():
         outcomes.add(rep.identity)
     assert outcomes == {"special grading", "even*even in even", "odd*odd = 0",
                         "mixed products in odd"}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Algebra([[[1]]], ["u", "v"]), "basis_names length != dim"),
+    (lambda: Algebra([[[1]]], unit=[1, 0]), "unit vector length != dim"),
+    (lambda: GradedAlgebra(Algebra([[[1]]]), even=[1]), "even index out of range"),
+    (lambda: make_block_upper(0, 1), "block sizes must be >= 1"),
+], ids=["basis names", "unit", "even index", "block size"])
+def test_algebra_constructors_reject_bad_input(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message

@@ -148,3 +148,10 @@ def test_commutator_tables_match_the_dense_construction():
         for even_only in (True, False):
             assert (oracles.dense(_commutator_table(g, even_only))
                     == oracles.dense_commutator_table(g, even_only))
+
+
+def test_linear_embedding_needs_a_bracket_algebra():
+    g = make_block_upper(1, 1)
+    with pytest.raises(TypeError) as exc:
+        verify_linear_embedding(g.algebra, g, Matrix.identity(g.dim))
+    assert str(exc.value) == "expected a LeibnizAlgebra or HuLiuAlgebra"

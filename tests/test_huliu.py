@@ -371,3 +371,17 @@ def test_linear_embedding_reports_keep_kernel_and_image():
         True, "both brackets", None, True, span([], n), full_space(n))
     assert verify_linear_embedding(h, g, Matrix.zero(n, n)) == HomReport(
         False, "injectivity violated (nonzero kernel)", None, False, full_space(n), span([], n))
+
+
+def test_huliu_constructor_and_identity_index_reject_bad_input():
+    with pytest.raises(ValueError) as exc:
+        HuLiuAlgebra(zero_table(2), zero_table(3))
+    assert str(exc.value) == "angle and square tables have different dimensions"
+    h = HuLiuAlgebra(zero_table(1), zero_table(1))
+    with pytest.raises(ValueError) as exc:
+        eval_huliu_identity(h, 4, (1,), (1,), (1,))
+    assert str(exc.value) == "no identity 4"
+
+
+def test_a_homomorphism_report_is_true_exactly_when_it_holds():
+    assert bool(HomReport(True)) and not bool(HomReport(False, "injectivity"))

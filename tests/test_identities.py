@@ -38,6 +38,7 @@ from leibkit.leibniz import (
     verify_right_leibniz,
 )
 from leibkit.linalg import vadd, zeros
+from leibkit.report import Report, Witness
 from leibkit.xigroup import (
     DEFAULT_TOLERANCE,
     LinearXiGroup,
@@ -294,3 +295,13 @@ def test_direct_verifier_calls_and_reports_share_one_run(monkeypatch, direct_fir
     assert [identities[0].name for identities in calls] == [
         "associativity", "right Leibniz identity", "Jacobi identity",
         COMPATIBILITY[0].name]
+
+
+@pytest.mark.parametrize("holds, witness, message", [
+    (True, Witness((), (), ()), "a holding report cannot carry a witness"),
+    (False, None, "a failing report must carry a witness"),
+], ids=["holding with a witness", "failing without one"])
+def test_a_report_carries_a_witness_exactly_when_it_fails(holds, witness, message):
+    with pytest.raises(ValueError) as exc:
+        Report(holds, "identity", witness)
+    assert str(exc.value) == message

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from leibkit.algebras import GradedAlgebra, make_block_upper
 from leibkit.derive import derive_huliu, derive_leibniz
 from leibkit.huliu import HuLiuAlgebra
 from leibkit.leibniz import LeibnizAlgebra, eval_right_leibniz
-from leibkit.linalg import span
+from leibkit.linalg import Matrix, span
 from leibkit.xigroup import (
     ConstraintFamily,
     LinearXiGroup,
@@ -21,6 +22,7 @@ from leibkit.xigroup import (
     SamplingError,
     SpecialLinearConstraints,
     UnipotentConstraints,
+    check_xi_group,
     mat_square_zero_extension,
     tangent_space,
 )
@@ -418,18 +420,50 @@ def test_annihilator_json_is_pinned(tmp_path, capsys, name, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("mutant, status, digest", [
-    (False, 0, "610d0f6fd43777b4dc8d42c6fa1a45e4b41f88160e671c2f9ecf9ae18b456902"),
-    (True, 1, "5cfc33d3ecfe94ea710f481636bb0f643527ebd65828ad698afe8697fb6e9142"),
-], ids=["pair", "one-entry mutant"])
-def test_verify_json_of_the_block_upper_3_pair_is_pinned(tmp_path, capsys, mutant, status,
-                                                          digest):
-    h = derive_huliu(make_block_upper(3, 3))
-    if mutant:  # the last angle entry, plus one
+def _last_angle_entry_plus(delta):
+    def mutate(h):
         e = table_entries(h.leibniz.angle)
         i, j, k, c = e[-1]
-        h = HuLiuAlgebra(table_from_entries(h.dim, e[:-1] + [(i, j, k, c + 1)]), h.square,
-                         h.basis_names)
+        return HuLiuAlgebra(table_from_entries(h.dim, e[:-1] + [(i, j, k, c + delta)]),
+                            h.square, h.basis_names)
+    return mutate
+
+
+def _square_plus_antisymmetric_half(h):
+    """+1/2 at (i,j,k) and -1/2 at (j,i,k), for the last square entry (i,j,k)."""
+    e = table_entries(h.square)
+    i, j, k, _ = e[-1]
+    half = Fraction(1, 2)
+    return HuLiuAlgebra(h.leibniz.angle,
+                        table_from_entries(h.dim, e + [(i, j, k, half), (j, i, k, -half)]),
+                        h.basis_names)
+
+
+def _square_halved(h):
+    return HuLiuAlgebra(h.leibniz.angle, table_from_entries(
+        h.dim, [(i, j, k, c / 2) for i, j, k, c in table_entries(h.square)]), h.basis_names)
+
+
+# The rational mutants make the checker clear a denominator of 2: right
+# Leibniz fails at (20,6,17), Jacobi at (2,17,26), and, with the square a
+# Lie bracket still, "angle absorbs square" at (0,0,1), over the joint
+# denominator of the two tables.
+@pytest.mark.parametrize("mutate, status, digest", [
+    (None, 0, "610d0f6fd43777b4dc8d42c6fa1a45e4b41f88160e671c2f9ecf9ae18b456902"),
+    (_last_angle_entry_plus(1), 1,
+     "5cfc33d3ecfe94ea710f481636bb0f643527ebd65828ad698afe8697fb6e9142"),
+    (_last_angle_entry_plus(Fraction(1, 2)), 1,
+     "0661238169ba41b97d1c0814f5aa907d504ebd9f47c877fa4b7e81c06441e16a"),
+    (_square_plus_antisymmetric_half, 1,
+     "f57fec7771ed5adf11c46cd535d8fef5e79502586520eca88182716827740ddc"),
+    (_square_halved, 1, "9a70c941a5b9e1ffab1186edb0d6bc2d4f10177278b5a21236bf7105acc087e6"),
+], ids=["pair", "one-entry mutant", "angle plus a half", "square plus an antisymmetric half",
+        "square halved"])
+def test_verify_json_of_the_block_upper_3_pair_is_pinned(tmp_path, capsys, mutate, status,
+                                                          digest):
+    h = derive_huliu(make_block_upper(3, 3))
+    if mutate is not None:
+        h = mutate(h)
     path = str(tmp_path / "pair.json")
     lio.save_file(h, path)
     assert cli.main(["verify", path, "--kind", "huliu", "--json"]) == status
@@ -442,3 +476,50 @@ def test_derived_huliu_file_of_block_upper_2_is_pinned(tmp_path, capsys):
     assert cli.main(["derive", path, "--huliu", "-o", str(out)]) == 0
     digest = "56ced1dacd70d17cce40c700ef623f4365de0332f7517d2ad1629cdf5271cf12"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_only_the_package_structures_serialize():
+    with pytest.raises(TypeError) as exc:
+        lio.dump_obj(Matrix.identity(2))
+    assert str(exc.value) == "cannot serialize Matrix"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["annihilator", "A.json"], "this command needs a leibniz or huliu file"),
+    (["verify", "L.json", "--kind", "assoc"],
+     "kind 'assoc' needs an algebra, graded, or xigroup file"),
+    (["verify", "L.json", "--kind", "huliu"], "kind 'huliu' needs a huliu file"),
+], ids=["annihilator of an algebra", "assoc of a leibniz file", "huliu of a leibniz file"])
+def test_cli_command_on_the_wrong_kind_of_file_is_an_input_error(tmp_path, ut_model, capsys,
+                                                                  args, message):
+    write(tmp_path, ut_model.algebra, "A.json")
+    write(tmp_path, derive_leibniz(ut_model), "L.json")
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_cli_annihilator_text_and_simple_on_a_huliu_file(tmp_path, ut_model, capsys):
+    lp = write(tmp_path, derive_leibniz(ut_model), "L.json")
+    assert cli.main(["annihilator", lp]) == 0
+    assert capsys.readouterr().out == "annihilator dimension 1\n  (0, 0, 1)\n"
+    hp = write(tmp_path, derive_huliu(ut_model), "H.json")
+    assert cli.main(["simple", hp]) == 1
+    assert capsys.readouterr().out.startswith(
+        "NotSimple: ideal strictly between the annihilator and L\n")
+
+
+def test_cli_xi_check_json_reports_the_witness_of_the_one_odd_group(tmp_path, capsys):
+    grp = LinearXiGroup(mat_square_zero_extension(2)[1], OrthogonalConstraints(2),
+                        span([(1, 0, 0, 0)], 4))
+    xp = write(tmp_path, grp, "x.json")
+    assert cli.main(["xi-check", xp, "--json", "--samples", "20", "--seed", "0"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert list(data) == ["holds", "samples", "worst_residual", "witness"]
+    assert list(data["witness"]) == ["x", "h", "residual"]
+    chk = check_xi_group(lio.load_file(xp), samples=20, seed=0)
+    assert (data["holds"], data["samples"]) == (False, 20)
+    assert data["worst_residual"] == data["witness"]["residual"] == chk.worst_residual
+    assert data["witness"]["x"] == list(chk.witness[0])
+    assert data["witness"]["h"] == list(chk.witness[1])

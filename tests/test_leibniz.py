@@ -300,3 +300,10 @@ def test_annihilator_never_has_an_invariant_complement():
         assert equivariant_projection_kernel(OperatorModule(dim, ops), ann) is None
         seen += 1
     assert seen > 100
+
+
+def test_leibniz_basis_names_and_basis_vectors(nilpotent_dim2):
+    with pytest.raises(ValueError) as exc:
+        LeibnizAlgebra(nilpotent_dim2.angle, ["e0"])
+    assert str(exc.value) == "basis_names length != dim"
+    assert nilpotent_dim2.basis_vector(1) == (Fraction(0), Fraction(1))

@@ -436,3 +436,21 @@ def test_subspace_combinations_match_the_entrywise_sum():
         assert s.basis is s.basis  # built on first use and kept
         sizes.add(s.dim)
     assert 0 in sizes and max(sizes) >= 4
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Matrix([[1, 2], [3]]), "ragged rows"),
+    (lambda: Matrix.identity(2) + Matrix.zero(2, 3), "shape mismatch 2x2 vs 2x3"),
+    (lambda: Matrix.zero(2, 3) @ Matrix.zero(2, 3), "shape mismatch 2x3 @ 2x3"),
+    (lambda: Matrix.identity(2).matvec((1, 2, 3)), "matvec length 3 != cols 2"),
+    (lambda: solve(Matrix.identity(2), (1,)), "rhs length 1 != rows 2"),
+    (lambda: inverse(Matrix.zero(2, 3)), "inverse of a non-square matrix"),
+], ids=["ragged", "add", "matmul", "matvec", "solve", "inverse"])
+def test_shape_errors_name_the_shapes(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_subspace_repr_names_its_dimensions():
+    assert repr(span([(1, 0, 0), (0, 1, 0)], 3)) == "Subspace(dim 2 of Q^3)"

@@ -658,3 +658,23 @@ def test_a_budget_that_is_not_a_count_is_refused_before_any_work(name, budget):
     with pytest.raises(ValueError) as e:
         _BUDGETED[name](budget)
     assert str(e.value) == f"budget must be an int >= 0, not {budget!r}"
+
+
+def test_norton_refuses_an_empty_module():
+    with pytest.raises(ValueError) as exc:
+        norton_irreducible(OperatorModule(0, ()), random.Random(0))
+    assert str(exc.value) == "empty module"
+
+
+@pytest.mark.parametrize("sub", [span([], 3), full_space(3)], ids=["zero", "full"])
+def test_complement_question_needs_a_proper_nonzero_subspace(sub):
+    with pytest.raises(ValueError) as exc:
+        equivariant_projection_kernel(_MOD3, sub)
+    assert str(exc.value) == "complement question needs a proper nonzero subspace"
+
+
+def test_a_subspace_that_is_not_invariant_has_no_equivariant_projection():
+    rotation = OperatorModule(2, (Matrix([[0, -1], [1, 0]]),))
+    line = span([(1, 0)], 2)
+    assert not is_invariant(rotation.operators, line)
+    assert equivariant_projection_kernel(rotation, line) is None

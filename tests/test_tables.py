@@ -119,6 +119,22 @@ def test_operators_reject_an_unknown_side():
         operators(table_from_entries(1, []), "both")
 
 
+def _views(ints):
+    """The checker's groupings of integer tables, built by a plain scan:
+    by row a the (b, cell), by column b the (a, cell), by product coordinate
+    l the (a, b, c), each a list indexed by basis index."""
+    dim = len(ints)
+    by_row, by_column, by_product = ([[] for _ in range(dim)] for _ in range(3))
+    for a in range(dim):
+        for b in range(dim):
+            if ints[a][b]:
+                by_row[a].append((b, ints[a][b]))
+                by_column[b].append((a, ints[a][b]))
+            for l, c in ints[a][b]:
+                by_product[l].append((a, b, c))
+    return by_row, by_column, by_product
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_int_scaled_multiplies_by_the_least_common_denominator(seed):
     rng = random.Random(seed)
@@ -130,11 +146,11 @@ def test_int_scaled_multiplies_by_the_least_common_denominator(seed):
             for v in row:
                 for c in v:
                     d = d * c.denominator // math.gcd(d, c.denominator)
-    for t, ints in zip(tables, int_scaled(tables)):
+    for t, views in zip(tables, int_scaled(tables)):
         cells = oracles.dense(t)
-        for i in range(dim):
-            for j in range(dim):
-                assert ints[i][j] == tuple((k, int(c * d)) for k, c in enumerate(cells[i][j]) if c)
+        ints = [[tuple((k, int(c * d)) for k, c in enumerate(cells[i][j]) if c)
+                 for j in range(dim)] for i in range(dim)]
+        assert views == _views(ints)
 
 
 def _mutant(tables, rng):
@@ -156,14 +172,14 @@ def _same_first_failures(tables, replay=True) -> int:
     return how many identities fail.  With ``replay`` the reports, whose
     witnesses are replayed in rationals, must name the same triples."""
     names = sorted(tables)
-    ints = dict(zip(names, int_scaled([tables[n] for n in names])))
-    assert [ints[n] for n in names] == oracles.dense_int_scaled([tables[n] for n in names])
+    ints = dict(zip(names, oracles.dense_int_scaled([tables[n] for n in names])))
+    views = dict(zip(names, int_scaled([tables[n] for n in names])))
+    assert [views[n] for n in names] == [_views(ints[n]) for n in names]
     dim = len(tables[names[0]])
     failing = 0
-    cache: dict = {}
     for identity in DECLARED:
         ijk = oracles.dense_first_failing_triple(identity, ints, dim)
-        assert _first_failing_triple(identity, ints, dim, cache) == ijk, identity.name
+        assert _first_failing_triple(identity, views, dim) == ijk, identity.name
         failing += ijk is not None
         if not replay:
             continue
@@ -256,3 +272,8 @@ def test_columns_are_the_operator_columns(seed):
         assert columns(t, side) == tuple(m._cols for m in mats)
     with pytest.raises(ValueError, match="side"):
         columns(t, "both")
+
+
+def test_table_from_entries_rejects_an_index_out_of_range():
+    with pytest.raises(ValueError, match=r"^index \(0,0,2\) out of range for dim 2$"):
+        table_from_entries(2, [(0, 0, 2, 1)])

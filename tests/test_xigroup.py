@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from leibkit.algebras import Algebra, GradedAlgebra, make_block_upper
+from leibkit.algebras import Algebra, GradedAlgebra, dual_numbers, make_block_upper
 from leibkit._tables import table_entries, table_from_entries
 from leibkit.linalg import Matrix, full_space, kernel, span
 from leibkit.report import ok
@@ -833,3 +833,44 @@ def test_conjugation_check_raises_on_any_non_unit():
     grp = LinearXiGroup(R2, _Scripted(_SHEAR, _SHEAR, _SINGULAR))
     with pytest.raises(NotAUnitError):
         check_xi_group(grp, samples=5, seed=0)
+
+
+@pytest.mark.parametrize("embed, message", [
+    (lambda: [Matrix.identity(1)], "need one matrix per basis element"),
+    (lambda: [Matrix.identity(1), Matrix.zero(2, 2)],
+     "embedding matrices must be square of equal size"),
+    (lambda: [Matrix.identity(1), Matrix.zero(1, 1)], "embedding is not injective"),
+], ids=["one too few", "mixed sizes", "eps to zero"])
+def test_realization_of_the_dual_numbers_rejects_bad_embeddings(embed, message):
+    with pytest.raises(ValueError) as exc:
+        MatrixRealization(dual_numbers(), embed())
+    assert str(exc.value) == message
+
+
+def test_odd_subspace_must_live_in_the_odd_part():
+    with pytest.raises(ValueError) as exc:
+        LinearXiGroup(R2, NoConstraints(), span([(1, 0, 0)], 3))
+    assert str(exc.value) == "odd subspace ambient 3 != 4"
+
+
+class _NonnegativeShift(ConstraintFamily):
+    """The identity plus a matrix of nonnegative entries: closed under
+    products, but the inverse of such a matrix has a negative entry unless
+    the matrix is diagonal."""
+
+    def evaluate(self, g, x0_even):
+        return np.minimum(np.asarray(x0_even) - R2.np_unit[list(g.even)], 0.0)
+
+    def sample(self, r, rng, count):
+        return r.np_unit[list(r.graded.even)] + rng.uniform(0, 1, (count, len(r.graded.even)))
+
+
+def test_group_closure_reports_a_set_not_closed_under_inverses():
+    rep = verify_group_closure(LinearXiGroup(R2, _NonnegativeShift()), samples=8, seed=0)
+    assert (rep.holds, rep.identity) == (False, "closure under inverse")
+    assert rep.witness.note.startswith("residual ")
+    (x,), inv = rep.witness.inputs, rep.witness.lhs
+    assert rep.witness.rhs == (0,) * R2.dim
+    unit = R2.multiply_f(np.array(x, dtype=float), np.array(inv, dtype=float))
+    assert np.allclose(unit, R2.np_unit)
+    assert min(inv[i] for i in G2.even) < 0
