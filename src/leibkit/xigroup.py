@@ -641,7 +641,8 @@ def exp_curve_check(group: LinearXiGroup, x, t_grid) -> CurveReport:
     the curve is the power series exp(t x) taken in algebra coordinates.
     For tangent x of a group whose constraints are preserved by exp
     (orthogonality from skewness, unit determinant from tracelessness) the
-    residual stays at rounding level.  The grid needs at least one t.
+    residual stays at rounding level.  The grid needs at least one t, and a
+    residual that is not finite, as at t = nan or inf, fails the check.
     """
     r = group.realization
     xf = np.array(x, dtype=float)
@@ -652,5 +653,6 @@ def exp_curve_check(group: LinearXiGroup, x, t_grid) -> CurveReport:
     coords = np.array([expm(t * left) @ r.np_unit for t in ts])
     residuals = tuple(map(float, group.membership_residual(coords)))
     scale = max(1.0, *np.linalg.norm(coords, axis=-1))
-    worst = max(residuals)
-    return CurveReport(worst <= group.tolerance * scale, ts, residuals, worst)
+    worst = float(np.max(residuals))  # NaN if any residual is
+    return CurveReport(bool(np.isfinite(worst) and worst <= group.tolerance * scale),
+                       ts, residuals, worst)

@@ -653,6 +653,20 @@ def _sl2_act(x, n, k):
     return {k - 1: n - k + 1} if k > 0 else {}
 
 
+def sl2_semidirect_entries(ns):
+    """The (i, j, k, coefficient) entries of ``sl2_semidirect(ns)``, for
+    dimensions where a dense dim^3 table is too big to build."""
+    entries = [(i, j, k, c) for (i, j), out in _SL2.items() for k, c in out.items()]
+    offset = 3
+    for n in ns:
+        for x in (_E, _F, _H):
+            for k in range(n + 1):
+                for m, c in _sl2_act(x, n, k).items():
+                    entries.append((offset + k, x, offset + m, -c))
+        offset += n + 1
+    return entries
+
+
 def sl2_semidirect(ns):
     """Bracket table of sl2 + V_n1 + V_n2 + ... with <v, x> = -x.v.
 
@@ -661,16 +675,8 @@ def sl2_semidirect(ns):
     """
     dim = 3 + sum(n + 1 for n in ns)
     t = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j), out in _SL2.items():
-        for k, c in out.items():
-            t[i][j][k] = Fraction(c)
-    offset = 3
-    for n in ns:
-        for x in (_E, _F, _H):
-            for k in range(n + 1):
-                for m, c in _sl2_act(x, n, k).items():
-                    t[offset + k][x][offset + m] -= c
-        offset += n + 1
+    for i, j, k, c in sl2_semidirect_entries(ns):
+        t[i][j][k] += c
     return t
 
 

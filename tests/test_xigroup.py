@@ -523,6 +523,18 @@ def test_exp_curve_symmetric_rejected():
     assert rep.residuals[1] > orth_group(2).tolerance  # already past tolerance at 0.5
 
 
+@pytest.mark.parametrize("ts", [(0.25, float("nan")), (float("nan"), 0.25),
+                                (0.25, float("inf"))], ids=["nan last", "nan first", "inf"])
+def test_exp_curve_fails_where_a_residual_is_not_finite(ts):
+    grp = orth_group(2)
+    x = tangent_space(grp).subspace.basis[0]
+    assert exp_curve_check(grp, x, (0.25,)).holds is True
+    with np.errstate(invalid="ignore"):
+        rep = exp_curve_check(grp, x, ts)
+    assert rep.holds is False
+    assert not np.isfinite(rep.max_residual)
+
+
 def test_line_curve_slopes():
     ts = [1e-1, 1e-2, 1e-3, 1e-4]
     g = orth_group(2)
