@@ -29,6 +29,9 @@ class SchemaError(ValueError):
 # (about 116 bytes an entry); a cell holds only its nonzero entries, so a
 # sparse file costs less.
 MAX_DIM = 256
+# Largest accepted entry count of one tensor field, checked before any entry
+# is read: every dense table up to dim 161 (161^3 = 4,173,281 entries).
+MAX_ENTRIES = 2 ** 22
 
 
 _FIELDS = {
@@ -99,6 +102,11 @@ def load_obj(data):
         raise SchemaError("field 'dim' must be a positive integer")
     if dim > MAX_DIM:
         raise SchemaError(f"field 'dim' is {dim}, above the limit {MAX_DIM}")
+    for field in ("product", "angle", "square"):
+        entries = data.get(field)
+        if isinstance(entries, list) and len(entries) > MAX_ENTRIES:
+            raise SchemaError(f"field {field!r} has {len(entries)} entries, "
+                              f"above the limit {MAX_ENTRIES}")
     basis = data["basis"]
     if (not isinstance(basis, list) or len(basis) != dim
             or not all(isinstance(b, str) for b in basis)):

@@ -264,6 +264,38 @@ def test_cli_dim_above_the_limit_is_an_input_error(tmp_path, capsys):
     assert str(lio.MAX_DIM) in capsys.readouterr().err
 
 
+def _entries_doc(kind, field, count):
+    """A dim-2 document of the kind whose tensor field has count entries, the
+    last with a bad rational; every other tensor field is empty."""
+    fields = {"algebra": ("product",), "leibniz": ("angle",), "huliu": ("angle", "square")}[kind]
+    doc = {"kind": kind, "dim": 2, "basis": ["a", "b"], **{f: [] for f in fields}}
+    doc[field] = [[0, 0, 0, 1]] * (count - 1) + [[0, 0, 0, "1/0"]]
+    return doc
+
+
+@pytest.mark.parametrize("kind, field", [("algebra", "product"), ("leibniz", "angle"),
+                                         ("huliu", "angle"), ("huliu", "square")])
+def test_entry_count_above_the_limit_is_refused_before_any_entry_is_read(monkeypatch, kind,
+                                                                         field):
+    monkeypatch.setattr(lio, "MAX_ENTRIES", 3)
+    with pytest.raises(lio.SchemaError, match=rf"field '{field}' has 4 entries, above the limit 3"):
+        lio.load_obj(_entries_doc(kind, field, 4))
+    # at the limit the entries are read, and the bad rational is found
+    with pytest.raises(lio.SchemaError, match="bad rational"):
+        lio.load_obj(_entries_doc(kind, field, 3))
+
+
+def test_cli_entry_count_above_the_limit_is_an_input_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lio, "MAX_ENTRIES", 3)
+    p = tmp_path / "long.json"
+    p.write_text(json.dumps(_entries_doc("leibniz", "angle", 4)))
+    assert cli.main(["verify", str(p), "--kind", "leibniz"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "above the limit 3" in captured.err
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_cli_xi_check_without_samples_is_an_input_error(tmp_path, capsys, samples):
     _, r2 = mat_square_zero_extension(2)

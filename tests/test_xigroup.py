@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from leibkit import xigroup
 from leibkit.algebras import Algebra, GradedAlgebra, dual_numbers, make_block_upper
 from leibkit._tables import table_entries, table_from_entries
 from leibkit.linalg import Matrix, full_space, kernel, span
@@ -46,6 +47,7 @@ from oracles import (
     fitted_log_slope,
     group_closure_loop,
     line_curve_residuals,
+    svd_norm,
     tangent_huliu_reference,
     xi_group_check_loop,
 )
@@ -204,9 +206,34 @@ def test_float_products_and_norms_broadcast_over_leading_axes():
             assert np.allclose(prod[a, b], np.einsum("i,j,ijk->k", x[a, b], y[a, b], R2.np_tensor))
             assert np.allclose(mats[a, b], np.einsum("i,ijk->jk", x[a, b], R2.np_embed))
             # the spectral norm, not the (larger) Frobenius norm
-            assert np.isclose(norms[a, b], np.linalg.svd(mats[a, b], compute_uv=False)[0])
+            assert np.isclose(norms[a, b], np.linalg.svd(mats[a, b], compute_uv=False)[0],
+                              rtol=1e-13, atol=0.0)
     assert np.allclose(R2.multiply_f(x, y[0, 0]),
                        R2.multiply_f(x, np.broadcast_to(y[0, 0], x.shape)))
+
+
+@pytest.mark.parametrize("r", [R2, regular_realization(G2)], ids=["block 4x4", "regular 8x8"])
+def test_op_norm_is_the_svd_norm_on_zero_huge_and_tiny_rows_past_one_block(r):
+    # entries near 1e200 overflow an unscaled Gram matrix, near 1e-200 they underflow it
+    count = xigroup._GRAM_BLOCK + 7
+    x = np.random.default_rng(8).standard_normal((count, r.dim))
+    for start in (0, xigroup._GRAM_BLOCK - 2):
+        x[start] = 0.0
+        x[start + 1:start + 3] *= 1e200
+        x[start + 3:start + 5] *= 1e-200
+    norms = r.op_norm(x)
+    assert norms.shape == (count,) and norms[0] == norms[xigroup._GRAM_BLOCK - 2] == 0.0
+    svd = np.linalg.svd(r.realize_f(x), compute_uv=False)[:, 0]
+    assert np.allclose(norms, svd, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_op_norm_raises_on_a_row_with_an_entry_that_is_not_finite(bad):
+    x = np.ones((3, R2.dim))
+    x[1, 2] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+        R2.op_norm(x)
 
 
 def test_xi_projection(ut_model):
@@ -800,9 +827,9 @@ def _closure_ok(grp, x, y):
     """Both closure checks of the per-sample loop pass on the pair x, y."""
     r, tol = grp.realization, grp.tolerance
     inv = invert_unit(r, x)
-    prod_scale = max(1.0, r.op_norm(x) * r.op_norm(y))
+    prod_scale = max(1.0, svd_norm(r, x) * svd_norm(r, y))
     return (grp.membership_residual(r.multiply_f(x, y)) <= tol * prod_scale
-            and grp.membership_residual(inv) <= tol * max(1.0, r.op_norm(inv) ** 2))
+            and grp.membership_residual(inv) <= tol * max(1.0, svd_norm(r, inv) ** 2))
 
 
 class _Scripted(ConstraintFamily):
