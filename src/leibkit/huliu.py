@@ -34,7 +34,7 @@ from .leibniz import (
     multiplication_operators,
 )
 from .linalg import Matrix, Subspace, Vec, _check_ambient, _reduce, _row, vscale, zeros
-from .modules import NORTON_BUDGET, _check_budget, _maps_into
+from .modules import _maps_into
 from .report import HomReport, Report, checked_once, fail, memo, ok, require
 
 
@@ -149,13 +149,11 @@ def is_huliu_subalgebra(h: HuLiuAlgebra, sub: Subspace) -> Report:
     return ok("Hu-Liu subalgebra")
 
 
-def classify_huliu_simplicity(h: HuLiuAlgebra, seed: int = 0,
-                              budget: int = NORTON_BUDGET) -> SimplicityVerdict:
+def classify_huliu_simplicity(h: HuLiuAlgebra, seed: int = 0) -> SimplicityVerdict:
     """Same module-theoretic test, with the adjoint operators added."""
-    _check_budget(budget)
     h.validate()
     ops = multiplication_operators(h.leibniz) + adjoint_operators(h)
-    verdict = _classify(h.leibniz, ops, seed, budget)
+    verdict = _classify(h.leibniz, ops, seed)
     if verdict.tag == "NotSimple" and verdict.certificate is not None:
         if not is_huliu_ideal(h, verdict.certificate):
             raise RuntimeError("certificate fails the two-bracket ideal test; classifier bug")

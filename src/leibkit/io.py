@@ -29,8 +29,9 @@ class SchemaError(ValueError):
 # (about 116 bytes an entry); a cell holds only its nonzero entries, so a
 # sparse file costs less.
 MAX_DIM = 256
-# Largest accepted entry count of one tensor field, checked before any entry
-# is read: every dense table up to dim 161 (161^3 = 4,173,281 entries).
+# Largest accepted entry count of one tensor field, and of rows x odd_dim of
+# an ``odd_subspace``, checked before any entry is read: every dense table up
+# to dim 161 (161^3 = 4,173,281 entries).
 MAX_ENTRIES = 2 ** 22
 
 
@@ -138,7 +139,11 @@ def load_obj(data):
         odd_dim = dim - len(set(even))
         odd_subspace = None
         if "odd_subspace" in data:
-            vectors = _vector_list(data["odd_subspace"], "odd_subspace", odd_dim)
+            rows = data["odd_subspace"]
+            if isinstance(rows, list) and len(rows) * odd_dim > MAX_ENTRIES:
+                raise SchemaError(f"field 'odd_subspace' has {len(rows)} rows of {odd_dim} "
+                                  f"entries, above the limit {MAX_ENTRIES}")
+            vectors = _vector_list(rows, "odd_subspace", odd_dim)
             odd_subspace = span(vectors, odd_dim)
         tolerance = data.get("tolerance", DEFAULT_TOLERANCE)
         # also rejects NaN, infinities and integers too large for a float

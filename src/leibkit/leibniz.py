@@ -27,9 +27,7 @@ from ._tables import (
 )
 from .linalg import Matrix, Subspace, Vec, _ONE, _apply, _check_ambient, _echelon, _row, kernel
 from .modules import (
-    NORTON_BUDGET,
     OperatorModule,
-    _check_budget,
     _maps_into,
     closure,
     equivariant_projection_kernel,
@@ -155,28 +153,25 @@ def _certified_not_simple(ops, ann, dim, cert: Subspace, reason: str) -> Simplic
     return SimplicityVerdict("NotSimple", reason, certificate=cert)
 
 
-def classify_simplicity(algebra: LeibnizAlgebra, seed: int = 0,
-                        budget: int = NORTON_BUDGET) -> SimplicityVerdict:
+def classify_simplicity(algebra: LeibnizAlgebra, seed: int = 0) -> SimplicityVerdict:
     """Decide whether the only ideals are 0, the annihilator, and everything.
 
     Ideals are exactly the subspaces invariant under the multiplication
     operators, so the test runs module-theoretically: the annihilator must be
     irreducible, the quotient by it must be irreducible, and it must admit no
-    invariant complement.  Randomized sub-tests take an explicit seed; an
-    exhausted budget yields Unknown, never a wrong answer.  A budget that is
-    not an int >= 0 raises ValueError before any work.
+    invariant complement.  Randomized sub-tests take an explicit seed and
+    run Norton's test at its ``NORTON_BUDGET`` attempts; an exhausted budget
+    yields Unknown, never a wrong answer.
 
     The annihilator is never all of L: the right Leibniz identity at z = y
     gives <x,<y,y>> = 0, so if the squares spanned L every bracket, and with
     it every square, would vanish.
     """
-    _check_budget(budget)
     algebra.validate()
-    return _classify(algebra, multiplication_operators(algebra), seed, budget)
+    return _classify(algebra, multiplication_operators(algebra), seed)
 
 
-def _classify(algebra: LeibnizAlgebra, ops: tuple[Matrix, ...], seed: int,
-              budget: int) -> SimplicityVerdict:
+def _classify(algebra: LeibnizAlgebra, ops: tuple[Matrix, ...], seed: int) -> SimplicityVerdict:
     """The module-theoretic test on a verified algebra whose ideals are the
     subspaces invariant under ``ops``.
 
@@ -204,7 +199,7 @@ def _classify(algebra: LeibnizAlgebra, ops: tuple[Matrix, ...], seed: int,
     if ann.dim == 0:
         return SimplicityVerdict("NotSimple", "annihilator is zero")
 
-    status, wit = norton_irreducible(restriction(mod, ann), rng, budget)
+    status, wit = norton_irreducible(restriction(mod, ann), rng)
     if status == "reducible":
         # wit is in the coordinates of ann's RREF basis
         images = (_apply(ann.nonzeros, c, 0).items() for c in wit.nonzeros)
@@ -217,7 +212,7 @@ def _classify(algebra: LeibnizAlgebra, ops: tuple[Matrix, ...], seed: int,
     checks.append("annihilator module irreducible")
 
     quo = quotient(mod, ann)
-    status, wit = norton_irreducible(quo.mod, rng, budget)
+    status, wit = norton_irreducible(quo.mod, rng)
     if status == "reducible":
         # wit is in quotient coordinates, which lift to the positions quo.free
         lifted = (((quo.free[a], x) for a, x in c) for c in wit.nonzeros)

@@ -199,14 +199,11 @@ def mat_square_zero_extension(n: int) -> tuple[GradedAlgebra, MatrixRealization]
     return g, MatrixRealization(g, embed)
 
 
-def xi(g: GradedAlgebra, x):
+def xi(g: GradedAlgebra, x) -> Vec:
     """Even-component projection, an idempotent endomorphism of the units:
     by the special grading xy = x0 y0 + (x0 y1 + x1 y0) + 0 has even part
-    x0 y0 = xi(x) xi(y), and units have unit even parts (see ``invert_unit``)."""
-    if isinstance(x, np.ndarray):
-        out = x.copy()
-        out[..., list(g.odd)] = 0.0
-        return out
+    x0 y0 = xi(x) xi(y), and units have unit even parts (see ``invert_unit``).
+    Exact: x is read as ``vec`` reads it."""
     return g.even_part(x)
 
 
@@ -219,7 +216,7 @@ def _float_rows(rows, width: int) -> np.ndarray:
     return out
 
 
-def invert_unit(r: MatrixRealization, x):
+def invert_unit(r: MatrixRealization, x) -> Vec:
     """Inverse of a unit x0 + x1, namely x0^-1 - x0^-1 x1 x0^-1.
 
     Raises NotAUnitError exactly when the even component is not invertible,
@@ -227,17 +224,10 @@ def invert_unit(r: MatrixRealization, x):
     even: u1 = u u1 = u0 u1 and u1 = u1 u = u1 u0 as odd*odd = 0, while u u = u
     has odd part u0 u1 + u1 u0 = u1, so u1 = 0.  So xy = yx = 1 gives
     x0 y0 = y0 x0 = 1, and conversely the formula is a two-sided inverse, as
-    x1 x0^-1 x1 = 0.  Works on exact rational coordinates and on float arrays
-    (..., dim), where every row must be a unit.
+    x1 x0^-1 x1 = 0.  Exact: x is read as ``vec`` reads it, so a float is the
+    rational it represents.
     """
     g = r.graded
-    if isinstance(x, np.ndarray) or (
-        not isinstance(x, (tuple, list)) or any(isinstance(c, float) for c in x)
-    ):
-        inv, resid = _unit_inverses(r, np.asarray(x, dtype=float))
-        if not np.all(resid <= _UNIT_RESIDUAL):
-            raise _not_a_unit(np.max(resid))
-        return inv
     x = vec(x)
     # left multiplication by x0 on A0; column j is x0 e_j
     m = _combination([x[i] for i in g.even], r.even_left, len(g.even))
@@ -263,7 +253,9 @@ def _unit_inverses(r: MatrixRealization, x: np.ndarray):
     unit = np.broadcast_to(r.np_unit[even, None], m.shape[:-1] + (1,))  # one column each
     x0_inv[..., even] = np.linalg.solve(m, unit)[..., 0]
     del m  # free the stacked matrices before the products
-    inv = x0_inv - r.multiply_f(x0_inv, r.multiply_f(x - xi(r.graded, x), x0_inv))
+    x1 = x.copy()
+    x1[..., even] = 0.0
+    inv = x0_inv - r.multiply_f(x0_inv, r.multiply_f(x1, x0_inv))
     resid = np.linalg.norm(r.multiply_f(x, inv) - r.np_unit, axis=-1) / np.maximum(
         1.0, np.linalg.norm(x, axis=-1) * np.linalg.norm(inv, axis=-1))
     resid = np.where(singular, np.inf, resid)
@@ -528,8 +520,11 @@ def check_xi_group(group: LinearXiGroup, samples: int = 1000, seed: int = 0) -> 
     rng = np.random.default_rng(seed)
     r = group.realization
     x, h = group.sample(rng, samples), group.sample(rng, samples)
-    xe = xi(r.graded, x)
-    xe_inv = invert_unit(r, xe)
+    xe = x.copy()  # xi(x)
+    xe[:, group._odd] = 0.0
+    xe_inv, unit_resid = _unit_inverses(r, xe)
+    if not np.all(unit_resid <= _UNIT_RESIDUAL):
+        raise _not_a_unit(np.max(unit_resid))
     conj = r.multiply_f(r.multiply_f(xe, h), xe_inv)
     scale = np.maximum(1.0, r.op_norm(x) * r.op_norm(h) * r.op_norm(xe_inv))
     resid = group.membership_residual(conj) / scale

@@ -7,8 +7,10 @@ dimension <= 2 enumerates ideal candidates two ways: closures of all
 small-coordinate vectors, and (for dimension 2) the exact rational
 invariant lines of the multiplication operators via eigenvalue analysis,
 which makes the search exhaustive.  The per-sample xi-group loops reuse
-the float primitives (products, inverses, norms, membership residuals) that
-the batched checks are built from, and redo only the looping.  The curve
+the float primitives that the batched checks are built from (products,
+membership residuals, and the batch inverse ``_unit_inverses`` on one-row
+stacks), take xi(x) from the exact ``xi`` and norms from the SVD, and redo
+the looping.  The curve
 reference takes its exponential in the matrix realization and maps it back
 to coordinates, where leibkit exponentiates left multiplication directly;
 the line curve and its slope fit live only here.  The direct sum, the
@@ -32,7 +34,8 @@ from leibkit.linalg import (Matrix, Subspace, _echelon, full_space, kernel, solv
                             vec, vscale, zeros)
 from leibkit.modules import _maps_into
 from leibkit.report import fail, ok
-from leibkit.xigroup import XiGroupReport, expm, invert_unit, xi
+from leibkit.xigroup import (_UNIT_RESIDUAL, NotAUnitError, XiGroupReport, _unit_inverses, expm,
+                             xi)
 
 
 def dense(t):
@@ -967,12 +970,29 @@ def dense_matrix_compatibility(name, n, table, even):
 # ``group.sample(rng, 1)``, one point per call, so they see other points than
 # the batched checks for the same seed; the tests compare verdicts, not draws.
 # They scale residuals with ``svd_norm``, not ``MatrixRealization.op_norm``,
-# so that the batched checks are compared with a norm they do not share.
+# so that the batched checks are compared with a norm they do not share.  They
+# take xi(x) from the exact ``xi``, read back as floats, and each inverse from
+# ``_unit_inverses`` on a one-row stack.
 
 
 def svd_norm(r, x):
     """The spectral norm of the realized matrix of x, from its SVD."""
     return np.linalg.norm(r.realize_f(x), 2, axis=(-2, -1))
+
+
+def unit_inverse(r, x):
+    """The float inverse of one point x, from ``_unit_inverses`` on a one-row
+    stack; NotAUnitError when x is no unit."""
+    inv, resid = _unit_inverses(r, np.asarray(x, dtype=float)[None])
+    if not resid[0] <= _UNIT_RESIDUAL:
+        raise NotAUnitError(f"even component numerically singular (residual {resid[0]:.3e})")
+    return inv[0]
+
+
+def even_part_f(r, x):
+    """xi(x) of a float point x, through the exact ``xi``: each float is read
+    as the rational it represents, so reading it back is exact."""
+    return np.array(xi(r.graded, x), dtype=float)
 
 
 def xi_group_check_loop(group, samples=1000, seed=0):
@@ -987,8 +1007,8 @@ def xi_group_check_loop(group, samples=1000, seed=0):
     for _ in range(samples):
         x = group.sample(rng, 1)[0]
         h = group.sample(rng, 1)[0]
-        xe = xi(r.graded, x)
-        xe_inv = invert_unit(r, xe)
+        xe = even_part_f(r, x)
+        xe_inv = unit_inverse(r, xe)
         conj = r.multiply_f(r.multiply_f(xe, h), xe_inv)
         scale = max(1.0, svd_norm(r, x) * svd_norm(r, h) * svd_norm(r, xe_inv))
         resid = group.membership_residual(conj) / scale
@@ -1017,7 +1037,7 @@ def group_closure_loop(group, samples=32, seed=0):
                         (vec(map(Fraction, x)), vec(map(Fraction, y))),
                         vec(map(Fraction, prod)), zeros(r.dim),
                         note=f"residual {group.membership_residual(prod):.3e}")
-        inv = invert_unit(r, x)
+        inv = unit_inverse(r, x)
         scale = max(1.0, svd_norm(r, inv) ** 2)
         if group.membership_residual(inv) > tol * scale:
             return fail("closure under inverse", (vec(map(Fraction, x)),),
@@ -1029,8 +1049,8 @@ def group_closure_loop(group, samples=32, seed=0):
 def conjugation_residual(group, x, h):
     """The scaled residual of xi(x) h xi(x)^-1 for one pair, as the loop computes it."""
     r = group.realization
-    xe = xi(r.graded, x)
-    xe_inv = invert_unit(r, xe)
+    xe = even_part_f(r, x)
+    xe_inv = unit_inverse(r, xe)
     conj = r.multiply_f(r.multiply_f(xe, h), xe_inv)
     return group.membership_residual(conj) / max(
         1.0, svd_norm(r, x) * svd_norm(r, h) * svd_norm(r, xe_inv))

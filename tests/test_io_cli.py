@@ -9,7 +9,7 @@ import pytest
 from leibkit import cli
 from leibkit import io as lio
 from leibkit._tables import table_entries, table_from_entries
-from leibkit.algebras import GradedAlgebra, make_block_upper
+from leibkit.algebras import GradedAlgebra, dual_numbers, make_block_upper
 from leibkit.derive import derive_huliu, derive_leibniz
 from leibkit.huliu import HuLiuAlgebra
 from leibkit.leibniz import LeibnizAlgebra, eval_right_leibniz
@@ -24,6 +24,7 @@ from leibkit.xigroup import (
     UnipotentConstraints,
     check_xi_group,
     mat_square_zero_extension,
+    regular_realization,
     tangent_space,
 )
 
@@ -294,6 +295,35 @@ def test_cli_entry_count_above_the_limit_is_an_input_error(tmp_path, capsys, mon
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "above the limit 3" in captured.err
+
+
+def _odd_rows_doc(count):
+    """A xigroup document of the dual numbers (odd dimension 1, three product
+    entries) whose odd_subspace has count rows, the last with a bad rational."""
+    doc = lio.dump_obj(LinearXiGroup(regular_realization(dual_numbers()), NoConstraints()))
+    doc["odd_subspace"] = [["1"]] * (count - 1) + [["1/0"]]
+    return doc
+
+
+def test_odd_subspace_above_the_limit_is_refused_before_any_entry_is_read(monkeypatch):
+    monkeypatch.setattr(lio, "MAX_ENTRIES", 3)
+    with pytest.raises(lio.SchemaError,
+                       match=r"field 'odd_subspace' has 4 rows of 1 entries, above the limit 3"):
+        lio.load_obj(_odd_rows_doc(4))
+    # at the limit the rows are read, and the bad rational is found
+    with pytest.raises(lio.SchemaError, match="bad rational"):
+        lio.load_obj(_odd_rows_doc(3))
+
+
+def test_cli_odd_subspace_above_the_limit_is_an_input_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lio, "MAX_ENTRIES", 3)
+    p = tmp_path / "tall.json"
+    p.write_text(json.dumps(_odd_rows_doc(4)))
+    assert cli.main(["xi-check", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "field 'odd_subspace' has 4 rows" in captured.err
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

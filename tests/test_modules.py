@@ -643,9 +643,6 @@ _BAD_BUDGETS = (-5, -1, True, False, 2.0, "8", None)
 # fails the right Leibniz identity: validating it would raise a different error
 _NOT_LEIBNIZ = table_from_entries(2, [(0, 0, 1, 1), (1, 0, 0, 1)])
 _BUDGETED = {
-    "classify_simplicity": lambda b: classify_simplicity(LeibnizAlgebra(_NOT_LEIBNIZ), budget=b),
-    "classify_huliu_simplicity": lambda b: classify_huliu_simplicity(
-        HuLiuAlgebra(_NOT_LEIBNIZ, zero_table(2)), budget=b),
     # an empty module, which Norton would refuse with a different error
     "norton_irreducible": lambda b: norton_irreducible(
         OperatorModule(0, ()), random.Random(0), budget=b),
@@ -658,6 +655,16 @@ def test_a_budget_that_is_not_a_count_is_refused_before_any_work(name, budget):
     with pytest.raises(ValueError) as e:
         _BUDGETED[name](budget)
     assert str(e.value) == f"budget must be an int >= 0, not {budget!r}"
+
+
+@pytest.mark.parametrize("classify", [
+    lambda **kw: classify_simplicity(LeibnizAlgebra(_NOT_LEIBNIZ), **kw),
+    lambda **kw: classify_huliu_simplicity(HuLiuAlgebra(_NOT_LEIBNIZ, zero_table(2)), **kw),
+], ids=["leibniz", "huliu"])
+def test_the_classifiers_take_no_budget(classify):
+    # Norton runs at NORTON_BUDGET; the refusal comes before validation
+    with pytest.raises(TypeError):
+        classify(budget=NORTON_BUDGET)
 
 
 def test_norton_refuses_an_empty_module():

@@ -13,6 +13,7 @@ from leibkit.linalg import Matrix, full_space, kernel, span
 from leibkit.report import ok
 from leibkit.xigroup import (
     MAX_SAMPLE_FLOATS,
+    _UNIT_RESIDUAL,
     ConstraintFamily,
     LinearXiGroup,
     MatrixRealization,
@@ -28,6 +29,7 @@ from leibkit.xigroup import (
     constraint_family,
     exp_curve_check,
     expm,
+    _unit_inverses,
     invert_unit,
     mat_square_zero_extension,
     regular_realization,
@@ -49,6 +51,7 @@ from oracles import (
     line_curve_residuals,
     svd_norm,
     tangent_huliu_reference,
+    unit_inverse,
     xi_group_check_loop,
 )
 
@@ -164,36 +167,49 @@ def test_invert_unit_two_sided_random():
             assert g.multiply(x, inv) == unit and g.multiply(inv, x) == unit
 
 
-def test_invert_unit_float_path():
+def test_invert_unit_reads_floats_exactly(ut_model):
+    r = regular_realization(ut_model)
+    x = (1.0, 0.5, 2.0)  # [[1, 2], [0, 1/2]], each float the rational it represents
+    assert xi(ut_model, x) == (1, Fraction(1, 2), 0)
+    inv = invert_unit(r, x)
+    assert inv == (1, 2, -4) and all(isinstance(c, Fraction) for c in inv)
+    assert invert_unit(r, map(Fraction, x)) == inv
+    assert invert_unit(r, xi(ut_model, x)) == xi(ut_model, inv)
+    with pytest.raises(NotAUnitError):
+        invert_unit(r, (0.0, 0.0, 1.0))                     # even part singular
+
+
+def test_unit_inverses_of_one_point():
     rng = np.random.default_rng(1)
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
     x = np.zeros(8)
     x[:4] = q.reshape(-1)
     x[4:] = rng.standard_normal(4)
-    inv = invert_unit(R2, x)
+    inv, resid = _unit_inverses(R2, x)
+    assert resid <= _UNIT_RESIDUAL
     assert np.allclose(R2.multiply_f(x, inv), R2.np_unit, atol=1e-12)
     assert np.allclose(R2.multiply_f(inv, x), R2.np_unit, atol=1e-12)
 
 
-def test_invert_unit_float_path_on_a_stack():
+def test_unit_inverses_on_a_stack():
     grp = LinearXiGroup(R3, NoConstraints())
     x = grp.sample(np.random.default_rng(2), 7)
-    inv = invert_unit(R3, x)
-    assert inv.shape == x.shape
+    inv, resid = _unit_inverses(R3, x)
+    assert inv.shape == x.shape and resid.shape == (7,)
+    assert np.all(resid <= _UNIT_RESIDUAL)
     for row, row_inv in zip(x, inv):
         assert np.allclose(R3.multiply_f(row, row_inv), R3.np_unit, atol=1e-12)
         assert np.allclose(R3.multiply_f(row_inv, row), R3.np_unit, atol=1e-12)
-        assert np.allclose(invert_unit(R3, row), row_inv, atol=1e-12)
+        assert np.allclose(_unit_inverses(R3, row[None])[0][0], row_inv, atol=1e-12)
 
 
-def test_invert_unit_float_path_rejects_a_stack_with_one_non_unit():
+def test_unit_inverses_flag_the_one_non_unit_of_a_stack():
     x = np.tile(R2.np_unit, (3, 1))
     x[1, :4] = [1.0, 2.0, 2.0, 4.0]  # a singular even part
-    with pytest.raises(NotAUnitError):
-        invert_unit(R2, x)
-    with pytest.raises(NotAUnitError):
-        invert_unit(R2, x[1])
-    assert np.allclose(invert_unit(R2, x[[0, 2]]), x[[0, 2]])
+    inv, resid = _unit_inverses(R2, x)
+    assert resid[1] > _UNIT_RESIDUAL and np.all(inv[1] == 0.0)
+    assert np.all(resid[[0, 2]] <= _UNIT_RESIDUAL)
+    assert np.allclose(inv[[0, 2]], x[[0, 2]])
 
 
 def test_float_products_and_norms_broadcast_over_leading_axes():
@@ -819,14 +835,14 @@ def test_batched_checks_agree_with_the_per_sample_loops(family, n, odd):
                 assert got.witness.inputs[1] == tuple(map(Fraction, ys[i]))
                 resid = grp.membership_residual(grp.realization.multiply_f(xs[i], ys[i]))
             else:
-                resid = grp.membership_residual(invert_unit(grp.realization, xs[i]))
+                resid = grp.membership_residual(unit_inverse(grp.realization, xs[i]))
             assert note == pytest.approx(resid, rel=1e-3)
 
 
 def _closure_ok(grp, x, y):
     """Both closure checks of the per-sample loop pass on the pair x, y."""
     r, tol = grp.realization, grp.tolerance
-    inv = invert_unit(r, x)
+    inv = unit_inverse(r, x)
     prod_scale = max(1.0, svd_norm(r, x) * svd_norm(r, y))
     return (grp.membership_residual(r.multiply_f(x, y)) <= tol * prod_scale
             and grp.membership_residual(inv) <= tol * max(1.0, svd_norm(r, inv) ** 2))
