@@ -179,6 +179,63 @@ def test_invert_unit_reads_floats_exactly(ut_model):
         invert_unit(r, (0.0, 0.0, 1.0))                     # even part singular
 
 
+@pytest.mark.parametrize("form", [
+    tuple,
+    lambda x: list(map(Fraction, x)),
+    lambda x: map(Fraction, x),
+    np.array,
+    lambda x: [str(Fraction(c)) for c in x],
+], ids=["float-tuple", "fraction-list", "iterator", "ndarray", "strings"])
+def test_xi_and_invert_unit_read_input_as_vec_does(ut_model, form):
+    # a float array included: no input form selects a float path
+    r = regular_realization(ut_model)
+    x = (1.0, 0.5, 2.0)
+    even, inv = xi(ut_model, form(x)), invert_unit(r, form(x))
+    assert even == (1, Fraction(1, 2), 0) and inv == (1, 2, -4)
+    assert type(even) is tuple and type(inv) is tuple
+    assert all(type(c) is Fraction for c in even + inv)
+
+
+_UNIT_MODELS = {
+    "mat2-block": lambda: R2,
+    "mat2-regular": lambda: regular_realization(G2),
+    "mat3-block": lambda: R3,
+    "block-upper-2-2": lambda: regular_realization(make_block_upper(2, 2)),
+    "dual-numbers": lambda: regular_realization(dual_numbers()),
+}
+
+
+@pytest.mark.parametrize("name", list(_UNIT_MODELS))
+def test_xi_is_an_endomorphism_of_the_unit_group(name):
+    # exactly: xi(xy) = xi(x) xi(y) and xi(x^-1) = xi(x)^-1; the float batch
+    # inverse agrees with the exact one on the same (dyadic) units
+    r = _UNIT_MODELS[name]()
+    g, unit = r.graded, r.graded.algebra.unit
+    rng = random.Random(6)
+    units = []
+    while len(units) < 6:
+        x = tuple(unit[i] + Fraction(rng.randint(-4, 4), rng.choice((1, 2, 4)))
+                  for i in range(g.dim))
+        try:
+            units.append((x, invert_unit(r, x)))
+        except NotAUnitError:
+            continue
+    for x, inv in units:
+        assert g.multiply(x, inv) == unit and g.multiply(inv, x) == unit
+        assert invert_unit(r, xi(g, x)) == xi(g, inv)
+    for (x, _), (y, _) in zip(units, units[1:]):
+        assert xi(g, g.multiply(x, y)) == g.multiply(xi(g, x), xi(g, y))
+    inv_f, resid = _unit_inverses(r, np.array([[float(c) for c in x] for x, _ in units]))
+    assert np.all(resid <= _UNIT_RESIDUAL)
+    assert np.allclose(inv_f, [[float(c) for c in inv] for _, inv in units],
+                       rtol=1e-9, atol=1e-12)
+    # an odd element is no unit, on both paths
+    odd = tuple(Fraction(0 if i in g.even else 1) for i in range(g.dim))
+    with pytest.raises(NotAUnitError):
+        invert_unit(r, odd)
+    assert _unit_inverses(r, np.array([[float(c) for c in odd]]))[1][0] > _UNIT_RESIDUAL
+
+
 def test_unit_inverses_of_one_point():
     rng = np.random.default_rng(1)
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
