@@ -11,6 +11,7 @@ subspace, and a tolerance.  Unknown fields are rejected.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -33,6 +34,10 @@ MAX_DIM = 256
 # an ``odd_subspace``, checked before any entry is read: every dense table up
 # to dim 161 (161^3 = 4,173,281 entries).
 MAX_ENTRIES = 2 ** 22
+# Largest accepted file size, checked before the JSON is parsed: two tensor
+# fields at MAX_ENTRIES of 32-byte entry lines (256 MiB).  A file just past
+# MAX_ENTRIES parses into about 620 MB of lists before that bound is read.
+MAX_FILE_BYTES = 64 * MAX_ENTRIES
 
 
 _FIELDS = {
@@ -166,12 +171,15 @@ def load_obj(data):
 def load_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size > MAX_FILE_BYTES:
+                raise ValueError(f"file has {size} bytes, above the limit {MAX_FILE_BYTES}")
             data = json.load(fh)
     except OSError as e:
         raise SchemaError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
-    except ValueError as e:  # e.g. an integer literal over the digit limit
+    except ValueError as e:  # too large, or e.g. an integer literal over the digit limit
         raise SchemaError(f"{path}: {e}") from None
     return load_obj(data)
 

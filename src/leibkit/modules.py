@@ -185,13 +185,6 @@ def quotient(mod: OperatorModule, s: Subspace) -> QuotientModule:
         (position[g], y) for g, y in _reduce(s._rows, t._cols[free[a]]).items())), free)
 
 
-def _check_budget(budget):
-    """Raise ValueError unless Norton's budget, a count of attempts, is an
-    int >= 0; a bool is not a count."""
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
-        raise ValueError(f"budget must be an int >= 0, not {budget!r}")
-
-
 def _random_recipe(count: int, rng: random.Random) -> list[tuple[tuple[int, ...], int]]:
     """A random element of the algebra of ``count`` operators, as a recipe
     [(operator indices, coefficient)]: the sum over its terms of the
@@ -239,15 +232,15 @@ def _distinct(ops: list[Matrix]) -> list[Matrix]:
     return list(first.values())
 
 
-def norton_irreducible(mod: OperatorModule, rng: random.Random,
-                       budget: int = NORTON_BUDGET) -> tuple[str, Subspace | None]:
+def norton_irreducible(mod: OperatorModule, rng: random.Random) -> tuple[str, Subspace | None]:
     """Decide irreducibility of the module.
 
     Returns ("irreducible", None), ("reducible", proper invariant subspace),
-    or ("unknown", None) when the randomized budget is exhausted without a
-    proof either way.  Each element theta is drawn as a recipe and tested
-    for full rank mod p first; only a theta that fails that test is built
-    over Q, from its sparse columns, and its kernel taken.  The spins are
+    or ("unknown", None) when ``NORTON_BUDGET`` random elements, the budget
+    read at each call, are drawn without a proof either way.  Each element
+    theta is drawn as a recipe and tested for full rank mod p first; only a
+    theta that fails that test is built over Q, from its sparse columns,
+    and its kernel taken.  The spins are
     closures under the distinct operators, the dual one under their
     transposes, which read the operators' rows as their columns.  Each
     kernel line is spun at most once per call: the singular elements of a
@@ -255,7 +248,6 @@ def norton_irreducible(mod: OperatorModule, rng: random.Random,
     already spun to the full space is skipped.  The draws, kernels and
     answers are those of spinning every line.
     """
-    _check_budget(budget)
     d = mod.dim
     if d == 0:
         raise ValueError("empty module")
@@ -267,7 +259,7 @@ def norton_irreducible(mod: OperatorModule, rng: random.Random,
     distinct = _distinct(ops)
     cols_p = [t._cols_p for t in ops]
     spun: set[Subspace] = set()  # kernel lines whose spin is the full space
-    for _ in range(budget):
+    for _ in range(NORTON_BUDGET):
         recipe = _random_recipe(len(ops), rng)
         if None not in cols_p and _full_rank_mod_p(cols_p, recipe, d):
             continue  # theta is invertible over Q: its kernel is 0

@@ -1,14 +1,16 @@
 """The CLI's outputs on fixed inputs, run in-process through ``cli.main``.
 
 ``PINS`` holds the sha256 digests of ``--json`` reports and written files
-that the CI workflow pins and no other test module does, on the inputs the
-workflow builds.  The text tests below hold the plain output of each
-command.
+that no other test module pins.  The CI workflow reruns a few pinned
+outputs through the installed ``leibkit`` script, under wall-time bounds,
+and a test below fails when it checks a digest that no test module holds.
+The text tests below hold the plain output of each command.
 """
 
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +100,13 @@ def test_cli_output_is_pinned(tmp_path, capsys, make, args, status, digest):
     pinned = (paths["{out}"].read_bytes() if "{out}" in args else stdout.encode() if args
               else paths["{in}"].read_bytes())
     assert hashlib.sha256(pinned).hexdigest() == digest
+
+
+def test_every_digest_the_workflow_pins_is_pinned_by_a_test():
+    root = Path(__file__).resolve().parents[1]
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    tests = "".join(p.read_text() for p in (root / "tests").glob("*.py"))
+    assert {d for d in re.findall(r"\b[0-9a-f]{64}\b", workflow) if d not in tests} == set()
 
 
 def test_dim_192_block_upper_8_pair_is_never_called_simple(tmp_path, capsys):
@@ -197,3 +206,13 @@ def test_xi_check_text_format(tmp_path, capsys, odd, status, verdict):
     assert code == status
     assert re.fullmatch(r"conjugation stability over 30 samples: "
                         rf"worst residual \d\.\d{{3}}e[-+]\d\d \({verdict}\)\n", out)
+
+
+@pytest.mark.parametrize("odd, status", [
+    (None, 0), (span([[1] + [0] * 8], 9), 1),
+], ids=["orthogonal Mat(3)", "one odd line"])
+def test_xi_check_json_at_the_default_sample_count_decides(tmp_path, capsys, odd, status):
+    # the verdict only: the residual's digits may differ across BLAS builds
+    code, out = run(tmp_path, capsys, orthogonal_mat(3, odd), "xi-check", "{in}", "--json")
+    assert code == status
+    assert json.loads(out)["holds"] is (status == 0)

@@ -326,6 +326,37 @@ def test_cli_odd_subspace_above_the_limit_is_an_input_error(tmp_path, capsys, mo
     assert "field 'odd_subspace' has 4 rows" in captured.err
 
 
+def _unparsed(fh):
+    raise AssertionError("the file was parsed")
+
+
+def test_file_above_the_size_limit_is_refused_before_it_is_parsed(tmp_path, monkeypatch):
+    p = tmp_path / "dual.json"
+    lio.save_file(dual_numbers(), p)
+    size = p.stat().st_size
+    monkeypatch.setattr(lio, "MAX_FILE_BYTES", size - 1)
+    monkeypatch.setattr(json, "load", _unparsed)
+    with pytest.raises(lio.SchemaError,
+                       match=rf"file has {size} bytes, above the limit {size - 1}$"):
+        lio.load_file(p)
+    # at the limit the file is parsed, and loads
+    monkeypatch.undo()
+    monkeypatch.setattr(lio, "MAX_FILE_BYTES", size)
+    assert lio.dumps(lio.load_file(p)) == p.read_text()
+
+
+def test_cli_file_above_the_size_limit_is_an_input_error(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "dual.json"
+    lio.save_file(dual_numbers(), p)
+    monkeypatch.setattr(lio, "MAX_FILE_BYTES", 10)
+    monkeypatch.setattr(json, "load", _unparsed)
+    assert cli.main(["verify", str(p), "--kind", "assoc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {p}: file has {p.stat().st_size} bytes, "
+                            "above the limit 10\n")
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_cli_xi_check_without_samples_is_an_input_error(tmp_path, capsys, samples):
     _, r2 = mat_square_zero_extension(2)
@@ -530,6 +561,16 @@ def test_verify_json_of_the_block_upper_3_pair_is_pinned(tmp_path, capsys, mutat
     lio.save_file(h, path)
     assert cli.main(["verify", path, "--kind", "huliu", "--json"]) == status
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["simple", "annihilator"])
+def test_simple_and_annihilator_refuse_the_one_entry_mutant_of_the_block_upper_3_pair(
+        tmp_path, capsys, command):
+    path = str(tmp_path / "mutant.json")
+    lio.save_file(_last_angle_entry_plus(1)(derive_huliu(make_block_upper(3, 3))), path)
+    assert cli.main([command, path]) == 2
+    assert capsys.readouterr() == (
+        "", "error: right Leibniz identity fails at basis triple (20,6,17)\n")
 
 
 def test_derived_huliu_file_of_block_upper_2_is_pinned(tmp_path, capsys):

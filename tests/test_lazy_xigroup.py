@@ -7,6 +7,7 @@ interpreter in which ``import numpy`` fails, and must print what it prints,
 with the same exit code, in one where numpy is importable but never loaded.
 """
 
+import hashlib
 import inspect
 import json
 import os
@@ -19,29 +20,41 @@ import pytest
 import leibkit
 from leibkit import cli
 from leibkit import io as lio
-from leibkit.algebras import upper_triangular_model
+from leibkit.algebras import make_block_upper, upper_triangular_model
 from leibkit.derive import derive_leibniz
+from leibkit.leibniz import LeibnizAlgebra
 from leibkit.linalg import span
 from leibkit.xigroup import LinearXiGroup, OrthogonalConstraints, mat_square_zero_extension
 
+import oracles
+
 SRC = str(Path(leibkit.__file__).resolve().parents[1])
 
-# (arguments, exit code); "{d}" is the directory of the input files
+# (arguments, exit code, sha256 of stdout or None); "{d}" is the directory
+# of the input files
 COMMANDS = [
-    (["verify", "{d}/L.json", "--kind", "leibniz"], 0),
-    (["verify", "{d}/bad.json", "--kind", "leibniz", "--json"], 1),
-    (["verify", "{d}/g.json", "--kind", "grading"], 0),
-    (["derive", "{d}/g.json", "--huliu", "-o", "{d}/h.json"], 0),
-    (["verify", "{d}/h.json", "--kind", "huliu", "--json"], 0),
-    (["derive", "{d}/g.json", "-o", "{d}/L2.json"], 0),
-    (["simple", "{d}/L.json", "--json"], 1),
-    (["simple", "{d}/simple.json"], 0),
-    (["annihilator", "{d}/L.json", "--json"], 0),
-    (["annihilator", "{d}/bad.json"], 2),
-    (["fuzz", "--trials", "5", "--seed", "2", "--dump-dir", "{d}"], 0),
+    (["verify", "{d}/L.json", "--kind", "leibniz"], 0, None),
+    (["verify", "{d}/bad.json", "--kind", "leibniz", "--json"], 1, None),
+    (["verify", "{d}/g.json", "--kind", "grading"], 0, None),
+    (["derive", "{d}/g.json", "--huliu", "-o", "{d}/h.json"], 0, None),
+    (["verify", "{d}/h.json", "--kind", "huliu", "--json"], 0, None),
+    (["derive", "{d}/g.json", "-o", "{d}/L2.json"], 0, None),
+    (["simple", "{d}/L.json", "--json"], 1, None),
+    (["simple", "{d}/simple.json"], 0, None),
+    (["annihilator", "{d}/L.json", "--json"], 0, None),
+    (["annihilator", "{d}/bad.json"], 2, None),
+    (["fuzz", "--trials", "5", "--seed", "2", "--dump-dir", "{d}"], 0, None),
+    (["simple", "{d}/sl2-v8.json", "--json"], 0,
+     "0d493efabef7e7fd6ea2cbf884b039fc16d3af873111d603b7d4c07eac147da9"),
+    (["annihilator", "{d}/sl2-v8.json", "--json"], 0,
+     "35c42dd0b2be17b01985e653c32fcb739367ac9873d53bdaa4540226f457b9a3"),
+    (["fuzz", "--trials", "100", "--seed", "7", "--dump-dir", "{d}"], 0,
+     "706f46303f0b0e249c6ba111e8fcf04062332f88689c6752ba0de836ee54129f"),
+    (["derive", "{d}/bu.json", "--huliu", "-o", "{d}/bu-pair.json"], 0, None),
 ]
 
-# writes the inputs with save_file, then runs COMMANDS through cli.main;
+# writes the inputs with save_file, beside the ones the test writes, then
+# runs COMMANDS through cli.main;
 # prints {"codes": [...], "out": [...], "numpy": whether numpy got loaded}
 SCRIPT = """
 import contextlib, io, json, sys
@@ -78,17 +91,25 @@ def run(script, *args):
 
 
 def test_exact_commands_run_without_numpy(tmp_path):
-    commands = [argv for argv, _ in COMMANDS]
-    (tmp_path / "blocked").mkdir()
-    (tmp_path / "normal").mkdir()
+    commands = [argv for argv, _, _ in COMMANDS]
+    for name in ("blocked", "normal"):
+        # sl2 + V_8 is built by the test oracles, which need numpy
+        (tmp_path / name).mkdir()
+        lio.save_file(LeibnizAlgebra(oracles.sl2_semidirect((8,))), tmp_path / name / "sl2-v8.json")
+        lio.save_file(make_block_upper(2, 2), tmp_path / name / "bu.json")
     blocked = run(SCRIPT, tmp_path / "blocked", json.dumps(commands), "blocked")
     normal = run(SCRIPT, tmp_path / "normal", json.dumps(commands), "normal")
-    assert blocked["codes"] == [code for _, code in COMMANDS]
+    assert blocked["codes"] == [code for _, code, _ in COMMANDS]
     assert not blocked["numpy"] and not normal["numpy"]
     assert blocked == normal
-    for name in ("h.json", "L2.json"):
+    for (_, _, digest), out in zip(COMMANDS, blocked["out"]):
+        assert digest is None or hashlib.sha256(out.encode()).hexdigest() == digest
+    for name in ("h.json", "L2.json", "bu-pair.json"):
         assert ((tmp_path / "blocked" / name).read_text()
                 == (tmp_path / "normal" / name).read_text())
+    pair = (tmp_path / "blocked" / "bu-pair.json").read_bytes()
+    assert (hashlib.sha256(pair).hexdigest()
+            == "56ced1dacd70d17cce40c700ef623f4365de0332f7517d2ad1629cdf5271cf12")
 
 
 def test_xigroup_file_loads_and_saves_in_a_fresh_interpreter(tmp_path):
