@@ -125,7 +125,10 @@ def is_invariant(operators, s: Subspace) -> bool:
 def _maps_into(cols, s: Subspace, target: Subspace) -> bool:
     """Whether every operator, given by its columns' nonzero (row, value)
     pairs, maps s into target: each image of s's sparse basis reduces to 0
-    against target's pivot rows."""
+    against target's pivot rows.  The whole space holds every image, so no
+    column is applied for it."""
+    if target.dim == target.ambient_dim:
+        return True
     rows = target._rows
     return not any(_reduce(rows, _apply(c, b, 0)) for c in cols for b in s.nonzeros)
 

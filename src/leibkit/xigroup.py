@@ -255,7 +255,8 @@ def _unit_inverses(r: MatrixRealization, x: np.ndarray):
     del m  # free the stacked matrices before the products
     x1 = x.copy()
     x1[..., even] = 0.0
-    inv = x0_inv - r.multiply_f(x0_inv, r.multiply_f(x1, x0_inv))
+    # with no odd part in any row, as for xi(x), x0^-1 x1 x0^-1 is zero
+    inv = x0_inv - r.multiply_f(x0_inv, r.multiply_f(x1, x0_inv)) if x1.any() else x0_inv
     resid = np.linalg.norm(r.multiply_f(x, inv) - r.np_unit, axis=-1) / np.maximum(
         1.0, np.linalg.norm(x, axis=-1) * np.linalg.norm(inv, axis=-1))
     resid = np.where(singular, np.inf, resid)

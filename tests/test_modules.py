@@ -46,6 +46,24 @@ def test_closure_reaches_fixpoint():
 _SHIFT3 = Matrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
 
 
+class _Unread:
+    """Operator columns that fail the test when any of them is read."""
+
+    def __iter__(self):
+        raise AssertionError("a column was read")
+
+    def __getitem__(self, j):
+        raise AssertionError("a column was read")
+
+
+def test_a_whole_space_target_holds_every_image_without_reading_a_column():
+    whole, line = full_space(3), span([(1, 2, 0)], 3)
+    assert modules._maps_into(_Unread(), line, whole)
+    assert modules._maps_into((_Unread(), _Unread()), whole, whole)
+    with pytest.raises(AssertionError, match="a column was read"):
+        modules._maps_into((_Unread(),), whole, line)
+
+
 def test_closure_rejects_operators_of_another_size():
     with pytest.raises(ValueError, match="not 2x2"):
         closure([_SHIFT3], span([(1, 0)], 2))

@@ -7,7 +7,9 @@ the integer scaling the exact checker walks, and the checker itself.
 identity checker must name the same first failing basis triple, or none,
 as the dense loop over every triple kept in ``oracles.py``, for every
 declared identity, on the exhaustive dim-2 brackets, seeded random tables,
-derived pairs, and one-entry mutants of these.
+derived pairs, one-entry mutants of these, and mutants of derived pairs
+that the checker's summed tables hide.  Each identity's fused plan, read
+back with rational tables, must sum to lhs - rhs.
 """
 
 import itertools
@@ -23,7 +25,9 @@ from leibkit._tables import (
     JACOBI,
     RIGHT_LEIBNIZ,
     _first_failing_triple,
+    apply_table,
     columns,
+    evaluate,
     int_scaled,
     operators,
     table_entries,
@@ -36,6 +40,7 @@ from leibkit.derive import derive_huliu
 from leibkit.fuzz import generate_corpus
 from leibkit.huliu import HuLiuAlgebra, verify_lie
 from leibkit.leibniz import LeibnizAlgebra
+from leibkit.linalg import vadd, vscale, zeros
 
 import oracles
 
@@ -91,6 +96,25 @@ def test_tables_are_canonical(seed):
     assert Algebra(nested).table == LeibnizAlgebra(nested).angle == table_from_dense(nested)
     assert HuLiuAlgebra(nested, nested).square == table_from_dense(nested)
     assert Algebra(t).table is t
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_table_from_entries_adds_up_like_a_plain_accumulation(seed):
+    rng = random.Random(seed)
+    dim = rng.randint(1, 6)
+    items = []
+    for _ in range(rng.randint(0, 3 * dim ** 2)):
+        i, j, k = (rng.randrange(dim) for _ in range(3))
+        items.append((i, j, k, rng.choice((1, -2, "3/4", "-5/6", Fraction(2, 3), "0"))))
+        if rng.random() < 0.4:  # a repeat, which often cancels the first
+            items.append((i, j, k, rng.choice((-Fraction(items[-1][3]), "1/3", 2))))
+    rng.shuffle(items)
+    sums = {}
+    for i, j, k, c in items:
+        sums[i, j, k] = sums.get((i, j, k), Fraction(0)) + Fraction(c)
+    entries = table_entries(table_from_entries(dim, items))
+    assert entries == sorted((*key, c) for key, c in sums.items() if c)
+    assert all(type(c) is Fraction for *_, c in entries)
 
 
 def test_table_from_dense_rejects_a_row_of_the_wrong_length():
@@ -259,6 +283,58 @@ def test_sparse_checker_matches_the_dense_loop_on_derived_pairs():
         for _ in range(2):
             failing += _same_first_failures(_mutant(sets, rng))
     assert failing > len(graded)
+
+
+def _summed_table(spec, tables):
+    """The rational table of a plan's signed sum of tables."""
+    dim = len(next(iter(tables.values())))
+    return table_from_entries(dim, [
+        (j, i, k, coef * c) if transposed else (i, j, k, coef * c)
+        for name, transposed, coef in spec for i, j, k, c in table_entries(tables[name])])
+
+
+def test_the_plans_fuse_the_compatibility_terms():
+    assert [len(identity._plan) for identity in DECLARED] == [2, 3, 3, 1, 2, 3, 3]
+
+
+@pytest.mark.parametrize("identity", DECLARED, ids=lambda identity: identity.name)
+def test_the_fused_plan_sums_to_lhs_minus_rhs_at_random_vectors(identity):
+    rng = random.Random(identity.name)
+    for dim in range(1, 5):
+        tables = {name: random_table(rng, dim) for name in "mas"}
+        for _ in range(4):
+            xyz = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim))
+                   for _ in range(3)]
+            lhs, rhs = evaluate(identity, tables, *xyz)
+            total = zeros(dim)
+            for term in identity._plan:
+                u, v, w = (xyz[a] for a in term.args)
+                inner = apply_table(_summed_table(term.inner, tables), u, v)
+                total = vadd(total, vscale(term.sign, apply_table(
+                    _summed_table(term.outer, tables), inner, w)))
+            assert total == tuple(a - b for a, b in zip(lhs, rhs))
+
+
+def test_a_change_that_the_summed_tables_hide_is_still_found():
+    # the same change to one cell of the angle and the square table leaves
+    # their difference, a summed table of two compatibility plans, as it was
+    graded = [g for _, g in generate_corpus(5, 30, 3, 3)]
+    graded += [make_block_upper(k, k) for k in (1, 2, 3)]
+    rng = random.Random(4)
+    failing = checked = 0
+    for g in graded:
+        h = derive_huliu(g)
+        pair = {"a": h.leibniz.angle, "s": h.square}
+        difference = _summed_table((("a", False, 1), ("s", False, -1)), pair)
+        for _ in range(2):
+            i, j, k = (rng.randrange(h.dim) for _ in range(3))
+            delta = rng.choice((1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
+            mutant = {name: table_from_entries(h.dim, table_entries(t) + [(i, j, k, delta)])
+                      for name, t in pair.items()}
+            assert _summed_table((("a", False, 1), ("s", False, -1)), mutant) == difference
+            failing += _same_first_failures({"m": g.algebra.table, **mutant}) > 0
+            checked += 1
+    assert failing > checked // 2
 
 
 @pytest.mark.parametrize("seed", range(10))
