@@ -11,9 +11,8 @@ basis order), :func:`columns` (the cells as the columns of the
 multiplication operators), :func:`product` (the product of two sparse
 vectors, which reads each row of cells as the columns of a left operator;
 :func:`apply_table` is its dense wrapper), :func:`operators` (those
-operators as matrices) and :func:`int_scaled` (the same cells over one
-common denominator, grouped by row, by column and by product coordinate
-for the exact checker).
+operators as matrices) and :func:`int_scaled` (the nonzero cells over one
+common denominator, for the exact checker).
 
 Each identity the package verifies (associativity, the right Leibniz
 identity, the Jacobi identity and the four Hu-Liu compatibility identities)
@@ -32,11 +31,12 @@ the declarations:
   square one, so there the four compatibility identities walk half the
   product chains of their declared terms (23,072 against 45,600);
 * the exact checker :func:`verify_identities`, which walks the plan.  Per
-  call it clears denominators jointly with :func:`int_scaled`, which groups
-  the integer cells by row, by column and by product coordinate in the same
-  pass, and builds each summed table's groupings from those integers once,
-  without the cells that cancel; every term has degree two in the table
-  entries, so clearing denominators cannot change which side differs.  It
+  call it clears denominators jointly with :func:`int_scaled`; every term
+  has degree two in the table entries, so clearing denominators cannot
+  change which side differs.  Each table a term names, declared or a
+  signed sum without the cells that cancel, is grouped once per call, by
+  row, by column and by product coordinate, when first read; a transposed
+  table swaps its table's rows and columns.  It
   walks the leading index i upward and, for each i, adds up every fused
   term's contributions to the triples (i, j, k) in one block.  A term
   contributes only where its inner product is nonzero, so it reads its
@@ -268,70 +268,59 @@ def operators(t: Table, side: str) -> tuple[Matrix, ...]:
     return tuple(Matrix._sparse(dim, dim, c=cols) for cols in columns(t, side))
 
 
-def int_scaled(tables: Sequence[Table]) -> list[tuple[list, list, list]]:
-    """Clear denominators jointly, and group each table's integer nonzeros
-    for the exact checker in the same pass: per input, lists indexed by
-    basis index of the (b, cell) with t[a][b] nonzero by row a, the (a, cell)
-    by column b, and the (a, b, c) where t[a][b] has c at l by product
-    coordinate l; a cell is its (k, int) pairs.  One common factor scales
+def int_scaled(tables: Sequence[Table]) -> list[list[tuple[int, int, tuple]]]:
+    """Clear denominators jointly: per input, its nonzero cells as (a, b, cell)
+    in basis order, a cell its (k, int) pairs.  One common factor scales
     every table, so identities mixing two tables stay homogeneous of the
-    same degree.
-    """
-    d = math.lcm(*{c.denominator for t in tables for row in t for cell in row
-                   for _, c in cell})
-    views = []
-    for t in tables:
-        by_row, by_column, by_product = ([[] for _ in t] for _ in range(3))
-        for a, row in enumerate(t):
-            for b, cell in enumerate(row):
-                if cell:
-                    cell = tuple((k, c.numerator * (d // c.denominator)) for k, c in cell)
-                    by_row[a].append((b, cell))
-                    by_column[b].append((a, cell))
-                    for l, c in cell:
-                        by_product[l].append((a, b, c))
-        views.append((by_row, by_column, by_product))
-    return views
+    same degree."""
+    nonzero = [[(a, b, cell) for a, row in enumerate(t) for b, cell in enumerate(row) if cell]
+               for t in tables]
+    d = math.lcm(*{c.denominator for cells in nonzero for _, _, cell in cells for _, c in cell})
+    return [[(a, b, tuple([(k, c.numerator * (d // c.denominator)) for k, c in cell]))
+             for a, b, cell in cells] for cells in nonzero]
 
 
-def _summed(spec: tuple, views: dict):
-    """The groupings of the signed sum of tables ``spec``, from the
-    :func:`int_scaled` views of its tables in ``views``.  A single table is
-    its own view, transposed by swapping rows and columns (an outer is never
-    read by product coordinate).  A sum is built once per call, without the
-    cells that cancel, and kept in ``views`` under ``spec``."""
-    if len(spec) == 1 and spec[0][2] == 1:
-        name, transposed, _ = spec[0]
-        if not transposed:
-            return views[name]
-        by_row, by_column, _ = views[name]
-        return by_column, by_row, None
+def _grouped(spec: tuple, views: dict, dim: int) -> tuple[list, list, list]:
+    """The groupings of the signed sum of tables ``spec``, built on first read
+    and kept in ``views`` under ``spec``: lists indexed by basis index of the
+    (b, cell) with cell (a, b) nonzero by row a, the (a, cell) by column b,
+    and the (a, b, c) where cell (a, b) has c at l by product coordinate l.
+    ``views`` maps each table name to its :func:`int_scaled` cells.  A
+    transposed table reuses its table's groupings, rows and columns swapped;
+    it is only ever an outer, which is never read by product coordinate, so
+    its product grouping is None.  A sum is added once, without the cells
+    that cancel."""
     grouped = views.get(spec)
-    if grouped is None:
-        # the sum's entries keyed by (a * dim + b) * dim + k, then grouped
-        dim = len(views[spec[0][0]][0])
+    if grouped is not None:
+        return grouped
+    name, transposed, coef = spec[0]
+    if len(spec) == 1 and coef == 1 and transposed:
+        by_row, by_column, _ = _grouped(((name, False, 1),), views, dim)
+        views[spec] = by_column, by_row, None
+        return views[spec]
+    if len(spec) == 1 and coef == 1:
+        cells = views[name]
+    else:
+        # the sum's entries keyed by (a * dim + b) * dim + k, then read back in order
         sums: dict[int, int] = {}
         for name, transposed, coef in spec:
-            for a, row in enumerate(views[name][0]):
-                for b, cell in row:
-                    base = (b * dim + a if transposed else a * dim + b) * dim
-                    for k, c in cell:
-                        key = base + k
-                        sums[key] = sums.get(key, 0) + coef * c
-        cells: dict[int, list] = {}
-        for key, c in sums.items():
-            if c:
-                ab, k = divmod(key, dim)
-                cells.setdefault(ab, []).append((k, c))
-        by_row, by_column, by_product = ([[] for _ in range(dim)] for _ in range(3))
-        for ab, cell in cells.items():
-            a, b = divmod(ab, dim)
-            cell = tuple(cell)
-            by_row[a].append((b, cell))
-            by_column[b].append((a, cell))
-            for l, c in cell:
-                by_product[l].append((a, b, c))
-        grouped = views[spec] = by_row, by_column, by_product
+            for a, b, cell in views[name]:
+                base = (b * dim + a if transposed else a * dim + b) * dim
+                for k, c in cell:
+                    key = base + k
+                    sums[key] = sums.get(key, 0) + coef * c
+        by_ab: dict[int, list] = {}
+        for key in sorted(key for key, c in sums.items() if c):
+            by_ab.setdefault(key // dim, []).append((key % dim, sums[key]))
+        cells = [(*divmod(ab, dim), tuple(cell)) for ab, cell in by_ab.items()]
+    basis = range(dim)
+    by_row, by_column, by_product = [[] for _ in basis], [[] for _ in basis], [[] for _ in basis]
+    for a, b, cell in cells:
+        by_row[a].append((b, cell))
+        by_column[b].append((a, cell))
+        for l, c in cell:
+            by_product[l].append((a, b, c))
+    grouped = views[spec] = by_row, by_column, by_product
     return grouped
 
 
@@ -342,8 +331,8 @@ def _walk(term: _Fused, views: dict, dim: int):
     weight = (0, dim * dim, dim)
     u, v, w = term.args
     wu, wv, ww = weight[u], weight[v], weight[w]
-    outer_row, outer_column, _ = _summed(term.outer, views)
-    inner_row, inner_column, by_l = _summed(term.inner, views)
+    outer_row, outer_column, _ = _grouped(term.outer, views, dim)
+    inner_row, inner_column, by_l = _grouped(term.inner, views, dim)
     sign = term.sign
 
     if w == 0:
@@ -386,8 +375,8 @@ def _walk(term: _Fused, views: dict, dim: int):
 def _first_failing_triple(identity: Identity, views: dict,
                           dim: int) -> tuple[int, int, int] | None:
     """First basis triple (i, j, k), in lexicographic order, where lhs != rhs;
-    ``views`` maps table names to their :func:`int_scaled` views, and the
-    summed tables' groupings are added to it."""
+    ``views`` maps table names to their :func:`int_scaled` cells, and the
+    groupings of every table the plan reads are added to it."""
     walks = [_walk(term, views, dim) for term in identity._plan]
     for i in range(dim):
         acc: dict[int, int] = {}

@@ -112,14 +112,15 @@ class GradedAlgebra:
         return self.algebra.dim
 
     def even_part(self, v: Sequence) -> Vec:
-        v = vec(v)
-        odd = set(self.odd)
-        return tuple(Fraction(0) if i in odd else x for i, x in enumerate(v))
+        return self._without(v, self.odd)
 
     def odd_part(self, v: Sequence) -> Vec:
-        v = vec(v)
-        even = set(self.even)
-        return tuple(Fraction(0) if i in even else x for i, x in enumerate(v))
+        return self._without(v, self.even)
+
+    def _without(self, v: Sequence, drop) -> Vec:
+        """v, read by ``vec`` with length dim, with the entries at ``drop`` zeroed."""
+        drop = set(drop)
+        return tuple(Fraction(0) if i in drop else x for i, x in enumerate(vec(v, self.dim)))
 
     def multiply(self, x: Sequence, y: Sequence) -> Vec:
         return self.algebra.multiply(x, y)

@@ -17,8 +17,8 @@ from ._tables import table_entries, table_from_entries
 from .algebras import GradedAlgebra
 from .huliu import HuLiuAlgebra, check_huliu_homomorphism
 from .leibniz import LeibnizAlgebra, check_leibniz_homomorphism
-from .linalg import Matrix
-from .report import HomReport
+from .linalg import Matrix, zeros
+from .report import HomReport, Witness
 
 
 def _commutator_table(g: GradedAlgebra, even_only: bool):
@@ -68,5 +68,8 @@ def verify_linear_embedding(algebra, g: GradedAlgebra, phi: Matrix) -> HomReport
     else:
         raise TypeError("expected a LeibnizAlgebra or HuLiuAlgebra")
     if rep.holds and not rep.injective:
-        return replace(rep, holds=False, identity="injectivity violated (nonzero kernel)")
+        # a nonzero x in the kernel: lhs x, rhs 0
+        x = rep.kernel.basis[0]
+        return replace(rep, holds=False, identity="injectivity violated (nonzero kernel)",
+                       witness=Witness((x,), x, zeros(len(x)), "nonzero x with phi(x) = 0"))
     return rep

@@ -46,8 +46,13 @@ def rat(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def vec(entries: Iterable) -> Vec:
-    return tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
+def vec(entries: Iterable, dim: int | None = None) -> Vec:
+    """The entries as Fractions; ValueError unless there are ``dim`` of them,
+    when ``dim`` is given."""
+    v = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
+    if dim is not None and len(v) != dim:
+        raise ValueError(f"vector length {len(v)} != dim {dim}")
+    return v
 
 
 def zeros(n: int) -> Vec:

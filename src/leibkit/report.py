@@ -53,18 +53,12 @@ def require(rep: Report) -> None:
 
 
 @dataclass(frozen=True)
-class HomReport:
+class HomReport(Report):
     """Result of a homomorphism check, with kernel and image attached."""
 
-    holds: bool
-    identity: str = ""
-    witness: Witness | None = None
     injective: bool = False
     kernel: Subspace | None = None
     image: Subspace | None = None
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 def memo(obj, check, *args):

@@ -123,8 +123,8 @@ class MatrixRealization:
         return self.graded.dim
 
     def realize(self, x) -> Matrix:
-        """sum_i x_i embed_i."""
-        return _combination(vec(x), self.embed, self.n)
+        """sum_i x_i embed_i; ValueError unless x has dim entries."""
+        return _combination(vec(x, self.dim), self.embed, self.n)
 
     def realize_f(self, x) -> np.ndarray:
         """The matrices of float coordinate vectors x (..., dim), as (..., n, n)."""
@@ -203,7 +203,7 @@ def xi(g: GradedAlgebra, x) -> Vec:
     """Even-component projection, an idempotent endomorphism of the units:
     by the special grading xy = x0 y0 + (x0 y1 + x1 y0) + 0 has even part
     x0 y0 = xi(x) xi(y), and units have unit even parts (see ``invert_unit``).
-    Exact: x is read as ``vec`` reads it."""
+    Exact: x is read as ``vec`` reads it; ValueError unless it has dim entries."""
     return g.even_part(x)
 
 
@@ -225,10 +225,10 @@ def invert_unit(r: MatrixRealization, x) -> Vec:
     has odd part u0 u1 + u1 u0 = u1, so u1 = 0.  So xy = yx = 1 gives
     x0 y0 = y0 x0 = 1, and conversely the formula is a two-sided inverse, as
     x1 x0^-1 x1 = 0.  Exact: x is read as ``vec`` reads it, so a float is the
-    rational it represents.
+    rational it represents; ValueError unless it has dim entries.
     """
     g = r.graded
-    x = vec(x)
+    x = vec(x, g.dim)
     # left multiplication by x0 on A0; column j is x0 e_j
     m = _combination([x[i] for i in g.even], r.even_left, len(g.even))
     y = solve(m, r.even_algebra.unit)

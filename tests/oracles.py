@@ -745,6 +745,30 @@ def dense_int_scaled(tables):
     ]
 
 
+def dense_groupings(tables, spec):
+    """The exact checker's groupings of the signed sum ``spec`` of
+    (name, transposed, coefficient) tables, scaled by the joint least common
+    denominator of ``tables``, by a plain scan of the dense sum: by row a the
+    (b, cell), by column b the (a, cell), by product coordinate l the
+    (a, b, c), each a list indexed by basis index; a cell is its nonzero
+    (k, int) pairs."""
+    arrays = {name: dense(t) for name, t in tables.items()}
+    d = lcm(*{c.denominator for t in arrays.values() for row in t for v in row for c in v})
+    dim = len(next(iter(arrays.values())))
+    by_row, by_column, by_product = ([[] for _ in range(dim)] for _ in range(3))
+    for a in range(dim):
+        for b in range(dim):
+            total = [sum(coef * (arrays[name][b][a] if transposed else arrays[name][a][b])[k]
+                         for name, transposed, coef in spec) for k in range(dim)]
+            cell = tuple((k, int(c * d)) for k, c in enumerate(total) if c)
+            if cell:
+                by_row[a].append((b, cell))
+                by_column[b].append((a, cell))
+            for l, c in cell:
+                by_product[l].append((a, b, c))
+    return by_row, by_column, by_product
+
+
 def dense_first_failing_triple(identity, ints, dim):
     """First basis triple (i, j, k), in lexicographic order, where the sides
     of ``identity`` differ, found by visiting every triple."""

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from leibkit._tables import table_from_entries, zero_table
-from leibkit.algebras import make_block_upper
-from leibkit.derive import derive_huliu
+from leibkit._tables import basis_vec, table_from_entries, zero_table
+from leibkit.algebras import make_block_upper, upper_triangular_model
+from leibkit.derive import derive_huliu, derive_leibniz
 from leibkit.fuzz import generate_corpus
 from leibkit.derive import verify_linear_embedding
 from leibkit.huliu import (
@@ -30,9 +30,9 @@ from leibkit.leibniz import (
     is_ideal,
     multiplication_operators,
 )
-from leibkit.linalg import Matrix, full_space, kernel, span, vadd
+from leibkit.linalg import Matrix, full_space, kernel, span, vadd, zeros
 from leibkit.modules import closure
-from leibkit.report import HomReport
+from leibkit.report import HomReport, Report, Witness, require
 from leibkit.xigroup import mat_square_zero_extension
 
 import oracles
@@ -369,8 +369,20 @@ def test_linear_embedding_reports_keep_kernel_and_image():
     h, n = derive_huliu(g), g.dim
     assert verify_linear_embedding(h, g, Matrix.identity(n)) == HomReport(
         True, "both brackets", None, True, span([], n), full_space(n))
+    x = basis_vec(n, 0)  # the first RREF basis vector of the kernel
     assert verify_linear_embedding(h, g, Matrix.zero(n, n)) == HomReport(
-        False, "injectivity violated (nonzero kernel)", None, False, full_space(n), span([], n))
+        False, "injectivity violated (nonzero kernel)",
+        Witness((x,), x, zeros(n), "nonzero x with phi(x) = 0"), False, full_space(n), span([], n))
+
+
+def test_an_injectivity_failure_carries_a_witness_that_require_reports():
+    g = upper_triangular_model()
+    rep = verify_linear_embedding(derive_leibniz(g), g, Matrix.zero(g.dim, g.dim))
+    x = rep.witness.inputs[0]
+    assert x == rep.kernel.basis[0] and any(x)
+    assert (rep.witness.lhs, rep.witness.rhs) == (x, zeros(g.dim))
+    with pytest.raises(ValueError, match="injectivity"):
+        require(rep)
 
 
 def test_huliu_constructor_and_identity_index_reject_bad_input():
@@ -384,4 +396,10 @@ def test_huliu_constructor_and_identity_index_reject_bad_input():
 
 
 def test_a_homomorphism_report_is_true_exactly_when_it_holds():
-    assert bool(HomReport(True)) and not bool(HomReport(False, "injectivity"))
+    w = Witness(((1,),), (1,), (0,), "nonzero x with phi(x) = 0")
+    assert bool(HomReport(True)) and not bool(HomReport(False, "injectivity", w))
+    assert isinstance(HomReport(True), Report)
+    with pytest.raises(ValueError, match="holding report"):
+        HomReport(True, witness=w)
+    with pytest.raises(ValueError, match="failing report"):
+        HomReport(False, "injectivity")

@@ -25,6 +25,7 @@ from leibkit._tables import (
     JACOBI,
     RIGHT_LEIBNIZ,
     _first_failing_triple,
+    _grouped,
     apply_table,
     columns,
     evaluate,
@@ -144,19 +145,10 @@ def test_operators_reject_an_unknown_side():
 
 
 def _views(ints):
-    """The checker's groupings of integer tables, built by a plain scan:
-    by row a the (b, cell), by column b the (a, cell), by product coordinate
-    l the (a, b, c), each a list indexed by basis index."""
+    """The nonzero cells of an integer table as :func:`int_scaled` gives
+    them, by a plain scan: the (a, b, cell) in basis order."""
     dim = len(ints)
-    by_row, by_column, by_product = ([[] for _ in range(dim)] for _ in range(3))
-    for a in range(dim):
-        for b in range(dim):
-            if ints[a][b]:
-                by_row[a].append((b, ints[a][b]))
-                by_column[b].append((a, ints[a][b]))
-            for l, c in ints[a][b]:
-                by_product[l].append((a, b, c))
-    return by_row, by_column, by_product
+    return [(a, b, ints[a][b]) for a in range(dim) for b in range(dim) if ints[a][b]]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -291,6 +283,38 @@ def _summed_table(spec, tables):
     return table_from_entries(dim, [
         (j, i, k, coef * c) if transposed else (i, j, k, coef * c)
         for name, transposed, coef in spec for i, j, k, c in table_entries(tables[name])])
+
+
+def test_the_groupings_of_every_planned_table_match_a_dense_scan():
+    # "s" repeats most of "a" or of minus its transpose, so the summed
+    # tables a - s and a^T + s lose the cells that cancel
+    specs = {spec for identity in DECLARED for term in identity._plan
+             for spec in (term.outer, term.inner)}
+    assert {len(spec) for spec in specs} == {1, 2}
+    assert any(tr for spec in specs for _, tr, _ in spec)
+    rng = random.Random(5)
+    cancelled = 0
+    for dim in range(1, 7):
+        for trial in range(4):
+            a = random_table(rng, dim)
+            shared = [(j, i, k, -c) if trial % 2 else (i, j, k, c)
+                      for i, j, k, c in table_entries(a) if rng.random() < 0.8]
+            s = table_from_entries(dim, shared + table_entries(random_sparse_table(rng, dim, 1)))
+            tables = {"m": random_table(rng, dim), "a": a, "s": s}
+            views = dict(zip(tables, int_scaled(list(tables.values()))))
+            for spec in sorted(specs):
+                grouped = _grouped(spec, views, dim)
+                expected = oracles.dense_groupings(tables, spec)
+                if spec[0][1] and len(spec) == 1:
+                    # a transposed table is only an outer, never read by
+                    # product coordinate, so it has no product grouping
+                    expected = (*expected[:2], None)
+                assert grouped == expected, spec
+                if len(spec) == 2:
+                    parts = {(j, i) if tr else (i, j) for name, tr, _ in spec
+                             for i, j, _, _ in table_entries(tables[name])}
+                    cancelled += sum(len(row) for row in grouped[0]) < len(parts)
+    assert cancelled > 0
 
 
 def test_the_plans_fuse_the_compatibility_terms():

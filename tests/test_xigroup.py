@@ -196,6 +196,21 @@ def test_xi_and_invert_unit_read_input_as_vec_does(ut_model, form):
     assert all(type(c) is Fraction for c in even + inv)
 
 
+@pytest.mark.parametrize("length", [0, 4, 7, 9])
+def test_exact_maps_refuse_a_vector_of_another_length_than_dim(length):
+    # Mat(2) extended by itself has dim 8; a 9-entry vector ends in a nonzero
+    g, r = mat_square_zero_extension(2)
+    x = (1,) * length
+    calls = [lambda: xi(g, x), lambda: g.even_part(x), lambda: g.odd_part(x),
+             lambda: r.realize(x), lambda: invert_unit(r, x)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"vector length {length} != dim 8"):
+            call()
+    # a 9-entry vector ending in 0 is refused too, not truncated
+    with pytest.raises(ValueError, match="vector length 9 != dim 8"):
+        r.realize((1,) * 8 + (0,))
+
+
 _UNIT_MODELS = {
     "mat2-block": lambda: R2,
     "mat2-regular": lambda: regular_realization(G2),
