@@ -24,7 +24,7 @@ from ._tables import (
     verify_identities,
 )
 from .linalg import Matrix, Vec, _solve_rows, vec
-from .report import Report, checked_once, fail, memo, ok, require
+from .report import Checked, Report, checked_once, fail, memo, ok
 
 
 class BimoduleError(ValueError):
@@ -38,7 +38,7 @@ class BimoduleError(ValueError):
         super().__init__(f"bimodule axiom {axiom} fails at {indices}: {lhs} != {rhs}")
 
 
-class Algebra:
+class Algebra(Checked):
     """Finite-dimensional algebra given by structure constants.
 
     ``table[i][j]`` holds the nonzero (k, c) coordinates of the product of
@@ -97,7 +97,7 @@ def find_unit(a: Algebra) -> Vec | None:
     return _solve_rows((row + one if diag else row for row, diag in distinct), a.dim)
 
 
-class GradedAlgebra:
+class GradedAlgebra(Checked):
     """An algebra with an even/odd basis split subject to odd*odd = 0."""
 
     def __init__(self, algebra: Algebra, even: Sequence[int]):
@@ -146,11 +146,6 @@ class GradedAlgebra:
         each is checked once per object."""
         rep = self.algebra.report()
         return memo(self, verify_special_grading) if rep.holds else rep
-
-    def validate(self) -> "GradedAlgebra":
-        """Raise ValueError from a failing :meth:`report`."""
-        require(self.report())
-        return self
 
 
 @checked_once
@@ -247,25 +242,33 @@ def make_trivial_extension(a0: Algebra, left: Sequence[Matrix],
     return GradedAlgebra(algebra, even=range(a0.dim)).validate()
 
 
+def _matrix_units(cells: Sequence[tuple[int, int]],
+                  name=lambda a, b: f"E{a + 1}{b + 1}") -> Algebra:
+    """The span of the matrix units E_ab at ``cells``, in their order, with
+    E_ab E_bd = E_ad when (a, d) is a cell too and products of units that do
+    not meet zero; the diagonal units sum to the unit.  Unit E_ab is named
+    ``name(a, b)``."""
+    index = {cell: t for t, cell in enumerate(cells)}
+    in_row = {}  # row b: the (d, index) of each cell (b, d), in order
+    for (b, d), t in index.items():
+        in_row.setdefault(b, []).append((d, t))
+    entries = [(s, t, index[a, d], 1) for (a, b), s in index.items()
+               for d, t in in_row.get(b, ()) if (a, d) in index]
+    return Algebra(table_from_entries(len(cells), entries), [name(a, b) for a, b in cells],
+                   unit=[1 if a == b else 0 for a, b in cells])
+
+
 def matrix_algebra(n: int) -> Algebra:
     """Full n x n matrix algebra on the matrix-unit basis (row-major)."""
-    dim = n * n
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # E_ij E_jk = E_ik
-                entries.append((i * n + j, j * n + k, i * n + k, 1))
-    names = [f"E{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    unit = [1 if i % (n + 1) == 0 else 0 for i in range(dim)]
-    return Algebra(table_from_entries(dim, entries), names, unit=unit)
+    return _matrix_units([(a, b) for a in range(n) for b in range(n)])
 
 
 def make_block_upper(p: int, q: int) -> GradedAlgebra:
     """Block matrices [[X, M], [0, Y]]: even = diagonal blocks, odd = corner.
 
     A concrete model family: grading holds because upper-right blocks multiply
-    to zero inside the ambient (p+q) x (p+q) matrix algebra.
+    to zero inside the ambient (p+q) x (p+q) matrix algebra.  The basis is
+    X, then Y, then M, each block row-major.
     """
     if p < 1 or q < 1:
         raise ValueError("block sizes must be >= 1")
@@ -275,13 +278,6 @@ def make_block_upper(p: int, q: int) -> GradedAlgebra:
         + [(a, b) for a in range(p, n) for b in range(p, n)]
         + [(a, b) for a in range(p) for b in range(p, n)]
     )
-    index = {cell: t for t, cell in enumerate(cells)}
-    dim = len(cells)
-    entries = []
-    for (a, b), s in index.items():
-        for (c, d), t in index.items():
-            if b == c and (a, d) in index:
-                entries.append((s, t, index[(a, d)], 1))
 
     def name(a, b):
         if a < p and b < p:
@@ -290,18 +286,12 @@ def make_block_upper(p: int, q: int) -> GradedAlgebra:
             return f"Y{a - p + 1}{b - p + 1}"
         return f"M{a + 1}{b - p + 1}"
 
-    names = [name(a, b) for a, b in cells]
-    unit = [Fraction(1 if a == b else 0) for a, b in cells]
-    algebra = Algebra(table_from_entries(dim, entries), names, unit=unit)
-    even = [index[c] for c in cells if not (c[0] < p <= c[1])]
-    return GradedAlgebra(algebra, even=even).validate()
+    return GradedAlgebra(_matrix_units(cells, name), even=range(p * p + q * q)).validate()
 
 
 def upper_triangular_model() -> GradedAlgebra:
     """The 3-dim algebra of 2x2 upper-triangular matrices, basis E11, E22, E12."""
-    g = make_block_upper(1, 1)
-    g.algebra.basis_names = ("E11", "E22", "E12")
-    return g
+    return GradedAlgebra(_matrix_units([(0, 0), (1, 1), (0, 1)]), even=[0, 1]).validate()
 
 
 def dual_numbers() -> GradedAlgebra:

@@ -35,10 +35,10 @@ from .leibniz import (
 )
 from .linalg import Matrix, Subspace, Vec, _check_ambient, _reduce, _row, vscale, zeros
 from .modules import _maps_into
-from .report import HomReport, Report, checked_once, fail, memo, ok, require
+from .report import Checked, HomReport, Report, checked_once, fail, memo, ok, require
 
 
-class HuLiuAlgebra:
+class HuLiuAlgebra(Checked):
     """An angle (Leibniz) bracket and a square (Lie) bracket on the same space."""
 
     def __init__(self, angle: Table | LeibnizAlgebra, square: Table,
@@ -76,11 +76,6 @@ class HuLiuAlgebra:
         if rep.holds:
             rep = memo(self, verify_huliu_identities)
         return rep
-
-    def validate(self) -> "HuLiuAlgebra":
-        """Raise ValueError from a failing :meth:`report`."""
-        require(self.report())
-        return self
 
 
 def verify_lie(square: Table) -> Report:
@@ -135,10 +130,12 @@ def is_huliu_subalgebra(h: HuLiuAlgebra, sub: Subspace) -> Report:
     """Both brackets of basis pairs (a, b) of S must stay in S.
 
     Pairs run over a, then b, the angle bracket before the square one; the
-    report names the first bracket value outside S.
+    report names the first bracket value outside S, and reads none when S = Q^dim.
     """
     dim = h.dim
     _check_ambient(sub, dim)
+    if sub.dim == dim:
+        return ok("Hu-Liu subalgebra")
     for a in sub.nonzeros:
         for b in sub.nonzeros:
             for which, t in (("angle", h.leibniz.angle), ("square", h.square)):

@@ -31,12 +31,12 @@ class SchemaError(ValueError):
 # sparse file costs less.
 MAX_DIM = 256
 # Largest accepted entry count of one tensor field, and of rows x odd_dim of
-# an ``odd_subspace``, checked before any entry is read: every dense table up
-# to dim 161 (161^3 = 4,173,281 entries).
+# an ``odd_subspace`` (a row counting at least one), checked before any entry
+# is read: every dense table up to dim 161 (161^3 = 4,173,281 entries).
 MAX_ENTRIES = 2 ** 22
-# Largest accepted file size, checked before the JSON is parsed: two tensor
-# fields at MAX_ENTRIES of 32-byte entry lines (256 MiB).  A file just past
-# MAX_ENTRIES parses into about 620 MB of lists before that bound is read.
+# Largest accepted file size, checked before the file is read: two tensor
+# fields at MAX_ENTRIES of 32-byte entry lines (256 MiB).  Compact entries
+# are shorter, so the text's '[' are counted before it is parsed too.
 MAX_FILE_BYTES = 64 * MAX_ENTRIES
 
 
@@ -145,9 +145,10 @@ def load_obj(data):
         odd_subspace = None
         if "odd_subspace" in data:
             rows = data["odd_subspace"]
-            if isinstance(rows, list) and len(rows) * odd_dim > MAX_ENTRIES:
+            if isinstance(rows, list) and len(rows) * max(odd_dim, 1) > MAX_ENTRIES:
                 raise SchemaError(f"field 'odd_subspace' has {len(rows)} rows of {odd_dim} "
-                                  f"entries, above the limit {MAX_ENTRIES}")
+                                  f"entries, above the limit {MAX_ENTRIES} "
+                                  "(a row counts at least one)")
             vectors = _vector_list(rows, "odd_subspace", odd_dim)
             odd_subspace = span(vectors, odd_dim)
         tolerance = data.get("tolerance", DEFAULT_TOLERANCE)
@@ -174,7 +175,14 @@ def load_file(path):
             size = os.fstat(fh.fileno()).st_size
             if size > MAX_FILE_BYTES:
                 raise ValueError(f"file has {size} bytes, above the limit {MAX_FILE_BYTES}")
-            data = json.load(fh)
+            text = fh.read()
+        # within the entry bounds a file holds the entries of two tensor fields,
+        # or of one and the odd_subspace rows, their two outer lists, 'basis'
+        # and 'even'; a '[' inside a string can only overcount
+        lists, limit = text.count("["), 2 * MAX_ENTRIES + 4
+        if lists > limit:
+            raise ValueError(f"file has {lists} '[' characters, above the limit {limit}")
+        data = json.loads(text)
     except OSError as e:
         raise SchemaError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:

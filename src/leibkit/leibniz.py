@@ -36,10 +36,10 @@ from .modules import (
     quotient,
     restriction,
 )
-from .report import HomReport, Report, checked_once, fail, memo, ok, require
+from .report import Checked, HomReport, Report, checked_once, fail, memo, ok
 
 
-class LeibnizAlgebra:
+class LeibnizAlgebra(Checked):
     """A bilinear bracket on Q^dim, expected to satisfy the right Leibniz identity."""
 
     def __init__(self, angle: Table, basis_names: Sequence[str] | None = None):
@@ -60,11 +60,6 @@ class LeibnizAlgebra:
     def report(self) -> Report:
         """The right Leibniz identity report, checked once per object."""
         return memo(self, verify_right_leibniz)
-
-    def validate(self) -> "LeibnizAlgebra":
-        """Raise ValueError from a failing :meth:`report`."""
-        require(self.report())
-        return self
 
 
 @checked_once

@@ -52,6 +52,15 @@ def require(rep: Report) -> None:
         raise ValueError(f"{rep.identity} fails at {rep.witness.note}")
 
 
+class Checked:
+    """A structure whose ``report()`` gives the first failure of its checks."""
+
+    def validate(self):
+        """Raise ValueError from a failing ``report()``; otherwise return self."""
+        require(self.report())
+        return self
+
+
 @dataclass(frozen=True)
 class HomReport(Report):
     """Result of a homomorphism check, with kernel and image attached."""

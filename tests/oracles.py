@@ -281,6 +281,28 @@ def brute_force_simplicity(angle) -> str:
     return "Simple" if ideals <= allowed else "NotSimple"
 
 
+def matrix_unit_table(n, cells):
+    """The dense table t[s][u][v] of the span of the n x n matrix units at
+    ``cells``: each basis product is the product of the two dense 0/1 unit
+    matrices, read back at the cells.  A product with an entry off the cells
+    raises AssertionError."""
+    units = []
+    for a, b in cells:
+        m = np.zeros((n, n), dtype=np.int64)
+        m[a, b] = 1
+        units.append(m)
+    table = []
+    for x in units:
+        row = []
+        for y in units:
+            p = x @ y
+            coords = tuple(Fraction(int(p[a, b])) for a, b in cells)
+            assert sum(coords) == p.sum(), "a product leaves the span of the cells"
+            row.append(coords)
+        table.append(tuple(row))
+    return tuple(table)
+
+
 def action_matrices(p, q, left_action, right_action):
     """Nested actions, ``left_action[i][m]`` and ``right_action[m][i]`` the
     image of module basis m, as one q x q matrix per base index on each side

@@ -14,13 +14,15 @@ from leibkit.algebras import (
     make_block_upper,
     make_trivial_extension,
     matrix_algebra,
+    upper_triangular_model,
     verify_associative,
     verify_special_grading,
 )
 from leibkit._tables import operators, table_entries, table_from_dense, table_from_entries
 from leibkit.linalg import Matrix
 
-from oracles import action_matrices, bimodule_failures, dense, first_grading_failure
+from oracles import (action_matrices, bimodule_failures, dense, first_grading_failure,
+                     matrix_unit_table)
 
 
 def mat2(rows):
@@ -305,6 +307,40 @@ def test_block_upper_family(ut_model):
             for j in g.odd:
                 assert g.multiply(g.algebra.basis_vector(i),
                                   g.algebra.basis_vector(j)) == tuple([0] * g.dim)
+
+
+def _assert_matrix_units(algebra, n, cells, names):
+    """Products of the dense unit matrices, the names given, and the
+    diagonal units summing to the unit."""
+    assert dense(algebra.table) == matrix_unit_table(n, cells)
+    assert algebra.basis_names == tuple(names)
+    assert algebra.unit == tuple(Fraction(a == b) for a, b in cells)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_matrix_algebra_multiplies_as_unit_matrices(n):
+    cells = [(a, b) for a in range(n) for b in range(n)]
+    _assert_matrix_units(matrix_algebra(n), n, cells, [f"E{a + 1}{b + 1}" for a, b in cells])
+
+
+@pytest.mark.parametrize("p, q", [(p, q) for p in (1, 2, 3) for q in (1, 2, 3)])
+def test_block_upper_multiplies_as_unit_matrices(p, q):
+    """Basis X, then Y, then M, each block row-major; X and Y are even."""
+    n = p + q
+    x = [(a, b) for a in range(p) for b in range(p)]
+    y = [(a, b) for a in range(p, n) for b in range(p, n)]
+    m = [(a, b) for a in range(p) for b in range(p, n)]
+    names = ([f"X{a + 1}{b + 1}" for a, b in x] + [f"Y{a - p + 1}{b - p + 1}" for a, b in y]
+             + [f"M{a + 1}{b - p + 1}" for a, b in m])
+    g = make_block_upper(p, q)
+    _assert_matrix_units(g.algebra, n, x + y + m, names)
+    assert g.even == tuple(range(len(x + y))) and g.odd == tuple(range(len(x + y), g.dim))
+
+
+def test_upper_triangular_model_multiplies_as_unit_matrices():
+    g = upper_triangular_model()
+    _assert_matrix_units(g.algebra, 2, [(0, 0), (1, 1), (0, 1)], ["E11", "E22", "E12"])
+    assert g.even == (0, 1) and g.odd == (2,)
 
 
 def test_find_unit():

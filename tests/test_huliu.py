@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from leibkit import huliu
 from leibkit._tables import basis_vec, table_from_entries, zero_table
 from leibkit.algebras import make_block_upper, upper_triangular_model
 from leibkit.derive import derive_huliu, derive_leibniz
@@ -141,6 +142,16 @@ def test_is_huliu_subalgebra_examples(ut_model):
     assert is_huliu_subalgebra(h, full_space(3))
     assert is_huliu_subalgebra(h, span([(1, 0, 0), (0, 0, 1)], 3))
     assert is_huliu_subalgebra(h, span([(0, 0, 1)], 3))
+
+
+def _no_product(*args):
+    raise AssertionError("a product was read")
+
+
+def test_the_whole_space_is_a_huliu_subalgebra_without_a_product_read(monkeypatch):
+    h = derive_huliu(make_block_upper(2, 2))
+    monkeypatch.setattr(huliu, "product", _no_product)
+    assert is_huliu_subalgebra(h, full_space(h.dim)) == Report(True, "Hu-Liu subalgebra")
 
 
 def test_classify_huliu_examples(ut_model):

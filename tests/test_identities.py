@@ -7,7 +7,8 @@ hand-written evaluation of the identity reproduces; an independent float
 evaluation of the declarations (``oracles.dense_residual``) must name the
 same identity first and vanish on derived pairs.  A structure's
 ``report()``, its ``validate()`` and ``leibkit verify`` must all name the
-first failing layer of the structure's stack.
+first failing layer of the structure's stack, and the four structures share
+one ``validate()``.
 """
 
 import functools
@@ -186,6 +187,27 @@ def test_graded_report_validate_and_cli_name_the_first_failure(
         identity, dim, items, even, tmp_path, capsys):
     g = GradedAlgebra(Algebra(table_from_entries(dim, items)), even)
     _assert_first_failure(g, identity, "grading", tmp_path, capsys)
+
+
+def test_algebra_report_validate_and_cli_name_the_first_failure(tmp_path, capsys):
+    a = Algebra(table_from_entries(2, FAILING[0][2]["m"]))
+    _assert_first_failure(a, "associativity", "assoc", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: algebras.matrix_algebra(2),
+    upper_triangular_model,
+    lambda: derive.derive_leibniz(upper_triangular_model()),
+    lambda: derive_huliu(upper_triangular_model()),
+], ids=["algebra", "graded", "leibniz", "huliu"])
+def test_validate_returns_a_structure_whose_report_holds(build):
+    obj = build()
+    assert obj.validate() is obj and obj.report().holds
+
+
+def test_the_four_structures_share_one_validate():
+    assert (Algebra.validate is GradedAlgebra.validate is LeibnizAlgebra.validate
+            is HuLiuAlgebra.validate)
 
 
 def _float_arrays(tables):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from leibkit import cli
 from leibkit import io as lio
 from leibkit._tables import table_entries, table_from_entries
-from leibkit.algebras import GradedAlgebra, dual_numbers, make_block_upper
+from leibkit.algebras import Algebra, GradedAlgebra, dual_numbers, make_block_upper
 from leibkit.derive import derive_huliu, derive_leibniz
 from leibkit.huliu import HuLiuAlgebra
 from leibkit.leibniz import LeibnizAlgebra, eval_right_leibniz
@@ -316,17 +317,31 @@ def test_odd_subspace_above_the_limit_is_refused_before_any_entry_is_read(monkey
 
 
 def test_cli_odd_subspace_above_the_limit_is_an_input_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(lio, "MAX_ENTRIES", 3)
+    # 12 '[' in the file, within the count of 2 * MAX_ENTRIES + 4 lists
+    monkeypatch.setattr(lio, "MAX_ENTRIES", 4)
     p = tmp_path / "tall.json"
-    p.write_text(json.dumps(_odd_rows_doc(4)))
+    p.write_text(json.dumps(_odd_rows_doc(5)))
     assert cli.main(["xi-check", str(p)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "field 'odd_subspace' has 4 rows" in captured.err
+    assert "field 'odd_subspace' has 5 rows" in captured.err
 
 
-def _unparsed(fh):
+def test_odd_subspace_rows_count_when_the_odd_part_is_zero(monkeypatch):
+    """With no odd index a row has no entries, but still counts as one."""
+    unit = GradedAlgebra(Algebra(table_from_entries(1, [(0, 0, 0, 1)]), ["u"], unit=[1]), [0])
+    doc = lio.dump_obj(LinearXiGroup(regular_realization(unit), NoConstraints()))
+    monkeypatch.setattr(lio, "MAX_ENTRIES", 10)
+    doc["odd_subspace"] = [[]] * 11
+    with pytest.raises(lio.SchemaError, match=r"field 'odd_subspace' has 11 rows of 0 entries, "
+                                              r"above the limit 10 \(a row counts at least one\)$"):
+        lio.load_obj(doc)
+    doc["odd_subspace"] = [[]] * 10
+    assert lio.load_obj(doc).odd_subspace.dim == 0
+
+
+def _unparsed(text):
     raise AssertionError("the file was parsed")
 
 
@@ -335,7 +350,7 @@ def test_file_above_the_size_limit_is_refused_before_it_is_parsed(tmp_path, monk
     lio.save_file(dual_numbers(), p)
     size = p.stat().st_size
     monkeypatch.setattr(lio, "MAX_FILE_BYTES", size - 1)
-    monkeypatch.setattr(json, "load", _unparsed)
+    monkeypatch.setattr(json, "loads", _unparsed)
     with pytest.raises(lio.SchemaError,
                        match=rf"file has {size} bytes, above the limit {size - 1}$"):
         lio.load_file(p)
@@ -349,12 +364,32 @@ def test_cli_file_above_the_size_limit_is_an_input_error(tmp_path, capsys, monke
     p = tmp_path / "dual.json"
     lio.save_file(dual_numbers(), p)
     monkeypatch.setattr(lio, "MAX_FILE_BYTES", 10)
-    monkeypatch.setattr(json, "load", _unparsed)
+    monkeypatch.setattr(json, "loads", _unparsed)
     assert cli.main(["verify", str(p), "--kind", "assoc"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"error: {p}: file has {p.stat().st_size} bytes, "
                             "above the limit 10\n")
+
+
+def test_file_with_more_lists_than_the_bounds_allow_is_refused_before_it_is_parsed(
+        tmp_path, monkeypatch):
+    """With MAX_ENTRIES 3 a file holds at most 10 lists: the dual numbers'
+    three product entries and three odd_subspace rows, two outer lists,
+    'basis' and 'even'."""
+    monkeypatch.setattr(lio, "MAX_ENTRIES", 3)
+    p = tmp_path / "lists.json"
+    p.write_text(json.dumps(_odd_rows_doc(4)))
+    monkeypatch.setattr(json, "loads", _unparsed)
+    with pytest.raises(lio.SchemaError, match=re.escape(
+            f"{p}: file has 11 '[' characters, above the limit 10") + "$"):
+        lio.load_file(p)
+    # at the limit the file is parsed, and its bad rational is found
+    monkeypatch.undo()
+    monkeypatch.setattr(lio, "MAX_ENTRIES", 3)
+    p.write_text(json.dumps(_odd_rows_doc(3)))
+    with pytest.raises(lio.SchemaError, match="bad rational"):
+        lio.load_file(p)
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
