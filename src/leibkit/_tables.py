@@ -2,8 +2,9 @@
 
 A table ``t`` encodes a bilinear product on a dim-dimensional space: cell
 ``t[i][j]`` holds only the nonzero (k, c) pairs of the product of basis
-elements i, j, in ascending k, and ``()`` when that product is zero.  The
-form is canonical: two tables are equal iff their products are.  Build a
+elements i, j, in ascending k, and ``()`` when that product is zero; c is
+an int when it is integral, else a Fraction (``linalg.rat``).  The form is
+canonical: two tables are equal iff their products are.  Build a
 table with :func:`table_from_entries` or :func:`table_from_dense` (or
 :func:`as_table`, which passes a built :class:`Table` through), and read it
 through its nonzeros: :func:`table_entries` (the (i, j, k, c) entries in
@@ -57,7 +58,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .linalg import Matrix, Vec, _apply, _row, rat, vadd, vec, zeros
+from .linalg import Matrix, Scalar, Vec, _apply, _row, rat, vadd, vec, zeros
 from .report import Report, fail, ok
 
 
@@ -204,27 +205,28 @@ def table_from_dense(entries: Sequence[Sequence[Sequence]]) -> Table:
     rows = [[vec(v) for v in row] for row in entries]
     if any(len(row) != dim or any(len(v) != dim for v in row) for row in rows):
         raise ValueError("table is not dim x dim x dim")
-    return Table(tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row)
+    return Table(tuple(tuple((k, rat(c)) for k, c in enumerate(v) if c) for v in row)
                  for row in rows)
 
 
 def table_from_entries(dim: int, items: Iterable[tuple[int, int, int, object]]) -> Table:
     """Build a table from sparse (i, j, k, value) items; later items add up,
     and entries that cancel to zero are dropped.  An entry's first value is
-    stored as it is, so only a repeated (i, j, k) costs an addition."""
-    cells: dict[tuple[int, int], dict[int, Fraction]] = {}
+    stored as :func:`rat` reads it, so only a repeated (i, j, k) costs an
+    addition."""
+    cells: dict[tuple[int, int], dict[int, Scalar]] = {}
     for i, j, k, val in items:
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ValueError(f"index ({i},{j},{k}) out of range for dim {dim}")
         cell = cells.setdefault((i, j), {})
-        cell[k] = cell[k] + rat(val) if k in cell else rat(val)
+        cell[k] = rat(cell[k] + rat(val)) if k in cell else rat(val)
     rows = [[()] * dim for _ in range(dim)]
     for (i, j), cell in cells.items():
         rows[i][j] = tuple((k, c) for k, c in sorted(cell.items()) if c)
     return Table(tuple(row) for row in rows)
 
 
-def table_entries(t: Table) -> list[tuple[int, int, int, Fraction]]:
+def table_entries(t: Table) -> list[tuple[int, int, int, Scalar]]:
     return [(i, j, k, c) for i, row in enumerate(t) for j, cell in enumerate(row)
             for k, c in cell]
 
@@ -241,7 +243,7 @@ def apply_table(t: Table, x: Iterable, y: Iterable) -> Vec:
 
 
 def product(t: Table, x: Sequence, y: Sequence) -> dict:
-    """x y for vectors given by their nonzero (index, Fraction) pairs, as a dict of
+    """x y for vectors given by their nonzero (index, scalar) pairs, as a dict of
     its nonzeros: the sum of x_i times the left operator of e_i (row i of t) at y."""
     return _apply({i: _apply(t[i], y, 0).items() for i, _ in x}, x, 0)
 
@@ -253,7 +255,7 @@ def _check_side(side: str) -> bool:
     return side == "right"
 
 
-def columns(t: Table, side: str) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
+def columns(t: Table, side: str) -> tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...]:
     """For j = 0..dim-1, the columns of x -> t(x, e_j) for side "right", of
     x -> t(e_j, x) for side "left", as their nonzero (k, c) pairs: column i
     is the cell t[i][j] or t[j][i], so the right operators read the table by
@@ -272,10 +274,12 @@ def int_scaled(tables: Sequence[Table]) -> list[list[tuple[int, int, tuple]]]:
     """Clear denominators jointly: per input, its nonzero cells as (a, b, cell)
     in basis order, a cell its (k, int) pairs.  One common factor scales
     every table, so identities mixing two tables stay homogeneous of the
-    same degree."""
+    same degree.  When that factor is 1 the cells are the tables' own."""
     nonzero = [[(a, b, cell) for a, row in enumerate(t) for b, cell in enumerate(row) if cell]
                for t in tables]
     d = math.lcm(*{c.denominator for cells in nonzero for _, _, cell in cells for _, c in cell})
+    if d == 1:
+        return nonzero
     return [[(a, b, tuple([(k, c.numerator * (d // c.denominator)) for k, c in cell]))
              for a, b, cell in cells] for cells in nonzero]
 

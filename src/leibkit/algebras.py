@@ -84,7 +84,7 @@ def find_unit(a: Algebra) -> Vec | None:
     k" and of u_j in "e_i u = e_i at k".  An equation without entries reads
     0 = 0, or 0 = 1 when j = k, and then there is no unit."""
     # (j, k, 0) is "u e_j = e_j at k", (j, k, 1) is "e_j u = e_j at k"
-    eqs: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+    eqs: dict[tuple[int, int, int], dict] = {}
     for i, j, k, c in table_entries(a.table):
         eqs.setdefault((j, k, 0), {})[i] = c
         eqs.setdefault((i, k, 1), {})[j] = c
@@ -93,7 +93,7 @@ def find_unit(a: Algebra) -> Vec | None:
     # each distinct equation once; a row's unknowns were added in ascending order
     distinct = dict.fromkeys((tuple(row.items()), j == k) for (j, k, _), row in eqs.items())
     # the right-hand side, 1 when j = k, sits at column dim
-    one = ((a.dim, Fraction(1)),)
+    one = ((a.dim, 1),)
     return _solve_rows((row + one if diag else row for row, diag in distinct), a.dim)
 
 

@@ -2,7 +2,8 @@
 
 Every file is a single JSON object with a ``kind`` discriminator.  Tensors
 are sparse entry lists ``[i, j, k, "p/q"]`` with zero-based indices and
-rationals as strings (ints are accepted); graded files add an ``even`` index
+rationals as strings (ints are accepted); integral values are read as ints,
+others as Fractions (``linalg.rat``); graded files add an ``even`` index
 list; huliu files carry both an ``angle`` and a ``square`` tensor; xigroup
 files extend graded files with a named constraint family, an odd-coordinate
 subspace, and a tolerance.  Unknown fields are rejected.
@@ -13,22 +14,21 @@ from __future__ import annotations
 import json
 import os
 import sys
-from fractions import Fraction
 
 from ._tables import table_entries, table_from_entries
 from .algebras import Algebra, GradedAlgebra, find_unit
 from .huliu import HuLiuAlgebra
 from .leibniz import LeibnizAlgebra
-from .linalg import span
+from .linalg import Scalar, rat, span
 
 
 class SchemaError(ValueError):
     """Malformed input file."""
 
 
-# Largest accepted ``dim``: a full table has dim^3 entries, about 2 GB at 256
-# (about 116 bytes an entry); a cell holds only its nonzero entries, so a
-# sparse file costs less.
+# Largest accepted ``dim``: a full table has dim^3 entries, about 1.1 GB at
+# 256 with integer entries (about 67 bytes an entry; a Fraction entry costs
+# more); a cell holds only its nonzero entries, so a sparse file costs less.
 MAX_DIM = 256
 # Largest accepted entry count of one tensor field, and of rows x odd_dim of
 # an ``odd_subspace`` (a row counting at least one), checked before any entry
@@ -38,6 +38,9 @@ MAX_ENTRIES = 2 ** 22
 # fields at MAX_ENTRIES of 32-byte entry lines (256 MiB).  Compact entries
 # are shorter, so the text's '[' are counted before it is parsed too.
 MAX_FILE_BYTES = 64 * MAX_ENTRIES
+# Longest accepted numerator or denominator, in digits, checked before it is
+# converted, whatever the interpreter's own int-string limit is set to.
+MAX_DIGITS = sys.int_info.default_max_str_digits
 
 
 _FIELDS = {
@@ -49,15 +52,62 @@ _FIELDS = {
                 "odd_subspace", "tolerance"},
 }
 _OPTIONAL = {"xigroup": {"odd_subspace", "tolerance"}}
+# The most strings a document holds besides its values and basis names: the
+# keys of the largest kind, its kind, and in 'constraints' the key 'family',
+# the family's name and the name of its one parameter.
+_SCHEMA_STRINGS = max(map(len, _FIELDS.values())) + 4
 
 
-def _rational(value, where: str) -> Fraction:
+def _too_long(value: str) -> bool:
+    """Whether a side of a rational string may spell an integer of more than
+    MAX_DIGITS digits.  A side counts its length past any sign, plus a
+    decimal exponent's size, so the check can only overcount; an exponent
+    longer than MAX_DIGITS's own digits counts as past it."""
+    value = value.lower()
+    if len(value) <= MAX_DIGITS and "e" not in value:
+        return False
+    for part in value.split("/"):
+        mantissa, _, exponent = part.strip().lstrip("+-").partition("e")
+        exponent = exponent.lstrip("+-").lstrip("0")
+        digits = len(mantissa)
+        if exponent.isdecimal():  # else no exponent, or one Fraction refuses
+            digits += int(exponent) if len(exponent) <= len(str(MAX_DIGITS)) else MAX_DIGITS
+        if digits > MAX_DIGITS:
+            return True
+    return False
+
+
+def _rational(value, where: str) -> Scalar:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise SchemaError(f"{where}: rational must be an int or a 'p/q' string")
+    if isinstance(value, str) and _too_long(value):
+        raise SchemaError(f"{where}: rational with a part of more than {MAX_DIGITS} digits")
     try:
-        return Fraction(value)
+        return rat(value)
     except (ValueError, ZeroDivisionError) as e:
         raise SchemaError(f"{where}: bad rational {value!r}: {e}") from None
+
+
+def _int_literal(text: str) -> int:
+    """A JSON integer literal as an int, refused past MAX_DIGITS digits."""
+    if len(text) > MAX_DIGITS and len(digits := text.lstrip("-")) > MAX_DIGITS:
+        raise ValueError(f"integer literal of {len(digits)} digits, above the limit {MAX_DIGITS}")
+    return int(text)
+
+
+def _parse(text: str):
+    """The JSON document in ``text``.  A third object, past the document and
+    its 'constraints', is refused as soon as it is parsed."""
+    objects = 0
+
+    def one_of_two(pairs):
+        nonlocal objects
+        objects += 1
+        if objects > 2:
+            raise ValueError("file holds more than 2 JSON objects")
+        return dict(pairs)
+
+    return json.loads(text, parse_int=_int_literal, object_pairs_hook=one_of_two)
 
 
 def _tensor(data, field: str, dim: int):
@@ -182,12 +232,18 @@ def load_file(path):
         lists, limit = text.count("["), 2 * MAX_ENTRIES + 4
         if lists > limit:
             raise ValueError(f"file has {lists} '[' characters, above the limit {limit}")
-        data = json.loads(text)
+        # and at most that many values as "p/q" strings, MAX_DIM basis names
+        # and the schema's own strings, two '"' each; an escaped '"' can only
+        # overcount
+        quotes, limit = text.count('"'), 2 * (2 * MAX_ENTRIES + MAX_DIM + _SCHEMA_STRINGS)
+        if quotes > limit:
+            raise ValueError(f"file has {quotes} '\"' characters, above the limit {limit}")
+        data = _parse(text)
     except OSError as e:
         raise SchemaError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
-    except ValueError as e:  # too large, or e.g. an integer literal over the digit limit
+    except ValueError as e:  # too large, or an integer literal over the digit limit
         raise SchemaError(f"{path}: {e}") from None
     return load_obj(data)
 

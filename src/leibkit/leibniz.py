@@ -25,7 +25,7 @@ from ._tables import (
     table_entries,
     verify_identities,
 )
-from .linalg import Matrix, Subspace, Vec, _ONE, _apply, _check_ambient, _echelon, _row, kernel
+from .linalg import Matrix, Subspace, Vec, _apply, _check_ambient, _echelon, _row, kernel
 from .modules import (
     OperatorModule,
     _maps_into,
@@ -90,7 +90,7 @@ def _span_of_squares(algebra: LeibnizAlgebra) -> Subspace:
     dim, t = algebra.dim, algebra.angle
 
     def total(*cells):  # the sum of the given table cells, sparse
-        return _apply(cells, [(k, _ONE) for k in range(len(cells))], 0)
+        return _apply(cells, [(k, 1) for k in range(len(cells))], 0)
 
     # only pairs with an entry in cell (i, j) or (j, i) are taken: for any
     # other, <ei,ej> + <ej,ei> = 0 and <ei+ej,ei+ej> = <ei,ei> + <ej,ej>

@@ -1,11 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Scalars are arbitrary-precision ``fractions.Fraction``.  Matrices are
-immutable and sparse: they store their shape and each row's nonzeros,
-which products, sums, scalings and elimination walk.  Dense rows are built
-on first use, only for the public ``data``, ``row``, ``col`` and ``repr``.
-The public ``Matrix`` constructor coerces its entries to Fractions; the
-package builds its own matrices from the sparse rows or columns it has.
+Scalars are exact rationals.  The sparse layer stores an integral value as
+a Python ``int`` and any other as a ``fractions.Fraction`` (see
+:func:`rat`), so integer data is added and multiplied in C; every dense
+view (``data``, ``row``, ``col``, ``basis``, ``matvec``, ``vec``, ``zeros``)
+holds Fractions, converted once in ``_row``.  Matrices are immutable and
+sparse: they store their shape and each row's nonzeros, which products,
+sums, scalings and elimination walk.  Dense rows are built on first use,
+only for the public ``data``, ``row``, ``col`` and ``repr``.  The public
+``Matrix`` constructor reads its entries as ``vec`` does; the package
+builds its own matrices from the sparse rows or columns it has.
 One incremental Gauss-Jordan reducer over sparse rows does elimination,
 spin (``modules.closure``) and membership: a row is reduced by its own
 nonzeros against the pivot rows so far and, if nonzero, added as a pivot
@@ -32,18 +36,26 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
+# an exact scalar of the sparse layer: an int when integral, else a Fraction
+Scalar = int | Fraction
 # a row given by its nonzero (column, value) pairs
-SparseRow = Iterable[tuple[int, Fraction]]
+SparseRow = Iterable[tuple[int, Scalar]]
 
+# the zero of the dense views
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 # the GF(p) layer's prime
 _P = 2 ** 31 - 1
 
 
-def rat(x) -> Fraction:
-    """Coerce an int, a string like ``"3/4"``, or a Fraction to a Fraction."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+def rat(x) -> Scalar:
+    """An int, a string like ``"3/4"``, or a Fraction as an exact scalar: an
+    int when it is integral, else a Fraction (never a bool)."""
+    if type(x) is not int:
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
+        if x.denominator == 1:
+            return x.numerator
+    return x
 
 
 def vec(entries: Iterable, dim: int | None = None) -> Vec:
@@ -70,7 +82,7 @@ def vscale(c, u: Vec) -> Vec:
 
 
 class Matrix:
-    """Immutable matrix of Fractions: its shape and sparse rows.
+    """Immutable matrix of exact scalars: its shape and sparse rows.
 
     ``nonzeros``, each row's nonzero ``(j, x)`` pairs in column order, is
     the canonical form that equality and hash compare with the shape.
@@ -99,7 +111,7 @@ class Matrix:
     @classmethod
     def _sparse(cls, rows: int, cols: int, nz=None, c=None) -> "Matrix":
         """The rows x cols matrix with sparse rows ``nz`` or sparse columns
-        ``c``: tuples of nonzero (index, Fraction) pairs in index order,
+        ``c``: tuples of nonzero (index, scalar) pairs in index order,
         taken as they are."""
         m = object.__new__(cls)
         m._set(rows, cols, nz, c)
@@ -115,7 +127,7 @@ class Matrix:
         return Matrix._sparse, (self.rows, self.cols, self.nonzeros)
 
     @property
-    def nonzeros(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+    def nonzeros(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
         """Each row's nonzero entries as (column, value) pairs, in column order."""
         nz = self._nz
         if nz is None:
@@ -124,7 +136,7 @@ class Matrix:
         return nz
 
     @property
-    def _cols(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+    def _cols(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
         """Each column's nonzero (row, value) pairs, in row order, kept."""
         c = self._c
         if c is None:
@@ -158,7 +170,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix._sparse(n, n, nz=tuple(((i, _ONE),) for i in range(n)))
+        return Matrix._sparse(n, n, nz=tuple(((i, 1),) for i in range(n)))
 
     @staticmethod
     def from_cols(cols: Sequence[Sequence]) -> "Matrix":
@@ -194,7 +206,7 @@ class Matrix:
     def _combine(self, other: "Matrix", sign: int) -> "Matrix":
         """Each row of self plus sign times that row of other."""
         self._same_shape(other)
-        c = ((0, _ONE), (1, Fraction(sign)))
+        c = ((0, 1), (1, sign))
         return Matrix._sparse(self.rows, self.cols, nz=tuple(
             _pairs(_apply(rows, c, 0).items()) for rows in zip(self.nonzeros, other.nonzeros)))
 
@@ -241,18 +253,20 @@ class Matrix:
 
 
 def _row(n: int, entries) -> Vec:
-    """The length-n row with the given (column, value) entries, zero elsewhere."""
+    """The dense length-n row of Fractions with the given (column, value)
+    entries, zero elsewhere."""
     row = [_ZERO] * n
     for j, x in entries:
-        row[j] = x
+        row[j] = x if type(x) is Fraction else Fraction(x)
     return tuple(row)
 
 
-def _nonzeros(v: Vec) -> tuple[tuple[int, Fraction], ...]:
-    return tuple((j, x) for j, x in enumerate(v) if x)
+def _nonzeros(v: Vec) -> tuple[tuple[int, Scalar], ...]:
+    """The nonzero entries of a dense vector as (index, scalar) pairs."""
+    return tuple((j, rat(x)) for j, x in enumerate(v) if x)
 
 
-def _pairs(entries: Iterable[tuple[int, Fraction]]) -> tuple[tuple[int, Fraction], ...]:
+def _pairs(entries: Iterable[tuple[int, Scalar]]) -> tuple[tuple[int, Scalar], ...]:
     """The nonzero ones of (index, value) pairs with distinct indices, in
     index order: a sparse row as ``Matrix._sparse`` takes it."""
     return tuple(sorted((j, x) for j, x in entries if x))
@@ -300,12 +314,16 @@ def _add(piv: dict[int, dict], r: SparseRow, p: int = 0) -> int | None:
     if not row:
         return None
     c = min(row)
+    lead = row.pop(c)
     if p:
-        inv = pow(row.pop(c), -1, p)
+        inv = pow(lead, -1, p)
         row = {j: x * inv % p for j, x in row.items()}
-    else:
-        inv = _ONE / row.pop(c)
-        row = {j: x * inv for j, x in row.items()}
+    elif lead == -1:
+        row = {j: -x for j, x in row.items()}
+    elif lead != 1:
+        # exact on ints too, where / would give a float; a unit lead keeps int rows
+        inv = Fraction(lead.denominator, lead.numerator)
+        row = {j: rat(x * inv) for j, x in row.items()}
     for q in piv.values():
         f = q.pop(c, None)
         if f is not None:
@@ -315,7 +333,7 @@ def _add(piv: dict[int, dict], r: SparseRow, p: int = 0) -> int | None:
 
 
 def _echelon(rows: Iterable[SparseRow], width: int,
-             limit: int | None = None) -> dict[int, dict[int, Fraction]] | None:
+             limit: int | None = None) -> dict[int, dict[int, Scalar]] | None:
     """Incremental Gauss-Jordan over sparse rows of (column, value) pairs.
 
     Returns the reduced row-echelon basis of the rows' span as {pivot column:
@@ -324,7 +342,7 @@ def _echelon(rows: Iterable[SparseRow], width: int,
     the first remainder leading at a column >= ``limit``: an augmented row
     that reduces to 0 = c.
     """
-    piv: dict[int, dict[int, Fraction]] = {}
+    piv: dict[int, dict[int, Scalar]] = {}
     for r in rows:
         c = _add(piv, r)
         if c is not None and limit is not None and c >= limit:
@@ -340,9 +358,13 @@ def _mod_p(r: SparseRow) -> tuple[tuple[int, int], ...] | None:
     reduction)."""
     out = []
     for j, x in r:
-        if not x.denominator % _P:
+        if type(x) is int:
+            y = x % _P
+        elif x.denominator % _P:
+            y = x.numerator * pow(x.denominator, -1, _P) % _P
+        else:
             return None
-        if y := x.numerator * pow(x.denominator, -1, _P) % _P:
+        if y:
             out.append((j, y))
     return tuple(out)
 
@@ -377,10 +399,7 @@ def _solve_rows(rows: Iterable[SparseRow], n: int) -> Vec | None:
     piv = _echelon(rows, n + 1, limit=n)
     if piv is None:
         return None
-    x = [_ZERO] * n
-    for p, r in piv.items():
-        x[p] = r.get(n, _ZERO)
-    return tuple(x)
+    return _row(n, ((p, r[n]) for p, r in piv.items() if n in r))
 
 
 class Subspace:
@@ -399,12 +418,12 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "pivots", "nonzeros", "_rows", "_b")
 
-    def __init__(self, ambient_dim: int, rows: dict[int, dict[int, Fraction]]):
+    def __init__(self, ambient_dim: int, rows: dict[int, dict[int, Scalar]]):
         pivots = tuple(sorted(rows))
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "nonzeros",
-                           tuple(((p, _ONE), *sorted(rows[p].items())) for p in pivots))
+                           tuple(((p, 1), *sorted(rows[p].items())) for p in pivots))
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_b", None)
 
@@ -490,7 +509,7 @@ def kernel(m: Matrix) -> Subspace:
     """Null space {v : m v = 0} as a canonical subspace of Q^cols."""
     piv = _echelon(m.nonzeros, m.cols)
     # free column f gives e_f minus the sum of piv[p][f] e_p
-    free = {f: [(f, _ONE)] for f in range(m.cols) if f not in piv}
+    free = {f: [(f, 1)] for f in range(m.cols) if f not in piv}
     for p, r in piv.items():
         for f, x in r.items():
             free[f].append((p, -x))
@@ -513,7 +532,7 @@ def inverse(m: Matrix) -> Matrix | None:
     n = m.rows
     # [m | I] reduces to [I | m^-1]; a row of m dependent on the rows before
     # it leaves a remainder that leads in the identity half
-    piv = _echelon((r + ((n + i, _ONE),) for i, r in enumerate(m.nonzeros)), 2 * n, limit=n)
+    piv = _echelon((r + ((n + i, 1),) for i, r in enumerate(m.nonzeros)), 2 * n, limit=n)
     if piv is None:
         return None
     return Matrix._sparse(n, n, nz=tuple(_pairs((j - n, x) for j, x in piv[p].items())

@@ -49,8 +49,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .linalg import (_ONE, Matrix, Subspace, _P, _add, _apply, _check_ambient, _echelon,
+from .linalg import (Matrix, Subspace, _P, _add, _apply, _check_ambient, _echelon,
                      _mod_p, _pairs, _reduce, _solve_rows, full_space, kernel)
 
 NORTON_BUDGET = 64
@@ -227,11 +228,13 @@ def _full_rank_mod_p(cols_p, recipe, d: int) -> bool:
 
 def _distinct(ops: list[Matrix]) -> list[Matrix]:
     """The nonzero ops without the multiples of earlier ones, which add no
-    invariant subspace: keyed by the columns over their first nonzero entry."""
+    invariant subspace: keyed by the columns over their first nonzero entry,
+    divided exactly (``/`` of two ints would give a float)."""
     first: dict[tuple, Matrix] = {}
     for t in ops:
         x0 = next(c[0][1] for c in t._cols if c)
-        first.setdefault(tuple(tuple((i, y / x0) for i, y in c) for c in t._cols), t)
+        inv = Fraction(x0.denominator, x0.numerator)
+        first.setdefault(tuple(tuple((i, y * inv) for i, y in c) for c in t._cols), t)
     return list(first.values())
 
 
@@ -324,8 +327,8 @@ def equivariant_projection_kernel(mod: OperatorModule, sub: Subspace) -> Subspac
     if sol is None:
         return None
     # s(e_f) = e_f + sum_a X[a][f] b_a: columns b_0 .. b_(k-1), then the e_f
-    cols = (*sub.nonzeros, *(((f, _ONE),) for f in free))
-    images = (_apply(cols, [*_pairs((a, sol[a * m + i]) for a in range(k)), (k + i, _ONE)], 0)
+    cols = (*sub.nonzeros, *(((f, 1),) for f in free))
+    images = (_apply(cols, [*_pairs((a, sol[a * m + i]) for a in range(k)), (k + i, 1)], 0)
               for i in range(m))
     return Subspace(d, _echelon((w.items() for w in images), d))
 
@@ -355,7 +358,7 @@ def _section_system(mod: OperatorModule, sub: Subspace, free: tuple[int, ...]):
         r_rows: list[list] = [[] for _ in range(k)]  # row a of R_T at unknowns b * m
         for b, w in enumerate((t @ basis)._cols):
             if _reduce(sub._rows, w):
-                yield [(n, _ONE)]
+                yield [(n, 1)]
                 return
             for c, y in w:
                 if c in position:

@@ -11,7 +11,7 @@ rational Jacobian at the unit, so the tangent space (kernel of that
 Jacobian) + V1 is computed exactly, and it is certified Hu-Liu by one exact
 check: closure under the two derived brackets of the ambient graded algebra.
 
-Exact data (structure tensors, embeddings, tangent bases) uses Fractions;
+Exact data (structure tensors, embeddings, tangent bases) is rational;
 sampling, conjugation checks, and curve checks run in float64 with
 residuals scaled by operator norms.  A sampled check holds all its samples
 at once, so its size is bounded by ``MAX_SAMPLE_FLOATS``.
@@ -190,7 +190,7 @@ def mat_square_zero_extension(n: int) -> tuple[GradedAlgebra, MatrixRealization]
 
     def ones(*cells):  # the 2n x 2n matrix with a 1 in each of the cells, one a row
         at = dict(cells)
-        return Matrix._sparse(2 * n, 2 * n, nz=tuple(((at[a], Fraction(1)),) if a in at else ()
+        return Matrix._sparse(2 * n, 2 * n, nz=tuple(((at[a], 1),) if a in at else ()
                                                       for a in range(2 * n)))
 
     pairs = [(i, j) for i in range(n) for j in range(n)]
@@ -375,7 +375,7 @@ class OrthogonalConstraints(_MatrixConstraints):
         # row (a, b) is the differential of (X^T X)_ab at X = 1: dX_ba + dX_ab (2 dX_aa if a = b)
         cells = ({a * n + b, b * n + a} for a in range(n) for b in range(n))
         return Matrix._sparse(n * n, n * n, nz=tuple(
-            tuple((k, Fraction(2 // len(ks))) for k in sorted(ks)) for ks in cells))
+            tuple((k, 2 // len(ks)) for k in sorted(ks)) for ks in cells))
 
     def sample(self, r, rng, count):
         q, t = np.linalg.qr(rng.standard_normal((count, self.n, self.n)))
@@ -394,7 +394,7 @@ class SpecialLinearConstraints(_MatrixConstraints):
 
     def jacobian_at_unit(self, g):
         n = self.n
-        return Matrix._sparse(1, n * n, nz=(tuple((a * n + a, Fraction(1)) for a in range(n)),))
+        return Matrix._sparse(1, n * n, nz=(tuple((a * n + a, 1) for a in range(n)),))
 
     def sample(self, r, rng, count):
         x = _redraw(lambda k: rng.standard_normal((k, self.n, self.n)),

@@ -446,6 +446,17 @@ def entrywise_identity(n):
     return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
+def is_canonical_scalar(c):
+    """How the sparse layer stores a table cell: an int (never a bool) when
+    the value is integral, else a Fraction of denominator > 1."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def is_exact_scalar(c):
+    """An int or a Fraction, never a float or a bool."""
+    return type(c) is int or type(c) is Fraction
+
+
 def entrywise_nonzeros(rows):
     """Each row's (column, value) pairs with a nonzero value."""
     return tuple(tuple((j, x) for j, x in enumerate(r) if x != 0) for r in rows)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -390,6 +391,95 @@ def test_file_with_more_lists_than_the_bounds_allow_is_refused_before_it_is_pars
     p.write_text(json.dumps(_odd_rows_doc(3)))
     with pytest.raises(lio.SchemaError, match="bad rational"):
         lio.load_file(p)
+
+
+def test_file_with_more_strings_than_the_bounds_allow_is_refused_before_it_is_parsed(
+        tmp_path, monkeypatch):
+    """With MAX_ENTRIES 3 and MAX_DIM 2 a file holds at most 20 strings: 6
+    values, 2 basis names and 12 strings of the schema.  A leibniz document
+    has 5 of its own (four keys and its kind), so 16 basis names are one
+    string too many."""
+    monkeypatch.setattr(lio, "MAX_ENTRIES", 3)
+    monkeypatch.setattr(lio, "MAX_DIM", 2)
+    p = tmp_path / "names.json"
+    doc = {"kind": "leibniz", "dim": 2, "basis": ["ab"] * 16, "angle": []}
+    p.write_text(json.dumps(doc))
+    monkeypatch.setattr(json, "loads", _unparsed)
+    with pytest.raises(lio.SchemaError, match=re.escape(
+            f"""{p}: file has 42 '"' characters, above the limit 40""") + "$"):
+        lio.load_file(p)
+    # at the limit the file is parsed, and its basis is refused
+    monkeypatch.undo()
+    monkeypatch.setattr(lio, "MAX_ENTRIES", 3)
+    monkeypatch.setattr(lio, "MAX_DIM", 2)
+    doc["basis"] = ["ab"] * 15
+    p.write_text(json.dumps(doc))
+    with pytest.raises(lio.SchemaError, match="field 'basis' must be a list of 2 names"):
+        lio.load_file(p)
+
+
+def test_the_fullest_file_within_the_bounds_passes_the_string_count(tmp_path, monkeypatch):
+    """The dual numbers as a xigroup file with MAX_ENTRIES 3 and MAX_DIM 2:
+    three product values and three odd_subspace values as strings, both
+    basis names and every key its kind has."""
+    monkeypatch.setattr(lio, "MAX_ENTRIES", 3)
+    monkeypatch.setattr(lio, "MAX_DIM", 2)
+    p = tmp_path / "full.json"
+    p.write_text(json.dumps(_odd_rows_doc(3)))
+    with pytest.raises(lio.SchemaError, match="bad rational"):
+        lio.load_file(p)
+
+
+@pytest.mark.parametrize("basis", ["[{}, {}]", "[" + ", ".join(["{}"] * 10000) + "]"])
+def test_a_third_json_object_is_refused_while_the_file_is_parsed(tmp_path, capsys, basis):
+    """A valid file holds two objects, the document and its 'constraints';
+    the third one parsed stops the parse, so a basis of many objects is
+    never built."""
+    p = tmp_path / "objects.json"
+    p.write_text('{"kind": "leibniz", "dim": 2, "basis": ' + basis + ', "angle": []}')
+    with pytest.raises(lio.SchemaError, match=re.escape(
+            f"{p}: file holds more than 2 JSON objects") + "$"):
+        lio.load_file(p)
+    assert cli.main(["verify", str(p), "--kind", "leibniz"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.fixture()
+def no_int_digit_limit():
+    """The interpreter's int-string digit limit switched off for one test."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("value, digits", [
+    ("{}", None),                       # an integer literal
+    ('"{}/3"', None),                   # a numerator
+    ('"-2/{}"', None),                  # a denominator
+    ('"1e{}"', 1),                      # 1 and the exponent's zeros
+])
+def test_rationals_past_the_digit_limit_are_refused_whatever_the_interpreter_allows(
+        tmp_path, capsys, no_int_digit_limit, value, digits):
+    limit = sys.int_info.default_max_str_digits
+    assert lio.MAX_DIGITS == limit == 4300
+
+    def leibniz_file(n):
+        text = value.format(str(n - digits) if digits else "1" * n)
+        p = tmp_path / f"long{n}.json"
+        p.write_text('{"kind": "leibniz", "dim": 1, "basis": ["a"], "angle": [[0, 0, 0, '
+                     + text + "]]}")
+        return p
+
+    p = leibniz_file(limit + 1)
+    assert cli.main(["verify", str(p), "--kind", "leibniz"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert f"more than {limit} digits" in captured.err or (
+        f"integer literal of {limit + 1} digits, above the limit {limit}" in captured.err)
+    # at the limit the value loads
+    (*_, c), = table_entries(lio.load_file(leibniz_file(limit)).angle)
+    assert c and oracles.is_canonical_scalar(c)
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
