@@ -79,7 +79,8 @@ class HuLiuAlgebra(Checked):
 
 
 def verify_lie(square: Table) -> Report:
-    """Antisymmetry on basis pairs and the Jacobi identity on basis triples."""
+    """Antisymmetry on basis pairs, then the Jacobi identity on the basis
+    triples i < j < k, where antisymmetry puts its first failure."""
     square, dim = as_table(square), len(square)
     for i in range(dim):
         for j in range(i, dim):
@@ -88,7 +89,7 @@ def verify_lie(square: Table) -> Report:
                 ei, ej = basis_vec(dim, i), basis_vec(dim, j)
                 return fail("antisymmetry", (ei, ej), apply_table(square, ei, ej),
                             vscale(-1, apply_table(square, ej, ei)), note=f"basis pair ({i},{j})")
-    return verify_identities((JACOBI,), {"s": square}, "Lie bracket")
+    return verify_identities((JACOBI,), {"s": square}, "Lie bracket", ordered=True)
 
 
 def eval_huliu_identity(h: HuLiuAlgebra, which: int, x, y, z) -> tuple[Vec, Vec]:
@@ -105,12 +106,13 @@ def verify_huliu_identities(h: HuLiuAlgebra) -> Report:
 
     Raises ValueError unless the layers :meth:`HuLiuAlgebra.report` checks
     before this one hold.  ``h.validate()`` would run this check itself, so
-    the two layers are required here one by one.
+    the two layers are required here one by one.  Since they hold, each
+    identity is walked on the ordered triples its ``order`` declares.
     """
     h.leibniz.validate()
     require(memo(h, verify_lie, h.square))
     return verify_identities(COMPATIBILITY, {"a": h.leibniz.angle, "s": h.square},
-                             "compatibility identities")
+                             "compatibility identities", ordered=True)
 
 
 def adjoint_operators(h: HuLiuAlgebra) -> tuple[Matrix, ...]:

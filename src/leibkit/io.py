@@ -36,7 +36,8 @@ MAX_DIM = 256
 MAX_ENTRIES = 2 ** 22
 # Largest accepted file size, checked before the file is read: two tensor
 # fields at MAX_ENTRIES of 32-byte entry lines (256 MiB).  Compact entries
-# are shorter, so the text's '[' are counted before it is parsed too.
+# are shorter, so the text's '[', '"' and ',' are counted before it is
+# parsed too.
 MAX_FILE_BYTES = 64 * MAX_ENTRIES
 # Longest accepted numerator or denominator, in digits, checked before it is
 # converted, whatever the interpreter's own int-string limit is set to.
@@ -238,6 +239,15 @@ def load_file(path):
         quotes, limit = text.count('"'), 2 * (2 * MAX_ENTRIES + MAX_DIM + _SCHEMA_STRINGS)
         if quotes > limit:
             raise ValueError(f"file has {quotes} '\"' characters, above the limit {limit}")
+        # and its ',' follow at most the four numbers of each entry of two
+        # tensor fields (or of one, and the odd_subspace values), the MAX_DIM
+        # names of 'basis' and indices of 'even' (a longer 'even' repeats an
+        # index), and each member of the document and its 'constraints',
+        # fewer than the schema's strings; a ',' inside a string can only
+        # overcount
+        commas, limit = text.count(","), 8 * MAX_ENTRIES + 2 * MAX_DIM + _SCHEMA_STRINGS
+        if commas > limit:
+            raise ValueError(f"file has {commas} ',' characters, above the limit {limit}")
         data = _parse(text)
     except OSError as e:
         raise SchemaError(f"cannot read {path}: {e}") from None

@@ -33,6 +33,7 @@ its columns over Q and mod p.  Work mod p can only prove ranks full (see
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Integral
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -49,9 +50,12 @@ _P = 2 ** 31 - 1
 
 def rat(x) -> Scalar:
     """An int, a string like ``"3/4"``, or a Fraction as an exact scalar: an
-    int when it is integral, else a Fraction (never a bool)."""
+    int when it is integral, else a Fraction (never a bool).  Any other
+    integer, a NumPy one of fixed width included, is read through int()."""
     if type(x) is not int:
         if not isinstance(x, Fraction):
+            if isinstance(x, Integral):
+                return int(x)
             x = Fraction(x)
         if x.denominator == 1:
             return x.numerator
@@ -59,9 +63,12 @@ def rat(x) -> Scalar:
 
 
 def vec(entries: Iterable, dim: int | None = None) -> Vec:
-    """The entries as Fractions; ValueError unless there are ``dim`` of them,
-    when ``dim`` is given."""
-    v = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
+    """The entries as Fractions, an integer that is not an int (a NumPy one
+    of fixed width) read through int(); ValueError unless there are ``dim``
+    of them, when ``dim`` is given."""
+    v = tuple(e if isinstance(e, Fraction)
+              else Fraction(e if type(e) is int or not isinstance(e, Integral) else int(e))
+              for e in entries)
     if dim is not None and len(v) != dim:
         raise ValueError(f"vector length {len(v)} != dim {dim}")
     return v

@@ -802,9 +802,10 @@ def dense_groupings(tables, spec):
     return by_row, by_column, by_product
 
 
-def dense_first_failing_triple(identity, ints, dim):
+def dense_first_failing_triple(identity, ints, dim, admits=None):
     """First basis triple (i, j, k), in lexicographic order, where the sides
-    of ``identity`` differ, found by visiting every triple."""
+    of ``identity`` differ, found by visiting every triple, or every one
+    that ``admits(i, j, k)`` holds for."""
     terms = [(sign, ints[t.outer], ints[t.inner], t.shape == LEFT,
               *("xyz".index(v) for v in t.perm))
              for sign, side in ((1, identity.lhs), (-1, identity.rhs))
@@ -814,6 +815,8 @@ def dense_first_failing_triple(identity, ints, dim):
         for j in rng:
             for k in rng:
                 ijk = (i, j, k)
+                if admits is not None and not admits(*ijk):
+                    continue
                 acc = {}
                 for sign, outer, inner, left, at_p, at_q, at_r in terms:
                     p, q, r = ijk[at_p], ijk[at_q], ijk[at_r]

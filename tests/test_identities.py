@@ -290,9 +290,9 @@ def _check_runs(monkeypatch, *modules):
     for mod in modules:
         real = mod.verify_identities
 
-        def counted(*args, real=real):
+        def counted(*args, real=real, **kwargs):
             calls.append(args[0])
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(mod, "verify_identities", counted)
     return calls

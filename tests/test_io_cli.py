@@ -430,6 +430,48 @@ def test_the_fullest_file_within_the_bounds_passes_the_string_count(tmp_path, mo
         lio.load_file(p)
 
 
+def _padded_pair(commas):
+    """A dim-2 huliu document with three entries in each bracket whose text
+    holds ``commas`` ',' characters, the ones past its own 27 inside its
+    first basis name."""
+    entries = [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, -1]]
+    doc = {"kind": "huliu", "dim": 2, "basis": ["a" + "," * (commas - 27), "b"],
+           "angle": entries, "square": entries}
+    assert json.dumps(doc).count(",") == commas
+    return doc
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(_padded_pair(41)),
+    '{"kind": "leibniz", "dim": 2, "angle": [], "basis": [' + ", ".join(["0.5"] * 42) + "]}",
+], ids=["padded pair", "bare numbers"])
+def test_file_with_more_commas_than_the_bounds_allow_is_refused_before_it_is_parsed(
+        tmp_path, monkeypatch, text):
+    """With MAX_ENTRIES 3 and MAX_DIM 2 a file holds at most 40 ',': four a
+    tensor entry in two fields, two basis names, two 'even' indices and 12
+    for the members of the schema.  A basis of bare numbers holds no '[' or
+    '"' past its own, so only the ',' count refuses it unparsed."""
+    monkeypatch.setattr(lio, "MAX_ENTRIES", 3)
+    monkeypatch.setattr(lio, "MAX_DIM", 2)
+    p = tmp_path / "commas.json"
+    p.write_text(text)
+    monkeypatch.setattr(json, "loads", _unparsed)
+    with pytest.raises(lio.SchemaError, match=re.escape(
+            f"{p}: file has {text.count(',')} ',' characters, above the limit 40") + "$"):
+        lio.load_file(p)
+
+
+def test_a_file_at_the_comma_limit_loads(tmp_path, monkeypatch):
+    monkeypatch.setattr(lio, "MAX_ENTRIES", 3)
+    monkeypatch.setattr(lio, "MAX_DIM", 2)
+    p = tmp_path / "commas.json"
+    doc = _padded_pair(40)
+    p.write_text(json.dumps(doc))
+    h = lio.load_file(p)
+    assert h.basis_names == tuple(doc["basis"])
+    assert table_entries(h.square) == [tuple(e) for e in doc["square"]]
+
+
 @pytest.mark.parametrize("basis", ["[{}, {}]", "[" + ", ".join(["{}"] * 10000) + "]"])
 def test_a_third_json_object_is_refused_while_the_file_is_parsed(tmp_path, capsys, basis):
     """A valid file holds two objects, the document and its 'constraints';

@@ -23,7 +23,7 @@ from leibkit.derive import derive_huliu, derive_leibniz
 from leibkit.huliu import adjoint_operators, classify_huliu_simplicity
 from leibkit.leibniz import (LeibnizAlgebra, annihilator, classify_simplicity,
                              multiplication_operators)
-from leibkit.linalg import Matrix, inverse, kernel, solve, span
+from leibkit.linalg import Matrix, inverse, kernel, rat, solve, span
 from leibkit.modules import OperatorModule, _distinct, closure, quotient, restriction
 from leibkit.xigroup import NotAUnitError, invert_unit, mat_square_zero_extension
 
@@ -267,3 +267,16 @@ def test_invert_unit_keeps_exact_scalars_on_matrix_units(n):
         found += 1
         _assert_dense(inv)
         assert g.multiply(x, inv) == unit
+
+
+def test_a_numpy_integer_is_read_as_an_int_of_any_width():
+    # np.int64 would keep its fixed width and wrap: 2^80 is past it
+    import numpy as np
+
+    m = Matrix(np.array([[2 ** 40]]))
+    assert (m @ m).nonzeros == (((0, 2 ** 80),),)
+    assert type(m.nonzeros[0][0][1]) is int and type(m.data[0][0].numerator) is int
+    assert type(rat(np.int64(3))) is int and rat(np.int64(3)) == 3
+    assert type(rat(np.uint8(200))) is int and rat(True) == 1 and type(rat(True)) is int
+    t = table_from_dense(np.array([[[2 ** 40]]]))
+    assert table_entries(t) == [(0, 0, 0, 2 ** 40)] and type(t[0][0][0][1]) is int
