@@ -50,23 +50,24 @@ the declarations:
   nonzeros, and memory holds one block, at most dim^3 entries.
 
   An identity may declare an ``order``: the region of triples that holds
-  its least failing triple once the checks it ``rests_on`` hold.  A caller
-  that has run those checks asks for the ordered walk, in which every term
-  adds only the chains of the triples in the region, so each block's
-  residual there is still the declared terms' sum.  Jacobi is walked on
-  i < j < k: it is cyclic by its form, a swap negates it once s is
-  antisymmetric, and a repeated index then zeroes it.  Of the
-  compatibility identities, C0 is walked on j < k (right Leibniz and
-  antisymmetry make it alternating in y, z), C1 on i <= j (symmetric in x,
-  y by its form) and C2 and C3 on i < j (alternating in x, y by
-  antisymmetry, and for C3 right Leibniz too).  Failing triples are closed
-  under these swaps, and an alternating identity vanishes where the two
-  swapped indices are equal, so the least failing triple lies in the
-  region.  On the dim-48 ``block_upper(4,4)`` pair Jacobi walks 2,288
-  chains against 14,496, and the compatibility identities 11,440 against
-  23,072.  A bound on an index the block's i or a partner's index fixes
-  costs one comparison a nonzero; the last indices, which start no triple
-  of the region, are not walked;
+  its least failing triple once the checks its symmetry rests on hold, as
+  the comment at its declaration says.  A caller that has run those checks
+  asks for the ordered walk, in which every term adds only the chains of
+  the triples in the region, so each block's residual there is still the
+  declared terms' sum.  Jacobi is walked on i < j < k: it is cyclic by its
+  form, a swap negates it once s is antisymmetric, and a repeated index
+  then zeroes it.  Of the compatibility identities, C0 is walked on j < k
+  (right Leibniz and antisymmetry make it alternating in y, z), C1 on
+  i <= j (symmetric in x, y by its form) and C2 and C3 on i < j
+  (alternating in x, y by antisymmetry, and for C3 right Leibniz too).
+  Failing triples are closed under these swaps, and an alternating
+  identity vanishes where the two swapped indices are equal, so the least
+  failing triple lies in the region.  On the dim-48 ``block_upper(4,4)``
+  pair Jacobi walks 2,288 chains against 14,496, and the compatibility
+  identities 11,440 against 23,072.  The ordered walk checks the bounds
+  the order puts on each term with one comparison a nonzero they bound,
+  and does not walk the last indices, which start no triple of the
+  region; the walk of every triple compares nothing;
 * the witness replay :func:`evaluate` re-evaluates a failing triple, or any
   vectors, with the original rational entries.
 """
@@ -156,9 +157,24 @@ def _fused_plan(lhs: Sequence[Term], rhs: Sequence[Term]) -> tuple[_Fused, ...]:
 _OPEN = -(1 << 20)
 
 
+def _chain(order: str) -> dict[int, tuple[int, int]]:
+    """An order such as "x<y<z" or "x<=y", a chain of some of the variables
+    ("" is every triple), as a map from each variable it names, by its index
+    in "xyz", to its rank in the chain and the number of "<" before it.  x,
+    the leading index of the walk, must come first when the chain names it."""
+    chain, below = {}, 0
+    # "x<=y<z" splits into "x", "=y", "z": a part after "<=" starts with "="
+    for rank, part in enumerate(order.split("<") if order else ()):
+        below += rank > 0 and not part.startswith("=")
+        chain["xyz".index(part.lstrip("="))] = (rank, below)
+    if chain.get(0, (0,))[0]:
+        raise ValueError(f"x must lead the order {order!r}")
+    return chain
+
+
 def _gap(chain: Mapping, p: int, q: int) -> int | None:
-    """The least value of variable q minus that of p that ``chain`` (an
-    ``Identity._chain``) admits when it puts p before q; else None."""
+    """The least value of variable q minus that of p that ``chain`` admits
+    when it puts p before q; else None."""
     if p in chain and q in chain and chain[p][0] < chain[q][0]:
         return chain[q][1] - chain[p][1]
     return None
@@ -166,14 +182,14 @@ def _gap(chain: Mapping, p: int, q: int) -> int | None:
 
 def _bounds(args: tuple[int, int, int], chain: Mapping) -> tuple | None:
     """What ``chain`` asks of the walk of a fused term with ``args`` =
-    (u, v, w): three gaps and a flag, or None when it asks nothing; a gap the
-    chain leaves open is :data:`_OPEN`.  When w is x, for a, b the values of
-    u, v and the lead the earlier of them in the chain: (least lead - x,
-    least b - a, least a - b, whether v leads); a bound on the lead bounds
-    both.  Otherwise, for s the value of x's partner p in the inner product
-    and t that of w: (least s - x, least t - s if the flag is set, else least
-    t - x, least s - t, the flag); where the chain has x, p, w in that order,
-    the bound from s implies the one from x."""
+    (u, v, w): three gaps and a flag, or None when it asks nothing; a gap
+    the chain leaves open is :data:`_OPEN`.  When w is x, for a, b the
+    values of u, v and the lead the earlier of them in the chain: (least
+    lead - x, least b - a, least a - b, whether v leads); a bound on the
+    lead bounds both.  Otherwise, for s the value of x's partner p in the
+    inner product and t that of w: (least s - x, least t - s if the flag is
+    set, else least t - x, least s - t, the flag); where the chain has x, p,
+    w in that order, the bound from s implies the one from x."""
     u, v, w = args
     if w == 0:
         lead = min((r for r in (u, v) if r in chain), key=chain.get, default=u)
@@ -191,35 +207,24 @@ class Identity:
     """The sum of the ``lhs`` terms equals the sum of the ``rhs`` terms.
     ``_plan``, lhs - rhs as fused terms, is derived from them once.
 
-    ``order`` is the region of basis triples that holds the least failing
-    triple once the checks named in ``rests_on`` hold, as a chain of some of
-    the variables, such as "x<y<z" or "x<=y"; "" is every triple.  The
-    identity must take its failing triples to failing triples under the
-    swaps the chain undoes, and vanish where a "<" ties.  x, the leading
-    index of the walk, comes first in a chain that names it.  ``_chain``
-    maps each variable the chain names, by its index in "xyz", to its rank
-    in the chain and the number of "<" before it.  ``_ordered`` pairs each
-    term of ``_plan`` with its :func:`_bounds` in the chain, and
-    ``_above_x`` is the number of indices the chain puts above x: that many
-    of the last leading indices start no triple of the order."""
+    The argument ``order`` (see :func:`_chain`) is the region of basis
+    triples that holds the least failing triple once the checks the
+    identity's symmetry rests on hold: the identity must take its failing
+    triples to failing triples under the swaps the chain undoes, and vanish
+    where a "<" ties.  ``_bounds`` holds the :func:`_bounds` of each term of
+    ``_plan`` in the chain, and ``_above_x`` the number of indices the chain
+    puts above x: that many of the last leading indices start no triple of
+    the order."""
 
-    __slots__ = ("name", "lhs", "rhs", "order", "rests_on", "_plan", "_chain", "_ordered",
-                 "_above_x")
+    __slots__ = ("name", "lhs", "rhs", "_plan", "_bounds", "_above_x")
 
     def __init__(self, name: str, lhs: tuple[Term, ...], rhs: tuple[Term, ...] = (),
-                 order: str = "", rests_on: str = ""):
+                 order: str = ""):
         self.name, self.lhs, self.rhs = name, lhs, rhs
-        self.order, self.rests_on = order, rests_on
         self._plan = _fused_plan(lhs, rhs)
-        self._chain, below = {}, 0
-        # "x<=y<z" splits into "x", "=y", "z": a part after "<=" starts with "="
-        for rank, part in enumerate(order.split("<") if order else ()):
-            below += rank > 0 and not part.startswith("=")
-            self._chain["xyz".index(part.lstrip("="))] = (rank, below)
-        if self._chain.get(0, (0,))[0]:
-            raise ValueError(f"{name}: x must lead the order {order!r}")
-        self._ordered = tuple((term, _bounds(term.args, self._chain)) for term in self._plan)
-        self._above_x = below if 0 in self._chain else 0
+        chain = _chain(order)
+        self._bounds = tuple(_bounds(term.args, chain) for term in self._plan)
+        self._above_x = max(below for _, below in chain.values()) if 0 in chain else 0
 
 
 # Table names: "m" an associative product, "a" the angle (Leibniz) bracket
@@ -238,43 +243,46 @@ RIGHT_LEIBNIZ = Identity(
     (Term("a", "a", RIGHT, "xyz"), Term("a", "a", LEFT, "xzy")))
 
 # [[x,y],z] + [[y,z],x] + [[z,x],y] = 0.  Cyclic by its form; once s is
-# antisymmetric a swap negates it, and a repeated variable zeroes it.
+# antisymmetric a swap negates it, and a repeated variable zeroes it, so the
+# ordered walk rests on the antisymmetry check.
 JACOBI = Identity(
     "Jacobi identity",
     (Term("s", "s", LEFT, "xyz"), Term("s", "s", LEFT, "yzx"),
      Term("s", "s", LEFT, "zxy")),
-    order="x<y<z", rests_on="antisymmetry")
+    order="x<y<z")
 
 # The identity quantifying a square <x,x> is declared through its polarized
 # bilinear form, which is complete over characteristic zero.  Each is
 # alternating or symmetric in two variables once the checks before it hold:
 # right Leibniz at (x, y, z) plus at (x, z, y) gives <x, <y,z>+<z,y>> = 0, and
-# s antisymmetric gives [u,v] + [v,u] = 0.
+# s antisymmetric gives [u,v] + [v,u] = 0.  The ordered walk of each rests on
+# the checks its comment names.
 COMPATIBILITY = (
-    # C0(x,y,z) + C0(x,z,y) = -<x, <y,z>+<z,y>>
+    # C0(x,y,z) + C0(x,z,y) = -<x, <y,z>+<z,y>>: right Leibniz, antisymmetry
     Identity(
         "angle absorbs square: <x,[y,z]> = <x,<y,z>>",
         (Term("a", "s", RIGHT, "xyz"),),
         (Term("a", "a", RIGHT, "xyz"),),
-        order="y<z", rests_on="right Leibniz identity, antisymmetry"),
-    # symmetric in x, y by its form
+        order="y<z"),
+    # symmetric in x, y by its form: no check
     Identity(
         "squares bracket alike (polarized): [<x,y>+<y,x>,z] = <<x,y>+<y,x>,z>",
         (Term("s", "a", LEFT, "xyz"), Term("s", "a", LEFT, "yxz")),
         (Term("a", "a", LEFT, "xyz"), Term("a", "a", LEFT, "yxz")),
         order="x<=y"),
-    # C2(y,x,z) = -C2(x,y,z) term by term
+    # C2(y,x,z) = -C2(x,y,z) term by term: antisymmetry
     Identity(
         "mixed cycle: <[x,y],z> + [<y,z>,x] + [y,<x,z>] = 0",
         (Term("a", "s", LEFT, "xyz"), Term("s", "a", LEFT, "yzx"),
          Term("s", "a", RIGHT, "yxz")),
-        order="x<y", rests_on="antisymmetry"),
-    # C3(x,y,z) + C3(y,x,z) = [S,z] + [z,S] + <z,S>, S = <x,y>+<y,x>
+        order="x<y"),
+    # C3(x,y,z) + C3(y,x,z) = [S,z] + [z,S] + <z,S>, S = <x,y>+<y,x>: right
+    # Leibniz, antisymmetry
     Identity(
         "mixed quadruple: [<x,y>,z] + [z,[x,y]] + [z,<y,x>] + <z,<x,y>> = 0",
         (Term("s", "a", LEFT, "xyz"), Term("s", "s", RIGHT, "zxy"),
          Term("s", "a", RIGHT, "zyx"), Term("a", "a", RIGHT, "zxy")),
-        order="x<y", rests_on="right Leibniz identity, antisymmetry"),
+        order="x<y"),
 )
 
 
@@ -420,9 +428,15 @@ def _grouped(spec: tuple, views: dict, dim: int) -> tuple[list, list, list]:
     return grouped
 
 
-def _walk(term: _Fused, views: dict, dim: int):
+def _walk(term: _Fused, views: dict, dim: int, bounds: tuple | None = None):
     """``walk(i, acc)`` adds the fused term at every triple (i, j, k) into
-    ``acc``, keyed by (j * dim + k) * dim + m for output coordinate m."""
+    ``acc``, keyed by (j * dim + k) * dim + m for output coordinate m; with
+    ``bounds`` (see :func:`_bounds`), at the triples they admit only, each
+    bound checked with one comparison a nonzero it bounds.  The walk of
+    every triple compares nothing: with open bounds the comparisons cost the
+    full walks of the corpus benchmark (dims 2-6) about a fifth of their
+    time, and its ``wall_s`` 12 % on a 2-vCPU host in a version that made
+    them."""
     # key weight of x, y, z: x is the block's own index, y and z place (j, k)
     weight = (0, dim * dim, dim)
     u, v, w = term.args
@@ -430,60 +444,26 @@ def _walk(term: _Fused, views: dict, dim: int):
     outer_row, outer_column, _ = _grouped(term.outer, views, dim)
     inner_row, inner_column, by_l = _grouped(term.inner, views, dim)
     sign = term.sign
+    keys = [None] * dim
 
     if w == 0:
         # x is the outer product's own argument: the cells outer[l][x] of
-        # column x, each against the inner nonzeros at l, whose keys by
-        # (u, v) are built on first use
-        keys = [None] * dim
+        # column x, each against the inner nonzeros (a, b) at l, whose keys
+        # are built on first use
+        if bounds is None:
+            def walk(i, acc):
+                for l, cell in outer_column[i]:
+                    at_l = keys[l]
+                    if at_l is None:
+                        at_l = keys[l] = [(a * wu + b * wv, sign * c) for a, b, c in by_l[l]]
+                    for base, c in at_l:
+                        for m, cm in cell:
+                            key = base + m
+                            acc[key] = acc.get(key, 0) + c * cm
+            return walk
 
-        def walk(i, acc):
-            for l, cell in outer_column[i]:
-                at_l = keys[l]
-                if at_l is None:
-                    at_l = keys[l] = [(a * wu + b * wv, sign * c) for a, b, c in by_l[l]]
-                for base, c in at_l:
-                    for m, cm in cell:
-                        key = base + m
-                        acc[key] = acc.get(key, 0) + c * cm
-        return walk
-
-    # x is an argument of the inner product and s its partner there; each
-    # inner nonzero at l meets the outer row l, flattened into keys by w on
-    # first use
-    partners, ws = (inner_row, wv) if u == 0 else (inner_column, wu)
-    keys = [None] * dim
-
-    def walk(i, acc):
-        for s, cell in partners[i]:
-            base = s * ws
-            for l, c in cell:
-                row = keys[l]
-                if row is None:
-                    row = keys[l] = [(t * ww + m, sign * cm) for t, v in outer_row[l]
-                                     for m, cm in v]
-                for off, cm in row:
-                    key = base + off
-                    acc[key] = acc.get(key, 0) + c * cm
-    return walk
-
-
-def _bounded_walk(term: _Fused, bounds: tuple, views: dict, dim: int):
-    """:func:`_walk` at the triples ``bounds`` (see :func:`_bounds`) admit
-    only.  It reads the same groupings and keys, and checks each bound with
-    one comparison per nonzero it bounds; it is built apart so that an
-    unbounded walk sets up nothing for bounds."""
-    weight = (0, dim * dim, dim)
-    u, v, w = term.args
-    wu, wv, ww = weight[u], weight[v], weight[w]
-    outer_row, outer_column, _ = _grouped(term.outer, views, dim)
-    inner_row, inner_column, by_l = _grouped(term.inner, views, dim)
-    sign = term.sign
-    keys = [None] * dim
-
-    if w == 0:
-        # the inner nonzeros (a, b) at l, led by the value of u or v that x
-        # bounds, without those the order rules out by a and b alone
+        # without the (a, b) the order rules out by a and b alone, each led
+        # by the value of u or v that x bounds
         bound, b_a, a_b, by_v = bounds
 
         def walk(i, acc):
@@ -501,10 +481,31 @@ def _bounded_walk(term: _Fused, bounds: tuple, views: dict, dim: int):
                         acc[key] = acc.get(key, 0) + c * cm
         return walk
 
+    # x is an argument of the inner product and s its partner there; each
+    # inner nonzero at l meets the outer row l, flattened into keys by w on
+    # first use, in the order of w's value t
     partners, ws = (inner_row, wv) if u == 0 else (inner_column, wu)
+
+    if bounds is None:
+        def walk(i, acc):
+            for s, cell in partners[i]:
+                base = s * ws
+                for l, c in cell:
+                    row = keys[l]
+                    if row is None:
+                        row = keys[l] = [(t * ww + m, sign * cm) for t, v in outer_row[l]
+                                         for m, cm in v]
+                    for off, cm in row:
+                        key = base + off
+                        acc[key] = acc.get(key, 0) + c * cm
+        return walk
+
+    # s >= i + bound, and each row is cut to the t with t >= s + after
+    # (from_s) or t >= i + after, and t <= s - before_p
     bound, after, before_p, from_s = bounds
     if after == before_p == _OPEN:
-        # x bounds its partner s only
+        # only s is bounded (C1, C3): one comparison a partner, and none a
+        # chain, which open row cuts cost corpus about 2 % of its wall_s
         def walk(i, acc):
             lo = i + bound
             for s, cell in partners[i]:
@@ -520,16 +521,17 @@ def _bounded_walk(term: _Fused, bounds: tuple, views: dict, dim: int):
                         key = base + off
                         acc[key] = acc.get(key, 0) + c * cm
         return walk
+    after_w, stop_w = after * ww, (1 - before_p) * ww
 
-    # and each row is cut to the values t of w with t >= s + after (from_s)
-    # or t >= i + after, and t <= s - before_p; its keys go in the order of t
     def walk(i, acc):
-        lo = i + bound
+        lo, first = i + bound, i * ww + after_w
         for s, cell in partners[i]:
             if s < lo:
                 continue
-            base = s * ws
-            first, stop = ((s if from_s else i) + after) * ww, (s - before_p + 1) * ww
+            base, sw = s * ws, s * ww
+            if from_s:
+                first = sw + after_w
+            stop = sw + stop_w
             for l, c in cell:
                 row = keys[l]
                 if row is None:
@@ -550,16 +552,13 @@ def _first_failing_triple(identity: Identity, views: dict, dim: int,
     """First basis triple (i, j, k), in lexicographic order, where lhs != rhs;
     ``views`` maps table names to their :func:`int_scaled` cells, and the
     groupings of every table the plan reads are added to it.  With
-    ``ordered`` only the triples of ``identity.order`` are walked, which
-    finds the same triple once the checks of ``identity.rests_on`` hold."""
+    ``ordered`` only the triples of the identity's order are walked, which
+    finds the same triple once the checks its symmetry rests on hold."""
     blocks = range(dim - identity._above_x if ordered else dim)
     if not blocks:
         return None
-    if ordered:
-        walks = [_walk(term, views, dim) if bounds is None else
-                 _bounded_walk(term, bounds, views, dim) for term, bounds in identity._ordered]
-    else:
-        walks = [_walk(term, views, dim) for term in identity._plan]
+    bounds = identity._bounds if ordered else (None,) * len(identity._plan)
+    walks = [_walk(term, views, dim, b) for term, b in zip(identity._plan, bounds)]
     for i in blocks:
         acc: dict[int, int] = {}
         for walk in walks:
@@ -574,8 +573,8 @@ def verify_identities(identities: Sequence[Identity], tables: Mapping[str, Table
                       holds: str, ordered: bool = False) -> Report:
     """Check each identity on every basis triple, in order; report the first
     failure with its witness replayed in exact rationals, else ``ok(holds)``.
-    A caller passes ``ordered`` once the checks each identity ``rests_on``
-    hold; each is then walked on the triples of its ``order`` only."""
+    A caller passes ``ordered`` once the checks each identity's symmetry
+    rests on hold; each is then walked on the triples of its order only."""
     views = dict(zip(tables, int_scaled(list(tables.values()))))
     dim = len(next(iter(tables.values())))
     for identity in identities:

@@ -27,7 +27,7 @@ from leibkit._tables import (
     Identity,
     Term,
     RIGHT_LEIBNIZ,
-    _bounded_walk,
+    _chain,
     _first_failing_triple,
     _walk,
     int_scaled,
@@ -135,9 +135,8 @@ def _chains(identity, tables, ordered):
             dict.__setitem__(self, key, value)
 
     views, dim = _views(tables)
-    plan = identity._ordered if ordered else [(term, None) for term in identity._plan]
-    walks = [_walk(term, views, dim) if bounds is None else _bounded_walk(term, bounds, views, dim)
-             for term, bounds in plan]
+    bounds = identity._bounds if ordered else (None,) * len(identity._plan)
+    walks = [_walk(term, views, dim, b) for term, b in zip(identity._plan, bounds)]
     for i in range(dim):
         block = Block()
         for walk in walks:
@@ -214,4 +213,4 @@ def test_an_order_is_a_chain_that_x_leads_when_it_names_it(order, chain):
         with pytest.raises(ValueError, match="x must lead the order"):
             Identity("test", term, order=order)
     else:
-        assert Identity("test", term, order=order)._chain == chain
+        assert _chain(order) == chain
