@@ -6,7 +6,9 @@ elements i, j, in ascending k, and ``()`` when that product is zero; c is
 an int when it is integral, else a Fraction (``linalg.rat``).  The form is
 canonical: two tables are equal iff their products are.  Build a
 table with :func:`table_from_entries` or :func:`table_from_dense` (or
-:func:`as_table`, which passes a built :class:`Table` through), and read it
+:func:`as_table`, which passes a built :class:`Table` through); code that
+places canonical cells itself (the derived brackets, the matrix units)
+wraps its rows in :class:`Table` directly.  Read a table
 through its nonzeros: :func:`table_entries` (the (i, j, k, c) entries in
 basis order), :func:`columns` (the cells as the columns of the
 multiplication operators), :func:`product` (the product of two sparse

@@ -102,10 +102,11 @@ class GradedAlgebra(Checked):
 
     def __init__(self, algebra: Algebra, even: Sequence[int]):
         self.algebra = algebra
-        self.even = tuple(sorted(set(even)))
+        even = set(even)
+        self.even = tuple(sorted(even))
         if any(i < 0 or i >= algebra.dim for i in self.even):
             raise ValueError("even index out of range")
-        self.odd = tuple(i for i in range(algebra.dim) if i not in set(self.even))
+        self.odd = tuple(i for i in range(algebra.dim) if i not in even)
 
     @property
     def dim(self) -> int:
@@ -252,9 +253,12 @@ def _matrix_units(cells: Sequence[tuple[int, int]],
     in_row = {}  # row b: the (d, index) of each cell (b, d), in order
     for (b, d), t in index.items():
         in_row.setdefault(b, []).append((d, t))
-    entries = [(s, t, index[a, d], 1) for (a, b), s in index.items()
-               for d, t in in_row.get(b, ()) if (a, d) in index]
-    return Algebra(table_from_entries(len(cells), entries), [name(a, b) for a, b in cells],
+    rows = [[()] * len(cells) for _ in cells]
+    for (a, b), s in index.items():
+        for d, t in in_row.get(b, ()):
+            if (a, d) in index:  # E_ab E_bd = E_ad fills exactly one cell
+                rows[s][t] = ((index[a, d], 1),)
+    return Algebra(Table(map(tuple, rows)), [name(a, b) for a, b in cells],
                    unit=[1 if a == b else 0 for a, b in cells])
 
 

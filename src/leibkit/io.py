@@ -179,6 +179,11 @@ def load_obj(data):
                 or not all(isinstance(i, int) and not isinstance(i, bool)
                            and 0 <= i < dim for i in even)):
             raise SchemaError("field 'even' must be a list of in-range indices")
+        seen = set()
+        for i in even:  # so 'even' holds at most dim indices
+            if i in seen:
+                raise SchemaError(f"field 'even' repeats index {i}")
+            seen.add(i)
         g = GradedAlgebra(a, even)
         if kind == "graded":
             return g
@@ -192,7 +197,7 @@ def load_obj(data):
             family = constraint_family(spec["family"], **params)
         except (ValueError, TypeError) as e:
             raise SchemaError(f"bad constraints: {e}") from None
-        odd_dim = dim - len(set(even))
+        odd_dim = dim - len(even)
         odd_subspace = None
         if "odd_subspace" in data:
             rows = data["odd_subspace"]
@@ -241,10 +246,10 @@ def load_file(path):
             raise ValueError(f"file has {quotes} '\"' characters, above the limit {limit}")
         # and its ',' follow at most the four numbers of each entry of two
         # tensor fields (or of one, and the odd_subspace values), the MAX_DIM
-        # names of 'basis' and indices of 'even' (a longer 'even' repeats an
-        # index), and each member of the document and its 'constraints',
-        # fewer than the schema's strings; a ',' inside a string can only
-        # overcount
+        # names of 'basis' and indices of 'even' (load_obj refuses a repeated
+        # index, so a longer 'even'), and each member of the document and its
+        # 'constraints', fewer than the schema's strings; a ',' inside a
+        # string can only overcount
         commas, limit = text.count(","), 8 * MAX_ENTRIES + 2 * MAX_DIM + _SCHEMA_STRINGS
         if commas > limit:
             raise ValueError(f"file has {commas} ',' characters, above the limit {limit}")

@@ -18,6 +18,9 @@ Killing form and the two annihilator-action flags, which only tests call,
 reuse the package's annihilator and operator-column test.  The dense
 subalgebra and abelian-annihilator loops read each bracket as a dense
 vector through the public ``apply_table`` and test it on the dense basis.
+The entries-built commutator and matrix-unit tables list every nonzero
+product as an (i, j, k, value) entry and sum them in ``table_from_entries``,
+where the package places each cell directly.
 """
 
 from fractions import Fraction
@@ -301,6 +304,24 @@ def matrix_unit_table(n, cells):
             row.append(coords)
         table.append(tuple(row))
     return tuple(table)
+
+
+def entries_matrix_units(cells):
+    """The table of the matrix units at ``cells``, from one entry
+    (s, t, index of (a, d), 1) for each E_ab E_bd = E_ad."""
+    index = {cell: t for t, cell in enumerate(cells)}
+    in_row = {}  # row b: the (d, index) of each cell (b, d), in order
+    for (b, d), t in index.items():
+        in_row.setdefault(b, []).append((d, t))
+    entries = [(s, t, index[a, d], 1) for (a, b), s in index.items()
+               for d, t in in_row.get(b, ()) if (a, d) in index]
+    return table_from_entries(len(cells), entries)
+
+
+def typed(t):
+    """The cells of ``t`` with each scalar's type beside it, so that == on
+    two tables also tells an int from an equal Fraction."""
+    return tuple(tuple(tuple((k, type(c), c) for k, c in cell) for cell in row) for row in t)
 
 
 def action_matrices(p, q, left_action, right_action):
@@ -831,6 +852,20 @@ def dense_first_failing_triple(identity, ints, dim, admits=None):
                 if any(acc.values()):
                     return ijk
     return None
+
+
+def entries_commutator_table(g, even_only):
+    """Cells x y - y x, empty where ``even_only`` and y is odd, summed from
+    the entries (i, j, k, c) of each product e_i e_j and (j, i, k, -c) of
+    its partner."""
+    keep = set(g.even) if even_only else range(g.dim)
+    items = []
+    for i, j, k, c in table_entries(g.algebra.table):
+        if j in keep:  # e_i e_j is the first product of cell (i, j)
+            items.append((i, j, k, c))
+        if i in keep:  # and the second product of cell (j, i)
+            items.append((j, i, k, -c))
+    return table_from_entries(g.dim, items)
 
 
 def dense_commutator_table(g, even_only):

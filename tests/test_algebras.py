@@ -21,8 +21,8 @@ from leibkit.algebras import (
 from leibkit._tables import operators, table_entries, table_from_dense, table_from_entries
 from leibkit.linalg import Matrix
 
-from oracles import (action_matrices, bimodule_failures, dense, first_grading_failure,
-                     matrix_unit_table)
+from oracles import (action_matrices, bimodule_failures, dense, entries_matrix_units,
+                     first_grading_failure, matrix_unit_table, typed)
 
 
 def mat2(rows):
@@ -335,6 +335,31 @@ def test_block_upper_multiplies_as_unit_matrices(p, q):
     g = make_block_upper(p, q)
     _assert_matrix_units(g.algebra, n, x + y + m, names)
     assert g.even == tuple(range(len(x + y))) and g.odd == tuple(range(len(x + y), g.dim))
+
+
+def _block_cells(p, q):
+    n = p + q
+    return ([(a, b) for a in range(p) for b in range(p)]
+            + [(a, b) for a in range(p, n) for b in range(p, n)]
+            + [(a, b) for a in range(p) for b in range(p, n)])
+
+
+_UNIT_ALGEBRAS = {
+    **{f"Mat({n})": (lambda n=n: matrix_algebra(n), [(a, b) for a in range(n) for b in range(n)])
+       for n in range(7)},
+    **{f"block_upper({p},{q})": (lambda p=p, q=q: make_block_upper(p, q).algebra,
+                                 _block_cells(p, q))
+       for p in range(1, 5) for q in range(1, 5)},
+    "upper_triangular": (lambda: upper_triangular_model().algebra, [(0, 0), (1, 1), (0, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", _UNIT_ALGEBRAS)
+def test_matrix_units_equal_the_entries_built_table(name):
+    """Cell for cell, coordinate order and int or Fraction included."""
+    build, cells = _UNIT_ALGEBRAS[name]
+    got, want = build().table, entries_matrix_units(cells)
+    assert got == want and typed(got) == typed(want)
 
 
 def test_upper_triangular_model_multiplies_as_unit_matrices():

@@ -1,10 +1,12 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from leibkit._tables import operators, table_entries, zero_table
+from leibkit._tables import operators, table_entries, table_from_entries, zero_table
 from leibkit.algebras import (
+    Algebra,
     GradedAlgebra,
     dual_numbers,
     make_block_upper,
@@ -12,7 +14,8 @@ from leibkit.algebras import (
     make_trivial_extension,
 )
 from leibkit.derive import (
-    _commutator_table,
+    _angle_table,
+    _square_table,
     derive_huliu,
     derive_leibniz,
     verify_linear_embedding,
@@ -141,13 +144,77 @@ def test_embedding_rejects_noninjective(ut_model):
     assert rep.kernel is not None and rep.kernel.dim == 3
 
 
+def _overlapping_graded(seed, dim=5):
+    """A graded algebra, unchecked, whose table has Fraction entries and
+    cells (i, j) and (j, i) sharing coordinates, so that merging them
+    cancels some to 0 and others to an integer."""
+    rng = random.Random(seed)
+    values = [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(1, 3), 1, -2]
+    entries = [(i, j, k, rng.choice(values))
+               for i in range(dim) for j in range(dim) for k in range(dim) if rng.random() < 0.3]
+    even = [i for i in range(dim) if rng.random() < 0.6]
+    return GradedAlgebra(Algebra(table_from_entries(dim, entries)), even)
+
+
+def _mat_extension(n):
+    """Mat(n) extended by itself as a bimodule."""
+    m = matrix_algebra(n)
+    return make_trivial_extension(m, operators(m.table, "left"), operators(m.table, "right"))
+
+
 def test_commutator_tables_match_the_dense_construction():
     graded = [g for _, g in generate_corpus(seed=5, trials=25, max_dim0=3, max_dim1=3)]
     graded += [make_block_upper(k, k) for k in (1, 2, 3)]
     for g in graded:
-        for even_only in (True, False):
-            assert (oracles.dense(_commutator_table(g, even_only))
-                    == oracles.dense_commutator_table(g, even_only))
+        square = _square_table(g.algebra.table)
+        assert oracles.dense(square) == oracles.dense_commutator_table(g, False)
+        assert oracles.dense(_angle_table(square, g.odd)) == oracles.dense_commutator_table(g, True)
+
+
+def test_commutator_tables_equal_the_entries_built_ones():
+    """Cell for cell, coordinate order and int or Fraction included."""
+    graded = [g for _, g in generate_corpus(seed=5, trials=25, max_dim0=3, max_dim1=3)]
+    graded += [make_block_upper(p, q) for p in range(1, 5) for q in range(1, 5)]
+    graded += [_mat_extension(n) for n in range(1, 5)]
+    graded += [_overlapping_graded(seed) for seed in range(20)]
+    for g in graded:
+        square = _square_table(g.algebra.table)
+        angle = _angle_table(square, g.odd)
+        for got, even_only in ((square, False), (angle, True)):
+            want = oracles.entries_commutator_table(g, even_only)
+            assert got == want
+            assert oracles.typed(got) == oracles.typed(want)
+
+
+def test_merged_cells_that_cancel_store_canonical_scalars():
+    half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+    t = table_from_entries(3, [(0, 1, 2, half), (1, 0, 2, half),            # cancel to 0
+                               (0, 2, 1, 3 * half), (2, 0, 1, -half),       # to the int 2
+                               (0, 2, 0, third), (2, 0, 0, sixth)])         # to 1/6
+    g = GradedAlgebra(Algebra(t), even=[0, 1])
+    square = _square_table(t)
+    assert oracles.typed(square) == oracles.typed((((), (), ((0, sixth), (1, 2))),
+                                                   ((), (), ()),
+                                                   (((0, -sixth), (1, -2)), (), ())))
+    angle = _angle_table(square, g.odd)  # column 2 is odd
+    assert oracles.typed(angle) == oracles.typed((((), (), ()),
+                                                  ((), (), ()),
+                                                  (((0, -sixth), (1, -2)), (), ())))
+    for got, even_only in ((square, False), (angle, True)):
+        assert oracles.typed(got) == oracles.typed(oracles.entries_commutator_table(g, even_only))
+
+
+def test_derive_builds_no_table_from_entries(monkeypatch):
+    """The derived pair and the matrix units place their cells directly."""
+    def refuse(*_):
+        raise AssertionError("table_from_entries called")
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "leibkit" and hasattr(module, "table_from_entries"):
+            monkeypatch.setattr(module, "table_from_entries", refuse)
+    h = derive_huliu(make_block_upper(2, 2))
+    assert h.dim == 12 and verify_huliu_identities(h).holds
+    assert matrix_algebra(3).dim == 9
 
 
 def test_linear_embedding_needs_a_bracket_algebra():

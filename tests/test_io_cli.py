@@ -132,6 +132,18 @@ def test_xigroup_schema_rejections(extra, message):
     assert message in str(exc.value)
 
 
+@pytest.mark.parametrize("kind", ["graded", "xigroup"])
+@pytest.mark.parametrize("even", [[0, 1, 0], [1] * 1000], ids=["one repeat", "longer than dim"])
+def test_an_even_that_repeats_an_index_exits_2(tmp_path, capsys, kind, even):
+    data = (_block_upper_xigroup() if kind == "xigroup"
+            else lio.dump_obj(make_block_upper(1, 1)))
+    path = tmp_path / "even.json"
+    path.write_text(json.dumps({**data, "even": even}))
+    assert cli.main(["verify", str(path), "--kind", "grading"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: field 'even' repeats index {even[-1]}\n"
+
+
 def test_load_truncated_file(tmp_path):
     p = tmp_path / "trunc.json"
     p.write_text('{"kind": "leibniz", "dim": 2,')
