@@ -13,12 +13,17 @@ check: closure under the two derived brackets of the ambient graded algebra.
 
 Exact data (structure tensors, embeddings, tangent bases) is rational;
 sampling, conjugation checks, and curve checks run in float64 with
-residuals scaled by operator norms.  A sampled check holds all its samples
-at once, so its size is bounded by ``MAX_SAMPLE_FLOATS``.
+residuals scaled by operator norms.  The sampled checks bound every norm
+from its Gram matrix first (``MatrixRealization.norm_bounds``) and solve it
+exactly (``op_norm``) only for the samples whose bounds leave the worst
+residual or a verdict open, so their reports are those of solving every
+sample.  A sampled check holds all its samples at once, so its size is
+bounded by ``MAX_SAMPLE_FLOATS``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -49,11 +54,11 @@ _UNIT_RESIDUAL = 1e-6  # scaled inverse residual above which a float point is no
 # all its samples at once: the products and norms grow with dim^2, the even
 # block, residuals and scales with dim.  Traced peaks of both checks at the
 # largest admitted count (tracemalloc, numpy 2.4) were 44.4 MB at dim 1 (5.3
-# bytes a unit), 32.2 MB at dim 2 (3.8) and, at dim 18 (13706 samples of the
-# Mat(3) extension), 27.8 MB on its 6x6 block realization (3.3) and 48.4 MB on
-# its 18x18 regular one (5.8).
+# bytes a unit), 35.9 MB at dim 2 (4.3) and, at dim 18 (13706 samples of the
+# Mat(3) extension), 29.7 MB on its 6x6 block realization (3.5) and 47.1 MB on
+# its 18x18 regular one (5.6).
 MAX_SAMPLE_FLOATS = 2 ** 23
-# Matrices per Gram block of ``MatrixRealization.op_norm``.
+# Matrices per Gram block of ``MatrixRealization._grams``.
 _GRAM_BLOCK = 1024
 
 
@@ -130,23 +135,17 @@ class MatrixRealization:
         """The matrices of float coordinate vectors x (..., dim), as (..., n, n)."""
         return np.tensordot(np.asarray(x, dtype=float), self.np_embed, 1)
 
-    def op_norm(self, x):
-        """Spectral norms of the realized matrices of x (..., dim).
-
-        Each norm is the square root of the top eigenvalue of the Gram
-        matrix m^T m (Golub & Van Loan, Matrix Computations, 2.3 and 8.1),
-        which the symmetric eigensolver finds in about half the time of an
-        SVD; it agrees with the SVD norm to about 1e-15 relative.  Each matrix
-        is first scaled by a power of two near its largest entry, so that its
-        Gram matrix can neither overflow nor underflow and scaling back is
-        exact, and the Gram matrices are formed ``_GRAM_BLOCK`` at a time, so
-        that the peak memory stays that of the realized stack.  A matrix with
-        a NaN or infinite entry raises ``np.linalg.LinAlgError``.
-        """
-        m = self.realize_f(x)
-        shape = m.shape[:-2]
-        m = m.reshape((-1, self.n, self.n))
-        norms = np.empty(len(m))
+    def _grams(self, x):
+        """The Gram matrices m^T m of the realized matrices of x (..., dim),
+        ``_GRAM_BLOCK`` at a time, as (start, grams, exp) for the rows from
+        start on.  Each matrix is scaled by 2^-exp, a power of two near its
+        largest entry, so that its Gram matrix can neither overflow nor
+        underflow and scaling back is exact.  The blocks share one buffer,
+        which the next block overwrites, so that the peak memory stays that
+        of the realized stack.  A matrix with a NaN or infinite entry raises
+        ``np.linalg.LinAlgError``."""
+        m = self.realize_f(x).reshape((-1, self.n, self.n))
+        gram = np.empty((min(len(m), _GRAM_BLOCK), self.n, self.n))  # one block, reused
         for s in range(0, len(m), _GRAM_BLOCK):
             b = m[s:s + _GRAM_BLOCK]
             big = np.maximum(b.max(axis=(1, 2)), -b.min(axis=(1, 2)))
@@ -155,9 +154,44 @@ class MatrixRealization:
             exp = np.frexp(big)[1]
             # in place, as the stack is this call's own: largest entry in [1/2, 1), or all 0
             np.ldexp(b, -exp[:, None, None], out=b)
-            top = np.linalg.eigvalsh(np.swapaxes(b, 1, 2) @ b)[:, -1]
-            norms[s:s + _GRAM_BLOCK] = np.ldexp(np.sqrt(top), exp)
-        return norms.reshape(shape)[()]
+            yield s, np.matmul(np.swapaxes(b, 1, 2), b, out=gram[:len(b)]), exp
+
+    def op_norm(self, x):
+        """Spectral norms of the realized matrices of x (..., dim).
+
+        Each norm is the square root of the top eigenvalue of the Gram
+        matrix m^T m (Golub & Van Loan, Matrix Computations, 2.3 and 8.1),
+        which the symmetric eigensolver finds in about half the time of an
+        SVD; it agrees with the SVD norm to about 1e-15 relative.  The Gram
+        matrices come from ``_grams``, each norm from its own matrix alone,
+        so the norms of a subset of the rows are those of the full call.  A
+        matrix with a NaN or infinite entry raises ``np.linalg.LinAlgError``.
+        """
+        norms = np.empty(np.shape(x)[:-1])
+        flat = norms.reshape(-1)
+        for s, gram, exp in self._grams(x):
+            flat[s:s + len(exp)] = np.ldexp(np.sqrt(np.linalg.eigvalsh(gram)[:, -1]), exp)
+        return norms[()]
+
+    def norm_bounds(self, x):
+        """Bounds (lo, hi) on ``op_norm(x)``, without an eigensolve.
+
+        The top eigenvalue of a Gram matrix is at least its largest diagonal
+        entry (a Rayleigh quotient) and at most its largest absolute row sum
+        (Gershgorin's theorem; Golub & Van Loan 7.2 and 8.1); each square
+        root is widened by a relative 1e-12, over 1000 times the rounding of
+        the Gram matrix, the eigensolver and a product of three norms.  A
+        matrix with a NaN or infinite entry raises ``np.linalg.LinAlgError``.
+        """
+        lo, hi = np.empty(np.shape(x)[:-1]), np.empty(np.shape(x)[:-1])
+        lo_flat, hi_flat = lo.reshape(-1), hi.reshape(-1)
+        for s, gram, exp in self._grams(x):
+            rows = slice(s, s + len(exp))
+            diag = np.diagonal(gram, axis1=1, axis2=2).max(axis=1)
+            lo_flat[rows] = np.ldexp(np.sqrt(diag) * (1 - 1e-12), exp)
+            row_sums = np.abs(gram, out=gram).sum(axis=2).max(axis=1)  # the block is ours
+            hi_flat[rows] = np.ldexp(np.sqrt(row_sums) * (1 + 1e-12), exp)
+        return lo[()], hi[()]
 
     def multiply_f(self, x, y) -> np.ndarray:
         """Products x y of float coordinate vectors, broadcast over leading
@@ -350,11 +384,11 @@ class _MatrixConstraints(ConstraintFamily):
         n = self.n
         if len(g.even) != n * n:
             raise ValueError(f"{self.name} constraints need an even part of dimension {n * n}")
-        try:
-            same = g.even_algebra().table == matrix_algebra(n).table
-        except ValueError:  # an even*even product with an odd component
-            same = False
-        if not same:
+        # E_ab E_cd = delta_bc E_ad on the even basis in row-major order; a
+        # product with an odd component differs from every such cell
+        e, t = g.even, g.algebra.table
+        if any(t[e[a * n + b]][e[c * n + d]] != (((e[a * n + d], 1),) if b == c else ())
+               for a, b, c, d in itertools.product(range(n), repeat=4)):
             raise ValueError(
                 f"{self.name} constraints need the even part to be the n x n "
                 f"matrix algebra in row-major basis order")
@@ -501,9 +535,9 @@ def check_sample_count(what: str, samples: int, dim: int):
     samples x (dim^2 + 16 dim) <= MAX_SAMPLE_FLOATS: no samples would be no
     evidence."""
     try:
-        operator.index(samples)
         if isinstance(samples, bool):
             raise TypeError
+        samples = operator.index(samples)  # a Python int: a numpy one would wrap in the product
     except TypeError:
         raise ValueError(f"{what} needs an integer sample count, not {samples!r}") from None
     if samples < 1:
@@ -527,12 +561,46 @@ def check_xi_group(group: LinearXiGroup, samples: int = 1000, seed: int = 0) -> 
     if not np.all(unit_resid <= _UNIT_RESIDUAL):
         raise _not_a_unit(np.max(unit_resid))
     conj = r.multiply_f(r.multiply_f(xe, h), xe_inv)
-    scale = np.maximum(1.0, r.op_norm(x) * r.op_norm(h) * r.op_norm(xe_inv))
-    resid = group.membership_residual(conj) / scale
-    i = int(np.argmax(resid))  # the first worst sample
-    worst = float(resid[i])
+    raw = group.membership_residual(conj)
+    del conj  # free it before the norms
+    factors = (x, 1), (h, 1), (xe_inv, 1)
+    if raw.any():
+        # the rows whose bounds leave them able to reach the worst residual;
+        # ~(a < b) keeps a row with a NaN
+        lo, hi = _scale_bounds(r, factors)
+        rows = np.flatnonzero(~(raw / lo < np.max(raw / hi)))
+    else:  # 0 at any scale
+        rows = np.zeros(1, dtype=int)
+    resid = raw[rows] / _scale(r, factors, rows)
+    j = int(np.argmax(resid))  # the first worst sample: every worst one is in rows, in order
+    i, worst = rows[j], float(resid[j])
     witness = (x[i], h[i], worst) if worst > group.tolerance else None
     return XiGroupReport(worst <= group.tolerance, samples, worst, witness)
+
+
+def _scale_bounds(r: MatrixRealization, factors):
+    """Bounds (lo, hi) on ``_scale`` at every row, from ``norm_bounds``."""
+    lo = hi = 1.0
+    for a, k in factors:
+        a_lo, a_hi = r.norm_bounds(a)
+        lo, hi = lo * a_lo ** k, hi * a_hi ** k
+    return np.maximum(1.0, lo, out=lo), np.maximum(1.0, hi, out=hi)
+
+
+def _scale(r: MatrixRealization, factors, rows):
+    """max(1, the product of op_norm(a) ** k over the factors (a, k)) at rows."""
+    return np.maximum(1.0, math.prod(r.op_norm(a[rows]) ** k for a, k in factors))
+
+
+def _above_scaled(r: MatrixRealization, resid, tol: float, *factors):
+    """resid > tol ``_scale``, row by row, with an exact norm only for the
+    rows that the norm bounds leave open."""
+    lo, hi = _scale_bounds(r, factors)
+    above = resid > tol * hi
+    rows = np.flatnonzero(~above & (resid > tol * lo))
+    if rows.size:
+        above[rows] = resid[rows] > tol * _scale(r, factors, rows)
+    return above
 
 
 def verify_group_closure(group: LinearXiGroup, samples: int = 32, seed: int = 0) -> Report:
@@ -545,11 +613,11 @@ def verify_group_closure(group: LinearXiGroup, samples: int = 32, seed: int = 0)
     x, y = group.sample(rng, samples), group.sample(rng, samples)
     prod = r.multiply_f(x, y)
     prod_resid = group.membership_residual(prod)
-    prod_bad = prod_resid > tol * np.maximum(1.0, r.op_norm(x) * r.op_norm(y))
+    prod_bad = _above_scaled(r, prod_resid, tol, (x, 1), (y, 1))
     inv, unit_resid = _unit_inverses(r, x)
     inv_resid = group.membership_residual(inv)
     non_unit = ~(unit_resid <= _UNIT_RESIDUAL)
-    inv_bad = non_unit | (inv_resid > tol * np.maximum(1.0, r.op_norm(inv) ** 2))
+    inv_bad = non_unit | _above_scaled(r, inv_resid, tol, (inv, 2))
     # the first failing sample in draw order, its product checked before its inverse
     failed = np.flatnonzero(prod_bad | inv_bad)
     if not failed.size:

@@ -10,7 +10,8 @@ which makes the search exhaustive.  The per-sample xi-group loops reuse
 the float primitives that the batched checks are built from (products,
 membership residuals, and the batch inverse ``_unit_inverses`` on one-row
 stacks), take xi(x) from the exact ``xi`` and norms from the SVD, and redo
-the looping.  The curve
+the looping; the full-norm references are the batched checks with an exact
+norm on every row, where the package bounds the norms first.  The curve
 reference takes its exponential in the matrix realization and maps it back
 to coordinates, where leibkit exponentiates left multiplication directly;
 the line curve and its slope fit live only here.  The direct sum, the
@@ -37,8 +38,8 @@ from leibkit.linalg import (Matrix, Subspace, _echelon, full_space, kernel, solv
                             vec, vscale, zeros)
 from leibkit.modules import _maps_into
 from leibkit.report import fail, ok
-from leibkit.xigroup import (_UNIT_RESIDUAL, NotAUnitError, XiGroupReport, _unit_inverses, expm,
-                             xi)
+from leibkit.xigroup import (_UNIT_RESIDUAL, NotAUnitError, XiGroupReport, _not_a_unit,
+                             _unit_inverses, check_sample_count, expm, xi)
 
 
 def dense(t):
@@ -1149,6 +1150,63 @@ def conjugation_residual(group, x, h):
     conj = r.multiply_f(r.multiply_f(xe, h), xe_inv)
     return group.membership_residual(conj) / max(
         1.0, svd_norm(r, x) * svd_norm(r, h) * svd_norm(r, xe_inv))
+
+
+# -- sampled xi-group checks with every norm solved -----------------------------
+#
+# The batched checks as they were before they bounded the norms: they draw,
+# invert and take residuals as the package does, then call ``op_norm`` on
+# every row, so their reports are what the bounded checks must equal exactly.
+
+
+def check_xi_group_full_norms(group, samples=1000, seed=0):
+    """``check_xi_group`` with every sample's three norms solved."""
+    check_sample_count("xi-group check", samples, group.graded.dim)
+    rng = np.random.default_rng(seed)
+    r = group.realization
+    x, h = group.sample(rng, samples), group.sample(rng, samples)
+    xe = x.copy()  # xi(x)
+    xe[:, group._odd] = 0.0
+    xe_inv, unit_resid = _unit_inverses(r, xe)
+    if not np.all(unit_resid <= _UNIT_RESIDUAL):
+        raise _not_a_unit(np.max(unit_resid))
+    conj = r.multiply_f(r.multiply_f(xe, h), xe_inv)
+    scale = np.maximum(1.0, r.op_norm(x) * r.op_norm(h) * r.op_norm(xe_inv))
+    resid = group.membership_residual(conj) / scale
+    i = int(np.argmax(resid))  # the first worst sample
+    worst = float(resid[i])
+    witness = (x[i], h[i], worst) if worst > group.tolerance else None
+    return XiGroupReport(worst <= group.tolerance, samples, worst, witness)
+
+
+def group_closure_full_norms(group, samples=32, seed=0):
+    """``verify_group_closure`` with every sample's norms solved."""
+    check_sample_count("group closure check", samples, group.graded.dim)
+    rng = np.random.default_rng(seed)
+    r = group.realization
+    tol = group.tolerance
+    x, y = group.sample(rng, samples), group.sample(rng, samples)
+    prod = r.multiply_f(x, y)
+    prod_resid = group.membership_residual(prod)
+    prod_bad = prod_resid > tol * np.maximum(1.0, r.op_norm(x) * r.op_norm(y))
+    inv, unit_resid = _unit_inverses(r, x)
+    inv_resid = group.membership_residual(inv)
+    non_unit = ~(unit_resid <= _UNIT_RESIDUAL)
+    inv_bad = non_unit | (inv_resid > tol * np.maximum(1.0, r.op_norm(inv) ** 2))
+    failed = np.flatnonzero(prod_bad | inv_bad)
+    if not failed.size:
+        return ok("group closure")
+    i = failed[0]
+    if prod_bad[i]:
+        return fail("closure under product",
+                    (vec(map(Fraction, x[i])), vec(map(Fraction, y[i]))),
+                    vec(map(Fraction, prod[i])), zeros(r.dim),
+                    note=f"residual {prod_resid[i]:.3e}")
+    if non_unit[i]:
+        raise _not_a_unit(unit_resid[i])
+    return fail("closure under inverse", (vec(map(Fraction, x[i])),),
+                vec(map(Fraction, inv[i])), zeros(r.dim),
+                note=f"residual {inv_resid[i]:.3e}")
 
 
 def exp_curve_through_realization(group, x, t_grid):

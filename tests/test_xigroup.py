@@ -40,6 +40,7 @@ from leibkit.xigroup import (
 )
 
 from oracles import (
+    check_xi_group_full_norms,
     conjugation_residual,
     dense,
     entrywise_nonzeros,
@@ -47,6 +48,7 @@ from oracles import (
     exp_curve_through_realization,
     first_nonmultiplicative_pair,
     fitted_log_slope,
+    group_closure_full_norms,
     group_closure_loop,
     line_curve_residuals,
     svd_norm,
@@ -315,6 +317,32 @@ def test_op_norm_is_the_svd_norm_on_zero_huge_and_tiny_rows_past_one_block(r):
     assert np.allclose(norms, svd, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("r", [R2, regular_realization(G2)], ids=["block 4x4", "regular 8x8"])
+def test_norm_bounds_hold_the_op_norm_on_zero_huge_and_tiny_rows_past_one_block(r):
+    count = xigroup._GRAM_BLOCK + 7
+    x = np.random.default_rng(9).standard_normal((count, r.dim))
+    for start in (0, xigroup._GRAM_BLOCK - 2):
+        x[start] = 0.0
+        x[start + 1:start + 3] *= 1e200
+        x[start + 3:start + 5] *= 1e-200
+    lo, hi = r.norm_bounds(x)
+    norms = r.op_norm(x)
+    assert lo.shape == hi.shape == (count,)
+    assert np.all(lo <= norms) and np.all(norms <= hi)
+    for zero in (0, xigroup._GRAM_BLOCK - 2):
+        assert lo[zero] == hi[zero] == 0.0
+    # within a factor sqrt(n): the trace is at least the top eigenvalue, and
+    # the largest absolute row sum at most sqrt(n) times it
+    assert np.all(hi <= np.sqrt(r.n) * norms * (1 + 1e-9))
+    assert np.all(lo >= norms / np.sqrt(r.n) * (1 - 1e-9))
+    one_lo, one_hi = r.norm_bounds(x[5])
+    assert (one_lo, one_hi) == (lo[5], hi[5])
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        x[count - 1, 2] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            r.norm_bounds(x)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
                          ids=["nan", "inf", "-inf"])
 def test_op_norm_raises_on_a_row_with_an_entry_that_is_not_finite(bad):
@@ -387,14 +415,16 @@ def test_sampled_checks_need_a_sample(samples):
 @pytest.mark.parametrize("check", [check_xi_group, verify_group_closure])
 def test_sampled_checks_refuse_a_count_above_the_bound_before_drawing(check):
     grp = orth_group(3)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="above the limit"):
-            check(grp, samples=10 ** 12)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 100_000
+    # numpy counts that would wrap in samples x (dim^2 + 16 dim) at dim 18
+    for samples in (10 ** 12, np.int64(2 ** 62), np.uint64(2 ** 63 + 1)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="above the limit"):
+                check(grp, samples=samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 @pytest.mark.parametrize("samples", [True, False, 2.5, 3.0, "4", None], ids=repr)
@@ -918,6 +948,45 @@ def _closure_ok(grp, x, y):
     prod_scale = max(1.0, svd_norm(r, x) * svd_norm(r, y))
     return (grp.membership_residual(r.multiply_f(x, y)) <= tol * prod_scale
             and grp.membership_residual(inv) <= tol * max(1.0, svd_norm(r, inv) ** 2))
+
+
+@pytest.mark.parametrize("regular", [False, True], ids=["block", "regular"])
+@pytest.mark.parametrize("odd", [None, "one-coordinate", "first-column"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("family", _FOUR_FAMILIES, ids=lambda f: f.name)
+def test_bounded_checks_report_what_the_full_norm_checks_report(family, n, odd, regular):
+    grp = _group(family, n, odd)
+    if regular:
+        grp = LinearXiGroup(regular_realization(grp.graded), grp.constraints, grp.odd_subspace)
+    # 1030 samples span two Gram blocks
+    for seed, count in [(seed, 24) for seed in range(20)] + [(0, 1030)]:
+        got, want = check_xi_group(grp, count, seed), check_xi_group_full_norms(grp, count, seed)
+        assert (got.holds, got.samples) == (want.holds, want.samples)
+        assert got.worst_residual == want.worst_residual
+        assert (got.witness is None) == (want.witness is None)
+        if got.witness is not None:
+            assert all(np.array_equal(a, b) for a, b in zip(got.witness, want.witness))
+        assert verify_group_closure(grp, count, seed) == group_closure_full_norms(grp, count, seed)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bounded_checks_decide_at_the_threshold_as_the_full_norm_checks_do(n):
+    """A tolerance just under or over a sample's scaled residual lies between
+    the thresholds of the two norm bounds, so only the exact norms decide."""
+    grp = _group(OrthogonalConstraints, n, "one-coordinate")
+    r = grp.realization
+    rng = np.random.default_rng(0)
+    x, y = grp.sample(rng, 24), grp.sample(rng, 24)
+    inv = _unit_inverses(r, x)[0]
+    ratios = np.concatenate([
+        grp.membership_residual(r.multiply_f(x, y)) / np.maximum(1.0, r.op_norm(x) * r.op_norm(y)),
+        grp.membership_residual(inv) / np.maximum(1.0, r.op_norm(inv) ** 2),
+        [check_xi_group_full_norms(grp, 24, 0).worst_residual]])
+    assert np.all(ratios > 1e-6)  # the one odd coordinate is left by products and inverses
+    for tol in np.outer(ratios, [1 - 1e-9, 1 + 1e-9]).ravel():
+        g = LinearXiGroup(r, grp.constraints, grp.odd_subspace, tolerance=tol)
+        assert verify_group_closure(g, 24, 0) == group_closure_full_norms(g, 24, 0)
+        assert check_xi_group(g, 24, 0).holds == check_xi_group_full_norms(g, 24, 0).holds
 
 
 class _Scripted(ConstraintFamily):
