@@ -69,7 +69,8 @@ the declarations:
   identities 11,440 against 23,072.  The ordered walk checks the bounds
   the order puts on each term with one comparison a nonzero they bound,
   and does not walk the last indices, which start no triple of the
-  region; the walk of every triple compares nothing;
+  region.  The walk of every triple runs the same loops, with every bound
+  open;
 * the witness replay :func:`evaluate` re-evaluates a failing triple, or any
   vectors, with the original rational entries.
 """
@@ -157,6 +158,8 @@ def _fused_plan(lhs: Sequence[Term], rhs: Sequence[Term]) -> tuple[_Fused, ...]:
 # the gap of two variables an order leaves apart: below any difference of
 # two basis indices, as a table of dim 2^20 would hold 2^40 cells
 _OPEN = -(1 << 20)
+# the bounds of a walk of every triple
+_UNBOUNDED = (_OPEN, _OPEN, _OPEN, False)
 
 
 def _chain(order: str) -> dict[int, tuple[int, int]]:
@@ -182,16 +185,17 @@ def _gap(chain: Mapping, p: int, q: int) -> int | None:
     return None
 
 
-def _bounds(args: tuple[int, int, int], chain: Mapping) -> tuple | None:
+def _bounds(args: tuple[int, int, int], chain: Mapping) -> tuple:
     """What ``chain`` asks of the walk of a fused term with ``args`` =
-    (u, v, w): three gaps and a flag, or None when it asks nothing; a gap
-    the chain leaves open is :data:`_OPEN`.  When w is x, for a, b the
-    values of u, v and the lead the earlier of them in the chain: (least
-    lead - x, least b - a, least a - b, whether v leads); a bound on the
-    lead bounds both.  Otherwise, for s the value of x's partner p in the
-    inner product and t that of w: (least s - x, least t - s if the flag is
-    set, else least t - x, least s - t, the flag); where the chain has x, p,
-    w in that order, the bound from s implies the one from x."""
+    (u, v, w): three gaps and a flag, a gap the chain leaves open being
+    :data:`_OPEN`, so that the empty chain gives :data:`_UNBOUNDED`.  When
+    w is x, for a, b the values of u, v and the lead the earlier of them in
+    the chain: (least lead - x, least b - a, least a - b, whether v leads);
+    a bound on the lead bounds both.  Otherwise, for s the value of x's
+    partner p in the inner product and t that of w: (least s - x, least
+    t - s if the flag is set, else least t - x, least s - t, the flag);
+    where the chain has x, p, w in that order, the bound from s implies the
+    one from x."""
     u, v, w = args
     if w == 0:
         lead = min((r for r in (u, v) if r in chain), key=chain.get, default=u)
@@ -200,8 +204,6 @@ def _bounds(args: tuple[int, int, int], chain: Mapping) -> tuple | None:
         p = v if u == 0 else u
         flag = _gap(chain, p, w) is not None
         gaps = _gap(chain, 0, p), _gap(chain, p if flag else 0, w), _gap(chain, w, p)
-    if gaps == (None, None, None):
-        return None
     return (*(_OPEN if g is None else g for g in gaps), flag)
 
 
@@ -430,15 +432,16 @@ def _grouped(spec: tuple, views: dict, dim: int) -> tuple[list, list, list]:
     return grouped
 
 
-def _walk(term: _Fused, views: dict, dim: int, bounds: tuple | None = None):
-    """``walk(i, acc)`` adds the fused term at every triple (i, j, k) into
-    ``acc``, keyed by (j * dim + k) * dim + m for output coordinate m; with
-    ``bounds`` (see :func:`_bounds`), at the triples they admit only, each
-    bound checked with one comparison a nonzero it bounds.  The walk of
-    every triple compares nothing: with open bounds the comparisons cost the
-    full walks of the corpus benchmark (dims 2-6) about a fifth of their
-    time, and its ``wall_s`` 12 % on a 2-vCPU host in a version that made
-    them."""
+def _walk(term: _Fused, views: dict, dim: int, bounds: tuple):
+    """``walk(i, acc)`` adds the fused term at the triples (i, j, k) that
+    ``bounds`` (see :func:`_bounds`) admit into ``acc``, keyed by
+    (j * dim + k) * dim + m for output coordinate m, each bound checked with
+    one comparison a nonzero it bounds.  The walk of every triple passes
+    :data:`_UNBOUNDED`, whose comparisons admit everything.  Against a loop
+    with no bounds beside each bounded one, they cost the unordered checks
+    of the corpus benchmark (dims 2-6) 5-6 % of their time in-process, and
+    its median ``wall_s`` 4 % (0.278 to 0.290 s over 10 alternating pairs,
+    2-vCPU host); construct's ``max_item_s`` moved 1.5 %."""
     # key weight of x, y, z: x is the block's own index, y and z place (j, k)
     weight = (0, dim * dim, dim)
     u, v, w = term.args
@@ -451,21 +454,8 @@ def _walk(term: _Fused, views: dict, dim: int, bounds: tuple | None = None):
     if w == 0:
         # x is the outer product's own argument: the cells outer[l][x] of
         # column x, each against the inner nonzeros (a, b) at l, whose keys
-        # are built on first use
-        if bounds is None:
-            def walk(i, acc):
-                for l, cell in outer_column[i]:
-                    at_l = keys[l]
-                    if at_l is None:
-                        at_l = keys[l] = [(a * wu + b * wv, sign * c) for a, b, c in by_l[l]]
-                    for base, c in at_l:
-                        for m, cm in cell:
-                            key = base + m
-                            acc[key] = acc.get(key, 0) + c * cm
-            return walk
-
-        # without the (a, b) the order rules out by a and b alone, each led
-        # by the value of u or v that x bounds
+        # are built on first use, without the (a, b) the order rules out by
+        # a and b alone, each led by the value of u or v that x bounds
         bound, b_a, a_b, by_v = bounds
 
         def walk(i, acc):
@@ -487,27 +477,13 @@ def _walk(term: _Fused, views: dict, dim: int, bounds: tuple | None = None):
     # inner nonzero at l meets the outer row l, flattened into keys by w on
     # first use, in the order of w's value t
     partners, ws = (inner_row, wv) if u == 0 else (inner_column, wu)
-
-    if bounds is None:
-        def walk(i, acc):
-            for s, cell in partners[i]:
-                base = s * ws
-                for l, c in cell:
-                    row = keys[l]
-                    if row is None:
-                        row = keys[l] = [(t * ww + m, sign * cm) for t, v in outer_row[l]
-                                         for m, cm in v]
-                    for off, cm in row:
-                        key = base + off
-                        acc[key] = acc.get(key, 0) + c * cm
-        return walk
-
     # s >= i + bound, and each row is cut to the t with t >= s + after
     # (from_s) or t >= i + after, and t <= s - before_p
     bound, after, before_p, from_s = bounds
     if after == before_p == _OPEN:
-        # only s is bounded (C1, C3): one comparison a partner, and none a
-        # chain, which open row cuts cost corpus about 2 % of its wall_s
+        # only s is bounded (the unordered terms, C1, C2's first term, C3):
+        # one comparison a partner and none a chain; open row cuts in their
+        # place cost construct's max_item_s 4-8 % (ROADMAP item 20)
         def walk(i, acc):
             lo = i + bound
             for s, cell in partners[i]:
@@ -559,7 +535,7 @@ def _first_failing_triple(identity: Identity, views: dict, dim: int,
     blocks = range(dim - identity._above_x if ordered else dim)
     if not blocks:
         return None
-    bounds = identity._bounds if ordered else (None,) * len(identity._plan)
+    bounds = identity._bounds if ordered else (_UNBOUNDED,) * len(identity._plan)
     walks = [_walk(term, views, dim, b) for term, b in zip(identity._plan, bounds)]
     for i in blocks:
         acc: dict[int, int] = {}

@@ -17,8 +17,9 @@ residuals scaled by operator norms.  The sampled checks bound every norm
 from its Gram matrix first (``MatrixRealization.norm_bounds``) and solve it
 exactly (``op_norm``) only for the samples whose bounds leave the worst
 residual or a verdict open, so their reports are those of solving every
-sample.  A sampled check holds all its samples at once, so its size is
-bounded by ``MAX_SAMPLE_FLOATS``.
+sample.  A residual fails unless it is at most its bound, so a NaN
+residual fails every check.  A sampled check holds all its samples at once,
+so its size is bounded by ``MAX_SAMPLE_FLOATS``.
 """
 
 from __future__ import annotations
@@ -339,16 +340,23 @@ def _unit_even(g: GradedAlgebra) -> np.ndarray:
     return np.array(g.algebra.unit, dtype=float)[list(g.even)]
 
 
-def _redraw(draw, accept, count: int, what: str) -> np.ndarray:
-    """``count`` rows of ``draw`` that pass ``accept``; the rejected rows are
-    drawn again as one batch, up to _SAMPLE_RETRIES tries for each row."""
+def _redraw(draw, det, accept, count: int, what: str):
+    """``count`` rows of ``draw`` whose ``det`` passes ``accept``, and those
+    dets.  The rejected rows are drawn again as one batch, up to
+    _SAMPLE_RETRIES more draws for each row, and only the rows drawn again
+    are measured again, so ``det`` runs once a drawn row."""
     out = draw(count)
+    d = det(out)
+    rows = np.flatnonzero(~accept(d))
     for _ in range(_SAMPLE_RETRIES):
-        rejected = ~accept(out)
-        if not rejected.any():
-            return out
-        out[rejected] = draw(int(rejected.sum()))
-    raise SamplingError(what)
+        if not rows.size:
+            break
+        out[rows] = draw(rows.size)
+        d[rows] = det(out[rows])
+        rows = rows[~accept(d[rows])]
+    if rows.size:
+        raise SamplingError(what)
+    return out, d
 
 
 class NoConstraints(ConstraintFamily):
@@ -365,8 +373,9 @@ class NoConstraints(ConstraintFamily):
     def sample(self, r, rng, count):
         unit_even = _unit_even(r.graded)
         return _redraw(lambda k: unit_even + 0.5 * rng.standard_normal((k, unit_even.size)),
-                       lambda x0: np.abs(np.linalg.det(np.tensordot(x0, r.even_tensor, 1))) > 1e-3,
-                       count, "could not sample an invertible even element")
+                       lambda x0: np.linalg.det(np.tensordot(x0, r.even_tensor, 1)),
+                       lambda d: np.abs(d) > 1e-3,
+                       count, "could not sample an invertible even element")[0]
 
 
 class _MatrixConstraints(ConstraintFamily):
@@ -431,10 +440,9 @@ class SpecialLinearConstraints(_MatrixConstraints):
         return Matrix._sparse(1, n * n, nz=(tuple((a * n + a, 1) for a in range(n)),))
 
     def sample(self, r, rng, count):
-        x = _redraw(lambda k: rng.standard_normal((k, self.n, self.n)),
-                    lambda x: np.abs(np.linalg.det(x)) >= 0.1,
-                    count, "could not sample a well-conditioned matrix")
-        d = np.linalg.det(x)
+        x, d = _redraw(lambda k: rng.standard_normal((k, self.n, self.n)), np.linalg.det,
+                       lambda d: np.abs(d) >= 0.1,
+                       count, "could not sample a well-conditioned matrix")
         x[d < 0, 0] *= -1.0  # flip the first row where det < 0
         return (x / np.abs(d)[:, None, None] ** (1.0 / self.n)).reshape(count, -1)
 
@@ -494,7 +502,7 @@ class LinearXiGroup:
         self._even = list(g.even)
         self._odd = list(g.odd)
         resid = constraints.evaluate(g, realization.np_unit[self._even])
-        if resid.size and float(np.max(np.abs(resid))) > 1e-12:
+        if not np.all(np.abs(resid) <= 1e-12):  # a NaN residual fails too
             raise ValueError("the identity does not satisfy the constraints")
         self.num_constraints = resid.size
         self._v1 = _float_rows(self.odd_subspace.nonzeros, odd_dim)
@@ -574,8 +582,8 @@ def check_xi_group(group: LinearXiGroup, samples: int = 1000, seed: int = 0) -> 
     resid = raw[rows] / _scale(r, factors, rows)
     j = int(np.argmax(resid))  # the first worst sample: every worst one is in rows, in order
     i, worst = rows[j], float(resid[j])
-    witness = (x[i], h[i], worst) if worst > group.tolerance else None
-    return XiGroupReport(worst <= group.tolerance, samples, worst, witness)
+    holds = worst <= group.tolerance  # a NaN residual fails
+    return XiGroupReport(holds, samples, worst, None if holds else (x[i], h[i], worst))
 
 
 def _scale_bounds(r: MatrixRealization, factors):
@@ -593,13 +601,14 @@ def _scale(r: MatrixRealization, factors, rows):
 
 
 def _above_scaled(r: MatrixRealization, resid, tol: float, *factors):
-    """resid > tol ``_scale``, row by row, with an exact norm only for the
-    rows that the norm bounds leave open."""
+    """Not resid <= tol ``_scale``, row by row, so that a NaN residual is
+    above, with an exact norm only for the rows that the norm bounds leave
+    open."""
     lo, hi = _scale_bounds(r, factors)
-    above = resid > tol * hi
+    above = ~(resid <= tol * hi)
     rows = np.flatnonzero(~above & (resid > tol * lo))
     if rows.size:
-        above[rows] = resid[rows] > tol * _scale(r, factors, rows)
+        above[rows] = ~(resid[rows] <= tol * _scale(r, factors, rows))
     return above
 
 

@@ -27,6 +27,7 @@ from leibkit._tables import (
     Identity,
     Term,
     RIGHT_LEIBNIZ,
+    _UNBOUNDED,
     _chain,
     _first_failing_triple,
     _walk,
@@ -135,7 +136,7 @@ def _chains(identity, tables, ordered):
             dict.__setitem__(self, key, value)
 
     views, dim = _views(tables)
-    bounds = identity._bounds if ordered else (None,) * len(identity._plan)
+    bounds = identity._bounds if ordered else (_UNBOUNDED,) * len(identity._plan)
     walks = [_walk(term, views, dim, b) for term, b in zip(identity._plan, bounds)]
     for i in range(dim):
         block = Block()
@@ -175,10 +176,11 @@ def _admits(order):
 
 
 @pytest.mark.parametrize("order", ["x<y<z", "x<z<y", "x<=y<=z", "x<=z<y", "y<z", "z<y",
-                                   "z<=y", "x<z", "x<=z", "x<y", "x<=y"])
+                                   "z<=y", "x<z", "x<=z", "x<y", "x<=y", ""])
 def test_the_walk_of_any_chain_visits_the_triples_it_admits(order):
     # whatever the identity, an ordered walk names the first failing triple
-    # among those the chain admits, as a dense loop over them does
+    # among those the chain admits, as a dense loop over them does; the
+    # empty chain admits every triple, so its walk is the full one
     rng = random.Random(order)
     admits = _admits(order)
     failing = checked = 0

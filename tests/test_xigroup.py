@@ -727,15 +727,69 @@ def test_exp_curve_agrees_with_the_realization_exponential(name):
     assert True in verdicts
 
 
-def test_identity_must_satisfy_constraints():
-    class Shifted(ConstraintFamily):
-        """x0 = 2 * unit, which the unit itself violates."""
+class _Shifted(ConstraintFamily):
+    """x0 = 2 * unit, which the unit itself violates."""
 
-        def evaluate(self, g, x0_even):
-            return np.asarray(x0_even) - 2 * R2.np_unit[list(g.even)]
+    def evaluate(self, g, x0_even):
+        return np.asarray(x0_even) - 2 * R2.np_unit[list(g.even)]
 
+
+class _NaNEverywhere(ConstraintFamily):
+    """A NaN residual at every point, the unit included."""
+
+    def evaluate(self, g, x0_even):
+        return np.full(np.shape(x0_even)[:-1] + (1,), np.nan)
+
+
+@pytest.mark.parametrize("family", [_Shifted, _NaNEverywhere], ids=["shifted", "nan"])
+def test_identity_must_satisfy_constraints(family):
     with pytest.raises(ValueError, match="the identity does not satisfy the constraints"):
-        LinearXiGroup(R2, Shifted())
+        LinearXiGroup(R2, family())
+
+
+class _NaNBelowUnitTrace(NoConstraints):
+    """The full unit group of Mat(2), but with a NaN residual wherever the
+    trace of the even part is below 1 (the unit's is 2)."""
+
+    def evaluate(self, g, x0_even):
+        x = np.asarray(x0_even, dtype=float)
+        return np.where(x[..., 0] + x[..., 3] < 1, np.nan, 0.0)[..., None]
+
+
+def _traces(m):
+    """Traces of the 2 x 2 matrices in row-major rows m."""
+    return m[:, 0] + m[:, 3]
+
+
+def test_conjugation_check_names_the_first_nan_sample():
+    grp = LinearXiGroup(R2, _NaNBelowUnitTrace())
+    rng = np.random.default_rng(0)
+    x, h = grp.sample(rng, 50), grp.sample(rng, 50)
+    # xi(x) h xi(x)^-1 has the trace of h's even part, none of them near 1
+    traces = _traces(h[:, :4])
+    assert np.abs(traces - 1).min() > 1e-3
+    i = np.flatnonzero(traces < 1)[0]
+    assert i > 0
+    rep = check_xi_group(grp, samples=50, seed=0)
+    assert not rep.holds and math.isnan(rep.worst_residual)
+    wx, wh, resid = rep.witness
+    assert np.array_equal(wx, x[i]) and np.array_equal(wh, h[i]) and math.isnan(resid)
+
+
+@pytest.mark.parametrize("seed, kind", [(0, "product"), (1, "inverse")])
+def test_closure_fails_at_the_first_nan_sample_in_draw_order(seed, kind):
+    grp = LinearXiGroup(R2, _NaNBelowUnitTrace())
+    rng = np.random.default_rng(seed)
+    x, y = grp.sample(rng, 16), grp.sample(rng, 16)
+    xm, ym = x[:, :4].reshape(-1, 2, 2), y[:, :4].reshape(-1, 2, 2)
+    prod, inv = _traces((xm @ ym).reshape(-1, 4)), _traces(np.linalg.inv(xm).reshape(-1, 4))
+    assert min(np.abs(prod - 1).min(), np.abs(inv - 1).min()) > 1e-3
+    i = np.flatnonzero((prod < 1) | (inv < 1))[0]
+    assert i > 0 and (prod[i] < 1) == (kind == "product")
+    rep = verify_group_closure(grp, samples=16, seed=seed)
+    assert (rep.holds, rep.identity) == (False, f"closure under {kind}")
+    assert rep.witness.inputs[0] == tuple(map(Fraction, x[i]))
+    assert rep.witness.note == "residual nan"
 
 
 @pytest.mark.parametrize("n", [2.7, 2.0, "2", 0, -1, True],
@@ -870,6 +924,18 @@ def test_sampling_gives_up_after_the_retry_budget():
     with pytest.raises(SamplingError, match="well-conditioned"):
         SpecialLinearConstraints(2).sample(R2, rng, 3)
     assert len(rng.calls) == 101 and set(rng.calls[1:]) == {(3, 2, 2)}
+
+
+def test_each_drawn_matrix_has_its_determinant_taken_once(monkeypatch):
+    batches, det = [], np.linalg.det
+
+    def spy(a):
+        batches.append(len(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", spy)
+    SpecialLinearConstraints(2).sample(R2, _ScriptedNormal(zero_rows=[1, 3]), 5)
+    assert batches == [5, 2]
 
 
 _FOUR_FAMILIES = [NoConstraints, OrthogonalConstraints, SpecialLinearConstraints,
