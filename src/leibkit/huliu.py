@@ -121,8 +121,11 @@ def adjoint_operators(h: HuLiuAlgebra) -> tuple[Matrix, ...]:
 
 
 def is_huliu_ideal(h: HuLiuAlgebra, sub: Subspace) -> bool:
-    """True iff <I,L>, <L,I> and [L,I] all land in I."""
+    """True iff <I,L>, <L,I> and [L,I] all land in I; 0 and L are ideals,
+    and no operator is built for them."""
     _check_ambient(sub, h.dim)
+    if sub.dim in (0, h.dim):
+        return True
     g = h.leibniz.angle
     return _maps_into(columns(g, "right") + columns(g, "left") + columns(h.square, "left"),
                       sub, sub)

@@ -25,6 +25,7 @@ from ._tables import (
     table_entries,
     verify_identities,
 )
+from ._poly import certifying_prime
 from .linalg import Matrix, Subspace, Vec, _apply, _check_ambient, _echelon, _row, kernel
 from .modules import (
     OperatorModule,
@@ -35,6 +36,7 @@ from .modules import (
     norton_irreducible,
     quotient,
     restriction,
+    spin_basis_vectors,
 )
 from .report import Checked, HomReport, Report, checked_once, fail, memo, ok
 
@@ -113,8 +115,11 @@ def multiplication_operators(algebra: LeibnizAlgebra) -> tuple[Matrix, ...]:
 
 
 def is_ideal(algebra: LeibnizAlgebra, sub: Subspace) -> bool:
-    """True iff <I,L> and <L,I> both land in I, checked on bases."""
+    """True iff <I,L> and <L,I> both land in I, checked on bases; 0 and L
+    are ideals, and no operator is built for them."""
     _check_ambient(sub, algebra.dim)
+    if sub.dim in (0, algebra.dim):
+        return True
     t = algebra.angle
     return _maps_into(columns(t, "right") + columns(t, "left"), sub, sub)
 
@@ -155,8 +160,9 @@ def classify_simplicity(algebra: LeibnizAlgebra, seed: int = 0) -> SimplicityVer
     operators, so the test runs module-theoretically: the annihilator must be
     irreducible, the quotient by it must be irreducible, and it must admit no
     invariant complement.  Randomized sub-tests take an explicit seed and
-    run Norton's test at its ``NORTON_BUDGET`` attempts; an exhausted budget
-    yields Unknown, never a wrong answer.
+    run Norton's test at its ``NORTON_BUDGET`` attempts; an exhausted budget,
+    where no basis vector of the module spins to a proper submodule, yields
+    Unknown, never a wrong answer.
 
     The annihilator is never all of L: the right Leibniz identity at z = y
     gives <x,<y,y>> = 0, so if the squares spanned L every bracket, and with
@@ -169,6 +175,23 @@ def classify_simplicity(algebra: LeibnizAlgebra, seed: int = 0) -> SimplicityVer
 def _classify(algebra: LeibnizAlgebra, ops: tuple[Matrix, ...], seed: int) -> SimplicityVerdict:
     """The module-theoretic test on a verified algebra whose ideals are the
     subspaces invariant under ``ops``.
+
+    Each of the two modules, the annihilator and the quotient by it, goes
+    to :func:`certifying_prime` before Norton's test.  It decides only a
+    module whose nonzero operators are rational multiples of one T with an
+    irreducible characteristic polynomial chi, and such a module is
+    irreducible (``leibkit._poly``).  On it Norton can only answer unknown:
+    every element theta that Norton draws is p(T) for a polynomial p, and
+    Q[T] = Q[x]/(chi) is a field, so theta is 0 or invertible.  An
+    invertible theta has kernel 0; theta = 0 has the whole module as its
+    kernel, whose lines spin to the whole module and whose dimension is not
+    1.  So a module the route decides ended the old test with Unknown, and
+    the route draws nothing from ``rng``, so every module it does not
+    decide reaches Norton with the same draws.  Where Norton's budget runs
+    out, each standard basis vector of the module is spun
+    (:func:`spin_basis_vectors`), and a proper spin, lifted as Norton's
+    witness is, is a certificate.  Neither step changes a decided verdict,
+    certificate or check; some Unknown verdicts become decided.
 
     The last step, the search for an invariant complement of the
     annihilator, can never succeed.  Let I != 0 be the annihilator and
@@ -194,30 +217,32 @@ def _classify(algebra: LeibnizAlgebra, ops: tuple[Matrix, ...], seed: int) -> Si
     if ann.dim == 0:
         return SimplicityVerdict("NotSimple", "annihilator is zero")
 
-    status, wit = norton_irreducible(restriction(mod, ann), rng)
+    status, wit, how = _irreducibility(restriction(mod, ann), rng)
     if status == "reducible":
         # wit is in the coordinates of ann's RREF basis
         images = (_apply(ann.nonzeros, c, 0).items() for c in wit.nonzeros)
         cert = Subspace(dim, _echelon(images, dim))
-        return _certified_not_simple(
-            ops, ann, dim, cert, "proper ideal strictly inside the annihilator")
+        return _certified_not_simple(ops, ann, dim, cert, (
+            "a basis vector of the annihilator spans a proper ideal inside it" if how
+            else "proper ideal strictly inside the annihilator"))
     if status == "unknown":
         return SimplicityVerdict(
             "Unknown", "irreducibility of the annihilator undecided within budget")
-    checks.append("annihilator module irreducible")
+    checks.append("annihilator module irreducible" + how)
 
     quo = quotient(mod, ann)
-    status, wit = norton_irreducible(quo.mod, rng)
+    status, wit, how = _irreducibility(quo.mod, rng)
     if status == "reducible":
         # wit is in quotient coordinates, which lift to the positions quo.free
         lifted = (((quo.free[a], x) for a, x in c) for c in wit.nonzeros)
         cert = Subspace(dim, _echelon([*ann.nonzeros, *lifted], dim))
-        return _certified_not_simple(
-            ops, ann, dim, cert, "ideal strictly between the annihilator and L")
+        return _certified_not_simple(ops, ann, dim, cert, (
+            "a basis vector of the quotient spans an ideal strictly between the annihilator and L"
+            if how else "ideal strictly between the annihilator and L"))
     if status == "unknown":
         return SimplicityVerdict(
             "Unknown", "irreducibility of the quotient module undecided within budget")
-    checks.append("quotient module irreducible")
+    checks.append("quotient module irreducible" + how)
 
     ker = equivariant_projection_kernel(mod, ann)
     if ker is not None:
@@ -227,6 +252,22 @@ def _classify(algebra: LeibnizAlgebra, ops: tuple[Matrix, ...], seed: int) -> Si
 
     return SimplicityVerdict("Simple", "only ideals are 0, the annihilator, and L",
                              checks=tuple(checks))
+
+
+def _irreducibility(sub: OperatorModule, rng: random.Random) -> tuple[str, Subspace | None, str]:
+    """The module's irreducibility as :func:`norton_irreducible` reports it,
+    and a note on how it was decided: " (characteristic polynomial
+    irreducible mod q)" when :func:`certifying_prime` proves it first, so
+    that Norton is skipped; "spin" when Norton's budget ran out and a
+    standard basis vector spans a proper submodule
+    (:func:`spin_basis_vectors`); "" when Norton decided it or nothing did."""
+    q = certifying_prime(sub)
+    if q is not None:
+        return "irreducible", None, f" (characteristic polynomial irreducible mod {q})"
+    status, wit = norton_irreducible(sub, rng)
+    if status == "unknown" and (wit := spin_basis_vectors(sub)) is not None:
+        return "reducible", wit, "spin"
+    return status, wit, ""
 
 
 def _bracket_compatibility(source: Table, target: Table, phi: Matrix,

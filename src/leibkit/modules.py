@@ -293,6 +293,22 @@ def norton_irreducible(mod: OperatorModule, rng: random.Random) -> tuple[str, Su
     return "unknown", None
 
 
+def spin_basis_vectors(mod: OperatorModule) -> Subspace | None:
+    """The first proper spin of a standard basis vector e_0, e_1, ... under
+    the distinct nonzero operators, or None when each spins to the whole
+    module.  Each spin runs mod p first (:func:`closure`), so a vector whose
+    spin is full mod p costs no rational spin.  When every operator is a
+    scalar, Norton's draws find a singular element only by accident, but
+    the line of e_0 is already a proper submodule."""
+    d = mod.dim
+    ops = _distinct([t for t in mod.operators if not t.is_zero()])
+    for i in range(d):
+        w = closure(ops, Subspace(d, {i: {}}))
+        if w.dim < d:
+            return w
+    return None
+
+
 def equivariant_projection_kernel(mod: OperatorModule, sub: Subspace) -> Subspace | None:
     """Kernel of a projection onto ``sub`` commuting with all operators, or
     None when there is none.

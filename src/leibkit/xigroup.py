@@ -574,9 +574,11 @@ def check_xi_group(group: LinearXiGroup, samples: int = 1000, seed: int = 0) -> 
     factors = (x, 1), (h, 1), (xe_inv, 1)
     if raw.any():
         # the rows whose bounds leave them able to reach the worst residual;
-        # ~(a < b) keeps a row with a NaN
+        # the bounds refuse a sample that is not finite
         lo, hi = _scale_bounds(r, factors)
-        rows = np.flatnonzero(~(raw / lo < np.max(raw / hi)))
+        nan = np.flatnonzero(np.isnan(raw))
+        # a NaN residual is the worst at any scale: the first fixes the report
+        rows = nan[:1] if nan.size else np.flatnonzero(~(raw / lo < np.max(raw / hi)))
     else:  # 0 at any scale
         rows = np.zeros(1, dtype=int)
     resid = raw[rows] / _scale(r, factors, rows)

@@ -209,6 +209,71 @@ def rotation_bracket(p):
     return t
 
 
+def companion_entries(coeffs):
+    """The (i, j, k, value) entries of Q x + Q^n, x = e_0, with <v, x> = C v
+    for the companion matrix C of x^n + coeffs[n-1] x^(n-1) + ... + coeffs[0]:
+    C e_k = e_(k+1) below the last, and C e_(n-1) = -sum_j coeffs[j] e_j.
+    ``rotation_bracket(p)`` is this for coeffs = [1] * (p - 1); its entries
+    suit dimensions where a dense table is too big to build."""
+    n = len(coeffs)
+    return ([(1 + k, 0, 2 + k, 1) for k in range(n - 1)]
+            + [(n, 0, 1 + j, -c) for j, c in enumerate(coeffs) if c])
+
+
+def _poly_rem_mod(a, b, q):
+    """a mod the monic b over GF(q), coefficients from degree 0 up, trimmed."""
+    a, n = list(a), len(b) - 1
+    for top in range(len(a) - 1, n - 1, -1):
+        c = a[top] % q
+        for i in range(n + 1):
+            a[top - n + i] = (a[top - n + i] - c * b[i]) % q
+    a = [c % q for c in a[:n]]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_quo_mod(a, b, q):
+    """The quotient of a by the monic b over GF(q), when b divides a exactly."""
+    a, n = list(a), len(b) - 1
+    out = [0] * (len(a) - n)
+    for top in range(len(a) - 1, n - 1, -1):
+        c = out[top - n] = a[top] % q
+        for i in range(n + 1):
+            a[top - n + i] = (a[top - n + i] - c * b[i]) % q
+    return out
+
+
+def monic_irreducibles_mod(q, max_deg):
+    """Every monic irreducible polynomial over GF(q) of degree <= max_deg,
+    by degree, each found by trial division by the ones of lower degree."""
+    found = []
+    for n in range(1, max_deg + 1):
+        for low in product(range(q), repeat=n):
+            f = [*low, 1]
+            if all(_poly_rem_mod(f, g, q) for g in found if 2 * (len(g) - 1) <= n):
+                found.append(f)
+    return found
+
+
+def factor_multiplicities_mod(f, q, irreducibles):
+    """The multiplicities of the distinct monic irreducible factors of the
+    monic f over GF(q), by trial division in degree order; whatever is left
+    once a factor's square has a higher degree is irreducible."""
+    mults = []
+    for g in irreducibles:
+        if 2 * (len(g) - 1) > len(f) - 1:
+            break
+        m = 0
+        while not _poly_rem_mod(f, g, q):
+            f, m = _poly_quo_mod(f, g, q), m + 1
+        if m:
+            mults.append(m)
+    if len(f) > 1:
+        mults.append(1)
+    return mults
+
+
 def is_invariant(ops, sub):
     return all(sub.contains(t.matvec(b)) for b in sub.basis for t in ops)
 

@@ -137,6 +137,18 @@ def test_is_huliu_ideal_examples(ut_model):
         is_huliu_ideal(h, span([], 2))
 
 
+def test_zero_and_the_whole_space_are_huliu_ideals_without_an_operator(monkeypatch, ut_model):
+    h = derive_huliu(ut_model)
+
+    def no_columns(*args):
+        raise AssertionError("columns built")
+
+    monkeypatch.setattr(huliu, "columns", no_columns)
+    assert is_huliu_ideal(h, span([], 3)) and is_huliu_ideal(h, full_space(3))
+    with pytest.raises(AssertionError, match="columns built"):
+        is_huliu_ideal(h, annihilator(h.leibniz))
+
+
 def test_is_huliu_subalgebra_examples(ut_model):
     h = derive_huliu(ut_model)
     assert is_huliu_subalgebra(h, full_space(3))

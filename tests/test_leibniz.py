@@ -1,18 +1,20 @@
 import copy
 import itertools
 import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leibkit import leibniz
 from leibkit._tables import operators, table_from_dense, table_from_entries, zero_table
 from leibkit.algebras import matrix_algebra, make_trivial_extension
 from leibkit.algebras import make_block_upper
 from leibkit.derive import derive_huliu, derive_leibniz
 from leibkit.fuzz import generate_corpus
-from leibkit.huliu import adjoint_operators
+from leibkit.huliu import adjoint_operators, classify_huliu_simplicity, is_huliu_ideal
 from leibkit.leibniz import (
     LeibnizAlgebra,
     annihilator,
@@ -122,6 +124,16 @@ def test_is_ideal_examples(nilpotent_dim2):
         is_ideal(nilpotent_dim2, span([(1, 0, 0)], 3))
 
 
+def test_zero_and_the_whole_space_are_ideals_without_an_operator(monkeypatch, nilpotent_dim2):
+    def no_columns(*args):
+        raise AssertionError("columns built")
+
+    monkeypatch.setattr(leibniz, "columns", no_columns)
+    assert is_ideal(nilpotent_dim2, span([], 2)) and is_ideal(nilpotent_dim2, full_space(2))
+    with pytest.raises(AssertionError, match="columns built"):
+        is_ideal(nilpotent_dim2, span([(1, 0)], 2))
+
+
 def test_annihilator_is_ideal_always(nilpotent_dim2, solvable_dim2, ut_model):
     for alg in (nilpotent_dim2, solvable_dim2, derive_leibniz(ut_model)):
         assert is_ideal(alg, annihilator(alg))
@@ -197,6 +209,39 @@ def test_classify_certifies_an_ideal_of_the_derived_mat2_extension():
     verdict = classify_simplicity(alg, seed=1)
     assert verdict.tag == "NotSimple"  # eps*identity spans a 1-dim ideal
     assert verdict.certificate is not None and is_ideal(alg, verdict.certificate)
+
+
+def test_corpus_seed_1_trial_279_is_decided_by_a_basis_vector_spin(monkeypatch):
+    # the dim-3 pair of <e0,e1> = -2 e1, <e0,e2> = -2 e2: every operator acts
+    # on the annihilator span(e1, e2) as a scalar, so Norton's draws find no
+    # singular element, but the line of e1 is an ideal
+    h = derive_huliu(dict(generate_corpus(1, 300, 3, 3))[279])
+    assert annihilator(h.leibniz) == span([(0, 1, 0), (0, 0, 1)], 3)
+    verdict = classify_huliu_simplicity(h)
+    assert (verdict.tag, verdict.reason) == (
+        "NotSimple", "a basis vector of the annihilator spans a proper ideal inside it")
+    assert verdict.certificate == span([(0, 1, 0)], 3)
+    assert is_huliu_ideal(h, verdict.certificate)
+    # Norton alone runs out of budget
+    monkeypatch.setattr(leibniz, "spin_basis_vectors", lambda mod: None)
+    assert classify_huliu_simplicity(h).tag == "Unknown"
+
+
+def test_no_corpus_classification_is_unknown_and_every_certificate_is_an_ideal():
+    # seeds 1-10 at m = 3: each algebra is classified as its derived Leibniz
+    # algebra and as its derived Hu-Liu pair, 6,000 classifications
+    tags = Counter()
+    for seed in range(1, 11):
+        for _, g in generate_corpus(seed, 300, 3, 3):
+            h = derive_huliu(g)
+            for verdict, is_ideal_of in ((classify_simplicity(h.leibniz), is_ideal),
+                                         (classify_huliu_simplicity(h), is_huliu_ideal)):
+                tags[verdict.tag] += 1
+                if verdict.certificate is not None:
+                    alg = h.leibniz if is_ideal_of is is_ideal else h
+                    assert 0 < verdict.certificate.dim < h.dim
+                    assert is_ideal_of(alg, verdict.certificate)
+    assert sum(tags.values()) == 6000 and tags["Unknown"] == 0
 
 
 @pytest.mark.parametrize("copies", [1, 2])

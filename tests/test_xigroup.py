@@ -776,6 +776,21 @@ def test_conjugation_check_names_the_first_nan_sample():
     assert np.array_equal(wx, x[i]) and np.array_equal(wh, h[i]) and math.isnan(resid)
 
 
+def test_conjugation_check_solves_the_norms_of_the_first_nan_sample_only(monkeypatch):
+    # the first NaN residual fixes the verdict and the witness: the three
+    # factors' norms are solved at that one row, where they were at every row
+    seen, op_norm = [], MatrixRealization.op_norm
+
+    def spy(self, x):
+        seen.append(len(x))
+        return op_norm(self, x)
+
+    monkeypatch.setattr(MatrixRealization, "op_norm", spy)
+    rep = check_xi_group(LinearXiGroup(R2, _NaNBelowUnitTrace()), samples=1000, seed=0)
+    assert not rep.holds and math.isnan(rep.worst_residual)
+    assert seen == [1, 1, 1]
+
+
 @pytest.mark.parametrize("seed, kind", [(0, "product"), (1, "inverse")])
 def test_closure_fails_at_the_first_nan_sample_in_draw_order(seed, kind):
     grp = LinearXiGroup(R2, _NaNBelowUnitTrace())
