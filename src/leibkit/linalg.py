@@ -471,16 +471,25 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    def contains(self, v: Sequence) -> bool:
-        return self.coords(v) is not None
-
-    def coords(self, v: Sequence) -> Vec | None:
-        """Coefficients of v in the RREF basis, or None if v is outside."""
+    def _remainder(self, v: Sequence) -> tuple[Vec, dict]:
+        """v as ``vec`` reads it and its remainder against the pivot rows,
+        empty exactly when v lies in the span; ValueError unless v has
+        ``ambient_dim`` entries."""
         v = vec(v)
         if len(v) != self.ambient_dim:
             raise ValueError(f"vector length {len(v)} != ambient {self.ambient_dim}")
-        # v lies in the span iff it reduces to 0; RREF coordinates are its pivot entries
-        return None if _reduce(self._rows, _nonzeros(v)) else tuple(v[p] for p in self.pivots)
+        return v, _reduce(self._rows, _nonzeros(v))
+
+    def contains(self, v: Sequence) -> bool:
+        """Whether v lies in the subspace: whether it reduces to 0 against
+        the pivot rows.  No coordinates are built."""
+        return not self._remainder(v)[1]
+
+    def coords(self, v: Sequence) -> Vec | None:
+        """Coefficients of v in the RREF basis, or None if v is outside."""
+        v, rest = self._remainder(v)
+        # RREF coordinates are the pivot entries of a vector in the span
+        return None if rest else tuple(v[p] for p in self.pivots)
 
     def sum(self, other: "Subspace") -> "Subspace":
         _check_ambient(self, other.ambient_dim)

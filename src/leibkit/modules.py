@@ -11,7 +11,12 @@ never a wrong answer.  Its random elements are drawn from all the nonzero
 operators, but both spins run over the distinct ones: an operator that is a
 nonzero multiple of another adds no invariant subspace.  Each kernel line is
 spun at most once per call: a line seen again would spin to the full space
-again, so it is skipped, and the random draws do not change.
+again, so it is skipped, and the random draws do not change.  A draw whose
+element is the zero matrix, once every standard line is spun, takes no
+kernel: the kernel of 0 is the whole space, whose RREF basis rows are the
+standard lines, and its dimension is not 1.  The re-check of a returned
+certificate (:func:`is_invariant`) applies the distinct nonzero operators
+only, as the spins do.
 
 One spin loop serves both fields, as does one builder of Norton's elements
 from the operators' cached columns; both run on linalg's one reducer and
@@ -120,7 +125,14 @@ def _spin_full_mod_p(ops: list[Matrix], s: Subspace) -> bool:
 
 
 def is_invariant(operators, s: Subspace) -> bool:
-    return all(s.contains(t.matvec(b)) for b in s.basis for t in operators)
+    """Whether every operator, each square of the ambient dimension of s,
+    maps s into itself: each image of s's dense basis is read through
+    ``Matrix.matvec`` and tested for membership.  Only the distinct nonzero
+    operators are applied: a zero operator maps s to 0, and a nonzero
+    multiple c T keeps s invariant exactly when T does."""
+    _check_square(operators, s.ambient_dim)
+    ops = _distinct([t for t in operators if not t.is_zero()])
+    return all(s.contains(t.matvec(b)) for b in s.basis for t in ops)
 
 
 def _maps_into(cols, s: Subspace, target: Subspace) -> bool:
@@ -232,9 +244,13 @@ def _distinct(ops: list[Matrix]) -> list[Matrix]:
     divided exactly (``/`` of two ints would give a float)."""
     first: dict[tuple, Matrix] = {}
     for t in ops:
-        x0 = next(c[0][1] for c in t._cols if c)
-        inv = Fraction(x0.denominator, x0.numerator)
-        first.setdefault(tuple(tuple((i, y * inv) for i, y in c) for c in t._cols), t)
+        cols = t._cols
+        x0 = next(c[0][1] for c in cols if c)
+        if x0 != 1:
+            # an int equals and hashes as the Fraction it is, so unscaled keys match
+            inv = Fraction(x0.denominator, x0.numerator)
+            cols = tuple(tuple((i, y * inv) for i, y in c) for c in cols)
+        first.setdefault(cols, t)
     return list(first.values())
 
 
@@ -249,10 +265,14 @@ def norton_irreducible(mod: OperatorModule, rng: random.Random) -> tuple[str, Su
     and its kernel taken.  The spins are
     closures under the distinct operators, the dual one under their
     transposes, which read the operators' rows as their columns.  Each
-    kernel line is spun at most once per call: the singular elements of a
-    nilpotent-heavy module keep returning the same few lines, and a line
-    already spun to the full space is skipped.  The draws, kernels and
-    answers are those of spinning every line.
+    kernel line is spun at most once per call, keyed by its RREF basis
+    row: the singular elements of a nilpotent-heavy module keep returning
+    the same few lines, and a line already spun to the full space is
+    skipped.  A theta that is 0 has the whole space as its kernel, whose
+    basis rows are the standard lines; once they are all spun, such a draw
+    is skipped before any kernel is taken (d >= 2, so no dual spin follows
+    either).  The draws and answers are those of spinning every line of
+    every kernel.
     """
     d = mod.dim
     if d == 0:
@@ -263,26 +283,28 @@ def norton_irreducible(mod: OperatorModule, rng: random.Random) -> tuple[str, Su
     if not ops:
         return "reducible", Subspace(d, {0: {}})  # the line of e_0
     distinct = _distinct(ops)
-    cols_p = [t._cols_p for t in ops]
-    spun: set[Subspace] = set()  # kernel lines whose spin is the full space
+    cols, cols_p = [t._cols for t in ops], [t._cols_p for t in ops]
+    spun: set[tuple] = set()  # basis rows of the kernel lines whose spin is the full space
+    standard = {((i, 1),) for i in range(d)}  # the basis rows of the lines of e_0 .. e_(d-1)
     for _ in range(NORTON_BUDGET):
         recipe = _random_recipe(len(ops), rng)
         if None not in cols_p and _full_rank_mod_p(cols_p, recipe, d):
             continue  # theta is invertible over Q: its kernel is 0
-        theta = Matrix._sparse(d, d, c=tuple(
-            _pairs(c.items()) for c in _recipe_columns([t._cols for t in ops], recipe, d)))
+        theta_cols = tuple(_pairs(c.items()) for c in _recipe_columns(cols, recipe, d))
+        if not any(theta_cols) and standard <= spun:
+            continue  # theta is 0: its kernel's basis rows are the standard lines, all spun
+        theta = Matrix._sparse(d, d, c=theta_cols)
         ker = kernel(theta)
         if ker.dim == 0:
             continue
-        for p in ker.pivots:
+        for p, row in zip(ker.pivots, ker.nonzeros):
             # an RREF basis row is the one pivot row of the line it spans
-            line = Subspace(d, {p: ker._rows[p]})
-            if line in spun:
+            if row in spun:
                 continue
-            w = closure(distinct, line)
+            w = closure(distinct, Subspace(d, {p: ker._rows[p]}))
             if w.dim < d:
                 return "reducible", w
-            spun.add(line)
+            spun.add(row)
         if ker.dim == 1:
             # the dual spin: theta's transpose has a one-dimensional kernel too
             wt = closure([t.T for t in distinct], kernel(theta.T))

@@ -282,11 +282,16 @@ def _unit_inverses(r: MatrixRealization, x: np.ndarray):
     even = list(r.graded.even)
     # left multiplication by the even part, restricted to the even coordinates
     m = np.swapaxes(np.tensordot(x[..., even], r.even_tensor, 1), -1, -2)
-    singular = np.linalg.slogdet(m)[0] == 0
-    m[singular] = np.eye(len(even))  # solved as the unit, flagged below
-    x0_inv = np.zeros(x.shape)
     unit = np.broadcast_to(r.np_unit[even, None], m.shape[:-1] + (1,))  # one column each
-    x0_inv[..., even] = np.linalg.solve(m, unit)[..., 0]
+    try:
+        sol, singular = np.linalg.solve(m, unit), False
+    except np.linalg.LinAlgError:
+        # some LU has an exactly zero pivot, which slogdet's sign 0 reads from the same LU
+        singular = np.linalg.slogdet(m)[0] == 0
+        m[singular] = np.eye(len(even))  # solved as the unit, flagged below
+        sol = np.linalg.solve(m, unit)
+    x0_inv = np.zeros(x.shape)
+    x0_inv[..., even] = sol[..., 0]
     del m  # free the stacked matrices before the products
     x1 = x.copy()
     x1[..., even] = 0.0

@@ -110,6 +110,26 @@ def test_coords_rejects_a_vector_of_the_wrong_length():
             s.coords(v)
 
 
+def test_contains_answers_as_coords_does_without_building_coordinates():
+    rng = random.Random(44)
+    answers = set()
+    for _ in range(200):
+        n = rng.randint(0, 5)
+        s = span([[rng.choice((0, 0, 1, -2, Fraction(1, 3))) for _ in range(n)]
+                  for _ in range(rng.randint(0, n))], n)
+        members = [[2 * x - y for x, y in zip(s.basis[0], s.basis[-1])]] if s.dim else []
+        for v in ([rng.choice((0, 1, Fraction(-3, 2))) for _ in range(n)], *members):
+            answers.add(s.contains(v))
+            assert s.contains(v) == (s.coords(v) is not None)
+        for v in ([1] * (n + 1), [0] * (n + 2), [1] * n + [0]):
+            with pytest.raises(ValueError) as by_coords:
+                s.coords(v)
+            with pytest.raises(ValueError) as by_contains:
+                s.contains(v)
+            assert str(by_contains.value) == str(by_coords.value)
+    assert answers == {True, False}
+
+
 def test_intersect_axes():
     s = intersect(span([(1, 0)], 2), span([(0, 1)], 2))
     assert s.is_zero()

@@ -263,6 +263,105 @@ def test_norton_spins_each_kernel_line_once(monkeypatch):
     assert rng.getstate() == ref_rng.getstate()
 
 
+def _norton_with_spies(monkeypatch, mod, seed):
+    """Norton's answer on mod from Random(seed), checked against the rational
+    reference with its rng state, and the kernel calls as (theta is 0,
+    every standard line already spun to the full space) pairs."""
+    d, full, calls = mod.dim, set(), []
+    standard = {((i, 1),) for i in range(d)}
+    spin, kern = modules.closure, modules.kernel
+
+    def spinning(ops, s):
+        w = spin(ops, s)
+        if w.dim == d:
+            full.add(s.nonzeros[0])
+        return w
+
+    def taking_kernel(theta):
+        calls.append((theta.is_zero(), standard <= full))
+        return kern(theta)
+
+    monkeypatch.setattr(modules, "closure", spinning)
+    monkeypatch.setattr(modules, "kernel", taking_kernel)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    got = norton_irreducible(mod, rng)
+    assert got == oracles.rational_norton(mod, ref_rng, NORTON_BUDGET)
+    assert rng.getstate() == ref_rng.getstate()
+    return got, calls
+
+
+def test_norton_takes_no_kernel_of_zero_once_the_standard_lines_are_spun(monkeypatch):
+    # the block_upper(2,2) pair's annihilator module, as the classifier draws
+    # for it: a third of the singular elements are 0
+    h = _huliu_pairs()[0]
+    mod = restriction(_huliu_module(h), annihilator(h.leibniz))
+    zeros = []  # whether each matrix the rational reference takes a kernel of is 0
+    kern = oracles.kernel
+    monkeypatch.setattr(oracles, "kernel", lambda m: (zeros.append(m.is_zero()), kern(m))[1])
+    got, calls = _norton_with_spies(monkeypatch, mod, 0)
+    assert got == ("irreducible", None)
+    # the lines of e_0 .. e_3 are spun before the first zero draw here
+    assert sum(zeros) >= 20 and not any(zero for zero, _ in calls)
+
+
+def test_a_first_draw_of_zero_still_spins_the_standard_lines(monkeypatch):
+    # square-zero operators: a word of two equal letters is 0, so a draw
+    # can be 0 before any kernel line is spun
+    up, down = Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])
+    cases = Counter()
+    for mod in (OperatorModule(2, (up, down)), OperatorModule(2, (down,))):
+        for seed in range(40):
+            got, calls = _norton_with_spies(monkeypatch, mod, seed)
+            monkeypatch.undo()
+            assert not any(zero and spun for zero, spun in calls)
+            if calls and calls[0][0]:
+                cases[got[0]] += 1
+    # the zero draw decides: e_1 spins to a proper submodule under down alone
+    assert cases["irreducible"] >= 5 and cases["reducible"] >= 5
+
+
+def test_is_invariant_matches_the_dense_check_over_zero_and_repeated_operators():
+    rng = random.Random(44)
+    answers = Counter()
+    for _ in range(150):
+        d = rng.randint(1, 6)
+        ops = _sparse_ops(rng, d, rng.randint(1, 4), rng.choice((0.2, 0.5)))
+        ops += [t.scale(rng.choice((1, -1, 2, Fraction(-2, 3), Fraction(5, 2))))
+                for t in ops if rng.random() < 0.5]
+        ops += [Matrix.zero(d, d)] * rng.randint(0, 2)
+        rng.shuffle(ops)
+        seed = span([_sparse_ops(rng, d, 1, 0.5)[0].row(0)], d)
+        # the closure under all but the last operator need not be invariant
+        for s in (closure(ops, seed), closure(ops[:-1], seed), seed, span([], d), full_space(d)):
+            got = is_invariant(ops, s)
+            assert got == oracles.is_invariant(ops, s)
+            answers[got] += 1
+    assert answers[True] >= 200 and answers[False] >= 50
+
+
+def test_is_invariant_applies_each_distinct_nonzero_operator_once_per_basis_vector(monkeypatch):
+    # the block_upper(2,2) pair's certificate: 32 of its 36 operators are
+    # nonzero and 18 of those distinct up to scalars
+    h = _huliu_pairs()[0]
+    ops = _huliu_module(h).operators
+    cert = classify_huliu_simplicity(h).certificate
+    images = []
+    matvec = Matrix.matvec
+    monkeypatch.setattr(Matrix, "matvec", lambda t, v: (images.append(t), matvec(t, v))[1])
+    assert is_invariant(ops, cert)
+    distinct = modules._distinct([t for t in ops if not t.is_zero()])
+    assert (len(ops), len(distinct)) == (36, 18)
+    assert Counter(images) == {t: cert.dim for t in distinct}
+
+
+def test_is_invariant_rejects_operators_of_another_size():
+    # a zero operator is never applied, but its shape is still checked
+    line = span([(1, 0)], 2)
+    for ops in ([_SHIFT3], [Matrix.identity(2), Matrix.zero(3, 3)]):
+        with pytest.raises(ValueError, match="not 2x2"):
+            is_invariant(ops, line)
+
+
 def _multiple(t, u):
     """Whether t and u are nonzero multiples of each other."""
     flat = [[x for r in m.data for x in r] for m in (t, u)]

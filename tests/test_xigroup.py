@@ -286,6 +286,19 @@ def test_unit_inverses_flag_the_one_non_unit_of_a_stack():
     assert np.allclose(inv[[0, 2]], x[[0, 2]])
 
 
+def test_unit_inverses_of_an_invertible_stack_take_no_determinant(monkeypatch):
+    # one solve factors each even block; slogdet runs only after it fails
+    signs = []
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda m: (signs.append(m.shape), slogdet(m))[1])
+    x = LinearXiGroup(R3, NoConstraints()).sample(np.random.default_rng(3), 9)
+    inv, resid = _unit_inverses(R3, x)
+    assert signs == [] and np.all(resid <= _UNIT_RESIDUAL)
+    singular = np.tile(R2.np_unit, (3, 1))
+    singular[1, :4] = [1.0, 2.0, 2.0, 4.0]
+    assert _unit_inverses(R2, singular)[1][1] == np.inf and signs == [(3, 4, 4)]
+
+
 def test_float_products_and_norms_broadcast_over_leading_axes():
     rng = np.random.default_rng(7)
     x, y = rng.standard_normal((2, 3, 4, 8))
